@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -483,6 +484,15 @@ def _flatten(doc, prefix=""):
     return out
 
 
+def _deviates(a: float, b: float, tol: dict, default_rel: float,
+              default_abs: float) -> bool:
+    """True when a and b differ beyond tolerance or either is NaN or inf."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return True
+    rel = tol.get("rel", default_rel)
+    return abs(a - b) > rel * max(abs(a), abs(b)) + tol.get("abs", default_abs)
+
+
 def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
     """Field-wise relative comparison; prints a report, returns an exit code."""
     tolerances = tolerances or {}
@@ -517,13 +527,10 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
                     if a != b:
                         failures.append((f"row {i} col {name}", a, b, 0.0))
                     continue
-                tol = per_field.get(name, {})
-                rel = tol.get("rel", default_rel)
-                ab = tol.get("abs", default_abs)
                 checked += 1
-                dev = abs(fa - fb)
-                if dev > rel * max(abs(fa), abs(fb)) + ab:
-                    failures.append((f"row {i} col {name}", fa, fb, dev))
+                if _deviates(fa, fb, per_field.get(name, {}), default_rel,
+                             default_abs):
+                    failures.append((f"row {i} col {name}", fa, fb, abs(fa - fb)))
     else:
         fa, fb = _flatten(res), _flatten(base)
         if set(fa) != set(fb):
@@ -533,13 +540,10 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
             a, b = fa[key], fb[key]
             if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
                     and not isinstance(a, bool):
-                tol = per_field.get(key.split(".")[-1], {})
-                rel = tol.get("rel", default_rel)
-                ab = tol.get("abs", default_abs)
                 checked += 1
-                dev = abs(a - b)
-                if dev > rel * max(abs(a), abs(b)) + ab:
-                    failures.append((key, a, b, dev))
+                if _deviates(a, b, per_field.get(key.split(".")[-1], {}),
+                             default_rel, default_abs):
+                    failures.append((key, a, b, abs(a - b)))
             elif a != b:
                 failures.append((key, a, b, 0.0))
 

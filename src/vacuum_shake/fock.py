@@ -247,7 +247,8 @@ class SparseOperator:
         coo = self.matrix.tocoo()
         with open(path, "w") as fh:
             fh.write("row,col,re,im\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
+            for r, c, v in zip(coo.row.tolist(), coo.col.tolist(),
+                               coo.data.tolist()):
                 fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import coupling as cp
 from .errors import ConfigError, DomainError
@@ -252,11 +254,22 @@ class ThreePhotonTensor:
     """Long-time three-photon coefficients over grid mode triples.
 
     Entries are evaluated on demand (the full tensor is cubic in the mode
-    count); reductions stream over slices of the last index.  ``raw``
-    follows the last-emitted-photon convention and is symmetric in its first
-    two indices; ``sym`` is the average over all six index orders, which is
-    the object entering physical probabilities.  The overall
-    arrival-time-dependent phase is dropped (pure phase, recorded here).
+    count).  ``raw`` follows the last-emitted-photon convention and is
+    symmetric in its first two indices; ``sym`` is the average over all six
+    index orders, which is the object entering physical probabilities.  The
+    overall arrival-time-dependent phase is dropped (pure phase, recorded
+    here).
+
+    The reductions over |sym|^2 read one spectrum of total frequency against
+    weight.  On a box lattice omega = n * domega, the pole factor
+    W(Delta_jkl) depends only on s = n_j + n_k + n_l, so
+
+        sum_{s(jkl) = s} |sym_jkl|^2 = pref^2 |W_s|^2
+            [3 (A|u|^2 * A * A)_s + 6 Re(Au * Au^* * A)_s] / 9
+
+    with A the bincount of |eta|^2 over the lattice index (it carries the
+    direction multiplicity), u_j = 1/(i Delta_j - gamma/2) and ``*`` a 1D
+    convolution, done by FFT.  Other grids sum all n^3 triples directly.
     """
 
     grid: ModeGrid
@@ -323,37 +336,60 @@ class ThreePhotonTensor:
         sym = np.stack([self.sym_slice(l) for l in range(n)], axis=2)
         return raw, sym
 
-    # -- streamed reductions over |sym|^2 --------------------------------------
+    # -- reductions over |sym|^2 ------------------------------------------------
 
-    def _stream(self, reducer):
+    @cached_property
+    def _spectrum(self):
+        """``(Omega, w)``: total frequencies omega_j+omega_k+omega_l and the
+        summed |sym_jkl|^2 weight at each.
+
+        On a box lattice the spectrum is indexed by s = n_j+n_k+n_l and built
+        by convolution (see the class docstring) when it has fewer entries
+        than there are triples; otherwise it is the direct sum over all
+        ordered triples, one entry each.
+        """
+        n = self._n
+        if n is not None:
+            idx = (n - n.min()).astype(np.intp)
+            if 3 * int(idx.max()) + 1 <= self.n_modes ** 3:
+                return self._lattice_spectrum(idx, int(n.min()))
         omega = self.grid.omega
-        acc = None
-        for l in range(self.n_modes):
-            s2 = np.abs(self.sym_slice(l)) ** 2
-            part = reducer(s2, omega[:, None] + omega[None, :] + omega[l])
-            acc = part if acc is None else [a + b for a, b in zip(acc, part)]
-        return acc
+        parts = [((omega[:, None] + omega[None, :] + omega[l]).ravel(),
+                  (np.abs(self.sym_slice(l)) ** 2).ravel())
+                 for l in range(self.n_modes)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _lattice_spectrum(self, idx: np.ndarray, n_min: int):
+        a = np.abs(self.eta) ** 2
+        au = a * self._u
+        m = int(idx.max()) + 1
+        A = np.bincount(idx, a, m)
+        Au2 = np.bincount(idx, a * np.abs(self._u) ** 2, m)
+        Au = np.bincount(idx, au.real, m) + 1j * np.bincount(idx, au.imag, m)
+        # all linear convolutions through one zero-padded transform
+        size = 3 * m - 2
+        fA, fAu2, fAu, fAub = np.fft.fft(np.stack([A, Au2, Au, np.conj(Au)]),
+                                         next_fast_len(size), axis=1)
+        conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
+        s = 3.0 * n_min + np.arange(size)
+        d3 = self._domega * s - self.omega_e
+        w2 = 1.0 / ((d3**2 + self.gamma**2 / 4.0)
+                    * (d3**2 + self.gamma_prime**2 / 4.0))
+        return self._domega * s, self._pref**2 * w2 * conv / 9.0
 
     def mass_fraction_within(self, delta_cut: float) -> float:
         """Fraction of total |sym|^2 weight with |omega_j+omega_k+omega_l - omega_e|
         below ``delta_cut``."""
-        inside, total = self._stream(
-            lambda s2, wsum: (
-                float(np.sum(s2[np.abs(wsum - self.omega_e) <= delta_cut])),
-                float(np.sum(s2)),
-            )
-        )
-        return inside / total
+        total_omega, w = self._spectrum
+        inside = float(np.sum(w[np.abs(total_omega - self.omega_e) <= delta_cut]))
+        return inside / float(np.sum(w))
 
     def mean_total_frequency(self) -> float:
-        wsum_w, total = self._stream(
-            lambda s2, wsum: (float(np.sum(s2 * wsum)), float(np.sum(s2)))
-        )
-        return wsum_w / total
+        total_omega, w = self._spectrum
+        return float(np.sum(total_omega * w)) / float(np.sum(w))
 
     def total_sym_weight(self) -> float:
-        (total,) = self._stream(lambda s2, wsum: (float(np.sum(s2)),))
-        return total
+        return float(np.sum(self._spectrum[1]))
 
     def check_support(self, threshold: float = 0.9,
                       window_factor: float = 10.0) -> float:
@@ -368,16 +404,14 @@ class ThreePhotonTensor:
 
     def slice_to_csv(self, path, l: int, which: str = "sym"):
         mat = self.sym_slice(l) if which == "sym" else self.raw_slice(l)
-        omega = self.grid.omega
+        # Python floats: repr of a numpy scalar is not a number under numpy 2
+        omega = self.grid.omega.tolist()
         with open(path, "w") as fh:
             fh.write("omega_j,omega_k,omega_l,re,im,abs2\n")
-            for j in range(self.n_modes):
-                for k in range(self.n_modes):
-                    z = mat[j, k]
-                    fh.write(
-                        f"{omega[j]!r},{omega[k]!r},{omega[l]!r},"
-                        f"{z.real!r},{z.imag!r},{abs(z) ** 2!r}\n"
-                    )
+            for wj, row in zip(omega, mat):
+                for wk, z in zip(omega, row.tolist()):
+                    fh.write(f"{wj!r},{wk!r},{omega[l]!r},"
+                             f"{z.real!r},{z.imag!r},{abs(z) ** 2!r}\n")
 
 
 def three_photon_coefficients(grid: ModeGrid, profile: cp.CouplingProfile,

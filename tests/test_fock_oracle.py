@@ -353,3 +353,16 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == H.matrix.tocoo().nnz + 1
+
+    def test_operator_csv_cells_are_numbers(self, tmp_path, small_waveguide):
+        prof = static_1d_profile(small_waveguide)
+        b = fk.enumerate_basis(4, 1)
+        H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
+        path = tmp_path / "H.csv"
+        H.to_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        coo = H.matrix.tocoo()
+        assert [int(r[0]) for r in rows] == coo.row.tolist()
+        assert [int(r[1]) for r in rows] == coo.col.tolist()
+        assert np.array_equal([float(r[2]) for r in rows], coo.data.real)
+        assert np.array_equal([float(r[3]) for r in rows], coo.data.imag)

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vacuum_shake import coupling as cp
@@ -8,6 +12,7 @@ from vacuum_shake import fock as fk
 from vacuum_shake import modes
 from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError, DomainError
+from vacuum_shake.modes import ModeGrid
 
 from conftest import OMEGA_E, static_1d_profile, toy_waveguide_grid
 
@@ -22,6 +27,28 @@ def narrow_band_grid(gamma, n_modes=200, halfwidth=20.0):
 def wide_band_grid(n_modes=300, top=1.4):
     return modes.build_waveguide_grid(n_modes, top, n_modes * np.pi, 1.0,
                                       directions="positive")
+
+
+def permuted_grid(g, perm):
+    """The same modes as ``g``, relabelled by ``perm``."""
+    return ModeGrid(
+        geometry=g.geometry, omega=g.omega[perm], weight=g.weight[perm],
+        wavevectors=g.wavevectors[perm], polarizations=None,
+        direction_signs=g.direction_signs[perm],
+        omega_min=g.omega_min, omega_max=g.omega_max,
+    )
+
+
+def dense_reductions(tensor, delta_cut):
+    """(P3, mass fraction within delta_cut, mean total frequency) summed
+    over the dense symmetrized tensor."""
+    _, sym = tensor.to_arrays()
+    s2 = np.abs(sym) ** 2
+    w = tensor.grid.omega
+    wsum = w[:, None, None] + w[None, :, None] + w[None, None, :]
+    total = np.sum(s2)
+    inside = np.sum(s2[np.abs(wsum - tensor.omega_e) <= delta_cut])
+    return 6.0 * total, inside / total, np.sum(s2 * wsum) / total
 
 
 class TestGammaFromCoupling:
@@ -314,19 +341,11 @@ class TestThreePhotonTensor:
         t = sc.three_photon_coefficients(g, prof, gamma, gamma)
         p_ref = sc.three_photon_probability(t)
         # relabel modes by permuting the stored arrays
-        perm = np.array([2, 0, 3, 1])
-        from vacuum_shake.modes import ModeGrid
-        g2 = ModeGrid(
-            geometry=g.geometry, omega=g.omega[perm], weight=g.weight[perm],
-            wavevectors=g.wavevectors[perm], polarizations=None,
-            direction_signs=g.direction_signs[perm],
-            omega_min=g.omega_min, omega_max=g.omega_max,
-        )
+        g2 = permuted_grid(g, np.array([2, 0, 3, 1]))
         t2 = sc.three_photon_coefficients(g2, prof, gamma, gamma)
         assert sc.three_photon_probability(t2) == pytest.approx(p_ref,
                                                                 rel=1e-12)
 
-    @pytest.mark.slow
     def test_box_length_independence(self):
         # physical probability converges as the quantization box doubles.
         # Right-movers only: spacings 0.35 gamma and 0.175 gamma resolve the
@@ -342,3 +361,108 @@ class TestThreePhotonTensor:
             t = sc.three_photon_coefficients(g, prof, gamma, gamma)
             vals.append(sc.three_photon_probability(t))
         assert abs(vals[1] - vals[0]) <= 0.02 * abs(vals[0])
+
+    def test_box_length_independence_both_directions(self):
+        # both directions at spacings 0.35 gamma and 0.175 gamma
+        gamma = 0.01
+        vals = []
+        for n in (800, 1600):
+            g = modes.build_waveguide_grid(n, 1.4, n * np.pi, 1.0,
+                                           omega_min=gamma / 5)
+            prof = static_1d_profile(g, gamma=gamma)
+            t = sc.three_photon_coefficients(g, prof, gamma, gamma)
+            vals.append(sc.three_photon_probability(t))
+        assert abs(vals[1] - vals[0]) <= 0.02 * abs(vals[0])
+
+    def test_slice_csv_cells_are_numbers(self, tensor, tmp_path):
+        l = 37
+        path = tmp_path / "slice.csv"
+        tensor.slice_to_csv(path, l)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["omega_j", "omega_k", "omega_l", "re", "im", "abs2"]
+        vals = np.array([[float(c) for c in row] for row in rows[1:]])
+        n = tensor.n_modes
+        omega, sym = tensor.grid.omega, tensor.sym_slice(l).ravel()
+        assert vals.shape == (n * n, 6)
+        assert np.array_equal(vals[:, 0], np.repeat(omega, n))
+        assert np.array_equal(vals[:, 1], np.tile(omega, n))
+        assert np.all(vals[:, 2] == omega[l])
+        assert np.array_equal(vals[:, 3], sym.real)
+        assert np.array_equal(vals[:, 4], sym.imag)
+        assert np.array_equal(vals[:, 5], [abs(z) ** 2 for z in sym.tolist()])
+
+
+class TestSpectrum:
+    """The convolution spectrum behind the |sym|^2 reductions."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10), st.sampled_from(["both", "positive"]),
+           st.floats(0.4, 1.6), st.floats(0.0, 0.3),
+           st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.data())
+    def test_matches_dense_sums(self, m, directions, top, bottom, gamma,
+                                gamma_prime, data):
+        n = 2 * m if directions == "both" else m
+        g = modes.build_waveguide_grid(n, top, n * np.pi, 1.0,
+                                       omega_min=bottom * top,
+                                       directions=directions)
+        g = permuted_grid(g, np.array(data.draw(st.permutations(range(n)))))
+        prof = static_1d_profile(g, gamma=gamma)
+        t = sc.three_photon_coefficients(g, prof, gamma, gamma_prime)
+        assert t._n is not None
+        # a cut half way between two distinct distances |Omega_s - omega_e|,
+        # so that no total frequency sits on it up to rounding
+        s = np.arange(3 * t._n.min(), 3 * t._n.max() + 1)
+        d = np.sort(np.abs(t._domega * s - OMEGA_E))
+        gaps = np.flatnonzero(np.diff(d) > 1e-9 * t._domega)
+        cuts = np.append((d[gaps] + d[gaps + 1]) / 2, d[-1] + t._domega)
+        cut = cuts[data.draw(st.integers(0, len(cuts) - 1))]
+        p3, frac, mean = dense_reductions(t, cut)
+        assert sc.three_photon_probability(t) == pytest.approx(p3, rel=1e-12)
+        assert t.mass_fraction_within(cut) == pytest.approx(frac, rel=1e-12)
+        assert t.mean_total_frequency() == pytest.approx(mean, rel=1e-12)
+
+    def test_fft_matches_direct_convolution(self):
+        gamma = 0.01
+        g = modes.build_waveguide_grid(700, 1.05, 700 * np.pi, 1.0,
+                                       omega_min=gamma / 5)
+        prof = static_1d_profile(g, gamma=gamma)
+        t = sc.three_photon_coefficients(g, prof, gamma, gamma)
+        total_omega, w = t._spectrum
+        # the same identity with exact O(n^2) convolutions
+        idx = (t._n - t._n.min()).astype(int)
+        a = np.abs(t.eta) ** 2
+        au = a * t._u
+        A = np.bincount(idx, a)
+        Au2 = np.bincount(idx, a * np.abs(t._u) ** 2)
+        Au = np.bincount(idx, au.real) + 1j * np.bincount(idx, au.imag)
+        conv = (3.0 * np.convolve(np.convolve(Au2, A), A)
+                + 6.0 * np.convolve(np.convolve(Au, np.conj(Au)), A).real)
+        s = 3 * t._n.min() + np.arange(conv.size)
+        d3 = t._domega * s - t.omega_e
+        W = 1.0 / ((1j * d3 - t.gamma / 2) * (1j * d3 - t.gamma_prime / 2))
+        ref = t._pref ** 2 * np.abs(W) ** 2 * conv / 9.0
+        assert np.array_equal(total_omega, t._domega * s)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref)
+        big = ref > 1e-6 * np.max(ref)
+        assert np.allclose(w[big], ref[big], rtol=1e-11, atol=0)
+        assert np.sum(w) == pytest.approx(np.sum(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("freqs, cut", [
+        # irrational frequencies: off the lattice
+        (np.sqrt([0.03, 0.07, 0.13, 0.19, 0.29, 0.41]), 0.25),
+        # on the lattice, but its index span dwarfs the triple count
+        (np.array([1.0, 2.0, 3e5]), 2.5),
+    ], ids=["irrational", "sparse-lattice"])
+    def test_direct_sum(self, freqs, cut):
+        g = toy_waveguide_grid(freqs)
+        prof = static_1d_profile(g, gamma=0.05)
+        t = sc.three_photon_coefficients(g, prof, 0.05, 0.08)
+        total_omega, w = t._spectrum
+        assert total_omega.size == w.size == g.n_modes ** 3
+        p3, frac, mean = dense_reductions(t, cut)
+        assert 0.0 < frac < 1.0
+        assert sc.three_photon_probability(t) == pytest.approx(p3, rel=1e-12)
+        assert t.mass_fraction_within(cut) == pytest.approx(frac, rel=1e-12)
+        assert t.mean_total_frequency() == pytest.approx(mean, rel=1e-12)
