@@ -16,9 +16,10 @@ dependence.
 Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
 3 numerical failure, 4 capacity overrun.
 
-The ``--threads`` option (or ``VACUUM_SHAKE_THREADS``) bounds the worker
-pool used for sweep points; all numerical kernels are deterministic
-regardless of the pool size.
+The ``--threads`` option (or, when it is absent, ``VACUUM_SHAKE_THREADS``)
+bounds the worker pool used for sweep points; all numerical kernels are
+deterministic regardless of the pool size.  Warnings a scenario raises are
+printed to stderr and listed under ``warnings`` in ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -308,21 +309,7 @@ def _scenario_oracle_compare(cfg, outdir, threads):
     freqs = o.get("mode_frequencies", [0.5 * omega_e, 2.0 * omega_e])
     km_rm = o.get("k_m_r_m", 0.1)
 
-    from .modes import ModeGrid, Waveguide1D
-
-    om, kv, sg = [], [], []
-    for w in freqs:
-        for sgn in (1, -1):
-            om.append(w)
-            kv.append([sgn * w])
-            sg.append(sgn)
-    grid = ModeGrid(
-        geometry=Waveguide1D(length=2.0 * np.pi, area=1.0, c=1.0),
-        omega=np.array(om), weight=np.ones(len(om)),
-        wavevectors=np.array(kv), polarizations=None,
-        direction_signs=np.array(sg, dtype=int),
-        omega_min=min(freqs), omega_max=max(freqs),
-    )
+    grid = modes.few_mode_waveguide_grid(freqs)
     omega_m = freqs[0] + freqs[-1]
     w0 = freqs[0]
     chi_scale = xi_max * (w0 + omega_e) / np.sqrt(w0)
@@ -333,11 +320,9 @@ def _scenario_oracle_compare(cfg, outdir, threads):
     )
     frame = dr.DressedFrame(grid, profile, xi_mode="floquet")
     basis = fk.enumerate_basis(grid.n_modes, n_max)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = rad.oracle_compare_pair_production(
-            basis, frame, grid, t_final, tol=cfg["tolerances"]["propagation"],
-        )
+    report = rad.oracle_compare_pair_production(
+        basis, frame, grid, t_final, tol=cfg["tolerances"]["propagation"],
+    )
     _write_csv(
         outdir / "pair_amplitudes.csv",
         ["mode_j", "mode_k", "omega_sum", "oracle_re", "oracle_im",
@@ -434,7 +419,9 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
     np.random.seed(cfg["seed"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        summary = runner(cfg, outdir, threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = runner(cfg, outdir, threads)
     except (ConfigError, DomainError) as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -445,12 +432,16 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 
+    for w in caught:
+        sys.stderr.write(warnings.formatwarning(w.message, w.category,
+                                                w.filename, w.lineno))
     _write_json(outdir / "summary.json", summary)
     _write_json(outdir / "manifest.json", {
         "package": "vacuum-shake",
         "version": __version__,
         "config": cfg,
         "threads": threads,
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
         "wall_time_s": time.time() - t_start,
         "generated_unix": int(time.time()),
     })
@@ -589,7 +580,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         threads = args.threads
         env = os.environ.get("VACUUM_SHAKE_THREADS")
-        if env is not None:
+        if threads is None and env is not None:
             try:
                 threads = int(env)
             except ValueError:

@@ -25,8 +25,12 @@ normalization ``chi_k = sqrt(omega_k) * chi_scale`` absorbs the dipole matrix
 element and quantization volume; ``chi_scale`` is most conveniently set by
 targeting a spontaneous decay rate (see the ``*_from_gamma`` constructors).
 
-All evaluators are pure functions of (profile, mode, time); profiles are
-immutable and safe to share.
+The expanded coupling of every kind is exactly a three-term Fourier series
+g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}.  One kernel maps node
+arrays (frequency, direction, polarization) to those components; the
+per-mode evaluators, the co-rotating amplitudes and the grid-wide (3, n)
+array of :func:`grid_fourier` all derive from it.  Profiles are immutable
+and safe to share.
 """
 
 from __future__ import annotations
@@ -44,12 +48,18 @@ __all__ = [
     "CouplingKind",
     "CouplingProfile",
     "EtaComponents",
+    "HARMONICS",
     "eval_g",
+    "grid_fourier",
+    "harmonic_phases",
     "eta_components_3d",
     "eta_components_1d",
     "eta_waveguide",
     "eta_of_t",
 ]
+
+#: harmonic order nu of the rows of a Fourier array: g(t) = sum_nu g_nu e^{i nu w_m t}
+HARMONICS = np.array([0, 1, -1])
 
 
 class CouplingKind(enum.Enum):
@@ -188,74 +198,97 @@ def _require_mode_match(profile: CouplingProfile, mode: Mode):
         )
 
 
-def _bracket_dot_rm(profile: CouplingProfile, khat, eps):
-    """rhat_m . [eps (dhat.khat) - khat (dhat.eps)] -- the magnetic term geometry."""
-    dhat = profile.dipole_direction
-    rm = profile.rhat_m
-    return (rm @ eps) * (dhat @ khat) - (rm @ khat) * (dhat @ eps)
+def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
+    """Real carrier and sideband amplitudes (a0, a+, a-) over nodes.
 
+    The expanded coupling is g_k(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}
+    with g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-; the co-rotating
+    amplitudes are eta0 = 2 pref a0 and eta+- = pref a+-, pref = chi/(1 +
+    omega/omega_e).  ``direction`` holds the signed propagation direction
+    (shape (n,)) of waveguide modes or the unit wavevector (n, 3) in free
+    space, where ``polarization`` is (n, 3); it is unused in 1D.
 
-def eval_g(profile: CouplingProfile, mode: Mode, t: float, *,
-           exact_phase: bool = False) -> complex:
-    """Coupling amplitude g_k(t) for one mode.
-
-    For oscillating kinds the default applies the long-wavelength expansion
-    ``exp(i k . r_A) ~ 1 + i k . r_A`` (the regime in which the sideband
-    decomposition is exact); ``exact_phase=True`` evaluates the unexpanded
-    exponential so the size of the neglected O((k r_m)^2) terms can be
-    measured.
+    In free space the translation phase i k.r_A gives the Doppler-like term
+    (k/k_m)(khat.rhat_m)(dhat.eps) and the velocity the magnetic bracket
+    rhat_m.[eps (dhat.khat) - khat (dhat.eps)], entering a+ and a- with
+    opposite signs; in 1D the phase alone gives a+- = k_signed/k_m.  Static
+    kinds have no sidebands.
     """
-    _require_mode_match(profile, mode)
-    if profile.kind is CouplingKind.STATIC_3D:
-        return complex(profile.chi(mode.omega) * (profile.dipole_direction @ mode.polarization))
-    if profile.kind is CouplingKind.WAVEGUIDE_1D:
-        return complex(profile.chi(mode.omega))
-
-    if profile.kind is CouplingKind.OSCILLATING_1D:
-        k_signed = float(mode.wavevector[0])
-        phase_arg = k_signed * profile.r_m * np.cos(profile.omega_m * t)
-        phase = np.exp(1j * phase_arg) if exact_phase else (1.0 + 1j * phase_arg)
-        return complex(profile.chi(mode.omega) * phase)
-
-    # OSCILLATING_3D
-    khat = mode.khat
-    eps = mode.polarization
+    omega = np.asarray(omega, dtype=float)
+    if profile.is_1d:
+        a0 = np.ones_like(omega)
+        if profile.kind is CouplingKind.WAVEGUIDE_1D:
+            return a0, np.zeros_like(omega), np.zeros_like(omega)
+        side = np.asarray(direction, dtype=float) * omega / profile.omega_m
+        return a0, side, side
     dhat = profile.dipole_direction
-    k = np.linalg.norm(mode.wavevector)
-    phase_arg = k * (khat @ profile.rhat_m) * profile.r_m * np.cos(profile.omega_m * t)
-    beta = -profile.r_m * profile.k_m * np.sin(profile.omega_m * t)
-    d_eps = dhat @ eps
-    magnetic = _bracket_dot_rm(profile, khat, eps)
-    if exact_phase:
-        val = np.exp(1j * phase_arg) * (d_eps + beta * magnetic)
-    else:
-        # strictly first order in r_m (phase-expansion cross terms dropped),
-        # so the carrier-plus-sideband decomposition is exact
-        val = d_eps + 1j * phase_arg * d_eps + beta * magnetic
-    return complex(profile.chi(mode.omega) * val)
+    d_eps = polarization @ dhat
+    if profile.kind is CouplingKind.STATIC_3D:
+        return d_eps, np.zeros_like(omega), np.zeros_like(omega)
+    rm = profile.rhat_m
+    rm_khat = direction @ rm
+    doppler = (omega / profile.omega_m) * rm_khat * d_eps  # |k|/k_m, shared c
+    magnetic = (polarization @ rm) * (direction @ dhat) - rm_khat * d_eps
+    return d_eps, doppler + magnetic, doppler - magnetic
+
+
+def _fourier_arrays(profile: CouplingProfile, omega, direction,
+                    polarization=None) -> np.ndarray:
+    """Fourier components of the expanded coupling over arrays of nodes.
+
+    Returns the (3, n) complex array whose rows are g_nu for nu =
+    ``HARMONICS`` = (0, +1, -1), so g_k(t) = sum_nu g_nu,k e^{i nu w_m t}
+    exactly (the long-wavelength expansion is first order in r_m).  Node
+    arrays are as in :func:`_amplitudes`.
+    """
+    a0, ap, am = _amplitudes(profile, omega, direction, polarization)
+    chi = profile.chi(omega)
+    side = 0.5j * profile.k_m * profile.r_m * chi
+    return np.array([chi * a0, side * ap, side * am])
+
+
+def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
+    """(3, n) Fourier components g_nu,k of the coupling over all grid modes."""
+    if profile.is_1d != grid.is_waveguide:
+        raise ConfigError(
+            f"profile kind {profile.kind.value} is incompatible with a "
+            f"{'1D' if grid.is_waveguide else '3D'} grid"
+        )
+    if grid.is_waveguide:
+        return _fourier_arrays(profile, grid.omega, grid.direction_signs)
+    k = grid.wavevectors
+    khat = k / np.linalg.norm(k, axis=1, keepdims=True)
+    return _fourier_arrays(profile, grid.omega, khat, grid.polarizations)
+
+
+def harmonic_phases(omega_m: float, t: float, order: int = 0) -> np.ndarray:
+    """(i nu w_m)^order e^{i nu w_m t} over nu = ``HARMONICS``.
+
+    Its product with a Fourier array (``phases @ g``) is the series at t, or
+    its ``order``-th time derivative.
+    """
+    nu_w = HARMONICS * omega_m
+    phases = np.exp(1j * nu_w * t)
+    return phases * (1j * nu_w) ** order if order else phases
+
+
+def _mode_fourier(profile: CouplingProfile, mode: Mode) -> np.ndarray:
+    _require_mode_match(profile, mode)
+    if mode.polarization is None:
+        return _fourier_arrays(profile, [mode.omega], [mode.direction_sign])[:, 0]
+    return _fourier_arrays(profile, [mode.omega], mode.khat[None, :],
+                            mode.polarization[None, :])[:, 0]
+
+
+def eval_g(profile: CouplingProfile, mode: Mode, t: float) -> complex:
+    """Coupling amplitude g_k(t) for one mode, in the long-wavelength
+    expansion ``exp(i k . r_A) ~ 1 + i k . r_A``."""
+    return complex(harmonic_phases(profile.omega_m, t) @ _mode_fourier(profile, mode))
 
 
 def dg_dt(profile: CouplingProfile, mode: Mode, t: float) -> complex:
     """Analytic time derivative of the (expanded) coupling; zero for static kinds."""
-    _require_mode_match(profile, mode)
-    if profile.kind in (CouplingKind.STATIC_3D, CouplingKind.WAVEGUIDE_1D):
-        return 0.0 + 0.0j
-    wm = profile.omega_m
-    if profile.kind is CouplingKind.OSCILLATING_1D:
-        k_signed = float(mode.wavevector[0])
-        return complex(
-            profile.chi(mode.omega) * (-1j) * k_signed * profile.r_m * wm * np.sin(wm * t)
-        )
-    khat = mode.khat
-    eps = mode.polarization
-    dhat = profile.dipole_direction
-    k = np.linalg.norm(mode.wavevector)
-    dphase = -1j * k * (khat @ profile.rhat_m) * profile.r_m * wm * np.sin(wm * t)
-    dbeta = -profile.r_m * profile.k_m * wm * np.cos(wm * t)
-    return complex(
-        profile.chi(mode.omega)
-        * (dphase * (dhat @ eps) + dbeta * _bracket_dot_rm(profile, khat, eps))
-    )
+    return complex(harmonic_phases(profile.omega_m, t, 1) @ _mode_fourier(profile, mode))
 
 
 def g_fourier_components(profile: CouplingProfile, mode: Mode):
@@ -266,34 +299,19 @@ def g_fourier_components(profile: CouplingProfile, mode: Mode):
     condition, which remains valid for drive frequencies comparable to the
     transition frequency where the adiabatic form does not.
     """
-    _require_mode_match(profile, mode)
-    if profile.kind is CouplingKind.STATIC_3D:
-        g0 = profile.chi(mode.omega) * (profile.dipole_direction @ mode.polarization)
-        return complex(g0), 0.0j, 0.0j
-    if profile.kind is CouplingKind.WAVEGUIDE_1D:
-        return complex(profile.chi(mode.omega)), 0.0j, 0.0j
-    chi = profile.chi(mode.omega)
-    if profile.kind is CouplingKind.OSCILLATING_1D:
-        k_signed = float(mode.wavevector[0])
-        side = 0.5j * k_signed * profile.r_m * chi
-        return complex(chi), complex(side), complex(side)
-    khat = mode.khat
-    eps = mode.polarization
-    dhat = profile.dipole_direction
-    d_eps = dhat @ eps
-    doppler = (mode.omega / profile.omega_m) * (khat @ profile.rhat_m) * d_eps
-    magnetic = _bracket_dot_rm(profile, khat, eps)
-    km_rm = profile.k_m * profile.r_m
-    g0 = chi * d_eps
-    gp = 0.5j * km_rm * chi * (doppler + magnetic)
-    gm = 0.5j * km_rm * chi * (doppler - magnetic)
+    g0, gp, gm = _mode_fourier(profile, mode)
     return complex(g0), complex(gp), complex(gm)
 
 
-def _eta_prefactor(profile: CouplingProfile, omega):
-    """chi_k / (1 + omega_k/omega_e), the adiabatic reduction factor."""
-    omega = np.asarray(omega, dtype=float)
-    return profile.chi(omega) / (1.0 + omega / profile.omega_e)
+def eta_from_g(profile: CouplingProfile, omega, g):
+    """Co-rotating image 2 omega_e g / (omega + omega_e) of a coupling g at omega."""
+    return 2.0 * g / (1.0 + np.asarray(omega, dtype=float) / profile.omega_e)
+
+
+def _eta_arrays(profile: CouplingProfile, omega, direction, polarization=None):
+    e = eta_from_g(profile, omega, profile.chi(omega))  # 2 pref
+    a0, ap, am = _amplitudes(profile, omega, direction, polarization)
+    return e * a0, 0.5 * e * ap, 0.5 * e * am
 
 
 def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
@@ -304,20 +322,7 @@ def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
     """
     if profile.kind is not CouplingKind.OSCILLATING_3D:
         raise ConfigError("sideband components are defined for the oscillating 3D kind")
-    dhat = profile.dipole_direction
-    rm = profile.rhat_m
-    pref = _eta_prefactor(profile, omega)
-    d_eps = eps @ dhat
-    d_khat = khat @ dhat
-    rm_eps = eps @ rm
-    rm_khat = khat @ rm
-    k_over_km = np.asarray(omega) / profile.omega_m  # |k|/k_m with shared c
-    doppler = k_over_km * rm_khat * d_eps
-    magnetic = rm_eps * d_khat - rm_khat * d_eps
-    eta0 = pref * 2.0 * d_eps
-    eta_p = pref * (doppler + magnetic)
-    eta_m = pref * (doppler - magnetic)
-    return eta0, eta_p, eta_m
+    return _eta_arrays(profile, omega, khat, eps)
 
 
 def eta_components_3d(profile: CouplingProfile, mode: Mode) -> EtaComponents:
@@ -340,11 +345,7 @@ def eta_components_arrays_1d(profile: CouplingProfile, omega, sign):
     """
     if profile.kind is not CouplingKind.OSCILLATING_1D:
         raise ConfigError("1D sideband components need the oscillating 1D kind")
-    omega = np.asarray(omega, dtype=float)
-    eta0 = 2.0 * _eta_prefactor(profile, omega)
-    k_signed = np.asarray(sign, dtype=float) * omega / profile.c
-    eta_pm = 0.5 * (k_signed / profile.k_m) * eta0
-    return eta0, eta_pm, eta_pm.copy()
+    return _eta_arrays(profile, omega, sign)
 
 
 def eta_components_1d(profile: CouplingProfile, mode: Mode) -> EtaComponents:
@@ -360,32 +361,16 @@ def eta_waveguide(mode: Mode, d: float, A: float, L: float, omega_e: float) -> f
     eta_k = [2 omega_e/(omega_e+omega_k)] sqrt(omega_k/(2 A L)) d  (epsilon_0 = hbar = 1)."""
     if mode.polarization is not None:
         raise ConfigError("eta_waveguide expects a 1D mode")
-    return float(
-        2.0 * omega_e / (omega_e + mode.omega) * np.sqrt(mode.omega / (2.0 * A * L)) * d
-    )
+    unit = CouplingProfile.waveguide_1d_from_dipole(omega_e, 1.0, A=A, L=L)
+    return float(d * eta_of_t(unit, mode, 0.0).real)
 
 
 def eta_of_t(profile: CouplingProfile, mode: Mode, t: float) -> complex:
-    """Co-rotating coupling eta_k(t).
+    """Co-rotating coupling eta_k(t) = 2 omega_e g_k(t) / (omega_k + omega_e).
 
     Equals the carrier-plus-sideband form
     eta0 + i k_m r_m (exp(+i omega_m t) eta_plus + exp(-i omega_m t) eta_minus)
     for oscillating kinds and is constant otherwise.  Identically equal to
-    2 omega_e * xi_adiabatic(t) with the expanded coupling phase.
+    2 omega_e * xi_adiabatic(t).
     """
-    _require_mode_match(profile, mode)
-    if profile.kind is CouplingKind.STATIC_3D:
-        return complex(
-            2.0 * _eta_prefactor(profile, mode.omega)
-            * (profile.dipole_direction @ mode.polarization)
-        )
-    if profile.kind is CouplingKind.WAVEGUIDE_1D:
-        return complex(2.0 * _eta_prefactor(profile, mode.omega))
-    if profile.kind is CouplingKind.OSCILLATING_1D:
-        comp = eta_components_1d(profile, mode)
-    else:
-        comp = eta_components_3d(profile, mode)
-    km_rm = profile.k_m * profile.r_m
-    osc = np.exp(1j * profile.omega_m * t) * comp.eta_plus \
-        + np.exp(-1j * profile.omega_m * t) * comp.eta_minus
-    return complex(comp.eta0 + 1j * km_rm * osc)
+    return complex(eta_from_g(profile, mode.omega, eval_g(profile, mode, t)))

@@ -1,15 +1,21 @@
 """Time-dependent dressing frame for a two-level emitter coupled to many modes.
 
 The frame tracks per-mode displacement amplitudes xi_k(t) that remove the
-excitation-non-conserving (counter-rotating) coupling terms.  Two evaluation
-modes are supported:
+excitation-non-conserving (counter-rotating) coupling terms.  The coupling
+is the harmonic series g_k(t) = sum_nu g_nu,k e^{i nu omega_m t} (nu = 0,
++1, -1), and so is xi, with xi_nu,k = g_nu,k / D_nu,k.  Three evaluation
+modes differ in the denominator:
 
-* ``adiabatic`` -- xi_k(t) = g_k(t) / (omega_k + omega_e), valid when the
-  coupling varies slowly on the 1/omega_e timescale;
-* ``exact`` -- the full solution of the first-order elimination condition,
-  xi_k(t) = xi_k(0) e^{i(omega_k+omega_e)t}
-            - i * integral_0^t g_k(t') e^{i(omega_k+omega_e)(t-t')} dt',
-  evaluated by adaptive quadrature.
+* ``adiabatic`` -- D = omega_k + omega_e, so xi_k(t) = g_k(t) / (omega_k +
+  omega_e), valid when the coupling varies slowly on the 1/omega_e
+  timescale;
+* ``floquet`` -- D = omega_k + omega_e - nu omega_m, the periodic
+  steady-state solution of the first-order elimination condition
+  (omega_k + omega_e) xi - i d(xi)/dt = g;
+* ``exact`` -- the floquet series plus the homogeneous transient
+  (xi_k(0) - sum_nu xi_nu,k) e^{i(omega_k+omega_e)t}, which is the closed
+  form of xi_k(0) e^{i(omega_k+omega_e)t}
+  - i integral_0^t g_k(t') e^{i(omega_k+omega_e)(t-t')} dt'.
 
 Derived objects: the co-rotating coupling eta_k(t) = 2 omega_e xi_k(t), the
 pair-creation kernel Lambda_kk'(t) = eta_k*(t) eta_k'*(t) / (4 omega_e'), the
@@ -30,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import coupling as cp
 from .errors import ConfigError, NumericalError
@@ -47,9 +52,6 @@ __all__ = [
     "ground_state_pairs",
     "phase_E",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=800)
-
 
 @dataclass(frozen=True)
 class PairMatrix:
@@ -111,13 +113,31 @@ def _write_pair_csv(path, j_idx, k_idx, matrix=None, amps=None):
             w.writerow([int(a), int(b), repr(float(z.real)), repr(float(z.imag))])
 
 
+def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
+                 omega_m: float) -> np.ndarray:
+    """Fourier array xi_nu,k = g_nu,k / (omega_k + omega_e - nu omega_m).
+
+    Raises :class:`ConfigError` where a present sideband is resonant with a
+    counter-rotating transition: no periodic solution exists there.
+    """
+    denom = omega + omega_e - cp.HARMONICS[:, None] * omega_m
+    if np.any((np.abs(denom) < 1e-12 * omega_e) & (np.abs(g) > 0)):
+        raise ConfigError(
+            "drive resonant with a counter-rotating transition "
+            "(omega_k + omega_e = omega_m): no periodic dressing"
+        )
+    return g / denom
+
+
 class DressedFrame:
     """Evaluator bundle for xi, eta, Lambda and E over one grid + profile.
 
-    ``xi_mode`` is ``"adiabatic"`` or ``"exact"``.  In exact mode ``xi0``
-    gives the initial displacement per mode; it defaults to the adiabatic
-    value at t = 0, which suppresses the transient oscillation entirely for
-    slowly varying couplings.
+    ``xi_mode`` is ``"adiabatic"``, ``"floquet"`` or ``"exact"`` (see the
+    module docstring).  The frame stores the (3, n) Fourier arrays of g and
+    xi; every evaluator is a closed-form slice of them.  In exact mode
+    ``xi0`` gives the initial displacement per mode; it defaults to the
+    adiabatic value at t = 0, which suppresses the transient oscillation
+    entirely for slowly varying couplings.
     """
 
     def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile, *,
@@ -133,108 +153,56 @@ class DressedFrame:
             raise ConfigError("omega_e_prime must be nonzero")
         self.xi_mode = xi_mode
         self.smallness_guard = smallness_guard
-        self._modes = grid.modes
-        if xi_mode == "floquet":
-            # periodic steady-state solution of the elimination condition:
-            # per Fourier component g_nu e^{i nu t}, xi_nu = g_nu/(w_k + w_e - nu)
-            wm = getattr(profile, "omega_m", 0.0) or 0.0
-            comps = [cp.g_fourier_components(profile, m) for m in self._modes]
-            omega = grid.omega
-            for (g0, gp, gm), w in zip(comps, omega):
-                if abs(w + self.omega_e - wm) < 1e-12 * self.omega_e and abs(gp) > 0:
-                    raise ConfigError(
-                        "drive resonant with a counter-rotating transition "
-                        "(omega_k + omega_e = omega_m): no periodic dressing"
-                    )
-            self._floquet_omega_m = wm
-            self._floquet_xi = np.array(
-                [
-                    (
-                        g0 / (w + self.omega_e),
-                        gp / (w + self.omega_e - wm),
-                        gm / (w + self.omega_e + wm),
-                    )
-                    for (g0, gp, gm), w in zip(comps, omega)
-                ],
-                dtype=complex,
-            )
+        self._omega_m = profile.omega_m
+        self._w = grid.omega + self.omega_e
+        self._g = cp.grid_fourier(profile, grid)
+        if xi_mode == "adiabatic":
+            self._xi = self._g / self._w
+        else:
+            self._xi = _periodic_xi(self._g, grid.omega, self.omega_e, self._omega_m)
+        self._transient = None
         if xi_mode == "exact":
             if xi0 is None:
-                xi0 = np.array(
-                    [self.g(i, 0.0) / (m.omega + self.omega_e)
-                     for i, m in enumerate(self._modes)],
-                    dtype=complex,
-                )
+                xi0 = self._g.sum(axis=0) / self._w
             else:
                 xi0 = np.asarray(xi0, dtype=complex)
                 if xi0.shape != (grid.n_modes,):
                     raise ConfigError("xi0 must have one entry per grid mode")
+            self._transient = xi0 - self._xi.sum(axis=0)
         self.xi0 = xi0
+
+    def _xi_at(self, t: float, i=slice(None), order: int = 0):
+        """xi (order 0) or d xi/dt (order 1) at t for mode ``i`` or all modes."""
+        out = cp.harmonic_phases(self._omega_m, t, order) @ self._xi[:, i]
+        if self._transient is not None:
+            w = self._w[i]
+            out = out + (1j * w) ** order * self._transient[i] * np.exp(1j * w * t)
+        return out
 
     # -- per-mode evaluators ---------------------------------------------------
 
-    def mode(self, i: int) -> Mode:
-        return self._modes[i]
-
     def g(self, i: int, t: float) -> complex:
-        return cp.eval_g(self.profile, self._modes[i], t)
-
-    def g_dot(self, i: int, t: float) -> complex:
-        return cp.dg_dt(self.profile, self._modes[i], t)
+        return complex(cp.harmonic_phases(self._omega_m, t) @ self._g[:, i])
 
     def xi(self, i: int, t: float) -> complex:
-        if self.xi_mode == "adiabatic":
-            return xi_adiabatic(self, self._modes[i], t)
-        if self.xi_mode == "floquet":
-            x0, xp, xm = self._floquet_xi[i]
-            wm = self._floquet_omega_m
-            return complex(x0 + xp * np.exp(1j * wm * t) + xm * np.exp(-1j * wm * t))
-        return xi_exact(self, self._modes[i], t, self.xi0[i])
+        return complex(self._xi_at(t, i))
 
-    def xi_dot(self, i: int, t: float, *, fd_step: float = 1e-3) -> complex:
-        """d xi/dt; analytic in adiabatic (through dg/dt) and floquet modes,
-        Richardson finite difference of the quadrature solution in exact mode."""
-        mode = self._modes[i]
-        if self.xi_mode == "adiabatic":
-            return self.g_dot(i, t) / (mode.omega + self.omega_e)
-        if self.xi_mode == "floquet":
-            _, xp, xm = self._floquet_xi[i]
-            wm = self._floquet_omega_m
-            return complex(1j * wm * (xp * np.exp(1j * wm * t) - xm * np.exp(-1j * wm * t)))
-        h = 5e-3 / (mode.omega + self.omega_e)
-        d1 = (self.xi(i, t + h) - self.xi(i, t - h)) / (2 * h)
-        d2 = (self.xi(i, t + h / 2) - self.xi(i, t - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
+    def xi_dot(self, i: int, t: float) -> complex:
+        return complex(self._xi_at(t, i, 1))
 
     def eta(self, i: int, t: float) -> complex:
         return 2.0 * self.omega_e * self.xi(i, t)
 
-    # -- vectorized helpers ------------------------------------------------------
+    # -- all modes at once -------------------------------------------------------
 
     def g_all(self, t: float) -> np.ndarray:
-        return np.array([self.g(i, t) for i in range(self.grid.n_modes)], dtype=complex)
+        return cp.harmonic_phases(self._omega_m, t) @ self._g
 
     def xi_all(self, t: float) -> np.ndarray:
-        if self.xi_mode == "adiabatic":
-            return self.g_all(t) / (self.grid.omega + self.omega_e)
-        if self.xi_mode == "floquet":
-            wm = self._floquet_omega_m
-            x = self._floquet_xi
-            return x[:, 0] + x[:, 1] * np.exp(1j * wm * t) + x[:, 2] * np.exp(-1j * wm * t)
-        return np.array([self.xi(i, t) for i in range(self.grid.n_modes)], dtype=complex)
+        return self._xi_at(t)
 
     def xi_dot_all(self, t: float) -> np.ndarray:
-        if self.xi_mode == "adiabatic":
-            gd = np.array([self.g_dot(i, t) for i in range(self.grid.n_modes)],
-                          dtype=complex)
-            return gd / (self.grid.omega + self.omega_e)
-        if self.xi_mode == "floquet":
-            wm = self._floquet_omega_m
-            x = self._floquet_xi
-            return 1j * wm * (x[:, 1] * np.exp(1j * wm * t)
-                              - x[:, 2] * np.exp(-1j * wm * t))
-        return np.array([self.xi_dot(i, t) for i in range(self.grid.n_modes)],
-                        dtype=complex)
+        return self._xi_at(t, order=1)
 
     def eta_all(self, t: float) -> np.ndarray:
         return 2.0 * self.omega_e * self.xi_all(t)
@@ -258,27 +226,18 @@ def xi_adiabatic(frame: DressedFrame, mode: Mode, t: float) -> complex:
 
 
 def xi_exact(frame: DressedFrame, mode: Mode, t: float, xi0: complex) -> complex:
-    """Full solution of the counter-rotating elimination condition.
+    """Full solution of the counter-rotating elimination condition from
+    xi(0) = xi0, in closed form: the periodic series plus the homogeneous
+    transient (xi0 - sum_nu xi_nu) e^{i(omega_k+omega_e)t}.
 
-    Adaptive quadrature of the memory integral; raises
-    :class:`NumericalError` when the integrator reports non-convergence.
+    Raises :class:`ConfigError` at omega_k + omega_e = omega_m.
     """
     w = mode.omega + frame.omega_e
-    if t == 0.0:
-        return complex(xi0)
-
-    def integrand(tp):
-        return cp.eval_g(frame.profile, mode, tp) * np.exp(1j * w * (t - tp))
-
-    val, err = quad(integrand, 0.0, t, complex_func=True, **_QUAD_OPTS)
-    err = abs(complex(err).real) + abs(complex(err).imag)
-    scale = max(abs(val), abs(xi0), 1e-300)
-    if err > 1e-8 * scale + 1e-13:
-        raise NumericalError(
-            "xi quadrature failed to converge",
-            details={"mode": mode.index, "t": t, "abserr": err},
-        )
-    return complex(xi0 * np.exp(1j * w * t) - 1j * val)
+    g = np.array(cp.g_fourier_components(frame.profile, mode))[:, None]
+    xi = _periodic_xi(g, np.array([mode.omega]), frame.omega_e,
+                      frame.profile.omega_m)[:, 0]
+    return complex(cp.harmonic_phases(frame.profile.omega_m, t) @ xi
+                   + (xi0 - xi.sum()) * np.exp(1j * w * t))
 
 
 def counter_rotating_residual(frame: DressedFrame, mode: Mode, t: float) -> complex:

@@ -6,6 +6,11 @@ spin-conditioned displacement transform, time propagation with adaptive
 error control, and the residual certifying the second-order truncation of
 the transformed Hamiltonian.
 
+The full Hamiltonian inherits the harmonic structure of the coupling:
+H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
+V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile), so
+propagation evaluates H(t) from three fixed operators.
+
 Basis states are (atom level, photon occupation vector) with a cap on the
 total photon number.  Enumeration is total-photon-number major, then
 lexicographic in the occupation vector, then ground-before-excited, which
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import json
+import warnings
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional, Union
@@ -26,7 +32,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
-from .coupling import CouplingProfile, eval_g
+from . import coupling as cp
+# eval_g stays bound here: perfbench's tracer wraps it at every module binding it
+from .coupling import CouplingProfile, eval_g  # noqa: F401
 from .dressing import DressedFrame, phase_E
 from .errors import CapacityError, ConfigError, NumericalError
 from .modes import ModeGrid
@@ -36,6 +44,7 @@ __all__ = [
     "FockStateVector",
     "SparseOperator",
     "enumerate_basis",
+    "original_hamiltonian_series",
     "build_original_hamiltonian",
     "build_transformed_hamiltonian",
     "apply_T",
@@ -134,6 +143,19 @@ class FockBasis:
 
     def creator(self, k: int) -> sp.csr_matrix:
         return self._cache(("adag", k), lambda: self.annihilator(k).conj().T.tocsr())
+
+    def mode_sum(self, c) -> sp.csr_matrix:
+        """sum_k c_k a_k as one sparse matrix (its adjoint is sum_k c_k* a_k^+)."""
+        def build():
+            coos = [self.annihilator(k).tocoo() for k in range(self.n_modes)]
+            return (np.concatenate([m.row for m in coos]),
+                    np.concatenate([m.col for m in coos]),
+                    np.concatenate([m.data for m in coos]),
+                    np.concatenate([np.full(m.nnz, k) for k, m in enumerate(coos)]))
+        rows, cols, vals, mode = self._cache(("a_all",), build)
+        c = np.asarray(c, dtype=complex)
+        return sp.csr_matrix((vals * c[mode], (rows, cols)),
+                             shape=(self.dimension, self.dimension))
 
     def number_diagonal(self) -> np.ndarray:
         return self.total_photons.astype(float)
@@ -252,37 +274,37 @@ class SparseOperator:
                 fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
 
 
-def build_original_hamiltonian(
-    basis: FockBasis, grid: ModeGrid, profile: CouplingProfile, t: float, *,
-    exact_phase: bool = False,
-) -> SparseOperator:
-    """Full atom-field Hamiltonian
-    H = (omega_e/2) sigma_z + sum_k omega_k n_k + sum_k [g_k*(t) a_k^+ + g_k(t) a_k] sigma_x.
-
-    ``exact_phase`` evaluates the unexpanded translation phase of moving-atom
-    couplings (oracle comparisons of the long-wavelength expansion).
+def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
+                                profile: CouplingProfile) -> Callable[[float], sp.csr_matrix]:
+    """Full atom-field Hamiltonian as a function of time,
+    H(t) = (omega_e/2) sigma_z + sum_k omega_k n_k + sum_k [g_k*(t) a_k^+ + g_k(t) a_k] sigma_x,
+    assembled as H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) from the
+    operators V_nu = sum_k g_nu,k a_k sigma_x, which are built once here.
     """
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
     diag = 0.5 * profile.omega_e * basis.sigma_z_diagonal() \
         + basis.mode_number_diagonal(grid.omega)
-    H = sp.diags(diag.astype(complex), format="csr")
+    H_diag = sp.diags(diag.astype(complex), format="csr")
     sx = basis.sigma_x()
-    for k in range(grid.n_modes):
-        g = eval_g(profile, grid.mode(k), t, exact_phase=exact_phase)
-        a = basis.annihilator(k)
-        H = H + (np.conj(g) * (a.conj().T) + g * a) @ sx
-    op = SparseOperator(basis, H.tocsr())
+    V = [(basis.mode_sum(g_nu) @ sx).tocsr() for g_nu in cp.grid_fourier(profile, grid)]
+    omega_m = profile.omega_m
+
+    def H(t: float) -> sp.csr_matrix:
+        f = cp.harmonic_phases(omega_m, t)
+        X = f[0] * V[0] + f[1] * V[1] + f[2] * V[2]
+        return (H_diag + X + X.conj().T).tocsr()
+
+    return H
+
+
+def build_original_hamiltonian(
+    basis: FockBasis, grid: ModeGrid, profile: CouplingProfile, t: float,
+) -> SparseOperator:
+    """The full atom-field Hamiltonian of :func:`original_hamiltonian_series` at t."""
+    op = SparseOperator(basis, original_hamiltonian_series(basis, grid, profile)(t))
     op.assert_hermitian(1e-12)
     return op
-
-
-def _pair_operator(basis: FockBasis, eta: np.ndarray) -> sp.csr_matrix:
-    """P = sum_k eta_k* a_k^+ (the collective creation operator of the kernel)."""
-    P = sp.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
-    for k in range(len(eta)):
-        P = P + np.conj(eta[k]) * basis.creator(k)
-    return P
 
 
 def build_transformed_hamiltonian(
@@ -310,23 +332,20 @@ def build_transformed_hamiltonian(
     omega_e = frame.omega_e
     sz = basis.sigma_z_diagonal()
     n_diag = basis.mode_number_diagonal(omega)
+    spl, smi = basis.sigma_plus(), basis.sigma_minus()
 
     if variant == "FullOrder2":
         xi = frame.xi_all(t)
         xid = frame.xi_dot_all(t)
         g = frame.g_all(t)
+        c_co = (omega_e - omega) * xi + g - 1j * xid
+        c_cr = (-omega_e - omega) * xi + g - 1j * xid
+        C = spl @ basis.mode_sum(c_co) + smi @ basis.mode_sum(c_cr)
         H = sp.diags((0.5 * omega_e * sz + n_diag).astype(complex), format="csr")
-        spl, smi = basis.sigma_plus(), basis.sigma_minus()
-        for k in range(basis.n_modes):
-            a = basis.annihilator(k)
-            c_co = (omega_e - omega[k]) * xi[k] + g[k] - 1j * xid[k]
-            c_cr = (-omega_e - omega[k]) * xi[k] + g[k] - 1j * xid[k]
-            H = H + c_co * (spl @ a) + np.conj(c_co) * (a.conj().T @ smi)
-            H = H + c_cr * (smi @ a) + np.conj(c_cr) * (a.conj().T @ spl)
-        P = _pair_operator(basis, xi)  # sum_k xi_k* a_k^+
-        X = (P - P.conj().T).tocsr()   # sum_k (xi_k* a_k^+ - xi_k a_k)
-        Xsq = (X @ X).tocsr()
-        H = H + omega_e * Xsq.multiply(sz[:, None])
+        H = H + C + C.conj().T
+        S = basis.mode_sum(xi)
+        X = (S.conj().T - S).tocsr()   # sum_k (xi_k* a_k^+ - xi_k a_k)
+        H = H + omega_e * (X @ X).tocsr().multiply(sz[:, None])
         if include_phase:
             H = H + phase_E(frame, t) * sp.identity(basis.dimension, dtype=complex,
                                                     format="csr")
@@ -334,17 +353,14 @@ def build_transformed_hamiltonian(
         op.assert_hermitian(1e-11)
         return op
 
-    eta = frame.eta_all(t)
+    S = basis.mode_sum(frame.eta_all(t))  # sum_k eta_k a_k
+    C = spl @ S
     H = sp.diags((0.5 * frame.omega_e_prime * sz + n_diag).astype(complex),
                  format="csr")
-    spl, smi = basis.sigma_plus(), basis.sigma_minus()
-    for k in range(basis.n_modes):
-        a = basis.annihilator(k)
-        H = H + eta[k] * (spl @ a) + np.conj(eta[k]) * (a.conj().T @ smi)
+    H = H + C + C.conj().T
     if variant == "NormalOrdered":
-        P = _pair_operator(basis, eta)
-        Pd = P.conj().T.tocsr()
-        Gamma = (P @ P + Pd @ Pd - 2.0 * (P @ Pd)) / (4.0 * omega_e)
+        P = S.conj().T.tocsr()  # sum_k eta_k* a_k^+, the pair kernel's creator
+        Gamma = (P @ P + S @ S - 2.0 * (P @ S)) / (4.0 * omega_e)
         H = H + Gamma.tocsr().multiply(sz[:, None])
     op = SparseOperator(basis, H.tocsr())
     op.assert_hermitian(1e-11)
@@ -353,11 +369,8 @@ def build_transformed_hamiltonian(
 
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> sp.csr_matrix:
-    xi = frame.xi_all(t)
-    A = sp.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
-    for k in range(basis.n_modes):
-        A = A + np.conj(xi[k]) * basis.creator(k) - xi[k] * basis.annihilator(k)
-    return float(direction) * (basis.sigma_x() @ A).tocsr()
+    S = basis.mode_sum(frame.xi_all(t))
+    return float(direction) * (basis.sigma_x() @ (S.conj().T - S)).tocsr()
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
@@ -398,7 +411,6 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
                f"{truncation_tol:.1e}; raise n_max")
         if truncation_action == "raise":
             raise NumericalError(msg, details={"estimate": est})
-        import warnings
         warnings.warn(msg, stacklevel=2)
     return FockStateVector(basis, out, info={"truncation_estimate": est})
 

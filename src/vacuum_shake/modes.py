@@ -34,6 +34,7 @@ __all__ = [
     "FreeSpace3D",
     "ModeGrid",
     "build_waveguide_grid",
+    "few_mode_waveguide_grid",
     "build_freespace_quadrature",
     "density_of_states",
     "grid_from_json",
@@ -131,10 +132,6 @@ class ModeGrid:
             direction_sign=0 if self.direction_signs is None else int(self.direction_signs[i]),
         )
 
-    @property
-    def modes(self) -> list:
-        return [self.mode(i) for i in range(self.n_modes)]
-
     def node_weights(self) -> np.ndarray:
         """Quadrature weights of distinct wavevector nodes.
 
@@ -145,11 +142,6 @@ class ModeGrid:
         if self.is_waveguide:
             return self.weight
         return self.weight[::2]
-
-    def node_omegas(self) -> np.ndarray:
-        if self.is_waveguide:
-            return self.omega
-        return self.omega[::2]
 
     def band_mode_count(self, omega_lo: float, omega_hi: float) -> float:
         """Continuum-consistent count of modes with omega in the given band."""
@@ -285,6 +277,30 @@ def build_waveguide_grid(
         direction_signs=sign_arr,
         omega_min=float(eff_min),
         omega_max=float(omegas[-1]),
+    )
+
+
+def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
+                            directions=(1, -1)) -> ModeGrid:
+    """Waveguide grid on the given mode frequencies, off the box lattice.
+
+    Each frequency carries one mode per entry of ``directions`` (in that
+    order, frequency major), with wavevector ``sign * omega / c`` and weight
+    1.  Meant for few-mode Fock-space scenarios, where the modes are chosen
+    by hand rather than tiled over a band.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    signs = np.tile(np.asarray(directions, dtype=int), len(freqs))
+    omega = np.repeat(freqs, len(directions))
+    return ModeGrid(
+        geometry=Waveguide1D(length=L, area=1.0, c=c),
+        omega=omega,
+        weight=np.ones(len(omega)),
+        wavevectors=(signs * omega / c).reshape(-1, 1),
+        polarizations=None,
+        direction_signs=signs,
+        omega_min=float(freqs.min()),
+        omega_max=float(freqs.max()),
     )
 
 

@@ -328,7 +328,6 @@ def oracle_compare_pair_production(
     *,
     tol: float = 1e-11,
     resonance_tol: Optional[float] = None,
-    exact_phase_oracle: bool = False,
 ) -> dict:
     """Compare perturbative pair amplitudes against the brute-force propagator.
 
@@ -373,11 +372,7 @@ def oracle_compare_pair_production(
     lab0 = fk.apply_T(basis, frame, 0.0, dressed0, direction=-1,
                       truncation_action="warn")
 
-    def H_of_t(t):
-        return fk.build_original_hamiltonian(
-            basis, grid, profile, t, exact_phase=exact_phase_oracle
-        ).matrix
-
+    H_of_t = fk.original_hamiltonian_series(basis, grid, profile)
     final_lab = fk.propagate(H_of_t, lab0, 0.0, t_final, tol,
                              interaction_picture=True)
     final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1,

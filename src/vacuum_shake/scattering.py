@@ -56,7 +56,7 @@ def gamma_from_coupling(grid: ModeGrid, profile: cp.CouplingProfile) -> float:
             f"resonance {omega_e} outside grid band "
             f"[{grid.omega_min}, {grid.omega_max}]"
         )
-    eta_res = 2.0 * profile.chi(omega_e) / (1.0 + omega_e / omega_e)  # = chi(omega_e)
+    eta_res = cp.eta_from_g(profile, omega_e, profile.chi(omega_e))  # = chi(omega_e)
     g = grid.geometry
     rho_total = 2.0 * g.length / (2.0 * np.pi * g.c)
     return float(2.0 * np.pi * eta_res**2 * rho_total)
@@ -65,7 +65,7 @@ def gamma_from_coupling(grid: ModeGrid, profile: cp.CouplingProfile) -> float:
 def eta_array(grid: ModeGrid, profile: cp.CouplingProfile) -> np.ndarray:
     """Static co-rotating coupling eta_k over all grid modes."""
     _require_waveguide(grid)
-    return 2.0 * profile.chi(grid.omega) / (1.0 + grid.omega / profile.omega_e)
+    return cp.eta_from_g(profile, grid.omega, cp.grid_fourier(profile, grid)[0].real)
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,11 @@ def excited_amplitude_scattering(gamma: float, gamma_prime: float,
     return complex(amp * phase)
 
 
+#: relative slack of the mass-fraction window edge, far above the rounding
+#: of a three-term frequency sum and far below any mode spacing
+_EDGE_RTOL = 1e-12
+
+
 def _lattice_indices(omega: np.ndarray, domega: float) -> Optional[np.ndarray]:
     """Integer-valued n with omega = n * domega up to rounding, else None.
 
@@ -379,9 +384,14 @@ class ThreePhotonTensor:
 
     def mass_fraction_within(self, delta_cut: float) -> float:
         """Fraction of total |sym|^2 weight with |omega_j+omega_k+omega_l - omega_e|
-        below ``delta_cut``."""
+        at most ``delta_cut``.
+
+        The window is closed up to rounding: a total frequency on its edge
+        counts as inside whether its float sum rounds a few ulp in or out.
+        """
         total_omega, w = self._spectrum
-        inside = float(np.sum(w[np.abs(total_omega - self.omega_e) <= delta_cut]))
+        edge = delta_cut + _EDGE_RTOL * (self.omega_e + delta_cut)
+        inside = float(np.sum(w[np.abs(total_omega - self.omega_e) <= edge]))
         return inside / float(np.sum(w))
 
     def mean_total_frequency(self) -> float:

@@ -3,29 +3,8 @@ import pytest
 
 from vacuum_shake import coupling as cp
 from vacuum_shake import modes
-from vacuum_shake.modes import ModeGrid, Waveguide1D
 
 OMEGA_E = 1.0
-
-
-def toy_waveguide_grid(freqs, c=1.0, L=2.0 * np.pi, directions=(1, -1)):
-    """Hand-built sparse waveguide grid for few-mode oracle scenarios."""
-    om, kv, sg = [], [], []
-    for w in freqs:
-        for s in directions:
-            om.append(w)
-            kv.append([s * w / c])
-            sg.append(s)
-    return ModeGrid(
-        geometry=Waveguide1D(length=L, area=1.0, c=c),
-        omega=np.array(om, dtype=float),
-        weight=np.ones(len(om)),
-        wavevectors=np.array(kv, dtype=float),
-        polarizations=None,
-        direction_signs=np.array(sg, dtype=int),
-        omega_min=min(freqs),
-        omega_max=max(freqs),
-    )
 
 
 @pytest.fixture(scope="session")

@@ -60,20 +60,6 @@ class TestEvalG:
         g = cp.eval_g(prof, m, 2.1)
         assert g == pytest.approx(prof.chi(0.7) * 1.0)
 
-    def test_exact_phase_preserves_magnitude(self):
-        # with the velocity term zeroed (t at a turning point), the moving
-        # coupling differs from static only by the translation phase
-        prof = osc3d(r_m=0.9, omega_m=0.1)
-        m = mode3d(0.7, [0, 0, 1], [1, 0, 0], index=3)
-        # dipole along x here so the magnetic bracket also vanishes
-        prof = cp.CouplingProfile.oscillating_3d(
-            OMEGA_E, [1, 0, 0], [0, 0, 1], r_m=0.9, omega_m=0.1, gamma=1e-3, V=V)
-        t = 0.0  # cos peak: beta(t) = 0
-        g_moving = cp.eval_g(prof, m, t, exact_phase=True)
-        g_static = prof.chi(0.7) * 1.0
-        assert abs(abs(g_moving) - abs(g_static)) < 1e-14 * abs(g_static)
-        assert abs(np.angle(g_moving) - 0.7 * 0.9) < 1e-12
-
     def test_periodicity(self):
         prof = osc3d(r_m=0.5, omega_m=0.13)
         m = mode3d(0.4, [0.6, 0.0, 0.8], [0, 1, 0])

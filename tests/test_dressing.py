@@ -111,6 +111,46 @@ class TestXiExact:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestXiExactClosedForm:
+    @pytest.mark.parametrize("omega_m", [0.05, 0.9])
+    def test_matches_memory_integral(self, small_waveguide, omega_m):
+        # xi0 away from the adiabatic default, so the transient is large
+        from scipy.integrate import quad
+
+        prof = oscillating_1d_profile(small_waveguide, omega_m=omega_m,
+                                      km_rm=0.1)
+        n = small_waveguide.n_modes
+        rng = np.random.default_rng(2)
+        xi0 = 0.02 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        frame = dr.DressedFrame(small_waveguide, prof, xi_mode="exact",
+                                xi0=xi0)
+        for i in range(n):
+            m = small_waveguide.mode(i)
+            w = m.omega + OMEGA_E
+            k_rm = m.wavevector[0] * prof.r_m
+
+            def g(t):  # long-wavelength coupling chi (1 + i k x_A(t))
+                return prof.chi(m.omega) * (1.0 + 1j * k_rm * np.cos(omega_m * t))
+
+            for t in (0.7, 13.1):
+                val, _ = quad(lambda tp: g(tp) * np.exp(1j * w * (t - tp)),
+                              0.0, t, complex_func=True, epsabs=1e-14,
+                              epsrel=1e-11, limit=800)
+                ref = xi0[i] * np.exp(1j * w * t) - 1j * val
+                assert abs(frame.xi(i, t) - ref) <= 1e-12 * abs(ref)
+                assert abs(dr.xi_exact(frame, m, t, xi0[i]) - ref) \
+                    <= 1e-12 * abs(ref)
+                res = dr.counter_rotating_residual(frame, m, t)
+                assert abs(res) <= 1e-14
+
+    @pytest.mark.parametrize("xi_mode", ["floquet", "exact"])
+    def test_counter_rotating_resonance_rejected(self, small_waveguide, xi_mode):
+        # omega_k + omega_e = 1 + 1 = omega_m for the two omega = 1 modes
+        prof = oscillating_1d_profile(small_waveguide, omega_m=2.0)
+        with pytest.raises(ConfigError, match="resonant"):
+            dr.DressedFrame(small_waveguide, prof, xi_mode=xi_mode)
+
+
 class TestCounterRotatingResidual:
     def test_exact_xi_solves_the_condition(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.05)

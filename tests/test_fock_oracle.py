@@ -75,6 +75,34 @@ class TestOriginalHamiltonian:
         assert H[ie1, ig0] == pytest.approx(np.conj(g))   # counter-rotating
         assert abs(H[ie1, ig0]) > 0
 
+    @pytest.mark.parametrize("kind", ["static", "oscillating"])
+    def test_matches_per_mode_sum(self, small_waveguide, kind):
+        # H(t) from the harmonic operators against the per-mode sum
+        # sum_k (g_k(t) a_k + h.c.) sigma_x with g_k(t) = chi (1 + i k x_A(t))
+        if kind == "static":
+            prof = static_1d_profile(small_waveguide, gamma=1e-2)
+        else:
+            prof = oscillating_1d_profile(small_waveguide, omega_m=0.3,
+                                          km_rm=0.1, gamma=1e-2)
+        b = fk.enumerate_basis(4, 2)
+        H_of_t = fk.original_hamiltonian_series(b, small_waveguide, prof)
+        sx = b.sigma_x().toarray()
+        rng = np.random.default_rng(4)
+        for t in rng.uniform(0.0, 40.0, size=5):
+            ref = np.diag(0.5 * OMEGA_E * b.sigma_z_diagonal()
+                          + b.mode_number_diagonal(small_waveguide.omega))
+            ref = ref.astype(complex)
+            for k in range(4):
+                x_a = prof.r_m * np.cos(prof.omega_m * t)
+                g = prof.chi(small_waveguide.omega[k]) \
+                    * (1.0 + 1j * small_waveguide.wavevectors[k, 0] * x_a)
+                a = b.annihilator(k).toarray()
+                ref += (g * a + np.conj(g) * a.conj().T) @ sx
+            scale = np.max(np.abs(ref - np.diag(np.diag(ref))))
+            built = fk.build_original_hamiltonian(b, small_waveguide, prof, t)
+            for M in (built.toarray(), H_of_t(t).toarray()):
+                assert np.max(np.abs(M - ref)) <= 1e-14 * scale
+
     def test_hermiticity_random_profiles(self, small_waveguide):
         rng = np.random.default_rng(3)
         b = fk.enumerate_basis(4, 2)

@@ -8,8 +8,7 @@ from vacuum_shake import modes
 from vacuum_shake import radiation as rad
 from vacuum_shake.errors import (ConfigError, DomainError, FitQualityError)
 
-from conftest import (OMEGA_E, oscillating_1d_profile, static_1d_profile,
-                      toy_waveguide_grid)
+from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
 
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
@@ -69,7 +68,7 @@ class TestPairAmplitude:
     def test_against_closed_form(self):
         # independent oracle: with the carrier/sideband structure the memory
         # integral evaluates in closed form per Fourier component
-        grid = toy_waveguide_grid([0.4, 0.9])
+        grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         wm = 0.55
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
@@ -101,7 +100,7 @@ class TestPairAmplitude:
 
     def test_off_resonant_bound(self):
         # no secular growth off resonance: |C| bounded uniformly in t
-        grid = toy_waveguide_grid([0.4, 0.9])
+        grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         wm = 0.7  # no pair sum equals 0.7... pairs: 0.8, 1.3, 1.8
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
@@ -227,7 +226,7 @@ class TestOracleComparison:
     def test_quick_resonant_run(self):
         # abbreviated version of the acceptance scenario: reciprocal pair,
         # exact periodic frame, moderate time
-        grid = toy_waveguide_grid([0.5, 2.0])
+        grid = modes.few_mode_waveguide_grid([0.5, 2.0])
         wm = 2.5
         xi_max = 0.03
         chi_scale = xi_max * (0.5 + OMEGA_E) / np.sqrt(0.5)
@@ -247,7 +246,7 @@ class TestOracleComparison:
         assert len(report["resonant_pairs"]) == 4
 
     def test_requires_resonance(self):
-        grid = toy_waveguide_grid([0.4, 0.9])
+        grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         # pair sums are 0.8, 1.3 and 1.8: a drive at 0.55 misses them all
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
@@ -259,7 +258,7 @@ class TestOracleComparison:
             rad.oracle_compare_pair_production(basis, frame, grid, 10.0)
 
     def test_requires_pair_capacity(self):
-        grid = toy_waveguide_grid([0.4, 0.9])
+        grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.01, omega_m=0.8,

@@ -14,7 +14,7 @@ from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError, DomainError
 from vacuum_shake.modes import ModeGrid
 
-from conftest import OMEGA_E, static_1d_profile, toy_waveguide_grid
+from conftest import OMEGA_E, static_1d_profile
 
 
 def narrow_band_grid(gamma, n_modes=200, halfwidth=20.0):
@@ -186,8 +186,8 @@ class TestDecayAmplitudes:
         # at the top of the half-open band would shift the level by -3.2e-6
         band = narrow_band_grid(gamma, n_modes=200, halfwidth=20.0)
         domega = band.omega[1] - band.omega[0]
-        g = toy_waveguide_grid(OMEGA_E + domega * np.arange(-50, 51),
-                               band.c, band.geometry.length)
+        g = modes.few_mode_waveguide_grid(OMEGA_E + domega * np.arange(-50, 51),
+                                          band.c, band.geometry.length)
         n = g.n_modes
         prof = static_1d_profile(g, gamma=gamma)
         frame = dr.DressedFrame(g, prof)
@@ -456,7 +456,7 @@ class TestSpectrum:
         (np.array([1.0, 2.0, 3e5]), 2.5),
     ], ids=["irrational", "sparse-lattice"])
     def test_direct_sum(self, freqs, cut):
-        g = toy_waveguide_grid(freqs)
+        g = modes.few_mode_waveguide_grid(freqs)
         prof = static_1d_profile(g, gamma=0.05)
         t = sc.three_photon_coefficients(g, prof, 0.05, 0.08)
         total_omega, w = t._spectrum
@@ -466,3 +466,31 @@ class TestSpectrum:
         assert sc.three_photon_probability(t) == pytest.approx(p3, rel=1e-12)
         assert t.mass_fraction_within(cut) == pytest.approx(frac, rel=1e-12)
         assert t.mean_total_frequency() == pytest.approx(mean, rel=1e-12)
+
+
+class TestWindowEdge:
+    """A total frequency on the window edge counts as inside, on both paths."""
+
+    def test_tie_counted_inclusively(self):
+        # right-movers at n * domega, n = 1, 2, 3 with domega = 0.4/3; omega_e
+        # = 7.5 domega and the cut 2.5 domega put s = 5 exactly on the edge
+        lattice = modes.build_waveguide_grid(3, 0.4, 6 * np.pi, 1.0,
+                                             directions="positive")
+        domega = 0.4 / 3
+        assert OMEGA_E == pytest.approx(7.5 * domega)
+        n = np.array([1, 2, 3])
+        assert np.allclose(lattice.omega, n * domega, rtol=1e-14, atol=0)
+        s = n[:, None, None] + n[None, :, None] + n[None, None, :]
+        inclusive = np.abs(2 * s - 15) <= 5
+        strict = np.abs(2 * s - 15) < 5
+        # the same frequencies off the lattice take the direct triple sum
+        direct = modes.few_mode_waveguide_grid(lattice.omega, directions=(1,))
+        for g in (lattice, direct):
+            prof = static_1d_profile(g, gamma=0.05)
+            t = sc.three_photon_coefficients(g, prof, 0.05, 0.08)
+            assert (t._n is None) == (g is direct)
+            s2 = np.abs(t.to_arrays()[1]) ** 2
+            expected = np.sum(s2[inclusive]) / np.sum(s2)
+            assert np.sum(s2[strict]) / np.sum(s2) < expected * (1 - 1e-6)
+            assert t.mass_fraction_within(2.5 * domega) == pytest.approx(
+                expected, rel=1e-12)
