@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    vacuum-shake run <config.json> [--out DIR] [--threads N]
+    vacuum-shake run <config.json> [--out DIR]
     vacuum-shake compare <result> <baseline> [--tol-file F]
     vacuum-shake schema
 
@@ -16,9 +16,7 @@ dependence.
 Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
 3 numerical failure, 4 capacity overrun.
 
-The ``--threads`` option (or, when it is absent, ``VACUUM_SHAKE_THREADS``)
-bounds the worker pool used for sweep points; all numerical kernels are
-deterministic regardless of the pool size.  Warnings a scenario raises are
+Every scenario runs in a single thread.  Warnings a scenario raises are
 printed to stderr and listed under ``warnings`` in ``manifest.json``.
 """
 
@@ -28,11 +26,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -100,7 +96,7 @@ def _write_json(path: Path, doc: dict):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_dressing_dump(cfg, outdir, threads):
+def _scenario_dressing_dump(cfg, outdir):
     omega_e = cfg["omega_e"]
     g = cfg.get("grid", {})
     p = cfg.get("profile", {})
@@ -153,25 +149,7 @@ def _sweep_values(cfg):
     return np.geomspace(lo, hi, n), s.get("n_radial", 48)
 
 
-def _run_sweep(grid, wms, build_profile, n_radial, gamma, threads):
-    def one(wm):
-        return rad.golden_rule_rate(grid, build_profile(wm),
-                                    n_radial=n_radial, gamma=gamma)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, wms))
-    else:
-        results = [one(wm) for wm in wms]
-    lw, lr = np.log(wms), np.log([r.rate for r in results])
-    slope = float(np.polyfit(lw, lr, 1)[0])
-    for r in results:
-        r.fitted_exponent = slope
-    return rad.RateSweep(results=results, fitted_exponent=slope,
-                         pointwise_slopes=np.gradient(lr, lw))
-
-
-def _scenario_rate_sweep(cfg, outdir, threads, dim):
+def _scenario_rate_sweep(cfg, outdir, dim):
     omega_e = cfg["omega_e"]
     p = cfg.get("profile", {})
     g = cfg.get("grid", {})
@@ -206,7 +184,7 @@ def _scenario_rate_sweep(cfg, outdir, threads, dim):
                 A=grid.geometry.area, L=grid.geometry.length, c=grid.c,
             )
 
-    sweep = _run_sweep(grid, wms, build, n_radial, gamma, threads)
+    sweep = rad.rate_sweep(grid, wms, build, n_radial=n_radial, gamma=gamma)
     _write_csv(
         outdir / "rates.csv",
         ["omega_m", "rate", "pointwise_slope"],
@@ -220,7 +198,7 @@ def _scenario_rate_sweep(cfg, outdir, threads, dim):
         "k_m_r_m": km_rm,
         "n_points": len(wms),
         "n_radial": n_radial,
-        "grid": json.loads(grid.to_json())["geometry"],
+        "grid": grid.geometry_dict(),
         "polarization_sum": "included in all 3D rate integrals" if dim == 3
         else "single polarization (waveguide)",
         "files": ["rates.csv"],
@@ -235,7 +213,7 @@ def _scenario_rate_sweep(cfg, outdir, threads, dim):
     return summary
 
 
-def _scenario_scattering(cfg, outdir, threads):
+def _scenario_scattering(cfg, outdir):
     omega_e = cfg["omega_e"]
     s = cfg["scattering"]
     gamma = s.get("gamma", 1e-2 * omega_e)
@@ -295,12 +273,12 @@ def _scenario_scattering(cfg, outdir, threads):
         "packet_front_edge_in_decay_lengths": abs(x0) * gamma_p / grid.c,
         "n_modes": n_modes,
         "directions": "both propagation directions included in all sums",
-        "grid": json.loads(grid.to_json())["geometry"],
+        "grid": grid.geometry_dict(),
         "files": files,
     }
 
 
-def _scenario_oracle_compare(cfg, outdir, threads):
+def _scenario_oracle_compare(cfg, outdir):
     omega_e = cfg["omega_e"]
     o = cfg.get("oracle", {})
     xi_max = o.get("xi_max", 0.03)
@@ -348,7 +326,7 @@ def _scenario_oracle_compare(cfg, outdir, threads):
     }
 
 
-def _scenario_transform_residual(cfg, outdir, threads):
+def _scenario_transform_residual(cfg, outdir):
     omega_e = cfg["omega_e"]
     r = cfg["residual"]
     xi_values = r.get("xi_values", [0.04, 0.02])
@@ -391,8 +369,8 @@ def _scenario_transform_residual(cfg, outdir, threads):
 
 _SCENARIOS = {
     "DressingDump": _scenario_dressing_dump,
-    "RateSweep1D": lambda c, o, t: _scenario_rate_sweep(c, o, t, 1),
-    "RateSweep3D": lambda c, o, t: _scenario_rate_sweep(c, o, t, 3),
+    "RateSweep1D": lambda c, o: _scenario_rate_sweep(c, o, 1),
+    "RateSweep3D": lambda c, o: _scenario_rate_sweep(c, o, 3),
     "Scattering3Photon": _scenario_scattering,
     "OracleCompare": _scenario_oracle_compare,
     "AppendixAVerify": _scenario_transform_residual,
@@ -400,7 +378,12 @@ _SCENARIOS = {
 
 
 def run_scenario(config_path, out_override=None, threads=1) -> int:
-    """Execute one scenario config; returns the process exit code."""
+    """Execute one scenario config; returns the process exit code.
+
+    ``threads`` is ignored; it is kept only because the scenario benchmark
+    (``perfbench/child.py``) still passes ``threads=1``, and goes with that
+    call.
+    """
     t_start = time.time()
     try:
         with open(config_path, encoding="utf-8") as fh:
@@ -421,7 +404,7 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            summary = runner(cfg, outdir, threads)
+            summary = runner(cfg, outdir)
     except (ConfigError, DomainError) as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -440,7 +423,6 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         "package": "vacuum-shake",
         "version": __version__,
         "config": cfg,
-        "threads": threads,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
         "wall_time_s": time.time() - t_start,
         "generated_unix": int(time.time()),
@@ -561,7 +543,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="compare a result against a baseline")
     p_cmp.add_argument("result")
@@ -578,21 +559,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        threads = args.threads
-        env = os.environ.get("VACUUM_SHAKE_THREADS")
-        if threads is None and env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                print("error: VACUUM_SHAKE_THREADS must be an integer",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-        if threads is None:
-            threads = 1
-        if threads < 1:
-            print("error: thread count must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        return run_scenario(args.config, args.out, threads)
+        return run_scenario(args.config, args.out)
 
     tolerances = None
     if args.tol_file:

@@ -152,12 +152,20 @@ class ModeGrid:
         dens = self.geometry.volume / (2.0 * np.pi) ** 3
         return float(np.sum(self.weight[sel]) * dens)
 
+    def geometry_dict(self) -> dict:
+        """The ``"geometry"`` entry of :meth:`to_json`: kind, c and the box size."""
+        doc = {"kind": "Waveguide1D" if self.is_waveguide else "FreeSpace3D",
+               "c": self.c}
+        if self.is_waveguide:
+            doc["length"] = self.geometry.length
+            doc["area"] = self.geometry.area
+        else:
+            doc["volume"] = self.geometry.volume
+        return doc
+
     def to_json(self) -> str:
         doc = {
-            "geometry": {
-                "kind": "Waveguide1D" if self.is_waveguide else "FreeSpace3D",
-                "c": self.c,
-            },
+            "geometry": self.geometry_dict(),
             "omega_min": self.omega_min,
             "omega_max": self.omega_max,
             "omega": self.omega.tolist(),
@@ -165,11 +173,8 @@ class ModeGrid:
             "wavevector": self.wavevectors.tolist(),
         }
         if self.is_waveguide:
-            doc["geometry"]["length"] = self.geometry.length
-            doc["geometry"]["area"] = self.geometry.area
             doc["direction_sign"] = self.direction_signs.tolist()
         else:
-            doc["geometry"]["volume"] = self.geometry.volume
             doc["polarization"] = self.polarizations.tolist()
         return json.dumps(doc, indent=1)
 
@@ -305,14 +310,17 @@ def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
 
 
 def _polarization_pair(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic transverse frame: eps1 = z x khat normalized, eps2 = khat x eps1."""
-    zaxis = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(zaxis, khat)
-    n1 = np.linalg.norm(e1)
-    if n1 < 1e-12:  # khat along z: Gauss nodes avoid this, but JSON round trips may not
-        e1 = np.array([1.0, 0.0, 0.0])
-        n1 = 1.0
-    e1 = e1 / n1
+    """Deterministic transverse frame: eps1 = z x khat normalized, eps2 = khat x eps1.
+
+    ``khat`` is one unit vector (3,) or a stack of them (m, 3); both frame
+    vectors have its shape.  Where khat lies along z, eps1 falls back to x.
+    """
+    khat = np.asarray(khat, dtype=float)
+    e1 = np.cross([0.0, 0.0, 1.0], khat)
+    n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
+    # khat along z: Gauss nodes avoid this, but JSON round trips may not
+    along_z = n1 < 1e-12
+    e1 = np.where(along_z, [1.0, 0.0, 0.0], e1 / np.where(along_z, 1.0, n1))
     e2 = np.cross(khat, e1)
     return e1, e2
 
@@ -352,33 +360,19 @@ def build_freespace_quadrature(
     phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
     wphi = 2.0 * np.pi / n_azimuthal
 
-    sin_th = np.sqrt(1.0 - mu**2)
-    dirs, ang_w = [], []
-    for i in range(n_polar):
-        for j in range(n_azimuthal):
-            dirs.append([sin_th[i] * np.cos(phi[j]), sin_th[i] * np.sin(phi[j]), mu[i]])
-            ang_w.append(wmu[i] * wphi)
-    dirs = np.asarray(dirs)
-    ang_w = np.asarray(ang_w)
+    # directions polar-major; mode index = (radius, direction, polarization)
+    sin_th = np.repeat(np.sqrt(1.0 - mu**2), n_azimuthal)
+    az = np.tile(phi, n_polar)
+    dirs = np.stack([sin_th * np.cos(az), sin_th * np.sin(az),
+                     np.repeat(mu, n_azimuthal)], axis=1)
+    ang_w = np.repeat(wmu, n_azimuthal) * wphi
 
-    n_nodes = n_radial * len(dirs)
-    omega = np.empty(2 * n_nodes)
-    weight = np.empty(2 * n_nodes)
-    kvecs = np.empty((2 * n_nodes, 3))
-    pols = np.empty((2 * n_nodes, 3))
-
-    idx = 0
-    for ir, (k, wk) in enumerate(zip(k_nodes, k_w)):
-        node_w = wk * k**2 * ang_w  # full d^3k weight per direction
-        for m in range(len(dirs)):
-            khat = dirs[m]
-            e1, e2 = _polarization_pair(khat)
-            for eps in (e1, e2):
-                omega[idx] = c * k
-                weight[idx] = node_w[m]
-                kvecs[idx] = k * khat
-                pols[idx] = eps
-                idx += 1
+    omega = np.repeat(c * k_nodes, 2 * len(dirs))
+    node_w = (k_w * k_nodes**2)[:, None] * ang_w  # full d^3k weight per node
+    weight = np.repeat(node_w.ravel(), 2)
+    kvecs = np.repeat((k_nodes[:, None, None] * dirs).reshape(-1, 3), 2, axis=0)
+    pols = np.tile(np.stack(_polarization_pair(dirs), axis=1).reshape(-1, 3),
+                   (n_radial, 1))
 
     grid = ModeGrid(
         geometry=FreeSpace3D(volume=V, c=c),

@@ -114,6 +114,70 @@ class TestFreespaceQuadrature:
             modes.build_freespace_quadrature(2, 2, 2, -1.0, 1.0)
 
 
+def old_freespace_arrays(n_radial, n_polar, n_azimuthal, omega_max, c=1.0):
+    """The free-space grid arrays filled node by node (the loop form)."""
+    k_max = omega_max / c
+    xr, wr = np.polynomial.legendre.leggauss(n_radial)
+    k_nodes, k_w = 0.5 * k_max * (xr + 1.0), 0.5 * k_max * wr
+    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+    wphi = 2.0 * np.pi / n_azimuthal
+    sin_th = np.sqrt(1.0 - mu**2)
+    dirs, ang_w = [], []
+    for i in range(n_polar):
+        for j in range(n_azimuthal):
+            dirs.append([sin_th[i] * np.cos(phi[j]),
+                         sin_th[i] * np.sin(phi[j]), mu[i]])
+            ang_w.append(wmu[i] * wphi)
+    omega, weight, kvecs, pols = [], [], [], []
+    for k, wk in zip(k_nodes, k_w):
+        for d, aw in zip(dirs, ang_w):
+            d = np.asarray(d)
+            for eps in modes._polarization_pair(d):
+                omega.append(c * k)
+                weight.append(wk * k**2 * aw)
+                kvecs.append(k * d)
+                pols.append(eps)
+    return {"omega": omega, "weight": weight, "wavevectors": kvecs,
+            "polarizations": pols, "angular_directions": dirs,
+            "angular_weights": ang_w}
+
+
+class TestVectorisedFrames:
+    def test_polarization_pair_rows(self):
+        rng = np.random.default_rng(7)
+        khat = rng.normal(size=(50, 3))
+        khat = np.vstack([khat / np.linalg.norm(khat, axis=1, keepdims=True),
+                          [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        e1, e2 = modes._polarization_pair(khat)
+        assert e1.shape == e2.shape == khat.shape
+        for i, k in enumerate(khat):
+            r1, r2 = modes._polarization_pair(k)
+            np.testing.assert_allclose(e1[i], r1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(e2[i], r2, rtol=0, atol=1e-15)
+        # along +-z the frame falls back to eps1 = x, eps2 = khat x x = +-y
+        np.testing.assert_array_equal(e1[-2:], [[1, 0, 0], [1, 0, 0]])
+        np.testing.assert_array_equal(e2[-2:], [[0, 1, 0], [0, -1, 0]])
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 3, 5), (3, 6, 4),
+                                        (8, 24, 12)])
+    def test_grid_matches_node_loop(self, counts):
+        g = modes.build_freespace_quadrature(*counts, 1.7, 2.0, c=0.8)
+        ref = old_freespace_arrays(*counts, 1.7, c=0.8)
+        for name, expected in ref.items():
+            np.testing.assert_allclose(getattr(g, name), np.asarray(expected),
+                                       rtol=1e-15, atol=1e-15, err_msg=name)
+
+
+def test_geometry_dict_matches_json(small_waveguide, freespace_grid):
+    assert small_waveguide.geometry_dict() == {
+        "kind": "Waveguide1D", "c": 2.0, "length": 4.0 * np.pi, "area": 1.0}
+    assert freespace_grid.geometry_dict() == {
+        "kind": "FreeSpace3D", "c": 1.0, "volume": (2.0 * np.pi) ** 3}
+    for g in (small_waveguide, freespace_grid):
+        assert g.geometry_dict() == json.loads(g.to_json())["geometry"]
+
+
 class TestDensityOfStates:
     def test_waveguide_uniform(self):
         g = modes.build_waveguide_grid(8, 2.0, 8.0 * np.pi, 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuum_shake import coupling as cp
 from vacuum_shake import dressing as dr
@@ -12,6 +14,44 @@ from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
 
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
+
+
+def loop_rate(grid, profile, n_radial):
+    """Golden-rule rate summed radius by radius and direction by direction
+    (the loop form of ``rad.golden_rule_rate``)."""
+    k_m, c = profile.k_m, profile.c
+    x, wq = np.polynomial.legendre.leggauss(n_radial)
+    k_nodes, k_wts = 0.5 * k_m * (x + 1.0), 0.5 * k_m * wq
+    total = np.zeros(n_radial)
+    if grid.is_waveguide:
+        dens = grid.geometry.length / (2.0 * np.pi)
+        signs = np.array([1.0, -1.0])
+        for i, k in enumerate(k_nodes):
+            e0, ep, _ = cp.eta_components_arrays_1d(profile, np.full(2, c * k), signs)
+            f0, fp, _ = cp.eta_components_arrays_1d(
+                profile, np.full(2, c * (k_m - k)), signs)
+            for s in range(2):
+                for sp in range(2):
+                    total[i] += (ep[s] * f0[sp] + fp[sp] * e0[s]) ** 2
+    else:
+        dens = grid.geometry.volume / (2.0 * np.pi) ** 3
+        khat = np.repeat(grid.angular_directions, 2, axis=0)
+        w2 = np.repeat(grid.angular_weights, 2)
+
+        def moments(omega):
+            pol = np.array([e for d in grid.angular_directions
+                            for e in modes._polarization_pair(d)])
+            e0, ep, _ = cp.eta_components_arrays_3d(
+                profile, np.full(len(khat), omega), khat, pol)
+            return np.sum(w2 * ep**2), np.sum(w2 * e0**2), np.sum(w2 * ep * e0)
+
+        for i, k in enumerate(k_nodes):
+            Ip, I0, J = moments(c * k)
+            Ipp, I0p, Jp = moments(c * (k_m - k))
+            total[i] = k**2 * (k_m - k) ** 2 * (Ip * I0p + 2.0 * J * Jp + Ipp * I0)
+    km_rm = k_m * profile.r_m
+    return (np.pi * km_rm**2 / (4.0 * profile.omega_e**2) * dens**2 / c
+            * np.sum(k_wts * total))
 
 
 def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
@@ -149,6 +189,50 @@ class TestGoldenRuleRate:
         C = res.rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 3)
         assert C == pytest.approx(1.0 / (40.0 * np.pi), rel=2e-3)
 
+    @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 4, np.pi / 3, 2.0])
+    def test_oblique_geometry_constant(self, freespace_grid, alpha):
+        # C(alpha) = (11 - 10 cos^2 alpha)/(5040 pi), 8.5/(5040 pi) at pi/3;
+        # each |eta|^2 carries (1 + w/w_e)^-2, which over a pair gives the
+        # first-order correction 1 - 2 w_m/w_e
+        wm = 2e-4
+        res = rad.golden_rule_rate(freespace_grid, osc3d_profile(wm, alpha=alpha),
+                                   n_radial=40)
+        C = res.rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
+        law = (11.0 - 10.0 * np.cos(alpha) ** 2) / (5040.0 * np.pi)
+        assert C == pytest.approx(law, rel=2e-3)
+        assert C == pytest.approx(law * (1.0 - 2.0 * wm / OMEGA_E), rel=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4),
+           st.floats(1e-4, 0.2), st.integers(1, 40), st.integers(1, 8),
+           st.integers(1, 6))
+    def test_matches_loop_form_3d(self, angles, wm, n_radial, n_polar,
+                                  n_azimuthal):
+        # dhat and rhat from (polar, azimuthal) angle pairs; coarse angular
+        # rules break the parity that zeroes sum eta+ eta0 on fine ones
+        def unit(theta, phi):
+            return [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                    np.cos(theta)]
+
+        grid = modes.build_freespace_quadrature(2, n_polar, n_azimuthal, 2.0, V)
+        prof = cp.CouplingProfile.oscillating_3d(
+            OMEGA_E, unit(*angles[:2]), unit(*angles[2:]), r_m=0.05 / wm,
+            omega_m=wm, gamma=GAMMA, V=V)
+        rate = rad.golden_rule_rate(grid, prof, n_radial=n_radial).rate
+        # abs=0: rates are ~1e-20, far below approx's default absolute 1e-12
+        assert rate == pytest.approx(loop_rate(grid, prof, n_radial),
+                                     rel=1e-12, abs=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(1e-4, 0.2), st.integers(1, 60), st.integers(1, 8))
+    def test_matches_loop_form_1d(self, wm, n_radial, half_modes):
+        grid = modes.build_waveguide_grid(2 * half_modes, 2.0,
+                                          2 * half_modes * np.pi, 1.0)
+        prof = oscillating_1d_profile(grid, omega_m=wm)
+        rate = rad.golden_rule_rate(grid, prof, n_radial=n_radial).rate
+        assert rate == pytest.approx(loop_rate(grid, prof, n_radial),
+                                     rel=1e-12, abs=0)
+
     def test_quadratic_in_drive_amplitude(self, freespace_grid):
         wm = 1e-3
         r1 = rad.golden_rule_rate(freespace_grid,
@@ -167,7 +251,7 @@ class TestGoldenRuleRate:
             r = rad.golden_rule_rate(grid, prof, n_radial=24).rate
             if n == 8:
                 first = r
-        assert r == pytest.approx(first, rel=1e-12)
+        assert r == pytest.approx(first, rel=1e-12, abs=0)
 
     def test_band_error(self, freespace_grid):
         prof = osc3d_profile(1e-3)
@@ -193,6 +277,31 @@ class TestSweepAndConstant:
                              lambda wm: oscillating_1d_profile(grid1, omega_m=wm),
                              n_radial=32, gamma=GAMMA)
         assert sw1.fitted_exponent == pytest.approx(3.0, abs=0.1)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_shipped_sweep_matches_first_order_law(self, dim):
+        # configs/rate_sweep_{1d,3d}.json: R ~ w_m^p (1 - 2 w_m/w_e) with
+        # p = 3 (C = 1/(40 pi)) or 7 (C = 1/(5040 pi)) explains the slope's
+        # shortfall from p and the fitted constant
+        wms = np.geomspace(1e-3, 1e-2, 16)
+        if dim == 3:
+            grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
+            p, C0 = 7.0, 1.0 / (5040.0 * np.pi)
+
+            def build(wm):
+                return osc3d_profile(wm)
+        else:
+            grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
+            p, C0 = 3.0, 1.0 / (40.0 * np.pi)
+
+            def build(wm):
+                return oscillating_1d_profile(grid, omega_m=wm)
+        sw = rad.rate_sweep(grid, wms, build, n_radial=48, gamma=GAMMA)
+        correction = np.log(1.0 - 2.0 * wms / OMEGA_E)
+        slope = np.polyfit(np.log(wms), p * np.log(wms) + correction, 1)[0]
+        assert sw.fitted_exponent == pytest.approx(slope, abs=5e-4)
+        C = rad.extract_rate_constant(sw.results, exponent=p)
+        assert C == pytest.approx(C0 * np.exp(np.mean(correction)), rel=2e-4)
 
     def test_constant_invariant_under_amplitude(self, freespace_grid):
         wms = np.geomspace(1e-3, 1e-2, 5)

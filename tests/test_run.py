@@ -41,11 +41,11 @@ SMALL = {
 }
 
 
-def run(tmp_path, scenario, *extra):
+def run(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": scenario, **SMALL[scenario]}))
     out = tmp_path / "out"
-    rc = cli.main(["run", str(cfg), "--out", str(out), *extra])
+    rc = cli.main(["run", str(cfg), "--out", str(out)])
     return rc, out
 
 
@@ -85,20 +85,6 @@ def test_scenario_runs_and_writes_finite_outputs(tmp_path, scenario):
         assert all(math.isfinite(x) for x in csv_numbers(out / name)), name
     assert all(math.isfinite(x) for x in numbers(summary))
     assert all(math.isfinite(x) for x in numbers(manifest))
-
-
-def test_threads_flag_overrides_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("VACUUM_SHAKE_THREADS", "3")
-    rc, out = run(tmp_path, "AppendixAVerify", "--threads", "2")
-    assert rc == cli.EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["threads"] == 2
-
-
-def test_threads_environment_applies_without_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("VACUUM_SHAKE_THREADS", "3")
-    rc, out = run(tmp_path, "AppendixAVerify")
-    assert rc == cli.EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["threads"] == 3
 
 
 def test_warnings_recorded_in_manifest(tmp_path, capsys):
