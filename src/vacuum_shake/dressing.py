@@ -133,11 +133,15 @@ class DressedFrame:
     """Evaluator bundle for xi, eta, Lambda and E over one grid + profile.
 
     ``xi_mode`` is ``"adiabatic"``, ``"floquet"`` or ``"exact"`` (see the
-    module docstring).  The frame stores the (3, n) Fourier arrays of g and
-    xi; every evaluator is a closed-form slice of them.  In exact mode
-    ``xi0`` gives the initial displacement per mode; it defaults to the
-    adiabatic value at t = 0, which suppresses the transient oscillation
-    entirely for slowly varying couplings.
+    module docstring).  The frame stores the (3, n) Fourier array of g, and
+    xi as a sum of exponentials, xi_k(t) = sum_a X_ak e^{i F_ak t}, with the
+    coefficients X in ``xi_coeffs`` and the frequencies F in ``xi_freqs``,
+    both (m, n).  Rows 0-2 are the harmonics at 0, +omega_m and -omega_m
+    (``coupling.HARMONICS``); exact mode adds a fourth row, the transient
+    at omega_k + omega_e.  Every evaluator is a closed-form sum over the
+    rows.  In exact mode ``xi0`` gives the initial displacement per mode;
+    it defaults to the adiabatic value at t = 0, which suppresses the
+    transient oscillation entirely for slowly varying couplings.
     """
 
     def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile, *,
@@ -154,46 +158,30 @@ class DressedFrame:
         self.xi_mode = xi_mode
         self.smallness_guard = smallness_guard
         self._omega_m = profile.omega_m
-        self._w = grid.omega + self.omega_e
+        w = grid.omega + self.omega_e
         self._g = cp.grid_fourier(profile, grid)
         if xi_mode == "adiabatic":
-            self._xi = self._g / self._w
+            xi = self._g / w
         else:
-            self._xi = _periodic_xi(self._g, grid.omega, self.omega_e, self._omega_m)
-        self._transient = None
+            xi = _periodic_xi(self._g, grid.omega, self.omega_e, self._omega_m)
+        freqs = np.repeat(cp.HARMONICS[:, None] * self._omega_m, grid.n_modes, axis=1)
         if xi_mode == "exact":
             if xi0 is None:
-                xi0 = self._g.sum(axis=0) / self._w
+                xi0 = self._g.sum(axis=0) / w
             else:
                 xi0 = np.asarray(xi0, dtype=complex)
                 if xi0.shape != (grid.n_modes,):
                     raise ConfigError("xi0 must have one entry per grid mode")
-            self._transient = xi0 - self._xi.sum(axis=0)
+            xi = np.vstack([xi, xi0 - xi.sum(axis=0)])
+            freqs = np.vstack([freqs, w])
+        self.xi_coeffs = xi
+        self.xi_freqs = freqs
         self.xi0 = xi0
 
-    def _xi_at(self, t: float, i=slice(None), order: int = 0):
-        """xi (order 0) or d xi/dt (order 1) at t for mode ``i`` or all modes."""
-        out = cp.harmonic_phases(self._omega_m, t, order) @ self._xi[:, i]
-        if self._transient is not None:
-            w = self._w[i]
-            out = out + (1j * w) ** order * self._transient[i] * np.exp(1j * w * t)
-        return out
-
-    # -- per-mode evaluators ---------------------------------------------------
-
-    def g(self, i: int, t: float) -> complex:
-        return complex(cp.harmonic_phases(self._omega_m, t) @ self._g[:, i])
-
-    def xi(self, i: int, t: float) -> complex:
-        return complex(self._xi_at(t, i))
-
-    def xi_dot(self, i: int, t: float) -> complex:
-        return complex(self._xi_at(t, i, 1))
-
-    def eta(self, i: int, t: float) -> complex:
-        return 2.0 * self.omega_e * self.xi(i, t)
-
-    # -- all modes at once -------------------------------------------------------
+    def _xi_at(self, t: float, order: int = 0) -> np.ndarray:
+        """xi (order 0) or d xi/dt (order 1) of all modes at t."""
+        F = self.xi_freqs
+        return np.sum(self.xi_coeffs * (1j * F) ** order * np.exp(1j * F * t), axis=0)
 
     def g_all(self, t: float) -> np.ndarray:
         return cp.harmonic_phases(self._omega_m, t) @ self._g
@@ -248,10 +236,10 @@ def counter_rotating_residual(frame: DressedFrame, mode: Mode, t: float) -> comp
     neglected -i d(xi)/dt term.
     """
     i = mode.index
-    return (
-        (-frame.omega_e - mode.omega) * frame.xi(i, t)
-        + frame.g(i, t)
-        - 1j * frame.xi_dot(i, t)
+    return complex(
+        (-frame.omega_e - mode.omega) * frame.xi_all(t)[i]
+        + frame.g_all(t)[i]
+        - 1j * frame.xi_dot_all(t)[i]
     )
 
 

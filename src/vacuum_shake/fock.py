@@ -157,9 +157,6 @@ class FockBasis:
         return sp.csr_matrix((vals * c[mode], (rows, cols)),
                              shape=(self.dimension, self.dimension))
 
-    def number_diagonal(self) -> np.ndarray:
-        return self.total_photons.astype(float)
-
     def mode_number_diagonal(self, omegas) -> np.ndarray:
         """Diagonal of sum_k omega_k n_k for the given frequencies."""
         return self.occ @ np.asarray(omegas, dtype=float)

@@ -6,7 +6,12 @@ The pair amplitude over mode pairs,
                + i * integral_0^t Lambda_kk'(tau) e^{-i(w_k+w_k')(t-tau)} dtau,
 
 splits into the instantaneous dressing Lambda_kk'(t)/(w_k+w_k') plus a freely
-propagating remainder.  For static couplings the remainder cancels exactly;
+propagating remainder.  The dressing displacement xi is a finite sum of
+exponentials (three drive harmonics, plus the transient at w_k + w_e in
+exact mode), so Lambda_kk'(tau) e^{i(w_k+w_k')tau} is one too, at most 16
+terms per pair, and the memory integral is exact: each term at frequency x
+contributes I(x, t) = t e^{ixt/2} sinc(xt/2pi), which tends to t at
+resonance.  For static couplings the remainder cancels exactly;
 under periodic modulation it grows secularly at pair resonances and the
 continuum limit gives a golden-rule emission rate
 
@@ -87,72 +92,32 @@ class RateSweep:
         return np.array([r.rate for r in self.results])
 
 
-def _adaptive_panel_integral(f_matrix, a, b, rel_tol, *, phase_scale=None,
-                             order=16, max_doublings=9):
-    """Adaptive composite Gauss-Legendre quadrature of a matrix-valued
-    integrand, refined by panel doubling until the elementwise change is
-    below ``rel_tol`` relative to the running magnitude scale.
-
-    ``phase_scale`` is the total accumulated phase of the fastest oscillation
-    over [a, b]; it sets the initial panel count at roughly one period per
-    panel.
-    """
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    probe = f_matrix(0.5 * (a + b))
-
-    def evaluate(n_panels):
-        edges = np.linspace(a, b, n_panels + 1)
-        total = np.zeros_like(probe, dtype=complex)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x0
-            wm = 0.5 * (hi - lo) * w0
-            for xv, wv in zip(xm, wm):
-                total = total + wv * f_matrix(xv)
-        return total
-
-    phase = abs(b - a) if phase_scale is None else phase_scale
-    n = max(4, int(np.ceil(phase / (2.0 * np.pi))))
-    prev = evaluate(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = evaluate(n)
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
-            return cur
-        prev = cur
-    raise NumericalError(
-        "pair-amplitude quadrature did not converge",
-        details={"panels": n, "interval": (a, b)},
-    )
-
-
-def pair_amplitude(frame: DressedFrame, t: float, *, rel_tol: float = 1e-9) -> PairAmplitudeResult:
+def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     """Perturbative pair amplitude C_kk'(t) and its freely propagating part.
 
-    The memory integral is evaluated by adaptive panel quadrature shared
-    across all mode pairs.  ``freely_propagating_part`` subtracts the
-    instantaneous dressing Lambda_kk'(t)/(w_k + w_k').
+    With xi_k(t) = sum_a X_ak e^{i F_ak t} (the frame's ``xi_coeffs`` and
+    ``xi_freqs``), Lambda_kk'(tau) e^{i Omega tau} is a sum of exponentials
+    and the memory integral is, in closed form,
+
+        (w_e^2/w_e') sum_ab X_ak* X_bk'* I(Omega_kk' - F_ak - F_bk', t),
+        I(x, t) = integral_0^t e^{i x tau} dtau = t e^{i x t/2} sinc(x t/2 pi),
+
+    with Omega_kk' = w_k + w_k' and sinc(y) = sin(pi y)/(pi y).  I is finite
+    at resonance (I(0, t) = t, the secular growth) and never divides by x;
+    at t = 0 it vanishes, so C = Lambda(0)/Omega.  ``freely_propagating_part``
+    subtracts the instantaneous dressing Lambda_kk'(t)/Omega_kk'.
     """
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
-    lam0 = lambda_matrix(frame, 0.0).lam
-    if t == 0.0:
-        C = lam0 / Omega
-        return PairAmplitudeResult(t=0.0, C=C,
-                                   freely_propagating_part=C - C)
-
-    def integrand(tau):
-        return lambda_matrix(frame, tau).lam * np.exp(1j * Omega * tau)
-
-    drive = getattr(frame.profile, "omega_m", 0.0) or 0.0
-    max_phase = (float(np.max(Omega)) + 2.0 * drive) * t
-    integral = _adaptive_panel_integral(
-        integrand, 0.0, t, rel_tol, phase_scale=max_phase, max_doublings=10,
-    )
+    X = np.conj(frame.xi_coeffs)
+    F = frame.xi_freqs
+    x = Omega - (F[:, None, :, None] + F[None, :, None, :])  # (a, b, k, k')
+    kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
+    memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
+    memory = frame.omega_e**2 / frame.omega_e_prime * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
-    C = lam0 / Omega * phase_now + 1j * phase_now * integral
-    lam_t = lambda_matrix(frame, t).lam
-    free = C - lam_t / Omega
+    C = lambda_matrix(frame, 0.0).lam / Omega * phase_now + 1j * phase_now * memory
+    free = C - lambda_matrix(frame, t).lam / Omega
     return PairAmplitudeResult(t=t, C=C, freely_propagating_part=free)
 
 
@@ -388,7 +353,7 @@ def oracle_compare_pair_production(
                                truncation_action="warn")
 
     vac_amp = final_dressed.amplitude(fk.GROUND, (0,) * n)
-    pert = pair_amplitude(frame, t_final, rel_tol=1e-10)
+    pert = pair_amplitude(frame, t_final)
     lam_t = lambda_matrix(frame, t_final).lam
     Omega = omega[:, None] + omega[None, :]
 

@@ -137,7 +137,7 @@ class TestXiExactClosedForm:
                               0.0, t, complex_func=True, epsabs=1e-14,
                               epsrel=1e-11, limit=800)
                 ref = xi0[i] * np.exp(1j * w * t) - 1j * val
-                assert abs(frame.xi(i, t) - ref) <= 1e-12 * abs(ref)
+                assert abs(frame.xi_all(t)[i] - ref) <= 1e-12 * abs(ref)
                 assert abs(dr.xi_exact(frame, m, t, xi0[i]) - ref) \
                     <= 1e-12 * abs(ref)
                 res = dr.counter_rotating_residual(frame, m, t)
@@ -160,7 +160,7 @@ class TestCounterRotatingResidual:
             i = int(rng.integers(0, small_waveguide.n_modes))
             t = float(rng.uniform(0.5, 15.0))
             res = dr.counter_rotating_residual(frame, small_waveguide.mode(i), t)
-            assert abs(res) <= 1e-9 * abs(frame.g(i, t))
+            assert abs(res) <= 1e-9 * abs(frame.g_all(t)[i])
 
     def test_adiabatic_static_is_exact(self, static_frame, small_waveguide):
         res = dr.counter_rotating_residual(static_frame,
@@ -178,7 +178,7 @@ class TestCounterRotatingResidual:
             k_rm = abs(m.wavevector[0]) * prof.r_m
             worst = max(
                 abs(dr.counter_rotating_residual(frame, m, t))
-                / abs(frame.g(i, t))
+                / abs(frame.g_all(t)[i])
                 for t in np.linspace(0.0, 2 * np.pi / wm, 9)
             )
             bound = 1.2 * k_rm * wm / (m.omega + OMEGA_E)
@@ -299,8 +299,8 @@ class TestEtaIdentity:
     def test_eta_equals_2_omega_e_xi(self, driven_frame, small_waveguide):
         for i in range(small_waveguide.n_modes):
             for t in (0.0, 4.4):
-                lhs = driven_frame.eta(i, t)
-                rhs = 2.0 * OMEGA_E * driven_frame.xi(i, t)
+                lhs = driven_frame.eta_all(t)[i]
+                rhs = 2.0 * OMEGA_E * driven_frame.xi_all(t)[i]
                 assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1e-30)
 
     def test_floquet_reduces_to_adiabatic_for_slow_drive(self, small_waveguide):

@@ -265,7 +265,7 @@ class TestPropagate:
                                           directions="positive")
         prof = static_1d_profile(grid, gamma=4e-4)
         frame = dr.DressedFrame(grid, prof)
-        eta = abs(frame.eta(0, 0.0))
+        eta = abs(frame.eta_all(0.0)[0])
         b = fk.enumerate_basis(1, 1)
         H = fk.build_transformed_hamiltonian(b, frame, 0.0, "H0H1only")
         out = fk.propagate(H.matrix, b.basis_state(fk.EXCITED, (0,)), 0.0,

@@ -54,6 +54,25 @@ def loop_rate(grid, profile, n_radial):
             * np.sum(k_wts * total))
 
 
+def quadrature_pair_amplitude(frame, t, panel_width=0.25, order=16):
+    """C_kk'(t) with the memory integral of Lambda_kk'(tau) e^{i Omega tau}
+    by composite Gauss-Legendre over fixed panels (the quadrature form of
+    ``rad.pair_amplitude``)."""
+    omega = frame.grid.omega
+    Omega = omega[:, None] + omega[None, :]
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, t, int(np.ceil(t / panel_width)) + 1)
+    integral = np.zeros(Omega.shape, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panel = np.zeros(Omega.shape, dtype=complex)
+        for tau, wt in zip(0.5 * (lo + hi) + 0.5 * (hi - lo) * x,
+                           0.5 * (hi - lo) * w):
+            panel += wt * dr.lambda_matrix(frame, tau).lam * np.exp(1j * Omega * tau)
+        integral += panel
+    phase = np.exp(-1j * Omega * t)
+    return dr.lambda_matrix(frame, 0.0).lam / Omega * phase + 1j * phase * integral
+
+
 def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
     """Oscillating free-space profile; alpha is the dipole-motion angle."""
     rhat = [np.sin(alpha), 0.0, np.cos(alpha)]
@@ -64,17 +83,50 @@ def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
 
 
 class TestPairAmplitude:
+    XI0 = 0.01 * np.array([0.3 - 1.1j, -0.8 + 0.2j, 1.4 + 0.6j, -0.5 - 0.9j])
+
+    @pytest.mark.parametrize("xi_mode, custom_xi0", [
+        ("adiabatic", False), ("floquet", False), ("exact", False),
+        ("exact", True),
+    ], ids=["adiabatic", "floquet", "exact", "exact-xi0"])
+    @pytest.mark.parametrize("omega_m, t", [
+        (0.55, 37.0),
+        # Omega = 0.4 + 0.9 = omega_m: those pairs grow like t
+        (1.3, 200.0),
+    ], ids=["off-resonant", "resonant"])
+    def test_matches_quadrature(self, xi_mode, custom_xi0, omega_m, t):
+        grid = modes.few_mode_waveguide_grid([0.4, 0.9])
+        prof = cp.CouplingProfile(
+            kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
+            chi_scale=0.05, c=1.0, r_m=0.09 / omega_m, omega_m=omega_m,
+        )
+        frame = dr.DressedFrame(grid, prof, xi_mode=xi_mode,
+                                xi0=self.XI0 if custom_xi0 else None)
+        res = rad.pair_amplitude(frame, t)
+        ref = quadrature_pair_amplitude(frame, t)
+        assert res.C == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet", "exact"])
+    def test_zero_time_is_the_dressing(self, small_waveguide, xi_mode):
+        prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
+        frame = dr.DressedFrame(small_waveguide, prof, xi_mode=xi_mode)
+        res = rad.pair_amplitude(frame, 0.0)
+        omega = small_waveguide.omega
+        Omega = omega[:, None] + omega[None, :]
+        assert np.array_equal(res.C, dr.lambda_matrix(frame, 0.0).lam / Omega)
+        assert np.all(res.freely_propagating_part == 0.0)
+
     def test_static_coupling_cancellation(self, small_waveguide):
         frame = dr.DressedFrame(small_waveguide,
                                 static_1d_profile(small_waveguide))
         lam_max = np.max(np.abs(dr.lambda_matrix(frame, 0.0).lam))
         for t in (0.0, 13.0, 77.0):
-            res = rad.pair_amplitude(frame, t, rel_tol=1e-11)
-            assert res.max_free_magnitude() <= 1e-9 * lam_max
+            res = rad.pair_amplitude(frame, t)
+            assert res.max_free_magnitude() <= 1e-13 * lam_max
             # total amplitude equals the instantaneous dressing
             Omega = small_waveguide.omega[:, None] + small_waveguide.omega[None, :]
             assert np.allclose(res.C, dr.lambda_matrix(frame, t).lam / Omega,
-                               atol=1e-9 * lam_max)
+                               rtol=0, atol=1e-13 * lam_max)
 
     def test_zero_dipole(self, small_waveguide):
         frame = dr.DressedFrame(small_waveguide,
@@ -85,7 +137,7 @@ class TestPairAmplitude:
     def test_symmetry(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
         frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
-        res = rad.pair_amplitude(frame, 9.0, rel_tol=1e-9)
+        res = rad.pair_amplitude(frame, 9.0)
         assert np.array_equal(res.C, res.C.T)
         assert np.array_equal(res.freely_propagating_part,
                               res.freely_propagating_part.T)
@@ -101,8 +153,8 @@ class TestPairAmplitude:
         ts = np.linspace(0, T, 601)[:-1]
         lam_t = np.array([dr.lambda_matrix(frame, t).lam[0, 0] for t in ts])
         lam_minus = np.mean(lam_t * np.exp(1j * wm * ts))
-        c1 = rad.pair_amplitude(frame, 5 * T, rel_tol=1e-10).C[0, 0]
-        c2 = rad.pair_amplitude(frame, 15 * T, rel_tol=1e-10).C[0, 0]
+        c1 = rad.pair_amplitude(frame, 5 * T).C[0, 0]
+        c2 = rad.pair_amplitude(frame, 15 * T).C[0, 0]
         assert abs(c2 - c1) == pytest.approx(abs(lam_minus) * 10 * T, rel=1e-6)
 
     def test_against_closed_form(self):
@@ -116,7 +168,7 @@ class TestPairAmplitude:
         )
         frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
         t = 37.0
-        res = rad.pair_amplitude(frame, t, rel_tol=1e-11)
+        res = rad.pair_amplitude(frame, t)
 
         # Fourier components of Lambda over one period
         T = 2 * np.pi / wm
@@ -153,7 +205,7 @@ class TestPairAmplitude:
         detune = np.min(np.abs(Om - wm))
         bound = 4.0 * lam_scale / detune
         for t in (40.0, 160.0):
-            res = rad.pair_amplitude(frame, t, rel_tol=1e-9)
+            res = rad.pair_amplitude(frame, t)
             assert np.max(np.abs(res.C)) < bound
 
 

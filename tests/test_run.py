@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from vacuum_shake import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # One small config per scenario kind; each runs in about a second or less.
 SMALL = {
@@ -97,3 +100,21 @@ def test_warnings_recorded_in_manifest(tmp_path, capsys):
     assert spacing[0].startswith("UserWarning: ")
     assert "mode spacing" in capsys.readouterr().err
     assert "warnings" not in json.loads((out / "summary.json").read_text())
+
+
+def test_oracle_pair_amplitudes_match_golden_output(tmp_path, capsys):
+    # OracleCompare at the benchmark's seed-0 size; the golden CSV was written
+    # by `vacuum-shake run` on this config at commit f97fb34
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "OracleCompare",
+        "oracle": {"xi_max": 0.03, "k_m_r_m": 0.1, "t_final": 12.0,
+                   "n_max": 2, "mode_frequencies": [0.5, 2.0]},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    tolerances = json.loads((ROOT / "configs" / "compare_tolerances.json").read_text())
+    rc = cli.compare_baseline(out / "pair_amplitudes.csv",
+                              ROOT / "tests" / "data" / "oracle_seed0_pair_amplitudes.csv",
+                              tolerances)
+    assert rc == cli.EXIT_OK, capsys.readouterr().out
