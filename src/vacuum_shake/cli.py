@@ -18,6 +18,9 @@ Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
 
 Every scenario runs in a single thread.  Warnings a scenario raises are
 printed to stderr and listed under ``warnings`` in ``manifest.json``.
+A scenario's solver statistics (a ``"solver"`` entry of its summary, so far
+only OracleCompare's) go to ``manifest.json`` under ``solver``, not to
+``summary.json``.
 """
 
 from __future__ import annotations
@@ -323,6 +326,11 @@ def _scenario_oracle_compare(cfg, outdir):
         "mode_frequencies": list(map(float, freqs)),
         "omega_m": omega_m,
         "files": ["pair_amplitudes.csv"],
+        "solver": {
+            "n_rhs_evals": report["n_rhs_evals"],
+            "norm_drift": report["norm_drift"],
+            "truncation_estimates": report["truncation_estimates"],
+        },
     }
 
 
@@ -418,12 +426,14 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
     for w in caught:
         sys.stderr.write(warnings.formatwarning(w.message, w.category,
                                                 w.filename, w.lineno))
+    solver = summary.pop("solver", {})
     _write_json(outdir / "summary.json", summary)
     _write_json(outdir / "manifest.json", {
         "package": "vacuum-shake",
         "version": __version__,
         "config": cfg,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "solver": solver,
         "wall_time_s": time.time() - t_start,
         "generated_unix": int(time.time()),
     })

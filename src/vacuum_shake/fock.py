@@ -8,8 +8,10 @@ the transformed Hamiltonian.
 
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
-V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile), so
-propagation evaluates H(t) from three fixed operators.
+V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile).
+Propagation applies H(t) to the state from those fixed operators -- one
+sparse product with the stacked [V_nu; V_nu^+] per right-hand-side
+evaluation -- and never forms H(t).
 
 Basis states are (atom level, photon occupation vector) with a cap on the
 total photon number.  Enumeration is total-photon-number major, then
@@ -23,8 +25,9 @@ import base64
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +45,7 @@ from .modes import ModeGrid
 __all__ = [
     "FockBasis",
     "FockStateVector",
+    "HarmonicHamiltonian",
     "SparseOperator",
     "enumerate_basis",
     "original_hamiltonian_series",
@@ -271,28 +275,54 @@ class SparseOperator:
                 fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
 
 
+class HarmonicHamiltonian:
+    """H(t) = diag + sum_nu (f_nu(t) V_nu + f_nu(t)* V_nu^+) with
+    f = ``harmonic_phases(omega_m, t)``, held as fixed operators.
+
+    ``diag`` is the static diagonal and ``V`` the three CSR operators V_nu.
+    Each V_nu moves one photon, so it has no diagonal.  Calling the object
+    forms H(t); :meth:`apply_offdiagonal` applies H(t) - diag to a vector
+    with one product with ``W``, the stacked [V_0; V_1; V_2; V_0^+; V_1^+;
+    V_2^+] of shape (6 d, d), and never forms H(t).  ``W`` is built on first
+    use, so forming H(t) costs no more than the sum itself.
+    """
+
+    def __init__(self, diag: np.ndarray, V: list, omega_m: float):
+        self.diag = diag
+        self.V = V
+        self.omega_m = omega_m
+
+    @cached_property
+    def W(self) -> sp.csr_matrix:
+        return sp.vstack(self.V + [v.conj().T for v in self.V], format="csr")
+
+    def __call__(self, t: float) -> sp.csr_matrix:
+        f = cp.harmonic_phases(self.omega_m, t)
+        X = f[0] * self.V[0] + f[1] * self.V[1] + f[2] * self.V[2]
+        return (sp.diags(self.diag.astype(complex), format="csr")
+                + X + X.conj().T).tocsr()
+
+    def apply_offdiagonal(self, t: float, u: np.ndarray) -> np.ndarray:
+        """(H(t) - diag) u."""
+        f = cp.harmonic_phases(self.omega_m, t)
+        Wu = (self.W @ u).reshape(6, -1)
+        return f @ Wu[:3] + np.conj(f) @ Wu[3:]
+
+
 def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
-                                profile: CouplingProfile) -> Callable[[float], sp.csr_matrix]:
+                                profile: CouplingProfile) -> HarmonicHamiltonian:
     """Full atom-field Hamiltonian as a function of time,
     H(t) = (omega_e/2) sigma_z + sum_k omega_k n_k + sum_k [g_k*(t) a_k^+ + g_k(t) a_k] sigma_x,
-    assembled as H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) from the
-    operators V_nu = sum_k g_nu,k a_k sigma_x, which are built once here.
+    as H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) from the operators
+    V_nu = sum_k g_nu,k a_k sigma_x, which are built once here.
     """
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
     diag = 0.5 * profile.omega_e * basis.sigma_z_diagonal() \
         + basis.mode_number_diagonal(grid.omega)
-    H_diag = sp.diags(diag.astype(complex), format="csr")
     sx = basis.sigma_x()
     V = [(basis.mode_sum(g_nu) @ sx).tocsr() for g_nu in cp.grid_fourier(profile, grid)]
-    omega_m = profile.omega_m
-
-    def H(t: float) -> sp.csr_matrix:
-        f = cp.harmonic_phases(omega_m, t)
-        X = f[0] * V[0] + f[1] * V[1] + f[2] * V[2]
-        return (H_diag + X + X.conj().T).tocsr()
-
-    return H
+    return HarmonicHamiltonian(diag, V, profile.omega_m)
 
 
 def build_original_hamiltonian(
@@ -412,19 +442,8 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     return FockStateVector(basis, out, info={"truncation_estimate": est})
 
 
-HLike = Union[SparseOperator, sp.spmatrix, Callable[[float], object]]
-
-
-def _as_matrix(H: HLike, t: float) -> sp.spmatrix:
-    if callable(H):
-        H = H(t)
-    if isinstance(H, SparseOperator):
-        return H.matrix
-    return H
-
-
 def propagate(
-    H_of_t: HLike,
+    H: Union[HarmonicHamiltonian, SparseOperator, sp.spmatrix],
     state: FockStateVector,
     t0: float,
     t1: float,
@@ -435,11 +454,14 @@ def propagate(
 ) -> FockStateVector:
     """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with adaptive step control.
 
-    ``H_of_t`` may be a static operator or a callable ``t -> operator``.
-    With ``interaction_picture=True`` the (frozen, t0) diagonal of H is
-    removed analytically, so step sizes track the coupling strength instead
-    of the fastest phase.  The returned state records the norm drift and
-    solver statistics in ``.info``.
+    ``H`` is a static operator (``SparseOperator`` or sparse matrix) or a
+    :class:`HarmonicHamiltonian`, whose H(t) is applied as
+    diag * y + ``apply_offdiagonal(t, y)`` at each step and never formed.
+    With ``interaction_picture=True`` the diagonal D of H (for the harmonic
+    series its static ``diag``) is removed analytically,
+    psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the coupling
+    strength instead of the fastest phase.  The returned state records the
+    norm drift and solver statistics in ``.info``.
     """
     if t1 < t0:
         raise ConfigError("t1 must be >= t0")
@@ -447,24 +469,25 @@ def propagate(
         return FockStateVector(state.basis, state.amplitudes.copy(),
                                info={"norm_drift": 0.0, "n_rhs_evals": 0})
 
-    static = not callable(H_of_t)
-    H_static = _as_matrix(H_of_t, t0) if static else None
+    if isinstance(H, HarmonicHamiltonian):
+        D, offdiag = H.diag, H.apply_offdiagonal
+    else:
+        M = H.matrix if isinstance(H, SparseOperator) else H
+        D = np.real(np.asarray(M.diagonal()))
+
+        def offdiag(t, u):
+            return M @ u - D * u
 
     if interaction_picture:
-        # psi(t) = exp(-i D (t - t0)) phi(t) with D the frozen diagonal of H(t0)
-        D = np.real(np.asarray(_as_matrix(H_of_t, t0).diagonal()))
 
         def rhs(t, y):
             ph = np.exp(-1j * D * (t - t0))
-            M = H_static if static else _as_matrix(H_of_t, t)
-            u = ph * y
-            return -1j * np.conj(ph) * (M @ u - D * u)
+            return -1j * np.conj(ph) * offdiag(t, ph * y)
 
     else:
 
         def rhs(t, y):
-            M = H_static if static else _as_matrix(H_of_t, t)
-            return -1j * (M @ y)
+            return -1j * (D * y + offdiag(t, y))
 
     sol = solve_ivp(
         rhs, (t0, t1), state.amplitudes.astype(complex), method=method,

@@ -311,7 +311,9 @@ def oracle_compare_pair_production(
     all global phases) is compared pair by pair with the freely propagating
     part of the perturbative amplitude.  Reports the maximum relative
     deviation over resonant pairs, plus magnitude-only deviations that are
-    insensitive to secular phase drifts.
+    insensitive to secular phase drifts, and the solver statistics: the
+    propagator's norm drift and RHS evaluations and the truncation estimates
+    of the transforms into and out of the lab frame.
     """
     profile = frame.profile
     omega = grid.omega
@@ -346,8 +348,8 @@ def oracle_compare_pair_production(
     lab0 = fk.apply_T(basis, frame, 0.0, dressed0, direction=-1,
                       truncation_action="warn")
 
-    H_of_t = fk.original_hamiltonian_series(basis, grid, profile)
-    final_lab = fk.propagate(H_of_t, lab0, 0.0, t_final, tol,
+    H = fk.original_hamiltonian_series(basis, grid, profile)
+    final_lab = fk.propagate(H, lab0, 0.0, t_final, tol,
                              interaction_picture=True)
     final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1,
                                truncation_action="warn")
@@ -380,6 +382,9 @@ def oracle_compare_pair_production(
         "max_rel_deviation": max(r["rel_deviation"] for r in rows),
         "max_mag_deviation": max(r["mag_deviation"] for r in rows),
         "vacuum_amplitude": vac_amp,
-        "norm_drift": final_lab.info.get("norm_drift"),
+        "norm_drift": final_lab.info["norm_drift"],
+        "n_rhs_evals": final_lab.info["n_rhs_evals"],
+        "truncation_estimates": [lab0.info["truncation_estimate"],
+                                 final_dressed.info["truncation_estimate"]],
         "t_final": t_final,
     }

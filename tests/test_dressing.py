@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from vacuum_shake import coupling as cp
 from vacuum_shake import dressing as dr
@@ -7,6 +8,22 @@ from vacuum_shake import modes
 from vacuum_shake.errors import ConfigError
 
 from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
+
+
+def ramp_xi(g0, T, w, t):
+    """xi(t) = -i int_0^t g(tau) e^{i w (t - tau)} dtau for the ramp
+    g(tau) = g0 (1 - e^{-(tau/T)^2}) with xi(0) = 0, in closed form.
+
+    The Gaussian part is (sqrt(pi) T/2) e^{-a^2} [erf(t/T + i a) - erf(i a)]
+    with a = w T/2.  It is written with the Faddeeva function
+    w(z) = e^{-z^2} erfc(-i z), because e^{-a^2} and erf(i a) alone under-
+    and overflow once a exceeds about 27 (here a reaches 125).
+    """
+    a, x = 0.5 * w * T, t / T
+    step = (1.0 - np.exp(-1j * w * t)) / (1j * w)
+    gauss = 0.5 * np.sqrt(np.pi) * T * (
+        wofz(-a) - np.exp(-x * x - 1j * w * t) * wofz(-a + 1j * x))
+    return -1j * g0 * np.exp(1j * w * t) * (step - gauss)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +77,25 @@ class TestXiExact:
             val = dr.xi_exact(frame, m, t, 0.01)
             assert val == pytest.approx(0.01 * np.exp(1j * w * t), abs=1e-12)
 
+    def test_ramp_reference_matches_gauss_legendre(self):
+        # ramp_xi against a composite Gauss-Legendre rule, whose panel
+        # refinement shows its own error
+        w = modes.build_waveguide_grid(2, 1.5, 2 * np.pi, 1.0).mode(0).omega + OMEGA_E
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+
+        def gauss_legendre(g0, T, t, width):
+            edges = np.linspace(0.0, t, int(np.ceil(t / width)) + 1)
+            half = 0.5 * np.diff(edges)
+            tau = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+            f = g0 * (1.0 - np.exp(-((tau / T) ** 2))) * np.exp(1j * w * (t - tau))
+            return -1j * np.sum(half[:, None] * weights * f)
+
+        for T in (25.0, 100.0):
+            for t in (0.3 * T, T, 2.5 * T):
+                fine = gauss_legendre(0.02, T, t, 0.5)
+                assert abs(gauss_legendre(0.02, T, t, 1.0) - fine) <= 1e-13 * abs(fine)
+                assert abs(ramp_xi(0.02, T, w, t) - fine) <= 1e-13 * abs(fine)
+
     def test_slow_ramp_tracks_adiabatic(self):
         # Gaussian-shouldered ramp over 100/omega_e: exact solution stays
         # within 2% of the instantaneous-following value
@@ -69,21 +105,10 @@ class TestXiExact:
         w = m.omega + OMEGA_E
         g0 = 0.02
 
-        def g_ramp(t):
-            return g0 * (1.0 - np.exp(-((t / T) ** 2)))
-
-        from scipy.integrate import quad
-
-        def xi_exact_ramp(t):
-            val, _ = quad(lambda tp: g_ramp(tp) * np.exp(1j * w * (t - tp)),
-                          0.0, t, complex_func=True, epsabs=1e-14,
-                          epsrel=1e-11, limit=2000)
-            return -1j * val  # xi(0) = g(0)/(w) = 0
-
         errs, scales = [], []
         for t in np.linspace(20.0, 250.0, 12):
-            exact = xi_exact_ramp(t)
-            adiab = g_ramp(t) / w
+            exact = ramp_xi(g0, T, w, t)  # xi(0) = g(0)/w = 0
+            adiab = g0 * (1.0 - np.exp(-((t / T) ** 2))) / w
             errs.append(abs(exact - adiab))
             scales.append(abs(adiab))
         assert max(errs) <= 0.02 * max(scales)
@@ -93,18 +118,12 @@ class TestXiExact:
         grid = modes.build_waveguide_grid(2, 1.5, 2 * np.pi, 1.0)
         m = grid.mode(0)
         w = m.omega + OMEGA_E
-        from scipy.integrate import quad
 
         def max_err(T):
-            def g_ramp(t):
-                return 0.03 * (1.0 - np.exp(-((t / T) ** 2)))
-
             worst = 0.0
             for t in np.linspace(0.3 * T, 2.5 * T, 7):
-                val, _ = quad(lambda tp: g_ramp(tp) * np.exp(1j * w * (t - tp)),
-                              0.0, t, complex_func=True, epsabs=1e-14,
-                              epsrel=1e-11, limit=2000)
-                worst = max(worst, abs(-1j * val - g_ramp(t) / w))
+                adiab = 0.03 * (1.0 - np.exp(-((t / T) ** 2))) / w
+                worst = max(worst, abs(ramp_xi(0.03, T, w, t) - adiab))
             return worst
 
         errs = [max_err(T) for T in (25.0, 50.0, 100.0)]

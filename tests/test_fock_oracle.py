@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from vacuum_shake import coupling as cp
 from vacuum_shake import dressing as dr
@@ -102,6 +103,32 @@ class TestOriginalHamiltonian:
             built = fk.build_original_hamiltonian(b, small_waveguide, prof, t)
             for M in (built.toarray(), H_of_t(t).toarray()):
                 assert np.max(np.abs(M - ref)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n_max", [2, 4])
+    @pytest.mark.parametrize("kind", ["static", "oscillating", "oscillating_3d"])
+    def test_applied_series_matches_formed(self, small_waveguide, kind, n_max):
+        # diag * y + the applied off-diagonal part against H(t) @ y
+        grid = small_waveguide
+        if kind == "static":
+            prof = static_1d_profile(grid, gamma=1e-2)
+        elif kind == "oscillating":
+            prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1,
+                                          gamma=1e-2)
+        else:
+            # the magnetic term makes g+ != g-, which 1D motion never does
+            grid = modes.build_freespace_quadrature(1, 2, 1, 2.0,
+                                                    V=(2 * np.pi) ** 3)
+            prof = cp.CouplingProfile.oscillating_3d(
+                OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
+                r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
+        b = fk.enumerate_basis(grid.n_modes, n_max)
+        H = fk.original_hamiltonian_series(b, grid, prof)
+        rng = np.random.default_rng(n_max)
+        for t in rng.uniform(0.0, 40.0, size=5):
+            y = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+            ref = H(t) @ y
+            applied = H.diag * y + H.apply_offdiagonal(t, y)
+            assert np.linalg.norm(applied - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_hermiticity_random_profiles(self, small_waveguide):
         rng = np.random.default_rng(3)
@@ -320,6 +347,22 @@ class TestPropagate:
             vals.append(float(np.sum(b.total_photons
                                      * np.abs(out.amplitudes) ** 2)))
         assert abs(vals[1] - vals[0]) < 1e-8
+
+    @pytest.mark.parametrize("interaction_picture", [False, True])
+    def test_series_matches_matrix_exponential(self, small_waveguide,
+                                               interaction_picture):
+        # static coupling: H(t) is constant, so psi(t) = exp(-i H t) psi(0)
+        prof = static_1d_profile(small_waveguide, gamma=5e-2)
+        b = fk.enumerate_basis(4, 2)
+        H = fk.original_hamiltonian_series(b, small_waveguide, prof)
+        rng = np.random.default_rng(5)
+        amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+        amp /= np.linalg.norm(amp)
+        t = 15.0
+        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, t, 1e-12,
+                           interaction_picture=interaction_picture)
+        expected = expm_multiply(-1j * t * H(0.0), amp)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
 
     def test_time_reversed_interval_rejected(self, small_waveguide):
         b = fk.enumerate_basis(4, 1)

@@ -188,7 +188,7 @@ class TestPairAmplitude:
                 (np.exp(1j * nu * t) - 1.0) / (1j * np.where(nu == 0, 1, nu)),
             )
             C_ref += 1j * np.exp(-1j * Om * t) * lam_m * kernel
-        assert np.max(np.abs(res.C - C_ref)) < 1e-8 * np.max(np.abs(C_ref))
+        assert np.max(np.abs(res.C - C_ref)) < 1e-13 * np.max(np.abs(C_ref))
 
     def test_off_resonant_bound(self):
         # no secular growth off resonance: |C| bounded uniformly in t

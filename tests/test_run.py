@@ -118,3 +118,15 @@ def test_oracle_pair_amplitudes_match_golden_output(tmp_path, capsys):
                               ROOT / "tests" / "data" / "oracle_seed0_pair_amplitudes.csv",
                               tolerances)
     assert rc == cli.EXIT_OK, capsys.readouterr().out
+
+
+def test_oracle_solver_statistics_in_manifest(tmp_path):
+    rc, out = run(tmp_path, "OracleCompare")
+    assert rc == cli.EXIT_OK
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert sorted(solver) == ["n_rhs_evals", "norm_drift", "truncation_estimates"]
+    assert isinstance(solver["n_rhs_evals"], int) and solver["n_rhs_evals"] > 0
+    assert 0.0 <= solver["norm_drift"] <= 1e-9
+    assert len(solver["truncation_estimates"]) == 2
+    assert all(x >= 0.0 for x in solver["truncation_estimates"])
+    assert "solver" not in json.loads((out / "summary.json").read_text())
