@@ -73,10 +73,9 @@ def validate_config(cfg: dict) -> dict:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation at {list(exc.absolute_path)}: "
                           f"{exc.message}")
-    merged = {"seed": 0, "omega_e": 1.0, "output_directory": "results"}
+    merged = {"omega_e": 1.0, "output_directory": "results"}
     merged.update(cfg)
     merged.setdefault("tolerances", {})
-    merged["tolerances"].setdefault("quadrature_rel", 1e-9)
     merged["tolerances"].setdefault("propagation", 1e-10)
     return merged
 
@@ -407,7 +406,6 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    np.random.seed(cfg["seed"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:

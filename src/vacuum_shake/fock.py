@@ -6,28 +6,29 @@ spin-conditioned displacement transform, time propagation with adaptive
 error control, and the residual certifying the second-order truncation of
 the transformed Hamiltonian.
 
+The space is (photon configurations with total number <= n_max) x (atom
+level).  Photon configurations p are enumerated total-number major, then
+lexicographic in the occupation vector, and the atom is the minor factor:
+state 2 p + atom holds configuration p with the atom in ``atom`` (GROUND 0,
+EXCITED 1).  Atom operators are kron(I_photon, 2x2), and each a_k is its
+photon-space matrix placed on both atom levels.  Every operator and
+Hamiltonian is a CSR matrix.
+
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
 V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile).
 Propagation applies H(t) to the state from those fixed operators -- one
 sparse product with the stacked [V_nu; V_nu^+] per right-hand-side
 evaluation -- and never forms H(t).
-
-Basis states are (atom level, photon occupation vector) with a cap on the
-total photon number.  Enumeration is total-photon-number major, then
-lexicographic in the occupation vector, then ground-before-excited, which
-makes state indices deterministic and reproducible across runs.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +47,6 @@ __all__ = [
     "FockBasis",
     "FockStateVector",
     "HarmonicHamiltonian",
-    "SparseOperator",
     "enumerate_basis",
     "original_hamiltonian_series",
     "build_original_hamiltonian",
@@ -72,7 +72,7 @@ def _occupations_of_total(n_modes: int, total: int):
 
 
 class FockBasis:
-    """Truncated basis over (atom level) x (photon occupations, sum <= n_max)."""
+    """Truncated basis (photon occupations, sum <= n_max) x (atom level)."""
 
     def __init__(self, n_modes: int, n_max: int):
         if n_modes < 1 or n_max < 0:
@@ -84,82 +84,87 @@ class FockBasis:
             )
         self.n_modes = n_modes
         self.n_max = n_max
-        atoms, occs = [], []
-        for total in range(n_max + 1):
-            for occ in _occupations_of_total(n_modes, total):
-                for atom in (GROUND, EXCITED):
-                    atoms.append(atom)
-                    occs.append(occ)
-        self.atom = np.asarray(atoms, dtype=np.int8)
-        self.occ = np.asarray(occs, dtype=np.int32)
-        self.dimension = len(atoms)
+        photons = [occ for total in range(n_max + 1)
+                   for occ in _occupations_of_total(n_modes, total)]
+        self._photon_index = {occ: p for p, occ in enumerate(photons)}
+        self.photons = np.asarray(photons, dtype=np.int32)
+        self.dimension = 2 * len(photons)
         assert self.dimension == dim
-        self._index = {
-            (int(a), tuple(int(x) for x in o)): i
-            for i, (a, o) in enumerate(zip(self.atom, self.occ))
-        }
+        self.atom = np.tile(np.array([GROUND, EXCITED], dtype=np.int8), len(photons))
+        self.occ = np.repeat(self.photons, 2, axis=0)
         self.total_photons = self.occ.sum(axis=1)
 
     def index(self, atom: int, occ) -> int:
-        return self._index[(int(atom), tuple(int(x) for x in occ))]
+        if atom not in (GROUND, EXCITED):
+            raise KeyError(f"atom level {atom!r} is neither GROUND nor EXCITED")
+        return 2 * self._photon_index[tuple(int(x) for x in occ)] + int(atom)
 
     def state_label(self, i: int) -> tuple:
         return (int(self.atom[i]), tuple(int(x) for x in self.occ[i]))
 
     def vacuum(self, atom: int = GROUND) -> "FockStateVector":
-        amp = np.zeros(self.dimension, dtype=complex)
-        amp[self.index(atom, (0,) * self.n_modes)] = 1.0
-        return FockStateVector(self, amp)
+        return self.basis_state(atom, (0,) * self.n_modes)
 
     def basis_state(self, atom: int, occ) -> "FockStateVector":
         amp = np.zeros(self.dimension, dtype=complex)
         amp[self.index(atom, occ)] = 1.0
         return FockStateVector(self, amp)
 
-    # -- cached elementary operators ------------------------------------------
+    # -- elementary operators --------------------------------------------------
 
-    def _cache(self, key, builder):
-        store = getattr(self, "_op_cache", None)
-        if store is None:
-            store = {}
-            self._op_cache = store
-        if key not in store:
-            store[key] = builder()
-        return store[key]
+    @cached_property
+    def _lowering(self) -> tuple:
+        """(rows, cols, values, mode) of the entries of every a_k."""
+        rows, cols, vals, mode = [], [], [], []
+        for k in range(self.n_modes):
+            src = np.flatnonzero(self.photons[:, k])
+            lowered = self.photons[src]
+            lowered[:, k] -= 1
+            rows.append(np.array([self._photon_index[tuple(o)] for o in lowered.tolist()],
+                                 dtype=np.intp))
+            cols.append(src)
+            vals.append(np.sqrt(self.photons[src, k]))
+            mode.append(np.full(len(src), k))
+        rows, cols, vals, mode = map(np.concatenate, (rows, cols, vals, mode))
+        # the photon-space entries on the ground (2p) and the excited (2p + 1) level
+        return (np.concatenate([2 * rows, 2 * rows + 1]),
+                np.concatenate([2 * cols, 2 * cols + 1]),
+                np.tile(vals, 2).astype(complex), np.tile(mode, 2))
 
     def annihilator(self, k: int) -> sp.csr_matrix:
-        def build():
-            rows, cols, vals = [], [], []
-            for i in range(self.dimension):
-                n = self.occ[i, k]
-                if n > 0:
-                    occ = self.occ[i].copy()
-                    occ[k] -= 1
-                    j = self.index(self.atom[i], occ)
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(np.sqrt(float(n)))
-            return sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.dimension, self.dimension),
-                dtype=complex,
-            )
-        return self._cache(("a", k), build)
+        rows, cols, vals, mode = self._lowering
+        sel = mode == k
+        return sp.csr_matrix((vals[sel], (rows[sel], cols[sel])),
+                             shape=(self.dimension, self.dimension))
 
     def creator(self, k: int) -> sp.csr_matrix:
-        return self._cache(("adag", k), lambda: self.annihilator(k).conj().T.tocsr())
+        return self.annihilator(k).conj().T.tocsr()
 
     def mode_sum(self, c) -> sp.csr_matrix:
         """sum_k c_k a_k as one sparse matrix (its adjoint is sum_k c_k* a_k^+)."""
-        def build():
-            coos = [self.annihilator(k).tocoo() for k in range(self.n_modes)]
-            return (np.concatenate([m.row for m in coos]),
-                    np.concatenate([m.col for m in coos]),
-                    np.concatenate([m.data for m in coos]),
-                    np.concatenate([np.full(m.nnz, k) for k, m in enumerate(coos)]))
-        rows, cols, vals, mode = self._cache(("a_all",), build)
+        rows, cols, vals, mode = self._lowering
         c = np.asarray(c, dtype=complex)
         return sp.csr_matrix((vals * c[mode], (rows, cols)),
                              shape=(self.dimension, self.dimension))
+
+    def _atom_operator(self, m) -> sp.csr_matrix:
+        """kron(I_photon, m) for a 2x2 matrix m on (GROUND, EXCITED)."""
+        return sp.kron(sp.identity(self.dimension // 2),
+                       sp.csr_matrix(np.asarray(m, dtype=complex)), format="csr")
+
+    @cached_property
+    def sigma_x(self) -> sp.csr_matrix:
+        return self._atom_operator([[0, 1], [1, 0]])
+
+    @cached_property
+    def sigma_plus(self) -> sp.csr_matrix:
+        """|e><g|."""
+        return self._atom_operator([[0, 0], [1, 0]])
+
+    @cached_property
+    def sigma_minus(self) -> sp.csr_matrix:
+        """|g><e|."""
+        return self._atom_operator([[0, 1], [0, 0]])
 
     def mode_number_diagonal(self, omegas) -> np.ndarray:
         """Diagonal of sum_k omega_k n_k for the given frequencies."""
@@ -167,33 +172,6 @@ class FockBasis:
 
     def sigma_z_diagonal(self) -> np.ndarray:
         return np.where(self.atom == EXCITED, 1.0, -1.0)
-
-    def sigma_x(self) -> sp.csr_matrix:
-        def build():
-            rows = [
-                self.index(1 - self.atom[i], self.occ[i]) for i in range(self.dimension)
-            ]
-            return sp.csr_matrix(
-                (np.ones(self.dimension), (rows, np.arange(self.dimension))),
-                shape=(self.dimension, self.dimension), dtype=complex,
-            )
-        return self._cache(("sx",), build)
-
-    def sigma_plus(self) -> sp.csr_matrix:
-        def build():
-            rows, cols = [], []
-            for i in range(self.dimension):
-                if self.atom[i] == GROUND:
-                    rows.append(self.index(EXCITED, self.occ[i]))
-                    cols.append(i)
-            return sp.csr_matrix(
-                (np.ones(len(rows)), (rows, cols)),
-                shape=(self.dimension, self.dimension), dtype=complex,
-            )
-        return self._cache(("sp",), build)
-
-    def sigma_minus(self) -> sp.csr_matrix:
-        return self._cache(("sm",), lambda: self.sigma_plus().conj().T.tocsr())
 
     def excitation_number_diagonal(self) -> np.ndarray:
         """Diagonal of N_exc = sum_k n_k + |e><e|."""
@@ -214,65 +192,18 @@ class FockStateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "FockStateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def amplitude(self, atom: int, occ) -> complex:
         return complex(self.amplitudes[self.basis.index(atom, occ)])
 
-    def to_json(self) -> str:
-        buf = np.ascontiguousarray(
-            np.stack([self.amplitudes.real, self.amplitudes.imag], axis=1)
-        ).tobytes()
-        return json.dumps({
-            "format": "fock-state-v1",
-            "n_modes": self.basis.n_modes,
-            "n_max": self.basis.n_max,
-            "dimension": self.basis.dimension,
-            "dtype": "float64-interleaved-re-im",
-            "amplitudes_base64": base64.b64encode(buf).decode("ascii"),
-        })
 
-    @staticmethod
-    def from_json(text: str, basis: Optional[FockBasis] = None) -> "FockStateVector":
-        doc = json.loads(text)
-        if basis is None:
-            basis = FockBasis(doc["n_modes"], doc["n_max"])
-        raw = np.frombuffer(
-            base64.b64decode(doc["amplitudes_base64"]), dtype=np.float64
-        ).reshape(-1, 2)
-        if len(raw) != basis.dimension:
-            raise ConfigError("state dimension does not match the basis")
-        return FockStateVector(basis, raw[:, 0] + 1j * raw[:, 1])
-
-
-@dataclass
-class SparseOperator:
-    """A sparse operator tied to its basis, with portable dump helpers."""
-
-    basis: FockBasis
-    matrix: sp.csr_matrix
-
-    def assert_hermitian(self, tol: float = 1e-12):
-        diff = (self.matrix - self.matrix.conj().T).tocoo()
-        err = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        if err > tol:
-            raise NumericalError(f"operator not Hermitian: max deviation {err:.3e}")
-        return self
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def apply(self, state: FockStateVector) -> FockStateVector:
-        return FockStateVector(state.basis, self.matrix @ state.amplitudes)
-
-    def to_csv(self, path):
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for r, c, v in zip(coo.row.tolist(), coo.col.tolist(),
-                               coo.data.tolist()):
-                fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
+def _hermitian(M: sp.spmatrix, tol: float) -> sp.csr_matrix:
+    """M as CSR, after checking that it equals its adjoint to ``tol`` per element."""
+    M = M.tocsr()
+    diff = abs(M - M.conj().T)
+    err = diff.max() if diff.nnz else 0.0
+    if err > tol:
+        raise NumericalError(f"operator not Hermitian: max deviation {err:.3e}")
+    return M
 
 
 class HarmonicHamiltonian:
@@ -320,24 +251,22 @@ def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
         raise ConfigError("grid and basis disagree on the number of modes")
     diag = 0.5 * profile.omega_e * basis.sigma_z_diagonal() \
         + basis.mode_number_diagonal(grid.omega)
-    sx = basis.sigma_x()
+    sx = basis.sigma_x
     V = [(basis.mode_sum(g_nu) @ sx).tocsr() for g_nu in cp.grid_fourier(profile, grid)]
     return HarmonicHamiltonian(diag, V, profile.omega_m)
 
 
 def build_original_hamiltonian(
     basis: FockBasis, grid: ModeGrid, profile: CouplingProfile, t: float,
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """The full atom-field Hamiltonian of :func:`original_hamiltonian_series` at t."""
-    op = SparseOperator(basis, original_hamiltonian_series(basis, grid, profile)(t))
-    op.assert_hermitian(1e-12)
-    return op
+    return _hermitian(original_hamiltonian_series(basis, grid, profile)(t), 1e-12)
 
 
 def build_transformed_hamiltonian(
     basis: FockBasis, frame: DressedFrame, t: float, variant: str = "NormalOrdered",
     *, include_phase: bool = True,
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """Dressed-frame Hamiltonian on the truncated space.
 
     Variants:
@@ -359,7 +288,7 @@ def build_transformed_hamiltonian(
     omega_e = frame.omega_e
     sz = basis.sigma_z_diagonal()
     n_diag = basis.mode_number_diagonal(omega)
-    spl, smi = basis.sigma_plus(), basis.sigma_minus()
+    spl, smi = basis.sigma_plus, basis.sigma_minus
 
     if variant == "FullOrder2":
         xi = frame.xi_all(t)
@@ -376,9 +305,7 @@ def build_transformed_hamiltonian(
         if include_phase:
             H = H + phase_E(frame, t) * sp.identity(basis.dimension, dtype=complex,
                                                     format="csr")
-        op = SparseOperator(basis, H.tocsr())
-        op.assert_hermitian(1e-11)
-        return op
+        return _hermitian(H, 1e-11)
 
     S = basis.mode_sum(frame.eta_all(t))  # sum_k eta_k a_k
     C = spl @ S
@@ -389,38 +316,36 @@ def build_transformed_hamiltonian(
         P = S.conj().T.tocsr()  # sum_k eta_k* a_k^+, the pair kernel's creator
         Gamma = (P @ P + S @ S - 2.0 * (P @ S)) / (4.0 * omega_e)
         H = H + Gamma.tocsr().multiply(sz[:, None])
-    op = SparseOperator(basis, H.tocsr())
-    op.assert_hermitian(1e-11)
-    return op
+    return _hermitian(H, 1e-11)
 
 
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> sp.csr_matrix:
     S = basis.mode_sum(frame.xi_all(t))
-    return float(direction) * (basis.sigma_x() @ (S.conj().T - S)).tocsr()
+    return float(direction) * (basis.sigma_x @ (S.conj().T - S)).tocsr()
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
             state: FockStateVector, direction: int = +1, *,
             truncation_tol: float = 1e-6,
             truncation_action: str = "raise") -> FockStateVector:
-    """Apply the spin-conditioned displacement exp[direction * sigma_x X(t)].
+    """Apply the spin-conditioned displacement exp[direction * sigma_x X(t)],
+    X = sum_k (xi_k* a_k^+ - xi_k a_k), to ``state``.
 
-    The generator is anti-Hermitian, so the map is exactly unitary on the
-    truncated space; the physical truncation error is estimated from the
-    population of the top photon-number shell and the displacement size.
-    ``truncation_action`` chooses whether an estimate above
+    The exponential acts on the vector through ``expm_multiply`` on the
+    sparse generator; no matrix exponential is formed.  The generator is
+    anti-Hermitian, so the map is unitary on the truncated space, and a norm
+    change above 1e-10 raises.  The physical truncation error is estimated
+    from the population of the top photon-number shell and the displacement
+    size; ``truncation_action`` chooses whether an estimate above
     ``truncation_tol`` raises, warns, or is ignored.
     """
     if direction not in (+1, -1):
         raise ConfigError("direction must be +1 (to the dressed frame) or -1")
     if truncation_action not in ("raise", "warn", "ignore"):
         raise ConfigError(f"unknown truncation_action {truncation_action!r}")
-    G = _displacement_generator(basis, frame, t, direction)
-    if basis.dimension <= 600:
-        out = dense_expm(G.toarray()) @ state.amplitudes
-    else:
-        out = expm_multiply(G, state.amplitudes)
+    out = expm_multiply(_displacement_generator(basis, frame, t, direction),
+                        state.amplitudes)
 
     norm_in, norm_out = state.norm, float(np.linalg.norm(out))
     if abs(norm_out - norm_in) > 1e-10 * max(norm_in, 1.0):
@@ -443,25 +368,21 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
 
 
 def propagate(
-    H: Union[HarmonicHamiltonian, SparseOperator, sp.spmatrix],
+    H: Union[HarmonicHamiltonian, sp.spmatrix],
     state: FockStateVector,
     t0: float,
     t1: float,
     tol: float = 1e-10,
-    *,
-    interaction_picture: bool = False,
-    method: str = "DOP853",
 ) -> FockStateVector:
-    """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with adaptive step control.
+    """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with DOP853 at rtol ``tol``.
 
-    ``H`` is a static operator (``SparseOperator`` or sparse matrix) or a
-    :class:`HarmonicHamiltonian`, whose H(t) is applied as
-    diag * y + ``apply_offdiagonal(t, y)`` at each step and never formed.
-    With ``interaction_picture=True`` the diagonal D of H (for the harmonic
-    series its static ``diag``) is removed analytically,
-    psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the coupling
-    strength instead of the fastest phase.  The returned state records the
-    norm drift and solver statistics in ``.info``.
+    ``H`` is a :class:`HarmonicHamiltonian` or a static sparse matrix.  Its
+    static diagonal D (for the harmonic series ``H.diag``) is removed
+    analytically, psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the
+    coupling strength instead of the fastest phase; the rest of H(t) is
+    applied to the vector at each step (``apply_offdiagonal`` for the
+    series) and never formed.  The returned state records the norm drift and
+    the number of right-hand-side evaluations in ``.info``.
     """
     if t1 < t0:
         raise ConfigError("t1 must be >= t0")
@@ -472,25 +393,17 @@ def propagate(
     if isinstance(H, HarmonicHamiltonian):
         D, offdiag = H.diag, H.apply_offdiagonal
     else:
-        M = H.matrix if isinstance(H, SparseOperator) else H
-        D = np.real(np.asarray(M.diagonal()))
+        D = np.real(np.asarray(H.diagonal()))
 
         def offdiag(t, u):
-            return M @ u - D * u
+            return H @ u - D * u
 
-    if interaction_picture:
-
-        def rhs(t, y):
-            ph = np.exp(-1j * D * (t - t0))
-            return -1j * np.conj(ph) * offdiag(t, ph * y)
-
-    else:
-
-        def rhs(t, y):
-            return -1j * (D * y + offdiag(t, y))
+    def rhs(t, y):
+        ph = np.exp(-1j * D * (t - t0))
+        return -1j * np.conj(ph) * offdiag(t, ph * y)
 
     sol = solve_ivp(
-        rhs, (t0, t1), state.amplitudes.astype(complex), method=method,
+        rhs, (t0, t1), state.amplitudes.astype(complex), method="DOP853",
         rtol=tol, atol=tol * 1e-2, dense_output=False,
     )
     if sol.status != 0:
@@ -498,9 +411,7 @@ def propagate(
             "time propagation failed (possible stiffness / step underflow)",
             details={"message": sol.message, "t_reached": sol.t[-1]},
         )
-    y = sol.y[:, -1]
-    if interaction_picture:
-        y = np.exp(-1j * D * (t1 - t0)) * y
+    y = np.exp(-1j * D * (t1 - t0)) * sol.y[:, -1]
     drift = abs(float(np.linalg.norm(y)) - state.norm)
     return FockStateVector(
         state.basis, y,

@@ -349,8 +349,7 @@ def oracle_compare_pair_production(
                       truncation_action="warn")
 
     H = fk.original_hamiltonian_series(basis, grid, profile)
-    final_lab = fk.propagate(H, lab0, 0.0, t_final, tol,
-                             interaction_picture=True)
+    final_lab = fk.propagate(H, lab0, 0.0, t_final, tol)
     final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1,
                                truncation_action="warn")
 

@@ -66,3 +66,21 @@ class TestCompare:
         tol = write_json(tmp_path / "tol.json", {"fields": {"rate": {"rel": 1e-6}}})
         assert cli.main(["compare", a, b]) == cli.EXIT_COMPARE_FAIL
         assert cli.main(["compare", a, b, "--tol-file", tol]) == cli.EXIT_OK
+
+
+class TestValidateConfig:
+    BASE = {"scenario": "AppendixAVerify",
+            "residual": {"xi_values": [0.04], "n_modes": 1, "n_max": 2}}
+
+    @pytest.mark.parametrize("extra", [
+        {"seed": 0},
+        {"tolerances": {"quadrature_rel": 1e-9}},
+        {"scattering": {"gamma": 0.01, "gamma_prime": 0.01,
+                        "band_halfwidth_over_gamma": 20.0}},
+    ], ids=["seed", "quadrature_rel", "band_halfwidth_over_gamma"])
+    def test_removed_keys_exit_2(self, tmp_path, extra):
+        cli.validate_config(json.loads(json.dumps(self.BASE)))  # valid without it
+        cfg = write_json(tmp_path / "cfg.json", {**self.BASE, **extra})
+        rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG == 2
+        assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from vacuum_shake import coupling as cp
@@ -27,6 +28,8 @@ class TestBasis:
         b = fk.enumerate_basis(1, 1)
         assert [b.state_label(i) for i in range(4)] == [
             (0, (0,)), (1, (0,)), (0, (1,)), (1, (1,))]
+        with pytest.raises(KeyError):
+            b.index(2, (0,))  # would be (0, (1,)) if the level were not checked
 
     def test_dimensions(self):
         assert fk.enumerate_basis(2, 2).dimension == 12
@@ -48,6 +51,42 @@ class TestBasis:
         b = fk.enumerate_basis(2, 2)
         totals = b.total_photons
         assert np.all(np.diff(totals) >= 0)
+
+
+class TestTensorAlgebra:
+    """Operators on (3 modes, n_max 3) x (atom) obey the algebra of bosons
+    times a two-level atom."""
+
+    @pytest.fixture
+    def b(self):
+        return fk.enumerate_basis(3, 3)
+
+    def test_canonical_commutator_below_top_shell(self, b):
+        below = np.ix_(b.total_photons < b.n_max, b.total_photons < b.n_max)
+        for j in range(3):
+            for k in range(3):
+                a, adag = b.annihilator(j).toarray(), b.creator(k).toarray()
+                comm = (a @ adag - adag @ a)[below]
+                assert np.allclose(comm, np.eye(len(comm)) * (j == k),
+                                   rtol=0, atol=1e-14)
+
+    def test_modes_commute_with_atom_operators(self, b):
+        for k in range(3):
+            a = b.annihilator(k)
+            for s in (b.sigma_x, b.sigma_plus, b.sigma_minus):
+                assert abs(a @ s - s @ a).max() == 0.0
+
+    def test_sigma_x_is_sum_of_ladder_operators(self, b):
+        assert abs(b.sigma_x - b.sigma_plus - b.sigma_minus).max() == 0.0
+
+    def test_raising_then_lowering_projects_on_excited(self, b):
+        P = (b.sigma_plus @ b.sigma_minus).toarray()
+        assert np.array_equal(P, np.diag((b.atom == fk.EXCITED).astype(float)))
+
+    def test_mode_sum_is_weighted_sum_of_annihilators(self, b):
+        c = np.array([0.3 - 0.1j, -1.2, 0.5j])
+        ref = sum(c[k] * b.annihilator(k) for k in range(3))
+        assert abs(b.mode_sum(c) - ref).max() <= 1e-15
 
 
 class TestOriginalHamiltonian:
@@ -87,7 +126,7 @@ class TestOriginalHamiltonian:
                                           km_rm=0.1, gamma=1e-2)
         b = fk.enumerate_basis(4, 2)
         H_of_t = fk.original_hamiltonian_series(b, small_waveguide, prof)
-        sx = b.sigma_x().toarray()
+        sx = b.sigma_x.toarray()
         rng = np.random.default_rng(4)
         for t in rng.uniform(0.0, 40.0, size=5):
             ref = np.diag(0.5 * OMEGA_E * b.sigma_z_diagonal()
@@ -139,7 +178,7 @@ class TestOriginalHamiltonian:
                                           gamma=float(rng.uniform(1e-4, 1e-2)))
             H = fk.build_original_hamiltonian(
                 b, small_waveguide, prof, float(rng.uniform(0, 20)))
-            H.assert_hermitian(1e-13)
+            assert abs(H - H.conj().T).max() <= 1e-13
 
 
 class TestTransformedHamiltonian:
@@ -235,6 +274,26 @@ class TestApplyT:
                               truncation_action="ignore")
             assert np.linalg.norm(back.amplitudes - amp) < 1e-10
 
+    @pytest.mark.parametrize("n_max", [2, 4, 6, 7])
+    def test_matches_dense_exponential(self, small_waveguide, n_max):
+        # exp(+-sigma_x X) applied to a random state against the dense
+        # exponential of the generator built here from the a_k; n_max 7 has
+        # 660 states
+        frame = frame_with_xi(small_waveguide, 0.3)
+        b = fk.enumerate_basis(4, n_max)
+        xi = frame.xi_all(0.0)
+        X = sum(np.conj(xi[k]) * b.creator(k) - xi[k] * b.annihilator(k)
+                for k in range(4))
+        G = (b.sigma_x @ X).toarray()
+        rng = np.random.default_rng(n_max)
+        amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+        amp /= np.linalg.norm(amp)
+        for direction in (+1, -1):
+            out = fk.apply_T(b, frame, 0.0, fk.FockStateVector(b, amp), direction,
+                             truncation_action="ignore")
+            ref = expm(direction * G) @ amp
+            assert np.linalg.norm(out.amplitudes - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_first_order_expansion(self):
         grid = modes.build_waveguide_grid(1, 1.0, 2 * np.pi, 1.0,
                                           directions="positive")
@@ -281,9 +340,9 @@ class TestPropagate:
         b = fk.enumerate_basis(2, 1)
         H = fk.build_original_hamiltonian(b, grid, prof, 0.0)
         amp = np.ones(b.dimension, dtype=complex) / np.sqrt(b.dimension)
-        out = fk.propagate(H.matrix, fk.FockStateVector(b, amp), 0.0, 7.0,
+        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, 7.0,
                            1e-12)
-        E = np.real(H.matrix.diagonal())
+        E = np.real(H.diagonal())
         expected = amp * np.exp(-1j * E * 7.0)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
@@ -295,8 +354,8 @@ class TestPropagate:
         eta = abs(frame.eta_all(0.0)[0])
         b = fk.enumerate_basis(1, 1)
         H = fk.build_transformed_hamiltonian(b, frame, 0.0, "H0H1only")
-        out = fk.propagate(H.matrix, b.basis_state(fk.EXCITED, (0,)), 0.0,
-                           np.pi / (2 * eta), 1e-11, interaction_picture=True)
+        out = fk.propagate(H, b.basis_state(fk.EXCITED, (0,)), 0.0,
+                           np.pi / (2 * eta), 1e-11)
         assert abs(out.amplitude(fk.GROUND, (1,))) ** 2 == pytest.approx(
             1.0, abs=1e-9)
 
@@ -305,8 +364,7 @@ class TestPropagate:
         b = fk.enumerate_basis(4, 2)
         H = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")
         psi = b.basis_state(fk.EXCITED, (0, 0, 0, 0))
-        out = fk.propagate(H.matrix, psi, 0.0, 1000.0, 1e-11,
-                           interaction_picture=True)
+        out = fk.propagate(H, psi, 0.0, 1000.0, 1e-11)
         assert out.info["norm_drift"] <= 1e-9
 
     def test_excitation_space_conservation(self, small_waveguide):
@@ -319,8 +377,7 @@ class TestPropagate:
         psi = fk.FockStateVector(b, amp)
         nexc = b.excitation_number_diagonal()
         before = float(np.sum(nexc * np.abs(amp) ** 2))
-        out = fk.propagate(H.matrix, psi, 0.0, 300.0, 1e-11,
-                           interaction_picture=True)
+        out = fk.propagate(H, psi, 0.0, 300.0, 1e-11)
         after = float(np.sum(nexc * np.abs(out.amplitudes) ** 2))
         assert abs(after - before) <= 1e-10
 
@@ -330,7 +387,7 @@ class TestPropagate:
         H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
         psi = b.vacuum()
         nexc = b.excitation_number_diagonal()
-        out = fk.propagate(H.matrix, psi, 0.0, 1.0 / OMEGA_E, 1e-11)
+        out = fk.propagate(H, psi, 0.0, 1.0 / OMEGA_E, 1e-11)
         p = np.abs(out.amplitudes) ** 2
         mean = float(np.sum(nexc * p))
         var = float(np.sum((nexc - mean) ** 2 * p))
@@ -342,15 +399,12 @@ class TestPropagate:
         for n_max in (2, 3):
             b = fk.enumerate_basis(4, n_max)
             H = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")
-            out = fk.propagate(H.matrix, b.vacuum(), 0.0, 50.0, 1e-12,
-                               interaction_picture=True)
+            out = fk.propagate(H, b.vacuum(), 0.0, 50.0, 1e-12)
             vals.append(float(np.sum(b.total_photons
                                      * np.abs(out.amplitudes) ** 2)))
         assert abs(vals[1] - vals[0]) < 1e-8
 
-    @pytest.mark.parametrize("interaction_picture", [False, True])
-    def test_series_matches_matrix_exponential(self, small_waveguide,
-                                               interaction_picture):
+    def test_series_matches_matrix_exponential(self, small_waveguide):
         # static coupling: H(t) is constant, so psi(t) = exp(-i H t) psi(0)
         prof = static_1d_profile(small_waveguide, gamma=5e-2)
         b = fk.enumerate_basis(4, 2)
@@ -359,8 +413,7 @@ class TestPropagate:
         amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
         amp /= np.linalg.norm(amp)
         t = 15.0
-        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, t, 1e-12,
-                           interaction_picture=interaction_picture)
+        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, t, 1e-12)
         expected = expm_multiply(-1j * t * H(0.0), amp)
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
 
@@ -405,35 +458,3 @@ class TestTransformedResidual:
         xi_scale = float(np.max(np.abs(frame.xi_all(1.3))))
         assert R < 50.0 * xi_scale**3 + 1e-9
 
-
-class TestSerialization:
-    def test_state_round_trip(self, small_waveguide):
-        b = fk.enumerate_basis(4, 2)
-        rng = np.random.default_rng(5)
-        amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
-        st_in = fk.FockStateVector(b, amp)
-        out = fk.FockStateVector.from_json(st_in.to_json())
-        assert np.array_equal(out.amplitudes, amp)
-
-    def test_operator_csv(self, tmp_path, small_waveguide):
-        prof = static_1d_profile(small_waveguide)
-        b = fk.enumerate_basis(4, 1)
-        H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
-        path = tmp_path / "H.csv"
-        H.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == H.matrix.tocoo().nnz + 1
-
-    def test_operator_csv_cells_are_numbers(self, tmp_path, small_waveguide):
-        prof = static_1d_profile(small_waveguide)
-        b = fk.enumerate_basis(4, 1)
-        H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
-        path = tmp_path / "H.csv"
-        H.to_csv(path)
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        coo = H.matrix.tocoo()
-        assert [int(r[0]) for r in rows] == coo.row.tolist()
-        assert [int(r[1]) for r in rows] == coo.col.tolist()
-        assert np.array_equal([float(r[2]) for r in rows], coo.data.real)
-        assert np.array_equal([float(r[3]) for r in rows], coo.data.imag)

@@ -120,6 +120,20 @@ def test_oracle_pair_amplitudes_match_golden_output(tmp_path, capsys):
     assert rc == cli.EXIT_OK, capsys.readouterr().out
 
 
+def test_appendix_residuals_match_golden_output(tmp_path, capsys):
+    # AppendixAVerify as shipped, which is the benchmark's seed-0 size; the
+    # golden CSV was written by `vacuum-shake run` on this config at commit
+    # 2f73693, before the Fock basis was stored as photons x atom
+    out = tmp_path / "out"
+    cfg = ROOT / "configs" / "transform_residual.json"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    tolerances = json.loads((ROOT / "configs" / "compare_tolerances.json").read_text())
+    rc = cli.compare_baseline(out / "residuals.csv",
+                              ROOT / "tests" / "data" / "appendix_seed0_residuals.csv",
+                              tolerances)
+    assert rc == cli.EXIT_OK, capsys.readouterr().out
+
+
 def test_oracle_solver_statistics_in_manifest(tmp_path):
     rc, out = run(tmp_path, "OracleCompare")
     assert rc == cli.EXIT_OK

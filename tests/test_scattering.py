@@ -194,8 +194,8 @@ class TestDecayAmplitudes:
         b = fk.enumerate_basis(n, 1)
         H = fk.build_transformed_hamiltonian(b, frame, 0.0, "H0H1only")
         t = 2.0 / gamma
-        out = fk.propagate(H.matrix, b.basis_state(fk.EXCITED, (0,) * n),
-                           0.0, t, 1e-10, interaction_picture=True)
+        out = fk.propagate(H, b.basis_state(fk.EXCITED, (0,) * n),
+                           0.0, t, 1e-10)
         pred_modes, pred_e = sc.decay_amplitudes(g, prof, t)
         eye = np.eye(n, dtype=int)
         orac = np.array([out.amplitudes[b.index(fk.GROUND, tuple(eye[k]))]
