@@ -134,6 +134,45 @@ def test_appendix_residuals_match_golden_output(tmp_path, capsys):
     assert rc == cli.EXIT_OK, capsys.readouterr().out
 
 
+# Golden files of the remaining scenario kinds, written by `vacuum-shake run`
+# at commit c0d379c: the shipped DressingDump and rate sweeps, and a
+# 40-mode Scattering3Photon whose 1600-row slice stays small.
+GOLDEN = {
+    "DressingDump": ("dressing_dump.json", {
+        "lambda_t0.csv": "dressing_lambda_t0.csv",
+        "lambda_t1.csv": "dressing_lambda_t1.csv",
+        "ground_state_pairs.csv": "dressing_ground_state_pairs.csv",
+    }),
+    "RateSweep1D": ("rate_sweep_1d.json", {"rates.csv": "rate_sweep_1d_rates.csv"}),
+    "RateSweep3D": ("rate_sweep_3d.json", {"rates.csv": "rate_sweep_3d_rates.csv"}),
+    "Scattering3Photon": ({
+        "scenario": "Scattering3Photon",
+        "scattering": {"gamma": 0.1, "gamma_prime": 0.1, "n_modes": 40,
+                       "slice_omegas": [0.5]},
+    }, {
+        "three_photon_slice_0.csv": "scattering40_slice_0.csv",
+        "summary.json": "scattering40_summary.json",
+    }),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_outputs_match_golden_files(tmp_path, capsys, scenario):
+    config, files = GOLDEN[scenario]
+    if isinstance(config, str):
+        cfg = ROOT / "configs" / config
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    tolerances = json.loads((ROOT / "configs" / "compare_tolerances.json").read_text())
+    for name, golden in files.items():
+        rc = cli.compare_baseline(out / name, ROOT / "tests" / "data" / golden,
+                                  tolerances)
+        assert rc == cli.EXIT_OK, (name, capsys.readouterr().out)
+
+
 def test_oracle_solver_statistics_in_manifest(tmp_path):
     rc, out = run(tmp_path, "OracleCompare")
     assert rc == cli.EXIT_OK
