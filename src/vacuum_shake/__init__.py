@@ -8,12 +8,13 @@ dressing    time-dependent dressing frame (xi, eta, pair kernel, phase)
 fock        brute-force truncated-Fock-space propagator (the oracle)
 radiation   perturbative pair emission: amplitudes, golden-rule rates, sweeps
 scattering  1D single-photon scattering with three-photon emission
+table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
 """
 
 __version__ = "0.1.0"
 
-from . import coupling, dressing, fock, modes, radiation, scattering  # noqa: F401
+from . import coupling, dressing, fock, modes, radiation, scattering, table  # noqa: F401
 from .errors import (  # noqa: F401
     CapacityError,
     ConfigError,

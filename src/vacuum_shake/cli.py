@@ -9,8 +9,10 @@ Subcommands::
 A scenario config is a single JSON document validated against the shipped
 schema (``vacuum-shake schema`` prints it).  Every run writes its artifacts
 plus a ``manifest.json`` (config echo, package version, tolerances, wall
-time) into the output directory and nowhere else.  CSV bodies are
-deterministic: fixed column order, 17 significant digits, UTF-8, no locale
+time) into the output directory and nowhere else.  Every CSV artifact is
+written by :func:`vacuum_shake.table.write_csv`: a header row, fixed column
+order, integers as digits and floats as the shortest string that reads back
+to the same float64 (``repr``), UTF-8, ``\n`` line ends, no locale
 dependence.
 
 Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
@@ -46,18 +48,13 @@ from . import radiation as rad
 from . import scattering as sc
 from .errors import (CapacityError, ConfigError, DomainError, FitQualityError,
                      NumericalError, VacuumShakeError)
+from .table import write_csv
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CAPACITY = 4
-
-_FMT = "%.17g"
-
-
-def _fmt(x) -> str:
-    return _FMT % float(x)
 
 
 def load_schema() -> dict:
@@ -78,14 +75,6 @@ def validate_config(cfg: dict) -> dict:
     merged.setdefault("tolerances", {})
     merged["tolerances"].setdefault("propagation", 1e-10)
     return merged
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
 def _write_json(path: Path, doc: dict):
@@ -114,27 +103,29 @@ def _scenario_dressing_dump(cfg, outdir):
         km_rm = p.get("k_m_r_m", 0.05)
         profile = cp.CouplingProfile.oscillating_1d(
             omega_e, r_m=km_rm * grid.c / omega_m, omega_m=omega_m,
-            gamma=gamma, A=grid.geometry.area, L=grid.geometry.length, c=grid.c,
+            gamma=gamma, L=grid.geometry.length, c=grid.c,
         )
         frame = dr.DressedFrame(grid, profile, xi_mode="floquet")
     else:
         profile = cp.CouplingProfile.waveguide_1d(
-            omega_e, gamma=gamma, A=grid.geometry.area,
-            L=grid.geometry.length, c=grid.c,
+            omega_e, gamma=gamma, L=grid.geometry.length, c=grid.c,
         )
         frame = dr.DressedFrame(grid, profile)
 
     times = p.get("times", [0.0])
+    header = ["k_index", "k_prime_index", "re", "im"]
+    j, k = np.triu_indices(grid.n_modes)
     for i, t in enumerate(times):
-        pm = dr.lambda_matrix(frame, t)
-        pm.to_csv(outdir / f"lambda_t{i}.csv")
-    table = dr.ground_state_pairs(frame)
-    table.to_csv(outdir / "ground_state_pairs.csv")
+        lam = dr.lambda_matrix(frame, t)[j, k]
+        write_csv(outdir / f"lambda_t{i}.csv", header, [j, k, lam.real, lam.imag])
+    pairs = dr.ground_state_pairs(frame)
+    write_csv(outdir / "ground_state_pairs.csv", header,
+              [j, k, pairs.real, pairs.imag])
     return {
         "scenario": "DressingDump",
         "gamma": gamma,
         "times": list(map(float, times)),
-        "two_photon_weight": table.total_two_photon_weight(),
+        "two_photon_weight": float(np.sum(np.abs(pairs) ** 2)),
         "sum_xi_squared": frame.check_smallness(0.0),
         "files": [f"lambda_t{i}.csv" for i in range(len(times))]
         + ["ground_state_pairs.csv"],
@@ -183,16 +174,12 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         def build(wm):
             return cp.CouplingProfile.oscillating_1d(
                 omega_e, r_m=km_rm * grid.c / wm, omega_m=wm, gamma=gamma,
-                A=grid.geometry.area, L=grid.geometry.length, c=grid.c,
+                L=grid.geometry.length, c=grid.c,
             )
 
     sweep = rad.rate_sweep(grid, wms, build, n_radial=n_radial, gamma=gamma)
-    _write_csv(
-        outdir / "rates.csv",
-        ["omega_m", "rate", "pointwise_slope"],
-        [(r.omega_m, r.rate, s)
-         for r, s in zip(sweep.results, sweep.pointwise_slopes)],
-    )
+    write_csv(outdir / "rates.csv", ["omega_m", "rate", "pointwise_slope"],
+              [sweep.omega_m, sweep.rates, sweep.pointwise_slopes])
     summary = {
         "scenario": f"RateSweep{dim}D",
         "fitted_exponent": sweep.fitted_exponent,
@@ -236,7 +223,7 @@ def _scenario_scattering(cfg, outdir):
             f"{min(gamma, gamma_p):.3g}; raise n_modes", stacklevel=2,
         )
     profile = cp.CouplingProfile.waveguide_1d(
-        omega_e, gamma=gamma, A=1.0, L=grid.geometry.length, c=grid.c,
+        omega_e, gamma=gamma, L=grid.geometry.length, c=grid.c,
     )
     gamma_eff = sc.gamma_from_coupling(grid, profile)
 
@@ -259,7 +246,7 @@ def _scenario_scattering(cfg, outdir):
     for i, wl in enumerate(slice_ws):
         l = int(np.argmin(np.abs(grid.omega - wl)))
         name = f"three_photon_slice_{i}.csv"
-        tensor.slice_to_csv(outdir / name, l, which="sym")
+        tensor.slice_to_csv(outdir / name, l)
         files.append(name)
 
     return {
@@ -303,17 +290,14 @@ def _scenario_oracle_compare(cfg, outdir):
     report = rad.oracle_compare_pair_production(
         basis, frame, grid, t_final, tol=cfg["tolerances"]["propagation"],
     )
-    _write_csv(
+    rows = [(*r["pair"], r["omega_sum"], r["oracle"].real, r["oracle"].imag,
+             r["perturbative"].real, r["perturbative"].imag, r["rel_deviation"])
+            for r in report["resonant_pairs"]]
+    write_csv(
         outdir / "pair_amplitudes.csv",
         ["mode_j", "mode_k", "omega_sum", "oracle_re", "oracle_im",
          "perturbative_re", "perturbative_im", "rel_deviation"],
-        [
-            (str(r["pair"][0]), str(r["pair"][1]), r["omega_sum"],
-             r["oracle"].real, r["oracle"].imag,
-             r["perturbative"].real, r["perturbative"].imag,
-             r["rel_deviation"])
-            for r in report["resonant_pairs"]
-        ],
+        list(zip(*rows)),
     )
     return {
         "scenario": "OracleCompare",
@@ -357,7 +341,8 @@ def _scenario_transform_residual(cfg, outdir):
         frame = dr.DressedFrame(grid, profile)
         R = fk.transformed_residual_norm(basis, frame, 0.0, shell_margin=margin)
         rows.append((xi, R))
-    _write_csv(outdir / "residuals.csv", ["xi_max", "residual_max_norm"], rows)
+    write_csv(outdir / "residuals.csv", ["xi_max", "residual_max_norm"],
+              list(zip(*rows)))
 
     summary = {
         "scenario": "AppendixAVerify",

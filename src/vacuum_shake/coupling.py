@@ -165,7 +165,7 @@ class CouplingProfile:
         )
 
     @staticmethod
-    def waveguide_1d(omega_e, *, gamma, A, L, c=1.0):
+    def waveguide_1d(omega_e, *, gamma, L, c=1.0):
         """Waveguide profile normalized so the total (two-direction) decay rate
         at resonance is ``gamma``;  gamma = 2 L eta(omega_e)^2 / c."""
         scale = np.sqrt(c * gamma / (2.0 * L * omega_e))
@@ -181,7 +181,7 @@ class CouplingProfile:
         )
 
     @staticmethod
-    def oscillating_1d(omega_e, r_m, omega_m, *, gamma, A, L, c=1.0, km_rm_guard=0.1):
+    def oscillating_1d(omega_e, r_m, omega_m, *, gamma, L, c=1.0, km_rm_guard=0.1):
         scale = np.sqrt(c * gamma / (2.0 * L * omega_e))
         return CouplingProfile(
             kind=CouplingKind.OSCILLATING_1D, omega_e=omega_e, chi_scale=scale,

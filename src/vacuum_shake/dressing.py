@@ -17,10 +17,13 @@ modes differ in the denominator:
   form of xi_k(0) e^{i(omega_k+omega_e)t}
   - i integral_0^t g_k(t') e^{i(omega_k+omega_e)(t-t')} dt'.
 
-Derived objects: the co-rotating coupling eta_k(t) = 2 omega_e xi_k(t), the
-pair-creation kernel Lambda_kk'(t) = eta_k*(t) eta_k'*(t) / (4 omega_e'), the
-dressed-vacuum two-photon amplitudes, and the scalar phase E(t) accumulated
-by the transformation.
+Derived quantities, each a plain numpy array or float: the co-rotating
+coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel
+Lambda_kk'(t) = eta_k*(t) eta_k'*(t) / (4 omega_e'), the dressed-vacuum
+two-photon amplitudes over the mode pairs ``np.triu_indices(n)``, and the
+scalar phase E(t) accumulated by the transformation.  Nothing here writes
+files: the scenario runner writes these arrays with
+:func:`vacuum_shake.table.write_csv`.
 
 The shifted transition frequency omega_e' is held equal to omega_e: the
 associated correction is a small fraction of omega_e in the regimes treated
@@ -29,10 +32,7 @@ here and its renormalization is out of scope.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,8 +43,6 @@ from .modes import Mode, ModeGrid
 
 __all__ = [
     "DressedFrame",
-    "PairMatrix",
-    "AmplitudeTable",
     "xi_adiabatic",
     "xi_exact",
     "counter_rotating_residual",
@@ -52,65 +50,6 @@ __all__ = [
     "ground_state_pairs",
     "phase_E",
 ]
-
-@dataclass(frozen=True)
-class PairMatrix:
-    """Symmetric pair-creation kernel Lambda_kk'(t) over grid mode pairs."""
-
-    lam: np.ndarray  # (n, n) complex, symmetric by construction
-    t: float
-
-    def __post_init__(self):
-        self.lam.setflags(write=False)
-
-    def to_csv(self, path):
-        _write_pair_csv(path, *np.triu_indices(self.lam.shape[0]), self.lam)
-
-    def to_json(self) -> str:
-        j, k = np.triu_indices(self.lam.shape[0])
-        return json.dumps({
-            "t": self.t,
-            "pairs": [
-                {"k_index": int(a), "k_prime_index": int(b),
-                 "re": float(self.lam[a, b].real), "im": float(self.lam[a, b].imag)}
-                for a, b in zip(j, k)
-            ],
-        })
-
-
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """Sparse table of complex amplitudes indexed by unordered mode pairs."""
-
-    j_indices: np.ndarray
-    k_indices: np.ndarray
-    amplitudes: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def to_csv(self, path):
-        _write_pair_csv(path, self.j_indices, self.k_indices, None, self.amplitudes)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "metadata": self.metadata,
-            "pairs": [
-                {"k_index": int(a), "k_prime_index": int(b),
-                 "re": float(z.real), "im": float(z.imag)}
-                for a, b, z in zip(self.j_indices, self.k_indices, self.amplitudes)
-            ],
-        })
-
-    def total_two_photon_weight(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def _write_pair_csv(path, j_idx, k_idx, matrix=None, amps=None):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k_index", "k_prime_index", "re", "im"])
-        for row, (a, b) in enumerate(zip(j_idx, k_idx)):
-            z = matrix[a, b] if matrix is not None else amps[row]
-            w.writerow([int(a), int(b), repr(float(z.real)), repr(float(z.imag))])
 
 
 def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
@@ -243,41 +182,29 @@ def counter_rotating_residual(frame: DressedFrame, mode: Mode, t: float) -> comp
     )
 
 
-def lambda_matrix(frame: DressedFrame, t: float) -> PairMatrix:
-    """Pair-creation kernel Lambda_kk'(t) = eta_k* eta_k'* / (4 omega_e')."""
+def lambda_matrix(frame: DressedFrame, t: float) -> np.ndarray:
+    """Pair-creation kernel Lambda_kk'(t) = eta_k* eta_k'* / (4 omega_e'),
+    an (n, n) complex array, exactly symmetric."""
     eta_conj = np.conj(frame.eta_all(t))
     lam = np.outer(eta_conj, eta_conj) / (4.0 * frame.omega_e_prime)
-    lam = 0.5 * (lam + lam.T)  # exact symmetry against rounding asymmetries
-    return PairMatrix(lam=lam, t=t)
+    return 0.5 * (lam + lam.T)  # exact symmetry against rounding asymmetries
 
 
-def ground_state_pairs(frame: DressedFrame) -> AmplitudeTable:
-    """Two-photon content of the dressed vacuum at t = 0.
+def ground_state_pairs(frame: DressedFrame) -> np.ndarray:
+    """Two-photon content of the dressed vacuum at t = 0, one amplitude per
+    mode pair (k, k') of ``np.triu_indices(n)``, in that order.
 
     Entries are amplitudes in the orthonormal two-photon basis: the pair
-    ``(k, k')`` with k < k' carries 2 Lambda_kk' / (omega_k + omega_k');
-    the diagonal ``(k, k)`` carries sqrt(2) Lambda_kk / (2 omega_k).  The
-    bare table value Lambda/(omega+omega') is recoverable from the recorded
-    convention.
+    with k < k' carries 2 Lambda_kk' / (omega_k + omega_k'); the diagonal
+    (k, k) carries sqrt(2) Lambda_kk / (2 omega_k).  Dividing out those
+    factors gives the bare value Lambda/(omega + omega').
     """
     frame.check_smallness(0.0)
-    lam = lambda_matrix(frame, 0.0).lam
+    lam = lambda_matrix(frame, 0.0)
     omega = frame.grid.omega
     j, k = np.triu_indices(len(omega))
-    denom = omega[j] + omega[k]
-    bare = lam[j, k] / denom
     norm_factor = np.where(j == k, np.sqrt(2.0), 2.0)
-    return AmplitudeTable(
-        j_indices=j,
-        k_indices=k,
-        amplitudes=bare * norm_factor,
-        metadata={
-            "t": 0.0,
-            "normalization": "orthonormal two-photon basis; diagonal pairs "
-                             "carry sqrt(2)*Lambda/(2*omega), off-diagonal "
-                             "2*Lambda/(omega+omega')",
-        },
-    )
+    return lam[j, k] / (omega[j] + omega[k]) * norm_factor
 
 
 def phase_E(frame: DressedFrame, t: float) -> float:

@@ -69,8 +69,6 @@ class RateResult:
     rate: float
     omega_m: float
     parameters: dict = field(default_factory=dict)
-    fitted_exponent: Optional[float] = None
-    constant_C: Optional[float] = None
 
     def __post_init__(self):
         if self.rate < -1e-300:
@@ -116,8 +114,8 @@ def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
     memory = frame.omega_e**2 / frame.omega_e_prime * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
-    C = lambda_matrix(frame, 0.0).lam / Omega * phase_now + 1j * phase_now * memory
-    free = C - lambda_matrix(frame, t).lam / Omega
+    C = lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory
+    free = C - lambda_matrix(frame, t) / Omega
     return PairAmplitudeResult(t=t, C=C, freely_propagating_part=free)
 
 
@@ -243,8 +241,6 @@ def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
     lr = np.log(np.array([r.rate for r in results]))
     slope, _ = np.polyfit(lw, lr, 1)
     point = np.gradient(lr, lw)
-    for r in results:
-        r.fitted_exponent = float(slope)
     return RateSweep(results=results, fitted_exponent=float(slope),
                      pointwise_slopes=point)
 
@@ -335,9 +331,8 @@ def oracle_compare_pair_production(
         raise ConfigError("no mode pair is resonant with the drive")
 
     # dressed vacuum, first order in the pair kernel
-    table = ground_state_pairs(frame)
     psi0 = basis.vacuum(fk.GROUND).amplitudes.copy()
-    for a, b, amp in zip(table.j_indices, table.k_indices, table.amplitudes):
+    for a, b, amp in zip(*np.triu_indices(n), ground_state_pairs(frame)):
         occ = [0] * n
         occ[a] += 1
         occ[b] += 1
@@ -355,7 +350,7 @@ def oracle_compare_pair_production(
 
     vac_amp = final_dressed.amplitude(fk.GROUND, (0,) * n)
     pert = pair_amplitude(frame, t_final)
-    lam_t = lambda_matrix(frame, t_final).lam
+    lam_t = lambda_matrix(frame, t_final)
     Omega = omega[:, None] + omega[None, :]
 
     rows = []

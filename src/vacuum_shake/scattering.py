@@ -15,7 +15,7 @@ propagation directions contribute their full multiplicity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -25,6 +25,7 @@ from scipy.fft import next_fast_len
 from . import coupling as cp
 from .errors import ConfigError, DomainError
 from .modes import ModeGrid, Waveguide1D
+from .table import write_csv
 
 __all__ = [
     "Wavepacket",
@@ -262,8 +263,8 @@ class ThreePhotonTensor:
     count).  ``raw`` follows the last-emitted-photon convention and is
     symmetric in its first two indices; ``sym`` is the average over all six
     index orders, which is the object entering physical probabilities.  The
-    overall arrival-time-dependent phase is dropped (pure phase, recorded
-    here).
+    global phase exp(-i(omega_jkl - omega_e/2)(t - t0)), t0 the packet's
+    arrival at the emitter, is dropped: it is a pure phase.
 
     The reductions over |sym|^2 read one spectrum of total frequency against
     weight.  On a box lattice omega = n * domega, the pole factor
@@ -282,8 +283,6 @@ class ThreePhotonTensor:
     gamma: float
     gamma_prime: float
     omega_e: float
-    t0: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         omega = self.grid.omega
@@ -293,10 +292,6 @@ class ThreePhotonTensor:
         g = self.grid.geometry
         self._domega = g.c * 2.0 * np.pi / g.length
         self._n = _lattice_indices(omega, self._domega)
-        self.metadata.setdefault(
-            "phase_convention",
-            "global exp(-i(omega_jkl - omega_e/2)(t - t0)) factor dropped",
-        )
 
     @property
     def n_modes(self) -> int:
@@ -412,16 +407,18 @@ class ThreePhotonTensor:
             )
         return frac
 
-    def slice_to_csv(self, path, l: int, which: str = "sym"):
-        mat = self.sym_slice(l) if which == "sym" else self.raw_slice(l)
-        # Python floats: repr of a numpy scalar is not a number under numpy 2
-        omega = self.grid.omega.tolist()
-        with open(path, "w") as fh:
-            fh.write("omega_j,omega_k,omega_l,re,im,abs2\n")
-            for wj, row in zip(omega, mat):
-                for wk, z in zip(omega, row.tolist()):
-                    fh.write(f"{wj!r},{wk!r},{omega[l]!r},"
-                             f"{z.real!r},{z.imag!r},{abs(z) ** 2!r}\n")
+    def slice_to_csv(self, path, l: int):
+        """Write ``sym_slice(l)`` with one row per (j, k), j major."""
+        n, omega = self.n_modes, self.grid.omega
+        mat = self.sym_slice(l)
+        # Python's abs, not numpy's, which rounds |z| differently; row by row,
+        # so that no n^2 list of Python numbers is held at once
+        abs2 = np.fromiter((abs(z) ** 2 for row in mat for z in row.tolist()),
+                           float, n * n)
+        z = mat.ravel()
+        write_csv(path, ["omega_j", "omega_k", "omega_l", "re", "im", "abs2"],
+                  [np.repeat(omega, n), np.tile(omega, n),
+                   np.full(n * n, omega[l]), z.real, z.imag, abs2])
 
 
 def three_photon_coefficients(grid: ModeGrid, profile: cp.CouplingProfile,
@@ -439,11 +436,8 @@ def three_photon_coefficients(grid: ModeGrid, profile: cp.CouplingProfile,
     if gamma <= 0 or gamma_prime < 0:
         raise DomainError("gamma must be positive, gamma_prime non-negative")
     eta = eta_array(grid, profile)
-    return ThreePhotonTensor(
-        grid=grid, eta=eta, gamma=gamma, gamma_prime=gamma_prime,
-        omega_e=profile.omega_e,
-        metadata={"directions": "all grid modes summed (both directions)"},
-    )
+    return ThreePhotonTensor(grid=grid, eta=eta, gamma=gamma,
+                             gamma_prime=gamma_prime, omega_e=profile.omega_e)
 
 
 def three_photon_probability(tensor: ThreePhotonTensor) -> float:

@@ -22,12 +22,11 @@ def oscillating_1d_profile(grid, *, omega_m, km_rm=0.05, gamma=1e-3,
                            omega_e=OMEGA_E):
     return cp.CouplingProfile.oscillating_1d(
         omega_e, r_m=km_rm * grid.c / omega_m, omega_m=omega_m, gamma=gamma,
-        A=grid.geometry.area, L=grid.geometry.length, c=grid.c,
+        L=grid.geometry.length, c=grid.c,
     )
 
 
 def static_1d_profile(grid, *, gamma=1e-3, omega_e=OMEGA_E):
     return cp.CouplingProfile.waveguide_1d(
-        omega_e, gamma=gamma, A=grid.geometry.area, L=grid.geometry.length,
-        c=grid.c,
+        omega_e, gamma=gamma, L=grid.geometry.length, c=grid.c,
     )

@@ -1,9 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from vacuum_shake import cli
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SCENARIO_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json")
+                          if "scenario" in json.loads(p.read_text()))
 
 
 def write_json(path, doc):
@@ -84,3 +89,11 @@ class TestValidateConfig:
         rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", SCENARIO_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_is_valid(self, path):
+        cli.validate_config(json.loads(path.read_text()))
+
+    def test_every_scenario_kind_is_shipped(self):
+        kinds = {json.loads(p.read_text())["scenario"] for p in SCENARIO_CONFIGS}
+        assert kinds == set(cli._SCENARIOS)

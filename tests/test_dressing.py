@@ -223,15 +223,15 @@ class TestLambdaMatrix:
         prof2 = cp.CouplingProfile(kind=cp.CouplingKind.WAVEGUIDE_1D,
                                    omega_e=1.0, chi_scale=0.02, c=grid.c)
         frame2 = dr.DressedFrame(grid, prof2)
-        lam = dr.lambda_matrix(frame2, 0.0).lam
+        lam = dr.lambda_matrix(frame2, 0.0)
         assert lam[0, 1] == pytest.approx(1e-4)
 
     def test_symmetry_exact(self, driven_frame):
-        lam = dr.lambda_matrix(driven_frame, 3.7).lam
+        lam = dr.lambda_matrix(driven_frame, 3.7)
         assert np.array_equal(lam, lam.T)
 
     def test_rank_one(self, driven_frame):
-        lam = dr.lambda_matrix(driven_frame, 1.1).lam
+        lam = dr.lambda_matrix(driven_frame, 1.1)
         s = np.linalg.svd(lam, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
@@ -248,11 +248,11 @@ class TestGroundStatePairs:
         prof = cp.CouplingProfile(kind=cp.CouplingKind.WAVEGUIDE_1D,
                                   omega_e=1.0, chi_scale=0.02, c=grid.c)
         frame = dr.DressedFrame(grid, prof)
-        table = dr.ground_state_pairs(frame)
+        pairs = dr.ground_state_pairs(frame)
         # eta = 0.02 both modes, omega = 1: bare pair amplitude
         # Lambda/(omega+omega') = 1e-4 / 2 = 5e-5
         idx = {(int(a), int(b)): amp for a, b, amp in
-               zip(table.j_indices, table.k_indices, table.amplitudes)}
+               zip(*np.triu_indices(grid.n_modes), pairs)}
         # off-diagonal entry carries twice the bare value in the orthonormal basis
         assert idx[(0, 1)] == pytest.approx(2 * 5e-5)
         assert idx[(0, 1)] / 2 == pytest.approx(5e-5)
@@ -262,8 +262,7 @@ class TestGroundStatePairs:
     def test_zero_dipole_empty(self, small_waveguide):
         prof = static_1d_profile(small_waveguide, gamma=0.0)
         frame = dr.DressedFrame(small_waveguide, prof)
-        table = dr.ground_state_pairs(frame)
-        assert np.all(table.amplitudes == 0.0)
+        assert np.all(dr.ground_state_pairs(frame) == 0.0)
 
     def test_norm_deficit_small(self, small_waveguide):
         # scale the coupling so sum |xi|^2 = 1e-3; the two-photon weight is
@@ -278,7 +277,7 @@ class TestGroundStatePairs:
                                    c=small_waveguide.c)
         frame2 = dr.DressedFrame(small_waveguide, prof2)
         assert frame2.check_smallness(0.0) == pytest.approx(1e-3, rel=1e-9)
-        w = dr.ground_state_pairs(frame2).total_two_photon_weight()
+        w = np.sum(np.abs(dr.ground_state_pairs(frame2)) ** 2)
         assert w < 1e-5
         assert w > 1e-8
 
@@ -331,18 +330,3 @@ class TestEtaIdentity:
             a, f = fa.xi_all(t), ff.xi_all(t)
             assert np.max(np.abs(a - f)) <= 2e-3 * np.max(np.abs(a))
 
-
-def test_pair_matrix_exports(tmp_path, driven_frame):
-    pm = dr.lambda_matrix(driven_frame, 0.5)
-    path = tmp_path / "lam.csv"
-    pm.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "k_index,k_prime_index,re,im"
-    doc = pm.to_json()
-    assert '"pairs"' in doc
-
-    table = dr.ground_state_pairs(driven_frame)
-    path2 = tmp_path / "pairs.csv"
-    table.to_csv(path2)
-    assert path2.read_text().splitlines()[0] == "k_index,k_prime_index,re,im"
-    assert "normalization" in table.metadata

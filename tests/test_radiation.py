@@ -67,10 +67,10 @@ def quadrature_pair_amplitude(frame, t, panel_width=0.25, order=16):
         panel = np.zeros(Omega.shape, dtype=complex)
         for tau, wt in zip(0.5 * (lo + hi) + 0.5 * (hi - lo) * x,
                            0.5 * (hi - lo) * w):
-            panel += wt * dr.lambda_matrix(frame, tau).lam * np.exp(1j * Omega * tau)
+            panel += wt * dr.lambda_matrix(frame, tau) * np.exp(1j * Omega * tau)
         integral += panel
     phase = np.exp(-1j * Omega * t)
-    return dr.lambda_matrix(frame, 0.0).lam / Omega * phase + 1j * phase * integral
+    return dr.lambda_matrix(frame, 0.0) / Omega * phase + 1j * phase * integral
 
 
 def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
@@ -113,19 +113,19 @@ class TestPairAmplitude:
         res = rad.pair_amplitude(frame, 0.0)
         omega = small_waveguide.omega
         Omega = omega[:, None] + omega[None, :]
-        assert np.array_equal(res.C, dr.lambda_matrix(frame, 0.0).lam / Omega)
+        assert np.array_equal(res.C, dr.lambda_matrix(frame, 0.0) / Omega)
         assert np.all(res.freely_propagating_part == 0.0)
 
     def test_static_coupling_cancellation(self, small_waveguide):
         frame = dr.DressedFrame(small_waveguide,
                                 static_1d_profile(small_waveguide))
-        lam_max = np.max(np.abs(dr.lambda_matrix(frame, 0.0).lam))
+        lam_max = np.max(np.abs(dr.lambda_matrix(frame, 0.0)))
         for t in (0.0, 13.0, 77.0):
             res = rad.pair_amplitude(frame, t)
             assert res.max_free_magnitude() <= 1e-13 * lam_max
             # total amplitude equals the instantaneous dressing
             Omega = small_waveguide.omega[:, None] + small_waveguide.omega[None, :]
-            assert np.allclose(res.C, dr.lambda_matrix(frame, t).lam / Omega,
+            assert np.allclose(res.C, dr.lambda_matrix(frame, t) / Omega,
                                rtol=0, atol=1e-13 * lam_max)
 
     def test_zero_dipole(self, small_waveguide):
@@ -151,7 +151,7 @@ class TestPairAmplitude:
         frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
         T = 2 * np.pi / wm
         ts = np.linspace(0, T, 601)[:-1]
-        lam_t = np.array([dr.lambda_matrix(frame, t).lam[0, 0] for t in ts])
+        lam_t = np.array([dr.lambda_matrix(frame, t)[0, 0] for t in ts])
         lam_minus = np.mean(lam_t * np.exp(1j * wm * ts))
         c1 = rad.pair_amplitude(frame, 5 * T).C[0, 0]
         c2 = rad.pair_amplitude(frame, 15 * T).C[0, 0]
@@ -173,11 +173,11 @@ class TestPairAmplitude:
         # Fourier components of Lambda over one period
         T = 2 * np.pi / wm
         ts = np.linspace(0, T, 1024)[:-1]
-        lam_series = np.stack([dr.lambda_matrix(frame, x).lam for x in ts])
+        lam_series = np.stack([dr.lambda_matrix(frame, x) for x in ts])
         omega = grid.omega
         Om = omega[:, None] + omega[None, :]
         C_ref = np.zeros_like(res.C)
-        lam0 = dr.lambda_matrix(frame, 0.0).lam
+        lam0 = dr.lambda_matrix(frame, 0.0)
         C_ref += lam0 / Om * np.exp(-1j * Om * t)
         for m in (-2, -1, 0, 1, 2):
             lam_m = np.mean(lam_series
@@ -201,7 +201,7 @@ class TestPairAmplitude:
         frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
         omega = grid.omega
         Om = omega[:, None] + omega[None, :]
-        lam_scale = np.max(np.abs(dr.lambda_matrix(frame, 0.0).lam))
+        lam_scale = np.max(np.abs(dr.lambda_matrix(frame, 0.0)))
         detune = np.min(np.abs(Om - wm))
         bound = 4.0 * lam_scale / detune
         for t in (40.0, 160.0):

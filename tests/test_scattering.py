@@ -74,7 +74,7 @@ class TestGammaFromCoupling:
     def test_out_of_band(self):
         g = narrow_band_grid(1e-3)
         prof = cp.CouplingProfile.waveguide_1d(
-            2.0, gamma=1e-3, A=1.0, L=g.geometry.length, c=g.c)
+            2.0, gamma=1e-3, L=g.geometry.length, c=g.c)
         with pytest.raises(DomainError):
             sc.gamma_from_coupling(g, prof)
 
