@@ -242,10 +242,6 @@ def excited_amplitude_scattering(gamma: float, gamma_prime: float,
 #: of a three-term frequency sum and far below any mode spacing
 _EDGE_RTOL = 1e-12
 
-#: lattice index spans up to which the spectrum convolutions are summed
-#: directly: exact to rounding in every entry, and cheaper than an FFT here
-_DIRECT_CONV_MAX = 256
-
 
 def _lattice_indices(omega: np.ndarray, domega: float) -> Optional[np.ndarray]:
     """Integer-valued n with omega = n * domega up to rounding, else None.
@@ -279,8 +275,7 @@ class ThreePhotonTensor:
 
     with A the bincount of |eta|^2 over the lattice index (it carries the
     direction multiplicity), u_j = 1/(i Delta_j - gamma/2) and ``*`` a 1D
-    convolution, done directly on short lattices and by FFT on long ones.
-    Other grids sum all n^3 triples directly.
+    convolution, done by FFT.  Other grids sum all n^3 triples directly.
     """
 
     grid: ModeGrid
@@ -371,17 +366,11 @@ class ThreePhotonTensor:
         A = np.bincount(idx, a, m)
         Au2 = np.bincount(idx, a * np.abs(self._u) ** 2, m)
         Au = np.bincount(idx, au.real, m) + 1j * np.bincount(idx, au.imag, m)
+        # all linear convolutions through one zero-padded transform
         size = 3 * m - 2
-        if m <= _DIRECT_CONV_MAX:
-            # an FFT's rounding is relative to the largest entry; the pole
-            # factor can sit on a tiny edge entry and amplify it
-            conv = np.convolve(3.0 * np.convolve(Au2, A)
-                               + 6.0 * np.convolve(Au, np.conj(Au)).real, A)
-        else:
-            # all linear convolutions through one zero-padded transform
-            fA, fAu2, fAu, fAub = np.fft.fft(
-                np.stack([A, Au2, Au, np.conj(Au)]), next_fast_len(size), axis=1)
-            conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
+        fA, fAu2, fAu, fAub = np.fft.fft(np.stack([A, Au2, Au, np.conj(Au)]),
+                                         next_fast_len(size), axis=1)
+        conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
         s = 3.0 * n_min + np.arange(size)
         d3 = self._domega * s - self.omega_e
         w2 = 1.0 / ((d3**2 + self.gamma**2 / 4.0)
