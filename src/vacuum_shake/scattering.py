@@ -7,6 +7,12 @@ output.  This module provides the spontaneous-decay solution, the
 excited-state amplitude under wavepacket driving, the long-time
 three-photon coefficient tensor, and probabilities derived from it.
 
+The emitted three-photon state is reported through three spectra of
+|sym|^2 (see :class:`ThreePhotonTensor`), none of which forms an n^2 object:
+weight against total frequency and against one photon's frequency, each
+summing to P3/6, and weight against omega_j at a fixed mode l.  On a box
+lattice each is a bincount algebra with one zero-padded FFT.
+
 Tensor values depend only on mode frequencies (the waveguide coupling is
 direction symmetric), but sums run over the actual grid modes, so both
 propagation directions contribute their full multiplicity.
@@ -17,9 +23,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.fft import next_fast_len
 
 from . import coupling as cp
@@ -255,6 +262,33 @@ def _lattice_indices(omega: np.ndarray, domega: float) -> Optional[np.ndarray]:
     return n
 
 
+class _Lattice(NamedTuple):
+    """Bincounts of a box-lattice grid over the lattice index i = n - n_min
+    (m entries), and the pole weight at each total index."""
+
+    idx: np.ndarray  # lattice index of each mode
+    A: np.ndarray  # bincount of |eta|^2
+    Au2: np.ndarray  # bincount of |eta|^2 |u|^2
+    Au: np.ndarray  # bincount of |eta|^2 u
+    s: np.ndarray  # total index n_j + n_k + n_l, 3m - 2 entries from 3 n_min
+    w2: np.ndarray  # |W_s|^2
+
+
+def _fft_ext(rows, size: int) -> np.ndarray:
+    """FFTs of the 1D ``rows``, each zero-padded to ``size``, in extended
+    precision.
+
+    The pole weight spans six to nine decades over a lattice, and an FFT's
+    rounding is relative to the largest input: in float64 it reached 4e-12
+    of an off-shell slice's maximum.  ``np.longdouble`` (64-bit mantissa on
+    x86) brings that to 2e-15; where it is float64 the double error stays.
+    """
+    x = np.zeros((len(rows), size), dtype=np.clongdouble)
+    for padded, row in zip(x, rows):
+        padded[:row.size] = row
+    return sp_fft.fft(x, axis=1)
+
+
 @dataclass
 class ThreePhotonTensor:
     """Long-time three-photon coefficients over grid mode triples.
@@ -266,16 +300,31 @@ class ThreePhotonTensor:
     global phase exp(-i(omega_jkl - omega_e/2)(t - t0)), t0 the packet's
     arrival at the emitter, is dropped: it is a pure phase.
 
-    The reductions over |sym|^2 read one spectrum of total frequency against
-    weight.  On a box lattice omega = n * domega, the pole factor
-    W(Delta_jkl) depends only on s = n_j + n_k + n_l, so
+    Three spectra reduce |sym|^2 without forming an n^2 object:
 
-        sum_{s(jkl) = s} |sym_jkl|^2 = pref^2 |W_s|^2
-            [3 (A|u|^2 * A * A)_s + 6 Re(Au * Au^* * A)_s] / 9
+    * ``spectrum``: weight against total frequency omega_j+omega_k+omega_l;
+    * ``marginal_spectrum()``: weight against one photon's frequency;
+    * ``slice_spectrum(l)``: weight against omega_j at a fixed mode l.
 
-    with A the bincount of |eta|^2 over the lattice index (it carries the
-    direction multiplicity), u_j = 1/(i Delta_j - gamma/2) and ``*`` a 1D
-    convolution, done by FFT.  Other grids sum all n^3 triples directly.
+    The first two sum to sum_jkl |sym_jkl|^2 = P3/6.  On a box lattice
+    omega = n * domega the pole factor W(Delta_jkl) depends only on
+    s = n_j + n_k + n_l, and with a = |eta|^2, u_j = 1/(i Delta_j - gamma/2),
+    the bincounts A, Au2, Au of a, a|u|^2, a u over the lattice index i
+    (they carry the direction multiplicity) and w2_s = |W_s|^2:
+
+        spectrum_s = pref^2 w2_s [3 (Au2 * A * A)_s + 6 (Au * Au^* * A)_s] / 9
+
+        marginal_i = pref^2/9 [Au2_i C0_i + 2 A_i (C1_i + C3_i)
+                               + 4 Re(Au_i conj(C2_i))]
+
+        slice_j(l) = pref^2/9 a_l a_j [|U_j|^2 D_A(i_j) + D_Au2(i_j)
+                                       + 2 Re(U_j conj(D_Au(i_j)))]
+
+    with ``*`` a 1D convolution, C_x(i) = sum_t w2[i + t] Q_x[t] for the
+    pair convolutions Q0 = A*A, Q1 = Au2*A, Q2 = Au*A, Q3 = Au*Au^*,
+    U_j = u_j + u_l and D_X(i) = sum_t w2[i + i_l + t] X_t, which reads
+    only the 2m - 1 pole weights from s = i_l on.  Each is one zero-padded
+    FFT.  Other grids sum ``sym_slice`` directly.
     """
 
     grid: ModeGrid
@@ -339,43 +388,97 @@ class ThreePhotonTensor:
     # -- reductions over |sym|^2 ------------------------------------------------
 
     @cached_property
-    def _spectrum(self):
-        """``(Omega, w)``: total frequencies omega_j+omega_k+omega_l and the
-        summed |sym_jkl|^2 weight at each.
-
-        On a box lattice the spectrum is indexed by s = n_j+n_k+n_l and built
-        by convolution (see the class docstring) when it has fewer entries
-        than there are triples; otherwise it is the direct sum over all
-        ordered triples, one entry each.
-        """
+    def _lattice(self) -> Optional[_Lattice]:
+        """The bincounts and pole weights of the lattice spectra, or None off
+        the lattice or where the index span exceeds the triple count."""
         n = self._n
-        if n is not None:
-            idx = (n - n.min()).astype(np.intp)
-            if 3 * int(idx.max()) + 1 <= self.n_modes ** 3:
-                return self._lattice_spectrum(idx, int(n.min()))
-        omega = self.grid.omega
-        parts = [((omega[:, None] + omega[None, :] + omega[l]).ravel(),
-                  (np.abs(self.sym_slice(l)) ** 2).ravel())
-                 for l in range(self.n_modes)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    def _lattice_spectrum(self, idx: np.ndarray, n_min: int):
+        if n is None:
+            return None
+        idx = (n - n.min()).astype(np.intp)
+        m = int(idx.max()) + 1
+        if 3 * m - 2 > self.n_modes ** 3:
+            return None
         a = np.abs(self.eta) ** 2
         au = a * self._u
-        m = int(idx.max()) + 1
         A = np.bincount(idx, a, m)
         Au2 = np.bincount(idx, a * np.abs(self._u) ** 2, m)
         Au = np.bincount(idx, au.real, m) + 1j * np.bincount(idx, au.imag, m)
-        # all linear convolutions through one zero-padded transform
-        size = 3 * m - 2
-        fA, fAu2, fAu, fAub = np.fft.fft(np.stack([A, Au2, Au, np.conj(Au)]),
-                                         next_fast_len(size), axis=1)
-        conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
-        s = 3.0 * n_min + np.arange(size)
+        s = 3.0 * int(n.min()) + np.arange(3 * m - 2)
         d3 = self._domega * s - self.omega_e
         w2 = 1.0 / ((d3**2 + self.gamma**2 / 4.0)
                     * (d3**2 + self.gamma_prime**2 / 4.0))
-        return self._domega * s, self._pref**2 * w2 * conv / 9.0
+        return _Lattice(idx, A, Au2, Au, s, w2)
+
+    @cached_property
+    def spectrum(self):
+        """``(Omega, w)``: total frequencies omega_j+omega_k+omega_l and the
+        summed |sym_jkl|^2 weight at each; w sums to P3/6.
+
+        On a box lattice there is one entry per total index s, built by
+        convolution (see the class docstring); otherwise one entry per
+        ordered triple.
+        """
+        lat = self._lattice
+        if lat is None:
+            omega = self.grid.omega
+            parts = [((omega[:, None] + omega[None, :] + omega[l]).ravel(),
+                      (np.abs(self.sym_slice(l)) ** 2).ravel())
+                     for l in range(self.n_modes)]
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        size = lat.s.size
+        fA, fAu2, fAu, fAub = np.fft.fft(
+            np.stack([lat.A, lat.Au2, lat.Au, np.conj(lat.Au)]),
+            next_fast_len(size), axis=1)
+        conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
+        return self._domega * lat.s, self._pref**2 * lat.w2 * conv / 9.0
+
+    def marginal_spectrum(self):
+        """``(omega, w)``: the |sym|^2 weight with one photon at omega, summed
+        over the other two; w sums to P3/6.
+
+        On a box lattice there is one entry per lattice frequency, empty ones
+        included (see the class docstring); otherwise one entry per mode.
+        """
+        lat = self._lattice
+        if lat is None:
+            w = sum(np.sum(np.abs(self.sym_slice(l)) ** 2, axis=1)
+                    for l in range(self.n_modes))
+            return self.grid.omega, w
+        m = lat.A.size
+        # C(i) = sum_t w2[i + t] Q[t] = ifft(fft(w2) conj(fft(conj Q)))
+        fw2, fA, fAu2, fAu, fAub = _fft_ext(
+            [lat.w2, lat.A, lat.Au2, lat.Au, np.conj(lat.Au)],
+            next_fast_len(lat.s.size))
+        C0, C13, C2b = sp_fft.ifft(
+            fw2 * np.conj([fA * fA, fAu2 * fA + fAu * fAub, fAu * fA])
+        )[:, :m].astype(complex)
+        w = (lat.Au2 * C0.real + 2.0 * lat.A * C13.real
+             + 4.0 * (lat.Au * C2b).real)
+        omega = self._domega * (self._n.min() + np.arange(m))
+        return omega, self._pref**2 * w / 9.0
+
+    def slice_spectrum(self, l: int) -> np.ndarray:
+        """sum_k |sym_jkl|^2 over modes j at fixed l.  Summed over j and over
+        the modes l at one frequency, it is that frequency's
+        ``marginal_spectrum`` weight.
+
+        On a box lattice it correlates the bincounts with the 2m - 1 pole
+        weights the slice reads (see the class docstring); otherwise it sums
+        ``sym_slice(l)`` directly.
+        """
+        lat = self._lattice
+        if lat is None:
+            return np.sum(np.abs(self.sym_slice(l)) ** 2, axis=1)
+        m, i_l = lat.A.size, lat.idx[l]
+        fwin, fA, fAu2, fAu = _fft_ext(
+            [lat.w2[i_l:i_l + 2 * m - 1], lat.A, lat.Au2, lat.Au],
+            next_fast_len(2 * m - 1))
+        DA, DAu2, DAub = sp_fft.ifft(
+            fwin * np.conj([fA, fAu2, fAu]))[:, lat.idx].astype(complex)
+        U = self._u + self._u[l]
+        a = np.abs(self.eta) ** 2
+        w = a * (np.abs(U) ** 2 * DA.real + DAu2.real + 2.0 * (U * DAub).real)
+        return self._pref**2 * a[l] * w / 9.0
 
     def mass_fraction_within(self, delta_cut: float) -> float:
         """Fraction of total |sym|^2 weight with |omega_j+omega_k+omega_l - omega_e|
@@ -384,17 +487,17 @@ class ThreePhotonTensor:
         The window is closed up to rounding: a total frequency on its edge
         counts as inside whether its float sum rounds a few ulp in or out.
         """
-        total_omega, w = self._spectrum
+        total_omega, w = self.spectrum
         edge = delta_cut + _EDGE_RTOL * (self.omega_e + delta_cut)
         inside = float(np.sum(w[np.abs(total_omega - self.omega_e) <= edge]))
         return inside / float(np.sum(w))
 
     def mean_total_frequency(self) -> float:
-        total_omega, w = self._spectrum
+        total_omega, w = self.spectrum
         return float(np.sum(total_omega * w)) / float(np.sum(w))
 
     def total_sym_weight(self) -> float:
-        return float(np.sum(self._spectrum[1]))
+        return float(np.sum(self.spectrum[1]))
 
     def check_support(self, threshold: float = 0.9,
                       window_factor: float = 10.0) -> float:
@@ -408,17 +511,9 @@ class ThreePhotonTensor:
         return frac
 
     def slice_to_csv(self, path, l: int):
-        """Write ``sym_slice(l)`` with one row per (j, k), j major."""
-        n, omega = self.n_modes, self.grid.omega
-        mat = self.sym_slice(l)
-        # Python's abs, not numpy's, which rounds |z| differently; row by row,
-        # so that no n^2 list of Python numbers is held at once
-        abs2 = np.fromiter((abs(z) ** 2 for row in mat for z in row.tolist()),
-                           float, n * n)
-        z = mat.ravel()
-        write_csv(path, ["omega_j", "omega_k", "omega_l", "re", "im", "abs2"],
-                  [np.repeat(omega, n), np.tile(omega, n),
-                   np.full(n * n, omega[l]), z.real, z.imag, abs2])
+        """Write ``slice_spectrum(l)`` as ``omega_j,weight``, one row per mode."""
+        write_csv(path, ["omega_j", "weight"],
+                  [self.grid.omega, self.slice_spectrum(l)])
 
 
 def three_photon_coefficients(grid: ModeGrid, profile: cp.CouplingProfile,

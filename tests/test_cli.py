@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,23 @@ class TestCompare:
         b = write_csv(tmp_path / "b.csv", [["0.5", "inf"]])
         assert cli.main(["compare", a, b]) == cli.EXIT_COMPARE_FAIL
 
+    def test_pass_reports_largest_deviation(self, tmp_path, capsys):
+        a = write_json(tmp_path / "a.json", {"P3": 1.0, "rate": 2.0, "n": 3})
+        b = write_json(tmp_path / "b.json", {"P3": 1.0, "rate": 2.0 * (1 + 1e-10),
+                                             "n": 3})
+        assert cli.main(["compare", a, b]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "PASS: 3 fields within tolerance, largest relative deviation "
+            "1e-10 at rate\n")
+
+    def test_pass_reports_largest_csv_deviation(self, tmp_path, capsys):
+        a = write_csv(tmp_path / "a.csv", [["0.5", "2e-3"], ["0.25", "4e-3"]])
+        b = write_csv(tmp_path / "b.csv", [["0.5", "2e-3"], ["0.25", "4.0000000002e-3"]])
+        assert cli.main(["compare", a, b]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "PASS: 4 fields within tolerance, largest relative deviation "
+            "5e-11 at row 1 col y\n")
+
     def test_tolerance_file_applies_per_field(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"rate": 1.0})
         b = write_json(tmp_path / "b.json", {"rate": 1.0 + 1e-7})
@@ -94,6 +114,85 @@ class TestValidateConfig:
     def test_shipped_config_is_valid(self, path):
         cli.validate_config(json.loads(path.read_text()))
 
+    def test_unknown_schema_keyword_is_refused(self, monkeypatch):
+        schema = cli.load_schema()
+        schema["properties"]["grid"]["properties"]["n_modes"]["multipleOf"] = 2
+        monkeypatch.setattr(cli, "load_schema", lambda: schema)
+        with pytest.raises(NotImplementedError, match="multipleOf"):
+            cli.validate_config({"scenario": "DressingDump"})
+
+    def test_validation_imports_no_jsonschema(self):
+        code = ("import sys, json; from vacuum_shake import cli; "
+                f"cli.validate_config(json.loads({json.dumps(json.dumps(self.BASE))})); "
+                "assert 'jsonschema' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+
     def test_every_scenario_kind_is_shipped(self):
         kinds = {json.loads(p.read_text())["scenario"] for p in SCENARIO_CONFIGS}
         assert kinds == set(cli._SCENARIOS)
+
+
+def _mutations():
+    """(id, config) pairs: shipped configs and invalid variants of them."""
+    shipped = {p.stem: json.loads(p.read_text()) for p in SCENARIO_CONFIGS}
+    yield from shipped.items()
+
+    def mutate(name, stem, edit):
+        cfg = copy.deepcopy(shipped[stem])
+        edit(cfg)
+        return name, cfg
+
+    yield mutate("string_n_modes", "scattering_3photon",
+                 lambda c: c["scattering"].update(n_modes="700"))
+    yield mutate("bool_gamma", "scattering_3photon",
+                 lambda c: c["scattering"].update(gamma=True))
+    yield mutate("float_n_max", "oracle_compare",
+                 lambda c: c["oracle"].update(n_max=2.5))
+    yield mutate("integral_float_n_max", "oracle_compare",
+                 lambda c: c["oracle"].update(n_max=2.0))
+    yield mutate("huge_int_n_max", "oracle_compare",
+                 lambda c: c["oracle"].update(n_max=10 ** 400))
+    yield mutate("zero_gamma_prime", "scattering_3photon",
+                 lambda c: c["scattering"].update(gamma_prime=0.0))
+    yield mutate("k_m_r_m_above_maximum", "rate_sweep_3d",
+                 lambda c: c["profile"].update(k_m_r_m=0.2))
+    yield mutate("x0_above_maximum", "scattering_3photon",
+                 lambda c: c["scattering"].update(x0_over_packet_length=-0.5))
+    yield mutate("unknown_top_level_key", "dressing_dump",
+                 lambda c: c.update(seed=1))
+    yield mutate("unknown_nested_key", "rate_sweep_1d",
+                 lambda c: c.setdefault("sweep", {}).update(points=3))
+    yield mutate("unknown_scenario", "dressing_dump",
+                 lambda c: c.update(scenario="Dressing"))
+    yield mutate("missing_scattering", "scattering_3photon",
+                 lambda c: c.pop("scattering"))
+    yield mutate("missing_residual", "transform_residual",
+                 lambda c: c.pop("residual"))
+    yield mutate("missing_scenario", "dressing_dump",
+                 lambda c: c.pop("scenario"))
+    yield mutate("short_dipole", "rate_sweep_3d",
+                 lambda c: c["profile"].update(dipole_direction=[0.0, 1.0]))
+    yield mutate("long_rhat", "rate_sweep_3d",
+                 lambda c: c["profile"].update(rhat_m=[0.0, 0.0, 1.0, 0.0]))
+    yield mutate("empty_xi_values", "transform_residual",
+                 lambda c: c["residual"].update(xi_values=[]))
+    yield mutate("string_in_array", "scattering_3photon",
+                 lambda c: c["scattering"].update(slice_omegas=[0.5, "x"]))
+    yield mutate("object_not_array", "oracle_compare",
+                 lambda c: c["oracle"].update(mode_frequencies={"a": 1.0}))
+    yield mutate("negative_time", "dressing_dump",
+                 lambda c: c.setdefault("profile", {}).update(times=[0.0, -1.0]))
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in _mutations()],
+                         ids=[name for name, _ in _mutations()])
+def test_validator_agrees_with_jsonschema(cfg):
+    jsonschema = pytest.importorskip("jsonschema")
+    expected = jsonschema.Draft7Validator(cli.load_schema()).is_valid(cfg)
+    try:
+        cli.validate_config(copy.deepcopy(cfg))
+    except cli.ConfigError:
+        assert not expected
+    else:
+        assert expected

@@ -134,9 +134,12 @@ def test_appendix_residuals_match_golden_output(tmp_path, capsys):
     assert rc == cli.EXIT_OK, capsys.readouterr().out
 
 
-# Golden files of the remaining scenario kinds, written by `vacuum-shake run`
-# at commit c0d379c: the shipped DressingDump and rate sweeps, and a
-# 40-mode Scattering3Photon whose 1600-row slice stays small.
+# Golden files of the remaining scenario kinds, written by `vacuum-shake run`:
+# the shipped DressingDump and rate sweeps at commit c0d379c, and the
+# shipped Scattering3Photon once its outputs became O(n) spectra.  Before
+# that, a 40-mode run's n^2 slice; its rows summed over omega_k matched the
+# new slice weights within 4e-16 of their maximum, and the shipped run's P3,
+# on_shell_mass_fraction and mean_total_frequency did not change a bit.
 GOLDEN = {
     "DressingDump": ("dressing_dump.json", {
         "lambda_t0.csv": "dressing_lambda_t0.csv",
@@ -145,13 +148,11 @@ GOLDEN = {
     }),
     "RateSweep1D": ("rate_sweep_1d.json", {"rates.csv": "rate_sweep_1d_rates.csv"}),
     "RateSweep3D": ("rate_sweep_3d.json", {"rates.csv": "rate_sweep_3d_rates.csv"}),
-    "Scattering3Photon": ({
-        "scenario": "Scattering3Photon",
-        "scattering": {"gamma": 0.1, "gamma_prime": 0.1, "n_modes": 40,
-                       "slice_omegas": [0.5]},
-    }, {
-        "three_photon_slice_0.csv": "scattering40_slice_0.csv",
-        "summary.json": "scattering40_summary.json",
+    "Scattering3Photon": ("scattering_3photon.json", {
+        "three_photon_spectrum.csv": "scattering_3photon_spectrum.csv",
+        "three_photon_marginal.csv": "scattering_3photon_marginal.csv",
+        "three_photon_slice_0.csv": "scattering_3photon_slice_0.csv",
+        "summary.json": "scattering_3photon_summary.json",
     }),
 }
 
@@ -159,18 +160,44 @@ GOLDEN = {
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_outputs_match_golden_files(tmp_path, capsys, scenario):
     config, files = GOLDEN[scenario]
-    if isinstance(config, str):
-        cfg = ROOT / "configs" / config
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["run", str(ROOT / "configs" / config),
+                     "--out", str(out)]) == cli.EXIT_OK
     tolerances = json.loads((ROOT / "configs" / "compare_tolerances.json").read_text())
     for name, golden in files.items():
         rc = cli.compare_baseline(out / name, ROOT / "tests" / "data" / golden,
                                   tolerances)
         assert rc == cli.EXIT_OK, (name, capsys.readouterr().out)
+
+
+def test_scattering_spectra(tmp_path):
+    rc, out = run(tmp_path, "Scattering3Photon")
+    assert rc == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["files"] == ["three_photon_spectrum.csv",
+                                "three_photon_marginal.csv",
+                                "three_photon_slice_0.csv"]
+    headers = {}
+    for name in summary["files"]:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        headers[name] = rows[0]
+        weights = [float(row[1]) for row in rows[1:]]
+        if name != "three_photon_slice_0.csv":
+            assert math.fsum(weights) == pytest.approx(summary["P3"] / 6,
+                                                       rel=1e-12), name
+    assert headers == {"three_photon_spectrum.csv": ["omega_total", "weight"],
+                       "three_photon_marginal.csv": ["omega", "weight"],
+                       "three_photon_slice_0.csv": ["omega_j", "weight"]}
+    # the slice sits on the grid mode nearest the requested 0.5
+    with open(out / "three_photon_slice_0.csv", newline="", encoding="utf-8") as fh:
+        omegas = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    (omega_l,) = summary["slice_omega_l"]
+    assert omega_l in omegas
+    assert all(abs(w - 0.5) >= abs(omega_l - 0.5) for w in omegas)
+    # 60 modes do not resolve the linewidth: doubling them moves P3
+    assert summary["P3_rel_change"] == summary["P3_2n"] / summary["P3"] - 1
+    assert abs(summary["P3_rel_change"]) > 1e-3
 
 
 def test_oracle_solver_statistics_in_manifest(tmp_path):

@@ -374,42 +374,51 @@ class TestThreePhotonTensor:
             vals.append(sc.three_photon_probability(t))
         assert abs(vals[1] - vals[0]) <= 0.02 * abs(vals[0])
 
-    def test_slice_csv_cells_are_numbers(self, tensor, tmp_path):
+    def test_slice_csv_header_and_values(self, tensor, tmp_path):
         l = 37
         path = tmp_path / "slice.csv"
         tensor.slice_to_csv(path, l)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["omega_j", "omega_k", "omega_l", "re", "im", "abs2"]
+        assert rows[0] == ["omega_j", "weight"]
         vals = np.array([[float(c) for c in row] for row in rows[1:]])
-        n = tensor.n_modes
-        omega, sym = tensor.grid.omega, tensor.sym_slice(l).ravel()
-        assert vals.shape == (n * n, 6)
-        assert np.array_equal(vals[:, 0], np.repeat(omega, n))
-        assert np.array_equal(vals[:, 1], np.tile(omega, n))
-        assert np.all(vals[:, 2] == omega[l])
-        assert np.array_equal(vals[:, 3], sym.real)
-        assert np.array_equal(vals[:, 4], sym.imag)
-        assert np.array_equal(vals[:, 5], [abs(z) ** 2 for z in sym.tolist()])
+        assert vals.shape == (tensor.n_modes, 2)
+        assert np.array_equal(vals[:, 0], tensor.grid.omega)
+        assert np.array_equal(vals[:, 1], tensor.slice_spectrum(l))
+
+
+def dense_marginal(tensor):
+    """sum_{k,l} |sym_jkl|^2 over modes j, from the dense tensor."""
+    _, sym = tensor.to_arrays()
+    return np.sum(np.abs(sym) ** 2, axis=(1, 2))
+
+
+# random box lattices: m modes per direction, band top, bottom / top, linewidths
+lattices = given(st.integers(1, 10), st.sampled_from(["both", "positive"]),
+                 st.floats(0.4, 1.6), st.floats(0.0, 0.3),
+                 st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.data())
+
+
+def lattice_tensor(m, directions, top, bottom, gamma, gamma_prime, data):
+    n = 2 * m if directions == "both" else m
+    g = modes.build_waveguide_grid(n, top, n * np.pi, 1.0,
+                                   omega_min=bottom * top,
+                                   directions=directions)
+    g = permuted_grid(g, np.array(data.draw(st.permutations(range(n)))))
+    prof = static_1d_profile(g, gamma=gamma)
+    t = sc.three_photon_coefficients(g, prof, gamma, gamma_prime)
+    assert t._n is not None
+    return t
 
 
 class TestSpectrum:
-    """The convolution spectrum behind the |sym|^2 reductions."""
+    """The convolution spectra behind the |sym|^2 reductions."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 10), st.sampled_from(["both", "positive"]),
-           st.floats(0.4, 1.6), st.floats(0.0, 0.3),
-           st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.data())
+    @lattices
     def test_matches_dense_sums(self, m, directions, top, bottom, gamma,
                                 gamma_prime, data):
-        n = 2 * m if directions == "both" else m
-        g = modes.build_waveguide_grid(n, top, n * np.pi, 1.0,
-                                       omega_min=bottom * top,
-                                       directions=directions)
-        g = permuted_grid(g, np.array(data.draw(st.permutations(range(n)))))
-        prof = static_1d_profile(g, gamma=gamma)
-        t = sc.three_photon_coefficients(g, prof, gamma, gamma_prime)
-        assert t._n is not None
+        t = lattice_tensor(m, directions, top, bottom, gamma, gamma_prime, data)
         # a cut half way between two distinct distances |Omega_s - omega_e|,
         # so that no total frequency sits on it up to rounding
         s = np.arange(3 * t._n.min(), 3 * t._n.max() + 1)
@@ -422,13 +431,40 @@ class TestSpectrum:
         assert t.mass_fraction_within(cut) == pytest.approx(frac, rel=1e-12, abs=0)
         assert t.mean_total_frequency() == pytest.approx(mean, rel=1e-12, abs=0)
 
+    @settings(max_examples=30, deadline=None)
+    @lattices
+    def test_marginal_matches_dense_sums(self, m, directions, top, bottom,
+                                         gamma, gamma_prime, data):
+        t = lattice_tensor(m, directions, top, bottom, gamma, gamma_prime, data)
+        omega, w = t.marginal_spectrum()
+        idx = (t._n - t._n.min()).astype(int)
+        ref = np.bincount(idx, dense_marginal(t), omega.size)
+        assert np.allclose(omega[idx], t.grid.omega, rtol=1e-12, atol=0)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref)
+        # against the dense total: total_sym_weight() carries the float64
+        # FFT rounding of the total-frequency spectrum, which hypothesis has
+        # driven to 1.7e-12 (m=3 positive, top 1, bottom 0, gamma 1/64 and 1/8)
+        assert np.sum(w) == pytest.approx(np.sum(ref), rel=1e-12, abs=0)
+
+    def test_slice_matches_row_sums(self):
+        # every slice of a 240-mode lattice, including the off-shell ones
+        # above omega_e, whose pole weights span six decades
+        g = modes.build_waveguide_grid(240, 1.05, 240 * np.pi, 1.0,
+                                       omega_min=0.002)
+        prof = static_1d_profile(g, gamma=0.01)
+        t = sc.three_photon_coefficients(g, prof, 0.01, 0.01)
+        assert t._lattice is not None
+        for l in range(g.n_modes):
+            ref = np.sum(np.abs(t.sym_slice(l)) ** 2, axis=1)
+            assert np.max(np.abs(t.slice_spectrum(l) - ref)) <= 1e-12 * np.max(ref), l
+
     def test_fft_matches_direct_convolution(self):
         gamma = 0.01
         g = modes.build_waveguide_grid(700, 1.05, 700 * np.pi, 1.0,
                                        omega_min=gamma / 5)
         prof = static_1d_profile(g, gamma=gamma)
         t = sc.three_photon_coefficients(g, prof, gamma, gamma)
-        total_omega, w = t._spectrum
+        total_omega, w = t.spectrum
         # the same identity with exact O(n^2) convolutions
         idx = (t._n - t._n.min()).astype(int)
         a = np.abs(t.eta) ** 2
@@ -459,8 +495,16 @@ class TestSpectrum:
         g = modes.few_mode_waveguide_grid(freqs)
         prof = static_1d_profile(g, gamma=0.05)
         t = sc.three_photon_coefficients(g, prof, 0.05, 0.08)
-        total_omega, w = t._spectrum
+        total_omega, w = t.spectrum
         assert total_omega.size == w.size == g.n_modes ** 3
+        assert t._lattice is None
+        s2 = np.abs(t.to_arrays()[1]) ** 2
+        omega, marginal = t.marginal_spectrum()
+        assert np.array_equal(omega, g.omega)
+        assert np.allclose(marginal, dense_marginal(t), rtol=1e-12, atol=0)
+        for l in range(g.n_modes):
+            assert np.allclose(t.slice_spectrum(l), np.sum(s2[:, :, l], axis=1),
+                               rtol=1e-12, atol=0)
         p3, frac, mean = dense_reductions(t, cut)
         assert 0.0 < frac < 1.0
         assert sc.three_photon_probability(t) == pytest.approx(p3, rel=1e-12, abs=0)
