@@ -477,6 +477,20 @@ _SCENARIOS = {
 }
 
 
+def _finite_number(text: str) -> float:
+    """``json.load`` number hook: a config number must be a finite float.
+
+    Serves as ``parse_constant`` (``NaN``, ``Infinity``, ``-Infinity``) and as
+    ``parse_float`` (literals such as ``1e999`` that overflow to inf).  A
+    non-finite value passes every schema bound, since comparisons with NaN are
+    false, and then fails deep inside a scenario or never returns.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def run_scenario(config_path, out_override=None, threads=1) -> int:
     """Execute one scenario config; returns the process exit code.
 
@@ -487,8 +501,9 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
     t_start = time.time()
     try:
         with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -28,9 +28,10 @@ targeting a spontaneous decay rate (see the ``*_from_gamma`` constructors).
 The expanded coupling of every kind is exactly a three-term Fourier series
 g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}.  One kernel maps node
 arrays (frequency, direction, polarization) to those components; the
-per-mode evaluators, the co-rotating amplitudes and the grid-wide (3, n)
-array of :func:`grid_fourier` all derive from it.  Profiles are immutable
-and safe to share.
+grid-wide (3, n) array of :func:`grid_fourier` and the co-rotating
+amplitudes of ``eta_components_arrays_1d/3d`` both derive from it.  A
+coupling at one time is ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.
+Profiles are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -42,20 +43,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .modes import Mode, ModeGrid
+from .modes import ModeGrid
 
 __all__ = [
     "CouplingKind",
     "CouplingProfile",
-    "EtaComponents",
     "HARMONICS",
-    "eval_g",
     "grid_fourier",
     "harmonic_phases",
-    "eta_components_3d",
-    "eta_components_1d",
-    "eta_waveguide",
-    "eta_of_t",
+    "eta_from_g",
+    "eta_components_arrays_3d",
+    "eta_components_arrays_1d",
 ]
 
 #: harmonic order nu of the rows of a Fourier array: g(t) = sum_nu g_nu e^{i nu w_m t}
@@ -67,15 +65,6 @@ class CouplingKind(enum.Enum):
     OSCILLATING_3D = "OscillatingPosition3D"
     WAVEGUIDE_1D = "Waveguide1D"
     OSCILLATING_1D = "OscillatingPosition1D"
-
-
-@dataclass(frozen=True)
-class EtaComponents:
-    """Carrier and sideband amplitudes of the co-rotating coupling (all real)."""
-
-    eta0: float
-    eta_plus: float
-    eta_minus: float
 
 
 def _unit(v, name):
@@ -189,15 +178,6 @@ class CouplingProfile:
         )
 
 
-def _require_mode_match(profile: CouplingProfile, mode: Mode):
-    mode_is_1d = mode.polarization is None
-    if profile.is_1d != mode_is_1d:
-        raise ConfigError(
-            f"profile kind {profile.kind.value} is incompatible with a "
-            f"{'1D' if mode_is_1d else '3D'} mode"
-        )
-
-
 def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
     """Real carrier and sideband amplitudes (a0, a+, a-) over nodes.
 
@@ -232,33 +212,27 @@ def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
     return d_eps, doppler + magnetic, doppler - magnetic
 
 
-def _fourier_arrays(profile: CouplingProfile, omega, direction,
-                    polarization=None) -> np.ndarray:
-    """Fourier components of the expanded coupling over arrays of nodes.
-
-    Returns the (3, n) complex array whose rows are g_nu for nu =
-    ``HARMONICS`` = (0, +1, -1), so g_k(t) = sum_nu g_nu,k e^{i nu w_m t}
-    exactly (the long-wavelength expansion is first order in r_m).  Node
-    arrays are as in :func:`_amplitudes`.
-    """
-    a0, ap, am = _amplitudes(profile, omega, direction, polarization)
-    chi = profile.chi(omega)
-    side = 0.5j * profile.k_m * profile.r_m * chi
-    return np.array([chi * a0, side * ap, side * am])
-
-
 def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
-    """(3, n) Fourier components g_nu,k of the coupling over all grid modes."""
+    """(3, n) Fourier components g_nu,k of the coupling over all grid modes.
+
+    Row nu of ``HARMONICS`` = (0, +1, -1) holds g_nu, so g_k(t) = sum_nu
+    g_nu,k e^{i nu w_m t} exactly (the long-wavelength expansion is first
+    order in r_m).
+    """
     if profile.is_1d != grid.is_waveguide:
         raise ConfigError(
             f"profile kind {profile.kind.value} is incompatible with a "
             f"{'1D' if grid.is_waveguide else '3D'} grid"
         )
     if grid.is_waveguide:
-        return _fourier_arrays(profile, grid.omega, grid.direction_signs)
-    k = grid.wavevectors
-    khat = k / np.linalg.norm(k, axis=1, keepdims=True)
-    return _fourier_arrays(profile, grid.omega, khat, grid.polarizations)
+        a0, ap, am = _amplitudes(profile, grid.omega, grid.direction_signs, None)
+    else:
+        k = grid.wavevectors
+        khat = k / np.linalg.norm(k, axis=1, keepdims=True)
+        a0, ap, am = _amplitudes(profile, grid.omega, khat, grid.polarizations)
+    chi = profile.chi(grid.omega)
+    side = 0.5j * profile.k_m * profile.r_m * chi
+    return np.array([chi * a0, side * ap, side * am])
 
 
 def harmonic_phases(omega_m: float, t: float, order: int = 0) -> np.ndarray:
@@ -270,37 +244,6 @@ def harmonic_phases(omega_m: float, t: float, order: int = 0) -> np.ndarray:
     nu_w = HARMONICS * omega_m
     phases = np.exp(1j * nu_w * t)
     return phases * (1j * nu_w) ** order if order else phases
-
-
-def _mode_fourier(profile: CouplingProfile, mode: Mode) -> np.ndarray:
-    _require_mode_match(profile, mode)
-    if mode.polarization is None:
-        return _fourier_arrays(profile, [mode.omega], [mode.direction_sign])[:, 0]
-    return _fourier_arrays(profile, [mode.omega], mode.khat[None, :],
-                            mode.polarization[None, :])[:, 0]
-
-
-def eval_g(profile: CouplingProfile, mode: Mode, t: float) -> complex:
-    """Coupling amplitude g_k(t) for one mode, in the long-wavelength
-    expansion ``exp(i k . r_A) ~ 1 + i k . r_A``."""
-    return complex(harmonic_phases(profile.omega_m, t) @ _mode_fourier(profile, mode))
-
-
-def dg_dt(profile: CouplingProfile, mode: Mode, t: float) -> complex:
-    """Analytic time derivative of the (expanded) coupling; zero for static kinds."""
-    return complex(harmonic_phases(profile.omega_m, t, 1) @ _mode_fourier(profile, mode))
-
-
-def g_fourier_components(profile: CouplingProfile, mode: Mode):
-    """Decompose the (expanded) coupling as g(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}.
-
-    Static kinds have vanishing sidebands.  This is the input to the exact
-    periodic (steady-state) solution of the counter-rotating elimination
-    condition, which remains valid for drive frequencies comparable to the
-    transition frequency where the adiabatic form does not.
-    """
-    g0, gp, gm = _mode_fourier(profile, mode)
-    return complex(g0), complex(gp), complex(gm)
 
 
 def eta_from_g(profile: CouplingProfile, omega, g):
@@ -325,18 +268,6 @@ def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
     return _eta_arrays(profile, omega, khat, eps)
 
 
-def eta_components_3d(profile: CouplingProfile, mode: Mode) -> EtaComponents:
-    """Carrier and sideband amplitudes for one free-space mode."""
-    _require_mode_match(profile, mode)
-    e0, ep, em = eta_components_arrays_3d(
-        profile,
-        np.array([mode.omega]),
-        mode.khat[None, :],
-        mode.polarization[None, :],
-    )
-    return EtaComponents(float(e0[0]), float(ep[0]), float(em[0]))
-
-
 def eta_components_arrays_1d(profile: CouplingProfile, omega, sign):
     """Vectorized (eta0, eta_plus, eta_minus) for signed-direction 1D modes.
 
@@ -346,31 +277,3 @@ def eta_components_arrays_1d(profile: CouplingProfile, omega, sign):
     if profile.kind is not CouplingKind.OSCILLATING_1D:
         raise ConfigError("1D sideband components need the oscillating 1D kind")
     return _eta_arrays(profile, omega, sign)
-
-
-def eta_components_1d(profile: CouplingProfile, mode: Mode) -> EtaComponents:
-    _require_mode_match(profile, mode)
-    e0, ep, em = eta_components_arrays_1d(
-        profile, np.array([mode.omega]), np.array([mode.direction_sign])
-    )
-    return EtaComponents(float(e0[0]), float(ep[0]), float(em[0]))
-
-
-def eta_waveguide(mode: Mode, d: float, A: float, L: float, omega_e: float) -> float:
-    """Static waveguide co-rotating coupling
-    eta_k = [2 omega_e/(omega_e+omega_k)] sqrt(omega_k/(2 A L)) d  (epsilon_0 = hbar = 1)."""
-    if mode.polarization is not None:
-        raise ConfigError("eta_waveguide expects a 1D mode")
-    unit = CouplingProfile.waveguide_1d_from_dipole(omega_e, 1.0, A=A, L=L)
-    return float(d * eta_of_t(unit, mode, 0.0).real)
-
-
-def eta_of_t(profile: CouplingProfile, mode: Mode, t: float) -> complex:
-    """Co-rotating coupling eta_k(t) = 2 omega_e g_k(t) / (omega_k + omega_e).
-
-    Equals the carrier-plus-sideband form
-    eta0 + i k_m r_m (exp(+i omega_m t) eta_plus + exp(-i omega_m t) eta_minus)
-    for oscillating kinds and is constant otherwise.  Identically equal to
-    2 omega_e * xi_adiabatic(t).
-    """
-    return complex(eta_from_g(profile, mode.omega, eval_g(profile, mode, t)))

@@ -39,13 +39,10 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ConfigError, NumericalError
-from .modes import Mode, ModeGrid
+from .modes import ModeGrid
 
 __all__ = [
     "DressedFrame",
-    "xi_adiabatic",
-    "xi_exact",
-    "counter_rotating_residual",
     "lambda_matrix",
     "ground_state_pairs",
     "phase_E",
@@ -144,42 +141,6 @@ class DressedFrame:
                 stacklevel=2,
             )
         return s
-
-
-def xi_adiabatic(frame: DressedFrame, mode: Mode, t: float) -> complex:
-    """Instantaneous-following displacement g_k(t)/(omega_k + omega_e)."""
-    g = cp.eval_g(frame.profile, mode, t)
-    return g / (mode.omega + frame.omega_e)
-
-
-def xi_exact(frame: DressedFrame, mode: Mode, t: float, xi0: complex) -> complex:
-    """Full solution of the counter-rotating elimination condition from
-    xi(0) = xi0, in closed form: the periodic series plus the homogeneous
-    transient (xi0 - sum_nu xi_nu) e^{i(omega_k+omega_e)t}.
-
-    Raises :class:`ConfigError` at omega_k + omega_e = omega_m.
-    """
-    w = mode.omega + frame.omega_e
-    g = np.array(cp.g_fourier_components(frame.profile, mode))[:, None]
-    xi = _periodic_xi(g, np.array([mode.omega]), frame.omega_e,
-                      frame.profile.omega_m)[:, 0]
-    return complex(cp.harmonic_phases(frame.profile.omega_m, t) @ xi
-                   + (xi0 - xi.sum()) * np.exp(1j * w * t))
-
-
-def counter_rotating_residual(frame: DressedFrame, mode: Mode, t: float) -> complex:
-    """Residual of the counter-rotating elimination condition,
-    (-omega_e - omega_k) xi + g - i d(xi)/dt.
-
-    Zero to solver tolerance for exact xi; for adiabatic xi it measures the
-    neglected -i d(xi)/dt term.
-    """
-    i = mode.index
-    return complex(
-        (-frame.omega_e - mode.omega) * frame.xi_all(t)[i]
-        + frame.g_all(t)[i]
-        - 1j * frame.xi_dot_all(t)[i]
-    )
 
 
 def lambda_matrix(frame: DressedFrame, t: float) -> np.ndarray:

@@ -37,8 +37,7 @@ from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
 from . import coupling as cp
-# eval_g stays bound here: perfbench's tracer wraps it at every module binding it
-from .coupling import CouplingProfile, eval_g  # noqa: F401
+from .coupling import CouplingProfile
 from .dressing import DressedFrame, phase_E
 from .errors import CapacityError, ConfigError, NumericalError
 from .modes import ModeGrid

@@ -20,8 +20,7 @@ Grids are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "Mode",
     "Waveguide1D",
     "FreeSpace3D",
     "ModeGrid",
@@ -37,7 +35,6 @@ __all__ = [
     "few_mode_waveguide_grid",
     "build_freespace_quadrature",
     "density_of_states",
-    "grid_from_json",
 ]
 
 #: modes with omega below this multiple of the band top are considered
@@ -60,26 +57,6 @@ class FreeSpace3D:
 
     volume: float
     c: float = 1.0
-
-
-@dataclass(frozen=True)
-class Mode:
-    """A single normal mode of the discretized field.
-
-    ``direction_sign`` is +-1 for waveguide modes and 0 in 3D;
-    ``polarization`` is a unit 3-vector in 3D and ``None`` in 1D.
-    """
-
-    index: int
-    omega: float
-    wavevector: np.ndarray
-    polarization: Optional[np.ndarray] = None
-    direction_sign: int = 0
-
-    @property
-    def khat(self) -> np.ndarray:
-        k = np.linalg.norm(self.wavevector)
-        return self.wavevector / k
 
 
 @dataclass(frozen=True)
@@ -123,15 +100,6 @@ class ModeGrid:
     def c(self) -> float:
         return self.geometry.c
 
-    def mode(self, i: int) -> Mode:
-        return Mode(
-            index=i,
-            omega=float(self.omega[i]),
-            wavevector=self.wavevectors[i],
-            polarization=None if self.polarizations is None else self.polarizations[i],
-            direction_sign=0 if self.direction_signs is None else int(self.direction_signs[i]),
-        )
-
     def node_weights(self) -> np.ndarray:
         """Quadrature weights of distinct wavevector nodes.
 
@@ -153,7 +121,7 @@ class ModeGrid:
         return float(np.sum(self.weight[sel]) * dens)
 
     def geometry_dict(self) -> dict:
-        """The ``"geometry"`` entry of :meth:`to_json`: kind, c and the box size."""
+        """Kind, c and box size of the geometry, as written to run summaries."""
         doc = {"kind": "Waveguide1D" if self.is_waveguide else "FreeSpace3D",
                "c": self.c}
         if self.is_waveguide:
@@ -162,49 +130,6 @@ class ModeGrid:
         else:
             doc["volume"] = self.geometry.volume
         return doc
-
-    def to_json(self) -> str:
-        doc = {
-            "geometry": self.geometry_dict(),
-            "omega_min": self.omega_min,
-            "omega_max": self.omega_max,
-            "omega": self.omega.tolist(),
-            "weight": self.weight.tolist(),
-            "wavevector": self.wavevectors.tolist(),
-        }
-        if self.is_waveguide:
-            doc["direction_sign"] = self.direction_signs.tolist()
-        else:
-            doc["polarization"] = self.polarizations.tolist()
-        return json.dumps(doc, indent=1)
-
-
-def grid_from_json(text: str) -> ModeGrid:
-    doc = json.loads(text)
-    g = doc["geometry"]
-    if g["kind"] == "Waveguide1D":
-        geometry = Waveguide1D(length=g["length"], area=g["area"], c=g["c"])
-        return ModeGrid(
-            geometry=geometry,
-            omega=np.asarray(doc["omega"], dtype=float),
-            weight=np.asarray(doc["weight"], dtype=float),
-            wavevectors=np.asarray(doc["wavevector"], dtype=float),
-            polarizations=None,
-            direction_signs=np.asarray(doc["direction_sign"], dtype=int),
-            omega_min=doc["omega_min"],
-            omega_max=doc["omega_max"],
-        )
-    geometry = FreeSpace3D(volume=g["volume"], c=g["c"])
-    return ModeGrid(
-        geometry=geometry,
-        omega=np.asarray(doc["omega"], dtype=float),
-        weight=np.asarray(doc["weight"], dtype=float),
-        wavevectors=np.asarray(doc["wavevector"], dtype=float),
-        polarizations=np.asarray(doc["polarization"], dtype=float),
-        direction_signs=None,
-        omega_min=doc["omega_min"],
-        omega_max=doc["omega_max"],
-    )
 
 
 def build_waveguide_grid(
@@ -318,7 +243,7 @@ def _polarization_pair(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     khat = np.asarray(khat, dtype=float)
     e1 = np.cross([0.0, 0.0, 1.0], khat)
     n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
-    # khat along z: Gauss nodes avoid this, but JSON round trips may not
+    # khat along z: Gauss nodes avoid this, but callers may pass any unit vector
     along_z = n1 < 1e-12
     e1 = np.where(along_z, [1.0, 0.0, 0.0], e1 / np.where(along_z, 1.0, n1))
     e2 = np.cross(khat, e1)

@@ -11,7 +11,8 @@ The emitted three-photon state is reported through three spectra of
 |sym|^2 (see :class:`ThreePhotonTensor`), none of which forms an n^2 object:
 weight against total frequency and against one photon's frequency, each
 summing to P3/6, and weight against omega_j at a fixed mode l.  On a box
-lattice each is a bincount algebra with one zero-padded FFT.
+lattice each is a bincount algebra with one zero-padded FFT in extended
+precision.
 
 Tensor values depend only on mode frequencies (the waveguide coupling is
 direction symmetric), but sums run over the actual grid modes, so both
@@ -324,7 +325,8 @@ class ThreePhotonTensor:
     pair convolutions Q0 = A*A, Q1 = Au2*A, Q2 = Au*A, Q3 = Au*Au^*,
     U_j = u_j + u_l and D_X(i) = sum_t w2[i + i_l + t] X_t, which reads
     only the 2m - 1 pole weights from s = i_l on.  Each is one zero-padded
-    FFT.  Other grids sum ``sym_slice`` directly.
+    FFT in extended precision (``_fft_ext``).  Other grids sum ``sym_slice``
+    directly.
     """
 
     grid: ModeGrid
@@ -426,10 +428,10 @@ class ThreePhotonTensor:
                      for l in range(self.n_modes)]
             return tuple(np.concatenate(p) for p in zip(*parts))
         size = lat.s.size
-        fA, fAu2, fAu, fAub = np.fft.fft(
-            np.stack([lat.A, lat.Au2, lat.Au, np.conj(lat.Au)]),
-            next_fast_len(size), axis=1)
-        conv = np.fft.ifft(fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real
+        fA, fAu2, fAu, fAub = _fft_ext([lat.A, lat.Au2, lat.Au, np.conj(lat.Au)],
+                                       next_fast_len(size))
+        conv = sp_fft.ifft(
+            fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real.astype(float)
         return self._domega * lat.s, self._pref**2 * lat.w2 * conv / 9.0
 
     def marginal_spectrum(self):

@@ -110,6 +110,17 @@ class TestValidateConfig:
         assert rc == cli.EXIT_CONFIG == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, number):
+        # NaN passes every schema bound and crashed this run with exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scenario": "Scattering3Photon", '
+                       '"scattering": {"gamma": %s, "n_modes": 60}}' % number)
+        rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG == 2
+        assert f"non-finite number {number}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path", SCENARIO_CONFIGS, ids=lambda p: p.stem)
     def test_shipped_config_is_valid(self, path):
         cli.validate_config(json.loads(path.read_text()))

@@ -106,7 +106,7 @@ class TestOriginalHamiltonian:
         prof = static_1d_profile(grid)
         b = fk.enumerate_basis(1, 1)
         H = fk.build_original_hamiltonian(b, grid, prof, 0.0).toarray()
-        g = cp.eval_g(prof, grid.mode(0), 0.0)
+        g = (cp.harmonic_phases(prof.omega_m, 0.0) @ cp.grid_fourier(prof, grid))[0]
         ie0 = b.index(fk.EXCITED, (0,))
         ig1 = b.index(fk.GROUND, (1,))
         ie1 = b.index(fk.EXCITED, (1,))

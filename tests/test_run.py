@@ -140,6 +140,9 @@ def test_appendix_residuals_match_golden_output(tmp_path, capsys):
 # that, a 40-mode run's n^2 slice; its rows summed over omega_k matched the
 # new slice weights within 4e-16 of their maximum, and the shipped run's P3,
 # on_shell_mass_fraction and mean_total_frequency did not change a bit.
+# Its spectrum and summary were written again when the total-frequency
+# spectrum moved to the extended-precision FFT: 27 far-tail rows moved by
+# up to 6e-5 relative, and P3 by 3e-14 relative to 6x the marginal sum.
 GOLDEN = {
     "DressingDump": ("dressing_dump.json", {
         "lambda_t0.csv": "dressing_lambda_t0.csv",

@@ -441,9 +441,8 @@ class TestSpectrum:
         ref = np.bincount(idx, dense_marginal(t), omega.size)
         assert np.allclose(omega[idx], t.grid.omega, rtol=1e-12, atol=0)
         assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref)
-        # against the dense total: total_sym_weight() carries the float64
-        # FFT rounding of the total-frequency spectrum, which hypothesis has
-        # driven to 1.7e-12 (m=3 positive, top 1, bottom 0, gamma 1/64 and 1/8)
+        # against the dense total, as total_sym_weight() is checked in
+        # test_matches_dense_sums
         assert np.sum(w) == pytest.approx(np.sum(ref), rel=1e-12, abs=0)
 
     def test_slice_matches_row_sums(self):
@@ -483,7 +482,16 @@ class TestSpectrum:
         assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref)
         big = ref > 1e-6 * np.max(ref)
         assert np.allclose(w[big], ref[big], rtol=1e-11, atol=0)
+        # the far tail too, where a float64 FFT was off by 6e-5 per entry
+        assert np.allclose(w, ref, rtol=1e-6, atol=0)
         assert np.sum(w) == pytest.approx(np.sum(ref), rel=1e-12, abs=0)
+
+    def test_extended_precision_is_wider_than_float64(self):
+        # the lattice spectra are accurate to 1e-12 of P3 only because
+        # _fft_ext transforms in np.longdouble; where that is float64 (as on
+        # some non-x86 platforms) they keep the float64 FFT's round-off
+        assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+        assert sc._fft_ext([np.ones(3)], 4).dtype == np.clongdouble
 
     @pytest.mark.parametrize("freqs, cut", [
         # irrational frequencies: off the lattice
