@@ -23,7 +23,9 @@ Units: hbar = epsilon_0 = 1, frequencies in units of the transition
 frequency omega_e unless configured otherwise, c explicit.  The per-mode
 normalization ``chi_k = sqrt(omega_k) * chi_scale`` absorbs the dipole matrix
 element and quantization volume; ``chi_scale`` is most conveniently set by
-targeting a spontaneous decay rate (see the ``*_from_gamma`` constructors).
+targeting a spontaneous decay rate: the constructors
+``CouplingProfile.static_3d``, ``oscillating_3d``, ``waveguide_1d`` and
+``oscillating_1d`` take it as ``gamma=``.
 
 The expanded coupling of every kind is exactly a three-term Fourier series
 g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}.  One kernel maps node

@@ -20,6 +20,7 @@ Grids are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,7 @@ __all__ = [
     "few_mode_waveguide_grid",
     "build_freespace_quadrature",
     "density_of_states",
+    "gauss_legendre",
 ]
 
 #: modes with omega below this multiple of the band top are considered
@@ -67,6 +69,12 @@ class ModeGrid:
     ``wavevectors``/... describes mode ``i``.  ``angular_directions`` and
     ``angular_weights`` (3D only) expose the underlying angular rule so rate
     integrals can reuse it at radii that are not grid nodes.
+
+    3D modes are radius-major: mode ``i`` is (radius, direction,
+    polarization) with polarization fastest, so with ``m`` angular directions
+    ``polarizations[:2 * m]`` holds the (eps1, eps2) frame of every
+    direction, in the order of ``angular_directions``, and the same frames
+    repeat on every radial shell.
     """
 
     geometry: object
@@ -234,6 +242,20 @@ def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
+
+    Exactly ``np.polynomial.legendre.leggauss(n)``, built once per order and
+    shared by every caller in the process: both arrays are read-only.  The
+    cache keeps one rule (2 n floats) per order asked for.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _polarization_pair(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic transverse frame: eps1 = z x khat normalized, eps2 = khat x eps1.
 
@@ -277,11 +299,11 @@ def build_freespace_quadrature(
         raise ConfigError("all quadrature counts must be >= 1")
 
     k_max = omega_max / c
-    xr, wr = np.polynomial.legendre.leggauss(n_radial)
+    xr, wr = gauss_legendre(n_radial)
     k_nodes = 0.5 * k_max * (xr + 1.0)
     k_w = 0.5 * k_max * wr
 
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)  # mu = cos(theta)
+    mu, wmu = gauss_legendre(n_polar)  # mu = cos(theta)
     phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
     wphi = 2.0 * np.pi / n_azimuthal
 

@@ -37,7 +37,7 @@ from . import coupling as cp
 from . import fock as fk
 from .dressing import DressedFrame, ground_state_pairs, lambda_matrix
 from .errors import ConfigError, DomainError, FitQualityError, NumericalError
-from .modes import FreeSpace3D, ModeGrid, Waveguide1D, _polarization_pair
+from .modes import FreeSpace3D, ModeGrid, Waveguide1D, gauss_legendre
 
 __all__ = [
     "PairAmplitudeResult",
@@ -124,14 +124,16 @@ def _angular_moments_3d(profile, grid, omega):
     ``omega`` (shape (r,)): the arrays (sum eta+^2, sum eta0^2, sum eta+ eta0),
     each of shape (r,) and summed over the grid's angular rule.
 
-    The polarization frames do not depend on the radius; they are built once
-    and all radii are evaluated in one (r, 2 n_dir) pass.
+    The polarization frames do not depend on the radius: they are the grid's
+    own, read from its first radial shell (``grid.polarizations[:2 n_dir]``,
+    see :class:`ModeGrid` for the layout), and all radii are evaluated in
+    one (r, 2 n_dir) pass.
     """
     dirs = grid.angular_directions
     if dirs is None:
         raise ConfigError("grid carries no angular quadrature rule")
     khat = np.repeat(dirs, 2, axis=0)
-    pol = np.stack(_polarization_pair(dirs), axis=1).reshape(-1, 3)
+    pol = grid.polarizations[:2 * len(dirs)]
     w2 = np.repeat(grid.angular_weights, 2)
     eta0, etap, _ = cp.eta_components_arrays_3d(profile, omega[:, None], khat, pol)
     return (etap**2) @ w2, (eta0**2) @ w2, (etap * eta0) @ w2
@@ -144,8 +146,10 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
 
     The energy-conservation delta is removed analytically: with w' = w_m - w
     the double continuum integral collapses to one radial integral over
-    w in (0, w_m), evaluated by Gauss-Legendre; the angular and polarization
-    structure enters through moments taken with the grid's angular rule.
+    w in (0, w_m), evaluated by the ``n_radial``-point Gauss-Legendre rule of
+    :func:`modes.gauss_legendre` (built once per order and process, so a
+    sweep pays for it once); the angular and polarization structure enters
+    through moments taken with the grid's angular rule and frames.
     Each call evaluates the couplings at all radial nodes w and w' in one
     array pass.  ``gamma`` is recorded in the result parameters for later
     constant extraction.
@@ -185,7 +189,7 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     km_rm = profile.k_m * profile.r_m
     c = profile.c
     k_m = profile.k_m
-    x, wq = np.polynomial.legendre.leggauss(n_radial)
+    x, wq = gauss_legendre(n_radial)
     k_nodes = 0.5 * k_m * (x + 1.0)
     k_wts = 0.5 * k_m * wq
     kp = k_m - k_nodes
@@ -232,13 +236,20 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
 def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
                build_profile: Callable[[float], cp.CouplingProfile], *,
                n_radial: int = 48, gamma: Optional[float] = None) -> RateSweep:
-    """Golden-rule rates over a set of drive frequencies plus a log-log slope fit."""
+    """Golden-rule rates over a set of drive frequencies plus a log-log slope fit.
+
+    Raises :class:`DomainError` when a rate is not positive (a zero coupling
+    or amplitude), since the slope is fitted to log rates.
+    """
     results = [
         golden_rule_rate(grid, build_profile(wm), n_radial=n_radial, gamma=gamma)
         for wm in omega_m_values
     ]
+    rates = np.array([r.rate for r in results])
+    if np.any(rates <= 0):
+        raise DomainError("all rates must be positive for a log-space fit")
     lw = np.log(np.array([r.omega_m for r in results]))
-    lr = np.log(np.array([r.rate for r in results]))
+    lr = np.log(rates)
     slope, _ = np.polyfit(lw, lr, 1)
     point = np.gradient(lr, lw)
     return RateSweep(results=results, fitted_exponent=float(slope),

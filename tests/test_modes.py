@@ -167,6 +167,32 @@ class TestVectorisedFrames:
             np.testing.assert_allclose(getattr(g, name), np.asarray(expected),
                                        rtol=1e-15, atol=1e-15, err_msg=name)
 
+    @pytest.mark.parametrize("counts", [(1, 3, 4), (8, 24, 12), (5, 7, 1)])
+    def test_first_shell_holds_the_direction_frames(self, counts):
+        # radius-major layout: the rate integrals read the frames of every
+        # angular direction from the grid's first radial shell
+        g = modes.build_freespace_quadrature(*counts, 2.0, 1.0)
+        dirs = g.angular_directions
+        expected = np.stack(modes._polarization_pair(dirs), axis=1).reshape(-1, 3)
+        np.testing.assert_array_equal(g.polarizations[:2 * len(dirs)], expected)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 8, 24, 48])
+    def test_equals_leggauss(self, n):
+        nodes, weights = modes.gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(weights, ref_weights)
+
+    def test_read_only_and_shared(self):
+        nodes, weights = modes.gauss_legendre(8)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = modes.gauss_legendre(8)
+        assert again[0] is nodes and again[1] is weights
+
 
 def test_geometry_dict_matches_json(small_waveguide, freespace_grid):
     assert small_waveguide.geometry_dict() == {

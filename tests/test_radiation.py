@@ -382,6 +382,37 @@ class TestSweepAndConstant:
             rad.extract_rate_constant(sw.results)
 
 
+def count_leggauss(monkeypatch):
+    """Empty the rule cache and count the rules built from here on."""
+    modes.gauss_legendre.cache_clear()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    return calls
+
+
+class TestRuleBuiltOnce:
+    def test_1d_sweep(self, monkeypatch):
+        calls = count_leggauss(monkeypatch)
+        grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
+        rad.rate_sweep(grid, np.geomspace(1e-3, 1e-2, 16),
+                       lambda wm: oscillating_1d_profile(grid, omega_m=wm),
+                       n_radial=48, gamma=GAMMA)
+        assert calls == [48]
+
+    def test_3d_sweep_reuses_the_polar_rule(self, monkeypatch):
+        calls = count_leggauss(monkeypatch)
+        grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
+        rad.rate_sweep(grid, np.geomspace(1e-3, 1e-2, 3), osc3d_profile,
+                       n_radial=24, gamma=GAMMA)
+        assert calls == [8, 24]
+
+
 @pytest.mark.slow
 class TestOracleComparison:
     def test_quick_resonant_run(self):

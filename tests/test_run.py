@@ -90,6 +90,21 @@ def test_scenario_runs_and_writes_finite_outputs(tmp_path, scenario):
     assert all(math.isfinite(x) for x in numbers(manifest))
 
 
+@pytest.mark.parametrize("zero", ["gamma", "k_m_r_m"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_zero_rate_sweep_exits_2(tmp_path, capsys, dim, zero):
+    # the schema allows both at 0; every rate is then 0 and has no log-log fit
+    scenario = f"RateSweep{dim}D"
+    doc = json.loads(json.dumps(SMALL[scenario]))
+    doc["profile"][zero] = 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, **doc}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "all rates must be positive" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_warnings_recorded_in_manifest(tmp_path, capsys):
     # 60 modes over (0, 1.05] are spaced 0.035, far coarser than gamma = 0.01
     rc, out = run(tmp_path, "Scattering3Photon")
