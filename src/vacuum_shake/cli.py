@@ -270,12 +270,12 @@ def _scenario_rate_sweep(cfg, outdir, dim):
                 L=grid.geometry.length, c=grid.c,
             )
 
-    sweep = rad.rate_sweep(grid, wms, build, n_radial=n_radial, gamma=gamma)
+    rates, exponent, slopes = rad.rate_sweep(grid, wms, build, n_radial=n_radial)
     write_csv(outdir / "rates.csv", ["omega_m", "rate", "pointwise_slope"],
-              [sweep.omega_m, sweep.rates, sweep.pointwise_slopes])
+              [wms, rates, slopes])
     summary = {
         "scenario": f"RateSweep{dim}D",
-        "fitted_exponent": sweep.fitted_exponent,
+        "fitted_exponent": exponent,
         "gamma": gamma,
         "k_m_r_m": km_rm,
         "n_points": len(wms),
@@ -286,7 +286,8 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         "files": ["rates.csv"],
     }
     if dim == 3:
-        summary["constant_C"] = rad.extract_rate_constant(sweep.results)
+        summary["constant_C"] = rad.extract_rate_constant(
+            wms, rates, k_m_r_m=km_rm, gamma=gamma, omega_e=omega_e)
     else:
         summary["sideband_model"] = (
             "translation-phase expansion of the waveguide coupling; "
@@ -318,6 +319,11 @@ def _scenario_scattering(cfg, outdir):
     n_modes = s.get("n_modes", 700)
     tensor = _three_photon_tensor(n_modes, omega_e, gamma, gamma_p)
     grid, gamma_eff = tensor.grid, tensor.gamma
+    slice_omegas = s.get("slice_omegas", [0.5 * omega_e])
+    outside = [w for w in slice_omegas if not grid.omega_min <= w <= grid.omega_max]
+    if outside:
+        raise DomainError(f"slice_omegas {outside} outside the grid band "
+                          f"[{grid.omega_min}, {grid.omega_max}]")
     spacing = grid.omega[1] - grid.omega[0]
     # worst-case P3 error over pole offsets against the spacing / linewidth
     # ratio: 17% at 0.75, 13% at 0.70, 3.5% at 0.50, 1% at 0.40, 0.6% at 0.35
@@ -348,8 +354,7 @@ def _scenario_scattering(cfg, outdir):
     files = ["three_photon_spectrum.csv", "three_photon_marginal.csv"]
     write_csv(outdir / files[0], ["omega_total", "weight"], tensor.spectrum)
     write_csv(outdir / files[1], ["omega", "weight"], tensor.marginal_spectrum())
-    slice_ls = [int(np.argmin(np.abs(grid.omega - wl)))
-                for wl in s.get("slice_omegas", [0.5 * omega_e])]
+    slice_ls = [int(np.argmin(np.abs(grid.omega - wl))) for wl in slice_omegas]
     for i, l in enumerate(slice_ls):
         files.append(f"three_photon_slice_{i}.csv")
         tensor.slice_to_csv(outdir / files[-1], l)
@@ -552,11 +557,18 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_table(path: Path):
+    """The parsed JSON document, or a CSV's header and rows.
+
+    Raises ``OSError``, ``ValueError`` or ``csv.Error`` when the file is
+    missing, empty or malformed.
+    """
     if path.suffix == ".json":
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("empty file")
     return {"__csv_header__": rows[0], "__csv_rows__": rows[1:]}
 
 
@@ -589,8 +601,14 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
     default_abs = tolerances.get("default_abs", 1e-300)
     per_field = tolerances.get("fields", {})
 
-    res = _load_table(Path(result_file))
-    base = _load_table(Path(baseline_file))
+    tables = []
+    for path in (result_file, baseline_file):
+        try:
+            tables.append(_load_table(Path(path)))
+        except (OSError, ValueError, csv.Error) as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    res, base = tables
 
     is_csv = "__csv_header__" in res
     if is_csv != ("__csv_header__" in base):
@@ -619,6 +637,11 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
             print("schema mismatch: row counts differ", file=sys.stderr)
             return EXIT_CONFIG
         header = res["__csv_header__"]
+        if any(len(row) != len(header)
+               for row in res["__csv_rows__"] + base["__csv_rows__"]):
+            print("schema mismatch: a CSV row's cell count differs from the header's",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         for i, (ra, rb) in enumerate(zip(res["__csv_rows__"], base["__csv_rows__"])):
             for col, (a, b) in enumerate(zip(ra, rb)):
                 name = header[col]

@@ -237,15 +237,12 @@ def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
     return np.array([chi * a0, side * ap, side * am])
 
 
-def harmonic_phases(omega_m: float, t: float, order: int = 0) -> np.ndarray:
-    """(i nu w_m)^order e^{i nu w_m t} over nu = ``HARMONICS``.
+def harmonic_phases(omega_m: float, t: float) -> np.ndarray:
+    """e^{i nu w_m t} over nu = ``HARMONICS``.
 
-    Its product with a Fourier array (``phases @ g``) is the series at t, or
-    its ``order``-th time derivative.
+    Its product with a Fourier array (``phases @ g``) is the series at t.
     """
-    nu_w = HARMONICS * omega_m
-    phases = np.exp(1j * nu_w * t)
-    return phases * (1j * nu_w) ** order if order else phases
+    return np.exp(1j * (HARMONICS * omega_m) * t)
 
 
 def eta_from_g(profile: CouplingProfile, omega, g):

@@ -19,7 +19,7 @@ modes differ in the denominator:
 
 Derived quantities, each a plain numpy array or float: the co-rotating
 coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel
-Lambda_kk'(t) = eta_k*(t) eta_k'*(t) / (4 omega_e'), the dressed-vacuum
+Lambda_kk'(t) = eta_k*(t) eta_k'*(t) / (4 omega_e), the dressed-vacuum
 two-photon amplitudes over the mode pairs ``np.triu_indices(n)``, and the
 scalar phase E(t) accumulated by the transformation.  Nothing here writes
 files: the scenario runner writes these arrays with
@@ -47,6 +47,8 @@ __all__ = [
     "ground_state_pairs",
     "phase_E",
 ]
+
+SMALLNESS_GUARD = 0.1
 
 
 def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
@@ -81,18 +83,13 @@ class DressedFrame:
     """
 
     def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile, *,
-                 xi_mode: str = "adiabatic", xi0: Optional[np.ndarray] = None,
-                 omega_e_prime: Optional[float] = None, smallness_guard: float = 0.1):
+                 xi_mode: str = "adiabatic", xi0: Optional[np.ndarray] = None):
         if xi_mode not in ("adiabatic", "exact", "floquet"):
             raise ConfigError(f"unknown xi_mode {xi_mode!r}")
         self.grid = grid
         self.profile = profile
         self.omega_e = profile.omega_e
-        self.omega_e_prime = self.omega_e if omega_e_prime is None else omega_e_prime
-        if self.omega_e_prime == 0:
-            raise ConfigError("omega_e_prime must be nonzero")
         self.xi_mode = xi_mode
-        self.smallness_guard = smallness_guard
         self._omega_m = profile.omega_m
         w = grid.omega + self.omega_e
         self._g = cp.grid_fourier(profile, grid)
@@ -134,20 +131,20 @@ class DressedFrame:
     def check_smallness(self, t: float) -> float:
         """Sum_k |xi_k(t)|^2, with a warning when the expansion budget is exceeded."""
         s = float(np.sum(np.abs(self.xi_all(t)) ** 2))
-        if s >= self.smallness_guard:
+        if s >= SMALLNESS_GUARD:
             warnings.warn(
                 f"sum|xi|^2 = {s:.3g} at t={t:.3g} exceeds the smallness guard "
-                f"{self.smallness_guard}; second-order accuracy is not guaranteed",
+                f"{SMALLNESS_GUARD}; second-order accuracy is not guaranteed",
                 stacklevel=2,
             )
         return s
 
 
 def lambda_matrix(frame: DressedFrame, t: float) -> np.ndarray:
-    """Pair-creation kernel Lambda_kk'(t) = eta_k* eta_k'* / (4 omega_e'),
+    """Pair-creation kernel Lambda_kk'(t) = eta_k* eta_k'* / (4 omega_e),
     an (n, n) complex array, exactly symmetric."""
     eta_conj = np.conj(frame.eta_all(t))
-    lam = np.outer(eta_conj, eta_conj) / (4.0 * frame.omega_e_prime)
+    lam = np.outer(eta_conj, eta_conj) / (4.0 * frame.omega_e)
     return 0.5 * (lam + lam.T)  # exact symmetry against rounding asymmetries
 
 

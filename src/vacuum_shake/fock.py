@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 DIMENSION_CAP = 2_000_000
+TRUNCATION_TOL = 1e-6
 
 GROUND, EXCITED = 0, 1
 
@@ -275,7 +276,8 @@ def build_transformed_hamiltonian(
       coefficients, the quadratic sigma_z term, and (optionally) the scalar
       phase E(t).  With exact xi the counter-rotating coefficients vanish.
     * ``"NormalOrdered"`` -- H0 + H1 + sigma_z Gamma with the pair kernel in
-      normal order and the frequency shift absorbed into omega_e'.
+      normal order and the frequency shift absorbed into omega_e', which
+      is held equal to omega_e (see :mod:`vacuum_shake.dressing`).
     * ``"H0H1only"`` -- excitation-conserving part alone.
     """
     if variant not in ("FullOrder2", "NormalOrdered", "H0H1only"):
@@ -308,7 +310,7 @@ def build_transformed_hamiltonian(
 
     S = basis.mode_sum(frame.eta_all(t))  # sum_k eta_k a_k
     C = spl @ S
-    H = sp.diags((0.5 * frame.omega_e_prime * sz + n_diag).astype(complex),
+    H = sp.diags((0.5 * omega_e * sz + n_diag).astype(complex),
                  format="csr")
     H = H + C + C.conj().T
     if variant == "NormalOrdered":
@@ -325,9 +327,7 @@ def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
-            state: FockStateVector, direction: int = +1, *,
-            truncation_tol: float = 1e-6,
-            truncation_action: str = "raise") -> FockStateVector:
+            state: FockStateVector, direction: int = +1) -> FockStateVector:
     """Apply the spin-conditioned displacement exp[direction * sigma_x X(t)],
     X = sum_k (xi_k* a_k^+ - xi_k a_k), to ``state``.
 
@@ -336,13 +336,12 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     anti-Hermitian, so the map is unitary on the truncated space, and a norm
     change above 1e-10 raises.  The physical truncation error is estimated
     from the population of the top photon-number shell and the displacement
-    size; ``truncation_action`` chooses whether an estimate above
-    ``truncation_tol`` raises, warns, or is ignored.
+    size and recorded in ``info["truncation_estimate"]``; an estimate above
+    ``TRUNCATION_TOL`` warns and does not raise, so an under-resolved run
+    still returns its state and reports the estimate.
     """
     if direction not in (+1, -1):
         raise ConfigError("direction must be +1 (to the dressed frame) or -1")
-    if truncation_action not in ("raise", "warn", "ignore"):
-        raise ConfigError(f"unknown truncation_action {truncation_action!r}")
     out = expm_multiply(_displacement_generator(basis, frame, t, direction),
                         state.amplitudes)
 
@@ -357,12 +356,9 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     top = basis.total_photons == basis.n_max
     shell_pop = float(np.sum(np.abs(out[top]) ** 2))
     est = np.sqrt(shell_pop * np.sum(np.abs(xi) ** 2) * (basis.n_max + 1))
-    if est > truncation_tol and truncation_action != "ignore":
-        msg = (f"estimated displacement truncation error {est:.2e} exceeds "
-               f"{truncation_tol:.1e}; raise n_max")
-        if truncation_action == "raise":
-            raise NumericalError(msg, details={"estimate": est})
-        warnings.warn(msg, stacklevel=2)
+    if est > TRUNCATION_TOL:
+        warnings.warn(f"estimated displacement truncation error {est:.2e} exceeds "
+                      f"{TRUNCATION_TOL:.1e}; raise n_max", stacklevel=2)
     return FockStateVector(basis, out, info={"truncation_estimate": est})
 
 
@@ -420,12 +416,12 @@ def propagate(
 
 def transformed_residual_norm(
     basis: FockBasis, frame: DressedFrame, t: float, *,
-    fd_step: float = 1e-4, shell_margin: int = 2, include_phase: bool = True,
+    shell_margin: int = 2, include_phase: bool = True,
 ) -> float:
     """Max-element norm of T H T^+ - i T dT^+/dt - H'_(2) over bulk states.
 
     T-conjugation is numerical (matrix exponential of the displacement
-    generator), dT^+/dt is a central difference with step ``fd_step``, and
+    generator), dT^+/dt is a central difference with step 1e-4 / omega_e, and
     H'_(2) is the FullOrder2 variant.  Rows and columns are restricted to
     photon-number shells <= n_max - shell_margin: elements touching the top
     shells are dominated by basis-truncation boundary artifacts rather than
@@ -439,7 +435,7 @@ def transformed_residual_norm(
     T = dense_expm(Gt)
     H = build_original_hamiltonian(basis, grid, profile, t).toarray()
 
-    h = fd_step / frame.omega_e
+    h = 1e-4 / frame.omega_e
     Gp = _displacement_generator(basis, frame, t + h, -1).toarray()
     Gm = _displacement_generator(basis, frame, t - h, -1).toarray()
     dTdag = (dense_expm(Gp) - dense_expm(Gm)) / (2.0 * h)

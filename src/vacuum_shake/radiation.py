@@ -28,8 +28,8 @@ constant in front of the free-space law.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .modes import FreeSpace3D, ModeGrid, Waveguide1D, gauss_legendre
 
 __all__ = [
     "PairAmplitudeResult",
-    "RateResult",
-    "RateSweep",
     "pair_amplitude",
     "golden_rule_rate",
     "rate_sweep",
@@ -64,32 +62,6 @@ class PairAmplitudeResult:
         return float(np.max(np.abs(self.freely_propagating_part)))
 
 
-@dataclass
-class RateResult:
-    rate: float
-    omega_m: float
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.rate < -1e-300:
-            raise NumericalError(f"negative emission rate {self.rate}")
-
-
-@dataclass
-class RateSweep:
-    results: list
-    fitted_exponent: float
-    pointwise_slopes: np.ndarray
-
-    @property
-    def omega_m(self) -> np.ndarray:
-        return np.array([r.omega_m for r in self.results])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.rate for r in self.results])
-
-
 def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     """Perturbative pair amplitude C_kk'(t) and its freely propagating part.
 
@@ -97,7 +69,7 @@ def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     ``xi_freqs``), Lambda_kk'(tau) e^{i Omega tau} is a sum of exponentials
     and the memory integral is, in closed form,
 
-        (w_e^2/w_e') sum_ab X_ak* X_bk'* I(Omega_kk' - F_ak - F_bk', t),
+        w_e sum_ab X_ak* X_bk'* I(Omega_kk' - F_ak - F_bk', t),
         I(x, t) = integral_0^t e^{i x tau} dtau = t e^{i x t/2} sinc(x t/2 pi),
 
     with Omega_kk' = w_k + w_k' and sinc(y) = sin(pi y)/(pi y).  I is finite
@@ -112,7 +84,7 @@ def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     x = Omega - (F[:, None, :, None] + F[None, :, None, :])  # (a, b, k, k')
     kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
     memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
-    memory = frame.omega_e**2 / frame.omega_e_prime * 0.5 * (memory + memory.T)
+    memory = frame.omega_e * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
     C = lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory
     free = C - lambda_matrix(frame, t) / Omega
@@ -140,8 +112,7 @@ def _angular_moments_3d(profile, grid, omega):
 
 
 def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
-                     n_radial: int = 48, omega_min: Optional[float] = None,
-                     gamma: Optional[float] = None) -> RateResult:
+                     n_radial: int = 48) -> float:
     """Photon-pair emission rate of an oscillating emitter by the golden rule.
 
     The energy-conservation delta is removed analytically: with w' = w_m - w
@@ -151,8 +122,8 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     sweep pays for it once); the angular and polarization structure enters
     through moments taken with the grid's angular rule and frames.
     Each call evaluates the couplings at all radial nodes w and w' in one
-    array pass.  ``gamma`` is recorded in the result parameters for later
-    constant extraction.
+    array pass.  Both photons of a pair must lie above the infrared cutoff
+    1e-6 w_e, so w_m must exceed 2e-6 w_e.
 
     Low-frequency laws (w_m << w_e), which the quadrature reproduces:
 
@@ -173,8 +144,7 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     omega_m = profile.omega_m
     if omega_m <= 0:
         raise ConfigError("profile must carry a positive drive frequency")
-    if omega_min is None:
-        omega_min = 1e-6 * omega_e
+    omega_min = 1e-6 * omega_e
     if omega_m <= 2.0 * omega_min:
         raise DomainError(
             f"drive frequency {omega_m} leaves no pair band above the "
@@ -223,47 +193,41 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
         raise ConfigError("unsupported grid geometry")
 
     rate = np.pi * km_rm**2 / (4.0 * omega_e**2) * dens**2 / c * radial
-    params = {
-        "k_m_r_m": km_rm,
-        "omega_e": omega_e,
-        "geometry": type(grid.geometry).__name__,
-    }
-    if gamma is not None:
-        params["gamma"] = gamma
-    return RateResult(rate=rate, omega_m=omega_m, parameters=params)
+    if rate < -1e-300:
+        raise NumericalError(f"negative emission rate {rate}")
+    return rate
 
 
 def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
                build_profile: Callable[[float], cp.CouplingProfile], *,
-               n_radial: int = 48, gamma: Optional[float] = None) -> RateSweep:
+               n_radial: int = 48) -> tuple:
     """Golden-rule rates over a set of drive frequencies plus a log-log slope fit.
 
+    Returns ``(rates, fitted_exponent, pointwise_slopes)``: the rate at each
+    entry of ``omega_m_values``, the slope of the least-squares line through
+    (log w_m, log R), and the local slopes d log R / d log w_m at each point.
     Raises :class:`DomainError` when a rate is not positive (a zero coupling
     or amplitude), since the slope is fitted to log rates.
     """
-    results = [
-        golden_rule_rate(grid, build_profile(wm), n_radial=n_radial, gamma=gamma)
-        for wm in omega_m_values
-    ]
-    rates = np.array([r.rate for r in results])
+    rates = np.array([golden_rule_rate(grid, build_profile(wm), n_radial=n_radial)
+                      for wm in omega_m_values])
     if np.any(rates <= 0):
         raise DomainError("all rates must be positive for a log-space fit")
-    lw = np.log(np.array([r.omega_m for r in results]))
+    lw = np.log(np.asarray(omega_m_values, dtype=float))
     lr = np.log(rates)
     slope, _ = np.polyfit(lw, lr, 1)
-    point = np.gradient(lr, lw)
-    return RateSweep(results=results, fitted_exponent=float(slope),
-                     pointwise_slopes=point)
+    return rates, float(slope), np.gradient(lr, lw)
 
 
-def extract_rate_constant(rates: Sequence[RateResult], *,
-                          exponent: float = 7.0,
-                          min_r2: float = 0.999) -> float:
+def extract_rate_constant(omega_m: Sequence[float], rates: Sequence[float], *,
+                          k_m_r_m: float, gamma: float, omega_e: float,
+                          exponent: float = 7.0) -> float:
     """Dimensionless constant of the free-space scaling law.
 
-    Fits R = C (k_m r_m)^2 (gamma/w_e) (w_m/w_e)^exponent * gamma with the
-    exponent pinned, in log space.  Raises :class:`FitQualityError` when the
-    pinned-slope model explains less than ``min_r2`` of the variance.
+    Fits R = C (k_m r_m)^2 (gamma/w_e) (w_m/w_e)^exponent * gamma to the
+    rates at the drive frequencies ``omega_m`` with the exponent pinned, in
+    log space.  Raises :class:`FitQualityError` when the pinned-slope model
+    explains less than 0.999 of the variance.
 
     Reference values (see :func:`golden_rule_rate`): C(alpha) = (11 - 10
     cos^2 alpha)/(5040 pi) in free space and 1/(40 pi) in the waveguide for
@@ -272,21 +236,14 @@ def extract_rate_constant(rates: Sequence[RateResult], *,
     geometric mean of (1 - 2 w_m/w_e) over its points: 6.2649e-5 for the
     shipped 3D sweep (w_m from 1e-3 to 1e-2, motion along the dipole).
     """
-    if len(rates) < 2:
+    wm = np.asarray(omega_m, dtype=float)
+    R = np.asarray(rates, dtype=float)
+    if len(R) < 2:
         raise ConfigError("need at least two sweep points")
-    wm = np.array([r.omega_m for r in rates])
-    R = np.array([r.rate for r in rates])
     if np.any(R <= 0):
         raise DomainError("all rates must be positive for a log-space fit")
-    p = rates[0].parameters
-    try:
-        gamma = p["gamma"]
-        km_rm = p["k_m_r_m"]
-        omega_e = p["omega_e"]
-    except KeyError as exc:
-        raise ConfigError(f"rate parameters missing {exc} for constant extraction")
 
-    model_no_c = km_rm**2 * (gamma / omega_e) * (wm / omega_e) ** exponent * gamma
+    model_no_c = k_m_r_m**2 * (gamma / omega_e) * (wm / omega_e) ** exponent * gamma
     logc = np.log(R) - np.log(model_no_c)
     C = float(np.exp(np.mean(logc)))
 
@@ -294,9 +251,9 @@ def extract_rate_constant(rates: Sequence[RateResult], *,
     ss_res = float(np.sum((np.log(R) - pred) ** 2))
     ss_tot = float(np.sum((np.log(R) - np.mean(np.log(R))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < min_r2:
+    if r2 < 0.999:
         raise FitQualityError(
-            f"pinned-exponent fit quality R^2 = {r2:.6f} below {min_r2}"
+            f"pinned-exponent fit quality R^2 = {r2:.6f} below 0.999"
         )
     return C
 
@@ -308,7 +265,6 @@ def oracle_compare_pair_production(
     t_final: float,
     *,
     tol: float = 1e-11,
-    resonance_tol: Optional[float] = None,
 ) -> dict:
     """Compare perturbative pair amplitudes against the brute-force propagator.
 
@@ -320,7 +276,9 @@ def oracle_compare_pair_production(
     deviation over resonant pairs, plus magnitude-only deviations that are
     insensitive to secular phase drifts, and the solver statistics: the
     propagator's norm drift and RHS evaluations and the truncation estimates
-    of the transforms into and out of the lab frame.
+    of the transforms into and out of the lab frame.  A pair (j, k) is
+    resonant when |w_j + w_k - w_m| is below a quarter of the smallest gap
+    between distinct grid frequencies (0.1 w_m on a one-frequency grid).
     """
     profile = frame.profile
     omega = grid.omega
@@ -328,9 +286,8 @@ def oracle_compare_pair_production(
     n = grid.n_modes
     if basis.n_max < 2:
         raise ConfigError("pair production needs a basis with n_max >= 2")
-    if resonance_tol is None:
-        gaps = np.diff(np.sort(np.unique(omega)))
-        resonance_tol = 0.25 * float(gaps.min()) if len(gaps) else 0.1 * omega_m
+    gaps = np.diff(np.sort(np.unique(omega)))
+    resonance_tol = 0.25 * float(gaps.min()) if len(gaps) else 0.1 * omega_m
 
     resonant = [
         (j, k)
@@ -351,13 +308,11 @@ def oracle_compare_pair_production(
     psi0 /= np.linalg.norm(psi0)
     dressed0 = fk.FockStateVector(basis, psi0)
 
-    lab0 = fk.apply_T(basis, frame, 0.0, dressed0, direction=-1,
-                      truncation_action="warn")
+    lab0 = fk.apply_T(basis, frame, 0.0, dressed0, direction=-1)
 
     H = fk.original_hamiltonian_series(basis, grid, profile)
     final_lab = fk.propagate(H, lab0, 0.0, t_final, tol)
-    final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1,
-                               truncation_action="warn")
+    final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1)
 
     vac_amp = final_dressed.amplitude(fk.GROUND, (0,) * n)
     pert = pair_amplitude(frame, t_final)

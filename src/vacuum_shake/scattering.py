@@ -136,16 +136,16 @@ def lorentzian_wavepacket(grid: ModeGrid, gamma_prime: float, x0: float, *,
 
 
 def packet_dressing_overlap(packet: Wavepacket, omega_e: float, *,
-                            method: str = "envelope",
-                            n_samples: int = 2001) -> float:
+                            method: str = "envelope") -> float:
     """Norm of the packet inside the dressing region |x| <= 10 c / omega_e.
 
     ``envelope`` integrates the ideal packet's exponential spatial profile
     (front edge at x0, 1/e-length 2c/gamma') -- the physically meaningful
     far-packet measure.  ``modes`` reconstructs |psi(x)|^2 from the discrete
-    mode sum instead; that picks up band-truncation ringing and the periodic
-    wrap-around of the quantization box, so it is only useful on grids much
-    longer than |x0|.
+    mode sum instead, integrated by the trapezoidal rule on 2001 points;
+    that picks up band-truncation ringing and the periodic wrap-around of
+    the quantization box, so it is only useful on grids much longer than
+    |x0|.
     """
     c = packet.grid.geometry.c
     half = 10.0 * c / omega_e
@@ -157,7 +157,7 @@ def packet_dressing_overlap(packet: Wavepacket, omega_e: float, *,
         return float(np.exp(rate * (upper - packet.x0))
                      - np.exp(rate * (-half - packet.x0)))
     if method == "modes":
-        x = np.linspace(-half, half, n_samples)
+        x = np.linspace(-half, half, 2001)
         psi = packet.position_amplitude(x)
         return float(np.trapezoid(np.abs(psi) ** 2, x))
     raise ConfigError(f"unknown overlap method {method!r}")

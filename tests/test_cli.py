@@ -85,6 +85,35 @@ class TestCompare:
             "PASS: 4 fields within tolerance, largest relative deviation "
             "5e-11 at row 1 col y\n")
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_short_csv_row_is_schema_mismatch(self, tmp_path, capsys, side):
+        # zip over a row shorter than the header dropped the missing cell
+        rows = [[["3"]], [["3", "4"]]]
+        a = write_csv(tmp_path / "a.csv", rows[side])
+        b = write_csv(tmp_path / "b.csv", rows[1 - side])
+        assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG == 2
+        assert "cell count" in capsys.readouterr().err
+
+    # the malformed CSV is not UTF-8
+    UNREADABLE = {".json": {"empty": b"", "malformed": b'{"P3": 1.0,'},
+                  ".csv": {"empty": b"", "malformed": b"x,y\n\xff,1\n"}}
+
+    @pytest.mark.parametrize("case", ["missing", "empty", "malformed"])
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, case, suffix, side):
+        good = tmp_path / f"good{suffix}"
+        good.write_text('{"P3": 1.0}' if suffix == ".json" else "x,y\n0.5,1.0\n")
+        bad = tmp_path / f"bad{suffix}"
+        if case != "missing":
+            bad.write_bytes(self.UNREADABLE[suffix][case])
+        files = [str(good), str(good)]
+        files[side] = str(bad)
+        assert cli.main(["compare", *files]) == cli.EXIT_CONFIG == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {bad}")
+        assert captured.out == ""
+
     def test_tolerance_file_applies_per_field(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"rate": 1.0})
         b = write_json(tmp_path / "b.json", {"rate": 1.0 + 1e-7})

@@ -238,12 +238,6 @@ class TestLambdaMatrix:
         s = np.linalg.svd(lam, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
-    def test_singular_frequency_rejected(self, small_waveguide):
-        with pytest.raises(ConfigError):
-            dr.DressedFrame(small_waveguide,
-                            static_1d_profile(small_waveguide),
-                            omega_e_prime=0.0)
-
 
 class TestGroundStatePairs:
     def test_two_mode_arithmetic(self):

@@ -105,6 +105,19 @@ def test_zero_rate_sweep_exits_2(tmp_path, capsys, dim, zero):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("omega", [-0.5, 1.06])
+def test_slice_outside_band_exits_2(tmp_path, capsys, omega):
+    # the 60-mode band is [0, 1.048]; argmin once snapped these to its edge
+    doc = json.loads(json.dumps(SMALL["Scattering3Photon"]))
+    doc["scattering"]["slice_omegas"] = [0.5, omega]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "Scattering3Photon", **doc}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "outside the grid band" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_warnings_recorded_in_manifest(tmp_path, capsys):
     # 60 modes over (0, 1.05] are spaced 0.035, far coarser than gamma = 0.01
     rc, out = run(tmp_path, "Scattering3Photon")
