@@ -424,6 +424,8 @@ def _scenario_oracle_compare(cfg, outdir):
         "files": ["pair_amplitudes.csv"],
         "solver": {
             "n_rhs_evals": report["n_rhs_evals"],
+            "n_steps": report["n_steps"],
+            "n_rejected": report["n_rejected"],
             "norm_drift": report["norm_drift"],
             "truncation_estimates": report["truncation_estimates"],
         },
@@ -659,10 +661,9 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
             return EXIT_CONFIG
         for key in sorted(fa):
             a, b = fa[key], fb[key]
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                    and not isinstance(a, bool):
+            if _is_number(a) and _is_number(b):
                 compare(key, a, b, per_field.get(key.split(".")[-1], {}))
-            elif a != b:
+            elif type(a) is not type(b) or a != b:
                 failures.append((key, a, b, 0.0))
 
     if failures:

@@ -19,7 +19,10 @@ H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
 V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile).
 Propagation applies H(t) to the state from those fixed operators -- one
 sparse product with the stacked [V_nu; V_nu^+] per right-hand-side
-evaluation -- and never forms H(t).
+evaluation -- and never forms H(t).  It steps with an in-package DOP853
+(:func:`_dop853`): Hairer's explicit Runge-Kutta 8(5,3) pair with the step
+control of ``scipy.integrate.solve_ivp(method="DOP853")``, so the package
+never imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -362,6 +364,156 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     return FockStateVector(basis, out, info={"truncation_estimate": est})
 
 
+# Dormand-Prince 8(5,3) tableau of DOP853: E. Hairer, S. P. Norsett and
+# G. Wanner, "Solving Ordinary Differential Equations I: Nonstiff Problems"
+# (2nd ed., Springer 1993), and Hairer's Fortran code dop853.f; the same
+# digits as scipy.integrate's dop853_coefficients.  Stage s (0..11) runs at
+# t + C[s] h from y + h sum_r A[s][r] K[r]; B weighs the eighth-order
+# solution; E5 and E3 weigh the 5th- and 3rd-order error estimates over the
+# 12 stages plus f(t + h, y_new).
+_DOP_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_DOP_A = [np.array(row) for row in (
+    [],
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1],
+)]
+_DOP_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+_DOP_E3 = np.append(_DOP_B, 0.0)
+_DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
+                        0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1]
+_DOP_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0.0,
+])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun, t0: float, y0: np.ndarray, t1: float, rtol: float,
+            atol: float) -> tuple:
+    """Integrate y' = fun(t, y) from t0 to t1 > t0 with DOP853; return the
+    final y and ``{"n_rhs_evals", "n_steps", "n_rejected"}``.
+
+    Step for step the algorithm of ``scipy.integrate.solve_ivp(method=
+    "DOP853")`` without dense output: Hairer's initial-step rule, the error
+    norm |h| |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) of the scaled E5 and E3
+    estimates, safety factor 0.9, step factors clamped to [0.2, 10], no
+    growth right after a rejection, a minimum step of 10 ulp of t and the
+    last step clipped to t1.  ``fun`` returns an array of y's shape; rtol
+    below 100 machine epsilon is raised to it, with a warning.  A step below
+    the minimum raises :class:`NumericalError` with ``t_reached``.
+    """
+    eps = np.finfo(float).eps
+    if rtol < 100 * eps:
+        warnings.warn(f"rtol {rtol:.1e} is below 100 eps; using {100 * eps:.1e}",
+                      stacklevel=2)
+        rtol = 100 * eps
+    t, t1 = float(t0), float(t1)
+    y = np.asarray(y0, dtype=complex)
+
+    f = fun(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1 - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, t1 - t)
+
+    K = np.empty((13, y.size), dtype=complex)
+    n_steps = n_rejected = 0
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError(
+                    "time propagation failed (possible stiffness / step underflow)",
+                    details={"t_reached": float(t), "step": float(h_abs)},
+                )
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = fun(t + _DOP_C[s] * h, y + np.dot(K[:s].T, _DOP_A[s]) * h)
+            y_new = y + h * np.dot(K[:12].T, _DOP_B)
+            K[12] = f_new = fun(t + h, y_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
+            err = 0.0 if e5 == 0 and e3 == 0 else \
+                h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+            n_rejected += 1
+        t, y, f = t_new, y_new, f_new
+        n_steps += 1
+    return y, {"n_rhs_evals": 2 + 12 * (n_steps + n_rejected),
+               "n_steps": n_steps, "n_rejected": n_rejected}
+
+
 def propagate(
     H: Union[HarmonicHamiltonian, sp.spmatrix],
     state: FockStateVector,
@@ -369,21 +521,27 @@ def propagate(
     t1: float,
     tol: float = 1e-10,
 ) -> FockStateVector:
-    """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with DOP853 at rtol ``tol``.
+    """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with DOP853 at rtol ``tol``
+    and atol ``tol * 1e-2``.
 
     ``H`` is a :class:`HarmonicHamiltonian` or a static sparse matrix.  Its
     static diagonal D (for the harmonic series ``H.diag``) is removed
     analytically, psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the
     coupling strength instead of the fastest phase; the rest of H(t) is
     applied to the vector at each step (``apply_offdiagonal`` for the
-    series) and never formed.  The returned state records the norm drift and
-    the number of right-hand-side evaluations in ``.info``.
+    series) and never formed.  The stepper is the in-package :func:`_dop853`,
+    with Hairer's dop853 coefficients, taking the steps that
+    ``scipy.integrate.solve_ivp(method="DOP853")`` takes.  The returned state
+    records in ``.info`` the norm drift, the number of right-hand-side
+    evaluations and the numbers of accepted and rejected steps
+    (``norm_drift``, ``n_rhs_evals``, ``n_steps``, ``n_rejected``).
     """
     if t1 < t0:
         raise ConfigError("t1 must be >= t0")
     if t1 == t0:
         return FockStateVector(state.basis, state.amplitudes.copy(),
-                               info={"norm_drift": 0.0, "n_rhs_evals": 0})
+                               info={"norm_drift": 0.0, "n_rhs_evals": 0,
+                                     "n_steps": 0, "n_rejected": 0})
 
     if isinstance(H, HarmonicHamiltonian):
         D, offdiag = H.diag, H.apply_offdiagonal
@@ -397,21 +555,10 @@ def propagate(
         ph = np.exp(-1j * D * (t - t0))
         return -1j * np.conj(ph) * offdiag(t, ph * y)
 
-    sol = solve_ivp(
-        rhs, (t0, t1), state.amplitudes.astype(complex), method="DOP853",
-        rtol=tol, atol=tol * 1e-2, dense_output=False,
-    )
-    if sol.status != 0:
-        raise NumericalError(
-            "time propagation failed (possible stiffness / step underflow)",
-            details={"message": sol.message, "t_reached": sol.t[-1]},
-        )
-    y = np.exp(-1j * D * (t1 - t0)) * sol.y[:, -1]
+    y, stats = _dop853(rhs, t0, state.amplitudes, t1, tol, tol * 1e-2)
+    y = np.exp(-1j * D * (t1 - t0)) * y
     drift = abs(float(np.linalg.norm(y)) - state.norm)
-    return FockStateVector(
-        state.basis, y,
-        info={"norm_drift": drift, "n_rhs_evals": int(sol.nfev)},
-    )
+    return FockStateVector(state.basis, y, info={"norm_drift": drift, **stats})
 
 
 def transformed_residual_norm(

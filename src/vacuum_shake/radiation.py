@@ -275,10 +275,11 @@ def oracle_compare_pair_production(
     part of the perturbative amplitude.  Reports the maximum relative
     deviation over resonant pairs, plus magnitude-only deviations that are
     insensitive to secular phase drifts, and the solver statistics: the
-    propagator's norm drift and RHS evaluations and the truncation estimates
-    of the transforms into and out of the lab frame.  A pair (j, k) is
-    resonant when |w_j + w_k - w_m| is below a quarter of the smallest gap
-    between distinct grid frequencies (0.1 w_m on a one-frequency grid).
+    propagator's norm drift, RHS evaluations and accepted and rejected
+    steps, and the truncation estimates of the transforms into and out of
+    the lab frame.  A pair (j, k) is resonant when |w_j + w_k - w_m| is
+    below a quarter of the smallest gap between distinct grid frequencies
+    (0.1 w_m on a one-frequency grid).
     """
     profile = frame.profile
     omega = grid.omega
@@ -344,6 +345,8 @@ def oracle_compare_pair_production(
         "vacuum_amplitude": vac_amp,
         "norm_drift": final_lab.info["norm_drift"],
         "n_rhs_evals": final_lab.info["n_rhs_evals"],
+        "n_steps": final_lab.info["n_steps"],
+        "n_rejected": final_lab.info["n_rejected"],
         "truncation_estimates": [lab0.info["truncation_estimate"],
                                  final_dressed.info["truncation_estimate"]],
         "t_final": t_final,

@@ -27,8 +27,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.fft import next_fast_len
 
 from . import coupling as cp
 from .errors import ConfigError, DomainError
@@ -275,19 +273,35 @@ class _Lattice(NamedTuple):
     w2: np.ndarray  # |W_s|^2
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth size (2^a 3^b 5^c 7^d 11^e) >= n >= 1, the sizes
+    pocketfft transforms fastest; ``scipy.fft.next_fast_len(n)`` for
+    complex input."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _fft_ext(rows, size: int) -> np.ndarray:
-    """FFTs of the 1D ``rows``, each zero-padded to ``size``, in extended
-    precision.
+    """FFTs of the 1D ``rows``, each zero-padded to ``_next_fast_len(size)``,
+    in extended precision, by ``np.fft.fft``.
 
     The pole weight spans six to nine decades over a lattice, and an FFT's
     rounding is relative to the largest input: in float64 it reached 4e-12
     of an off-shell slice's maximum.  ``np.longdouble`` (64-bit mantissa on
     x86) brings that to 2e-15; where it is float64 the double error stays.
+    This needs numpy >= 2.0, whose pocketfft transforms ``clongdouble``
+    natively; numpy 1.x computes ``np.fft`` in double precision.
     """
-    x = np.zeros((len(rows), size), dtype=np.clongdouble)
+    x = np.zeros((len(rows), _next_fast_len(size)), dtype=np.clongdouble)
     for padded, row in zip(x, rows):
         padded[:row.size] = row
-    return sp_fft.fft(x, axis=1)
+    return np.fft.fft(x, axis=1)
 
 
 @dataclass
@@ -428,9 +442,8 @@ class ThreePhotonTensor:
                      for l in range(self.n_modes)]
             return tuple(np.concatenate(p) for p in zip(*parts))
         size = lat.s.size
-        fA, fAu2, fAu, fAub = _fft_ext([lat.A, lat.Au2, lat.Au, np.conj(lat.Au)],
-                                       next_fast_len(size))
-        conv = sp_fft.ifft(
+        fA, fAu2, fAu, fAub = _fft_ext([lat.A, lat.Au2, lat.Au, np.conj(lat.Au)], size)
+        conv = np.fft.ifft(
             fA * (3.0 * fAu2 * fA + 6.0 * fAu * fAub))[:size].real.astype(float)
         return self._domega * lat.s, self._pref**2 * lat.w2 * conv / 9.0
 
@@ -449,9 +462,8 @@ class ThreePhotonTensor:
         m = lat.A.size
         # C(i) = sum_t w2[i + t] Q[t] = ifft(fft(w2) conj(fft(conj Q)))
         fw2, fA, fAu2, fAu, fAub = _fft_ext(
-            [lat.w2, lat.A, lat.Au2, lat.Au, np.conj(lat.Au)],
-            next_fast_len(lat.s.size))
-        C0, C13, C2b = sp_fft.ifft(
+            [lat.w2, lat.A, lat.Au2, lat.Au, np.conj(lat.Au)], lat.s.size)
+        C0, C13, C2b = np.fft.ifft(
             fw2 * np.conj([fA * fA, fAu2 * fA + fAu * fAub, fAu * fA])
         )[:, :m].astype(complex)
         w = (lat.Au2 * C0.real + 2.0 * lat.A * C13.real
@@ -473,9 +485,8 @@ class ThreePhotonTensor:
             return np.sum(np.abs(self.sym_slice(l)) ** 2, axis=1)
         m, i_l = lat.A.size, lat.idx[l]
         fwin, fA, fAu2, fAu = _fft_ext(
-            [lat.w2[i_l:i_l + 2 * m - 1], lat.A, lat.Au2, lat.Au],
-            next_fast_len(2 * m - 1))
-        DA, DAu2, DAub = sp_fft.ifft(
+            [lat.w2[i_l:i_l + 2 * m - 1], lat.A, lat.Au2, lat.Au], 2 * m - 1)
+        DA, DAu2, DAub = np.fft.ifft(
             fwin * np.conj([fA, fAu2, fAu]))[:, lat.idx].astype(complex)
         U = self._u + self._u[l]
         a = np.abs(self.eta) ** 2

@@ -44,6 +44,19 @@ class TestCompare:
         b = write_json(tmp_path / "b.json", {"nested": {"P3": vals[1]}})
         assert cli.main(["compare", a, b]) == cli.EXIT_COMPARE_FAIL
 
+    @pytest.mark.parametrize("pair", [(1, True), (0, False), (1.0, True),
+                                      (True, 1), (False, 0.0), ("1", 1)])
+    def test_type_change_json_fails(self, tmp_path, pair):
+        # bool is an int subclass: True == 1 must not pass as equal numbers
+        a = write_json(tmp_path / "a.json", {"x": pair[0]})
+        b = write_json(tmp_path / "b.json", {"x": pair[1]})
+        assert cli.main(["compare", a, b]) == cli.EXIT_COMPARE_FAIL
+
+    def test_equal_booleans_pass(self, tmp_path):
+        a = write_json(tmp_path / "a.json", {"x": True, "n": 1})
+        b = write_json(tmp_path / "b.json", {"x": True, "n": 1.0})
+        assert cli.main(["compare", a, b]) == cli.EXIT_OK
+
     def test_nan_against_nan_json_fails(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"P3": math.nan})
         b = write_json(tmp_path / "b.json", {"P3": math.nan})
@@ -236,3 +249,16 @@ def test_validator_agrees_with_jsonschema(cfg):
         assert not expected
     else:
         assert expected
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # scipy.integrate pulls in optimize, special, spatial and fft, which
+    # cost about 0.4 s of every process's start-up
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.special",
+             "scipy.fft", "scipy.spatial"]
+    code = ("import sys; import vacuum_shake.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -9,7 +10,7 @@ from vacuum_shake import coupling as cp
 from vacuum_shake import dressing as dr
 from vacuum_shake import fock as fk
 from vacuum_shake import modes
-from vacuum_shake.errors import CapacityError, ConfigError
+from vacuum_shake.errors import CapacityError, ConfigError, NumericalError
 
 from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
 
@@ -416,6 +417,17 @@ class TestPropagate:
         expected = expm_multiply(-1j * t * H(0.0), amp)
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
 
+    def test_info_counts_steps(self, small_waveguide):
+        prof = oscillating_1d_profile(small_waveguide, omega_m=3.0, km_rm=0.1,
+                                      gamma=1e-2)
+        b = fk.enumerate_basis(4, 2)
+        H = fk.original_hamiltonian_series(b, small_waveguide, prof)
+        info = fk.propagate(H, b.vacuum(), 0.0, 5.0, 1e-10).info
+        assert info["n_steps"] > 0
+        assert info["n_rhs_evals"] == 2 + 12 * (info["n_steps"] + info["n_rejected"])
+        info = fk.propagate(H, b.vacuum(), 1.0, 1.0).info
+        assert (info["n_rhs_evals"], info["n_steps"], info["n_rejected"]) == (0, 0, 0)
+
     def test_time_reversed_interval_rejected(self, small_waveguide):
         b = fk.enumerate_basis(4, 1)
         with pytest.raises(ConfigError):
@@ -457,3 +469,51 @@ class TestTransformedResidual:
         xi_scale = float(np.max(np.abs(frame.xi_all(1.3))))
         assert R < 50.0 * xi_scale**3 + 1e-9
 
+
+def oracle_rhs(grid):
+    """Interaction-picture right-hand side of the oracle propagation, as
+    ``fk.propagate`` forms it, for an oscillating coupling on ``grid``."""
+    prof = oscillating_1d_profile(grid, omega_m=3.0, km_rm=0.1, gamma=1e-2)
+    b = fk.enumerate_basis(grid.n_modes, 3)
+    H = fk.original_hamiltonian_series(b, grid, prof)
+
+    def rhs(t, y):
+        ph = np.exp(-1j * H.diag * t)
+        return -1j * np.conj(ph) * H.apply_offdiagonal(t, ph * y)
+    return rhs, b.vacuum().amplitudes
+
+
+def stiff_linear_rhs():
+    """y' = M y with decay rates from 1 to 1e3 and random complex coupling:
+    DOP853's stability limit, not its accuracy, bounds the step, so steps
+    get rejected."""
+    rng = np.random.default_rng(11)
+    n = 30
+    M = (-np.diag(np.logspace(0, 3, n)) + 50j * np.diag(rng.normal(size=n))
+         + 5.0 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    return (lambda t, y: M @ y), rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestDop853:
+    @pytest.mark.parametrize("problem, t1, rtol", [
+        ("oracle", 12.0, 1e-10), ("stiff", 2.0, 1e-6), ("stiff", 2.0, 1e-10)])
+    def test_bit_equal_to_solve_ivp(self, small_waveguide, problem, t1, rtol):
+        fun, y0 = (oracle_rhs(small_waveguide) if problem == "oracle"
+                   else stiff_linear_rhs())
+        y, stats = fk._dop853(fun, 0.0, y0, t1, rtol, rtol * 1e-2)
+        sol = solve_ivp(fun, (0.0, t1), y0, method="DOP853", rtol=rtol,
+                        atol=rtol * 1e-2)
+        assert sol.status == 0
+        assert np.array_equal(y, sol.y[:, -1])
+        assert stats["n_rhs_evals"] == sol.nfev
+        assert stats["n_steps"] == len(sol.t) - 1
+        if problem == "stiff":
+            assert stats["n_rejected"] > 0
+
+    def test_step_underflow_raises_with_time_reached(self):
+        def fun(t, y):
+            return np.full_like(y, np.nan) if t > 1.0 else -1j * y
+
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
+            fk._dop853(fun, 0.0, np.ones(3, dtype=complex), 3.0, 1e-8, 1e-10)
+        assert exc.value.details["t_reached"] == pytest.approx(1.0, abs=1e-12)

@@ -235,8 +235,12 @@ def test_oracle_solver_statistics_in_manifest(tmp_path):
     rc, out = run(tmp_path, "OracleCompare")
     assert rc == cli.EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert sorted(solver) == ["n_rhs_evals", "norm_drift", "truncation_estimates"]
+    assert sorted(solver) == ["n_rejected", "n_rhs_evals", "n_steps", "norm_drift",
+                              "truncation_estimates"]
     assert isinstance(solver["n_rhs_evals"], int) and solver["n_rhs_evals"] > 0
+    assert isinstance(solver["n_steps"], int) and solver["n_steps"] > 0
+    assert isinstance(solver["n_rejected"], int) and solver["n_rejected"] >= 0
+    assert solver["n_rhs_evals"] == 2 + 12 * (solver["n_steps"] + solver["n_rejected"])
     assert 0.0 <= solver["norm_drift"] <= 1e-9
     assert len(solver["truncation_estimates"]) == 2
     assert all(x >= 0.0 for x in solver["truncation_estimates"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from vacuum_shake import coupling as cp
@@ -492,6 +493,10 @@ class TestSpectrum:
         # some non-x86 platforms) they keep the float64 FFT's round-off
         assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
         assert sc._fft_ext([np.ones(3)], 4).dtype == np.clongdouble
+
+    def test_next_fast_len_matches_scipy(self):
+        assert [sc._next_fast_len(n) for n in range(1, 5001)] == \
+            [next_fast_len(n) for n in range(1, 5001)]
 
     @pytest.mark.parametrize("freqs, cut", [
         # irrational frequencies: off the lattice
