@@ -450,8 +450,8 @@ def _dop853(fun, t0: float, y0: np.ndarray, t1: float, rtol: float,
     Step for step the algorithm of ``scipy.integrate.solve_ivp(method=
     "DOP853")`` without dense output: Hairer's initial-step rule, the error
     norm |h| |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) of the scaled E5 and E3
-    estimates, safety factor 0.9, step factors clamped to [0.2, 10], no
-    growth right after a rejection, a minimum step of 10 ulp of t and the
+    estimates, the step factor 0.9 err^(-1/8) (the estimate is O(h^8))
+    clamped to [0.2, 10], no growth right after a rejection, a minimum step of 10 ulp of t and the
     last step clipped to t1.  ``fun`` returns an array of y's shape; rtol
     below 100 machine epsilon is raised to it, with a warning.  A step below
     the minimum raises :class:`NumericalError` with ``t_reached``.
