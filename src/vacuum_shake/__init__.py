@@ -10,6 +10,11 @@ radiation   perturbative pair emission: amplitudes, golden-rule rates, sweeps
 scattering  1D single-photon scattering with three-photon emission
 table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
+
+Importing the package loads no scipy module.  Only ``fock`` uses scipy,
+and it imports ``scipy.sparse`` on first use, inside the OracleCompare and
+AppendixAVerify scenarios, whose manifest ``wall_time_s`` therefore
+includes that import.
 """
 
 __version__ = "0.1.0"

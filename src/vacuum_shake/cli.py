@@ -9,17 +9,20 @@ Subcommands::
 A scenario config is a single JSON document validated against the shipped
 schema (``vacuum-shake schema`` prints it).  Every run writes its artifacts
 plus a ``manifest.json`` (config echo, package version, tolerances, wall
-time) into the output directory and nowhere else.  Every CSV artifact is
-written by :func:`vacuum_shake.table.write_csv`: a header row, fixed column
-order, integers as digits and floats as the shortest string that reads back
-to the same float64 (``repr``), UTF-8, ``\n`` line ends, no locale
-dependence.
+time, peak memory) into the output directory and nowhere else.  Every CSV
+artifact is written by :func:`vacuum_shake.table.write_csv`: a header row,
+fixed column order, integers as digits and floats as the shortest string
+that reads back to the same float64 (``repr``), UTF-8, ``\n`` line ends, no
+locale dependence.
 
 Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
 3 numerical failure, 4 capacity overrun.
 
 Every scenario runs in a single thread.  Warnings a scenario raises are
 printed to stderr and listed under ``warnings`` in ``manifest.json``.
+The manifest's ``wall_time_s`` is read from the monotonic
+``time.perf_counter``, and ``peak_rss_mb`` is the process's peak resident
+set size so far (``ru_maxrss``, kilobytes on Linux, over 1024).
 A scenario's solver statistics (a ``"solver"`` entry of its summary, so far
 only OracleCompare's) go to ``manifest.json`` under ``solver``, not to
 ``summary.json``.
@@ -31,6 +34,7 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
 import warnings
@@ -428,6 +432,7 @@ def _scenario_oracle_compare(cfg, outdir):
             "n_rejected": report["n_rejected"],
             "norm_drift": report["norm_drift"],
             "truncation_estimates": report["truncation_estimates"],
+            "expm_matvecs": report["expm_matvecs"],
         },
     }
 
@@ -505,7 +510,7 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
     (``perfbench/child.py``) still passes ``threads=1``, and goes with that
     call.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     try:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=_finite_number,
@@ -547,7 +552,8 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         "config": cfg,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
         "solver": solver,
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.perf_counter() - t_start,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "generated_unix": int(time.time()),
     })
     print(f"{cfg['scenario']}: ok ({outdir})")

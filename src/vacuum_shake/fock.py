@@ -23,6 +23,16 @@ evaluation -- and never forms H(t).  It steps with an in-package DOP853
 (:func:`_dop853`): Hairer's explicit Runge-Kutta 8(5,3) pair with the step
 control of ``scipy.integrate.solve_ivp(method="DOP853")``, so the package
 never imports ``scipy.integrate``.
+
+The displacement transform and the residual's dense T both come from one
+in-package exponential, :func:`_expm_multiply`: the truncated-Taylor
+algorithm of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), in
+the branch ``scipy.sparse.linalg.expm_multiply`` takes when the generator's
+1-norm is below about 63, with scipy's operation order.  Every shipped
+displacement generator has a 1-norm below 1, so scipy's other branch, which
+estimates norms of powers of the generator (the alpha_p bound), is left out.
+This module needs only numpy and ``scipy.sparse``, and it imports
+``scipy.sparse`` on first use, not when the package is imported.
 """
 
 from __future__ import annotations
@@ -30,13 +40,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import ceil, comb
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import coupling as cp
 from .coupling import CouplingProfile
@@ -56,6 +63,23 @@ __all__ = [
     "propagate",
     "transformed_residual_norm",
 ]
+
+
+class _SparseOnFirstUse:
+    """Stands in for ``scipy.sparse`` until an attribute is first read.
+
+    Importing scipy.sparse costs about 0.2 s of a process's start-up, and
+    only the Fock scenarios use it, while the rest of the package imports
+    this module.  The first read imports it and rebinds ``sp`` to it.
+    """
+
+    def __getattr__(self, name):
+        global sp
+        import scipy.sparse as sp
+        return getattr(sp, name)
+
+
+sp = _SparseOnFirstUse()
 
 DIMENSION_CAP = 2_000_000
 TRUNCATION_TOL = 1e-6
@@ -322,6 +346,62 @@ def build_transformed_hamiltonian(
     return _hermitian(H, 1e-11)
 
 
+# theta_m: the largest 1-norm of G for which m Taylor terms of exp(G) reach
+# double precision -- Table A.3 of Higham and Al-Mohy, Acta Numerica 19, 159
+# (2010) for m <= 30, Table 3.1 of Al-Mohy and Higham (2011) above; the
+# digits of scipy.sparse.linalg's table.
+_THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+          6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+          11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+          16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+          21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+          26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+          35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+
+
+def _expm_multiply(G: sp.csr_matrix, B: np.ndarray) -> tuple:
+    """exp(G) B for a traceless CSR matrix G and a vector or matrix B;
+    returns it with the number of products G @ (block) taken.
+
+    Algorithm 3.2 of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+    as ``scipy.sparse.linalg.expm_multiply`` runs it, bit for bit, when the
+    exact 1-norm of G is at most about 63 and B is one vector: s steps of m
+    Taylor terms, with (m, s) minimising m s over the ``_THETA`` table at
+    s = ceil(|G|_1 / theta_m), and a step's series stopped once two
+    successive terms fall below 2^-53 of the partial sum (infinity norms).
+    The generators here are traceless, so scipy's trace shift is 0 and
+    left out.  Above |G|_1 of about 63 / (columns of B), scipy bounds s with
+    estimated norms of powers of G (the alpha_p branch, condition 3.13 of
+    the paper); that branch is left out because every displacement
+    generator of the shipped scenarios has |G|_1 < 1, and the theta bound
+    stays accurate above it, only costlier.
+    """
+    if not G.has_sorted_indices:
+        # scipy multiplies by a canonical copy of G, which sums each row of
+        # G @ B in column order
+        G = G.sorted_indices()
+    # exact 1-norm: the largest column sum of |G|, summed in the order of
+    # scipy's abs(G).sum(axis=0) and about 25 times faster on small G
+    norm = np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[1]).max()
+    m_star, s = (0, 1) if norm == 0 else min(
+        ((m, ceil(norm / theta)) for m, theta in _THETA.items()),
+        key=lambda ms: ms[0] * ms[1])
+    tol = 2.0 ** -53
+    F, n_products = B, 0
+    for _ in range(s):
+        c1 = np.linalg.norm(B, np.inf)
+        for j in range(m_star):
+            B = (1.0 / (s * (j + 1))) * (G @ B)
+            n_products += 1
+            c2 = np.linalg.norm(B, np.inf)
+            F = F + B
+            if c1 + c2 <= tol * np.linalg.norm(F, np.inf):
+                break
+            c1 = c2
+        B = F
+    return F, n_products
+
+
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> sp.csr_matrix:
     S = basis.mode_sum(frame.xi_all(t))
@@ -333,10 +413,13 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     """Apply the spin-conditioned displacement exp[direction * sigma_x X(t)],
     X = sum_k (xi_k* a_k^+ - xi_k a_k), to ``state``.
 
-    The exponential acts on the vector through ``expm_multiply`` on the
-    sparse generator; no matrix exponential is formed.  The generator is
-    anti-Hermitian, so the map is unitary on the truncated space, and a norm
-    change above 1e-10 raises.  The physical truncation error is estimated
+    The exponential acts on the vector through :func:`_expm_multiply` on the
+    sparse generator (Al-Mohy and Higham 2011, the same states as
+    ``scipy.sparse.linalg.expm_multiply`` to the bit while the generator's
+    1-norm stays below about 63, as every shipped one does by far); no
+    matrix exponential is formed, and ``info["expm_matvecs"]`` counts its
+    sparse products.  The generator is anti-Hermitian, so the map is unitary
+    on the truncated space, and a norm change above 1e-10 raises.  The physical truncation error is estimated
     from the population of the top photon-number shell and the displacement
     size and recorded in ``info["truncation_estimate"]``; an estimate above
     ``TRUNCATION_TOL`` warns and does not raise, so an under-resolved run
@@ -344,8 +427,8 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     """
     if direction not in (+1, -1):
         raise ConfigError("direction must be +1 (to the dressed frame) or -1")
-    out = expm_multiply(_displacement_generator(basis, frame, t, direction),
-                        state.amplitudes)
+    out, n_products = _expm_multiply(
+        _displacement_generator(basis, frame, t, direction), state.amplitudes)
 
     norm_in, norm_out = state.norm, float(np.linalg.norm(out))
     if abs(norm_out - norm_in) > 1e-10 * max(norm_in, 1.0):
@@ -361,7 +444,8 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     if est > TRUNCATION_TOL:
         warnings.warn(f"estimated displacement truncation error {est:.2e} exceeds "
                       f"{TRUNCATION_TOL:.1e}; raise n_max", stacklevel=2)
-    return FockStateVector(basis, out, info={"truncation_estimate": est})
+    return FockStateVector(basis, out, info={"truncation_estimate": est,
+                                             "expm_matvecs": n_products})
 
 
 # Dormand-Prince 8(5,3) tableau of DOP853: E. Hairer, S. P. Norsett and
@@ -567,25 +651,29 @@ def transformed_residual_norm(
 ) -> float:
     """Max-element norm of T H T^+ - i T dT^+/dt - H'_(2) over bulk states.
 
-    T-conjugation is numerical (matrix exponential of the displacement
-    generator), dT^+/dt is a central difference with step 1e-4 / omega_e, and
-    H'_(2) is the FullOrder2 variant.  Rows and columns are restricted to
-    photon-number shells <= n_max - shell_margin: elements touching the top
-    shells are dominated by basis-truncation boundary artifacts rather than
-    by the third-order remainder this residual certifies.
+    T-conjugation is numerical: T is :func:`_expm_multiply` of the sparse
+    displacement generator applied to the identity.  dT^+/dt is a central
+    difference with step 1e-4 / omega_e, and H'_(2) is the FullOrder2
+    variant.  Rows and columns are restricted to photon-number shells
+    <= n_max - shell_margin: elements touching the top shells are dominated
+    by basis-truncation boundary artifacts rather than by the third-order
+    remainder this residual certifies.
     """
     if basis.dimension > 4000:
         raise CapacityError("residual check is a dense computation; use a smaller basis")
     grid, profile = frame.grid, frame.profile
 
-    Gt = _displacement_generator(basis, frame, t, +1).toarray()
-    T = dense_expm(Gt)
+    eye = np.eye(basis.dimension, dtype=complex)
+
+    def dense_T(at, direction):
+        return _expm_multiply(_displacement_generator(basis, frame, at, direction),
+                              eye)[0]
+
+    T = dense_T(t, +1)
     H = build_original_hamiltonian(basis, grid, profile, t).toarray()
 
     h = 1e-4 / frame.omega_e
-    Gp = _displacement_generator(basis, frame, t + h, -1).toarray()
-    Gm = _displacement_generator(basis, frame, t - h, -1).toarray()
-    dTdag = (dense_expm(Gp) - dense_expm(Gm)) / (2.0 * h)
+    dTdag = (dense_T(t + h, -1) - dense_T(t - h, -1)) / (2.0 * h)
 
     H2 = build_transformed_hamiltonian(
         basis, frame, t, "FullOrder2", include_phase=include_phase

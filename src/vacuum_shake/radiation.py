@@ -276,10 +276,10 @@ def oracle_compare_pair_production(
     deviation over resonant pairs, plus magnitude-only deviations that are
     insensitive to secular phase drifts, and the solver statistics: the
     propagator's norm drift, RHS evaluations and accepted and rejected
-    steps, and the truncation estimates of the transforms into and out of
-    the lab frame.  A pair (j, k) is resonant when |w_j + w_k - w_m| is
-    below a quarter of the smallest gap between distinct grid frequencies
-    (0.1 w_m on a one-frequency grid).
+    steps, and the truncation estimates and sparse-product counts of the
+    transforms into and out of the lab frame.  A pair (j, k) is resonant
+    when |w_j + w_k - w_m| is below a quarter of the smallest gap between
+    distinct grid frequencies (0.1 w_m on a one-frequency grid).
     """
     profile = frame.profile
     omega = grid.omega
@@ -349,5 +349,7 @@ def oracle_compare_pair_production(
         "n_rejected": final_lab.info["n_rejected"],
         "truncation_estimates": [lab0.info["truncation_estimate"],
                                  final_dressed.info["truncation_estimate"]],
+        "expm_matvecs": [lab0.info["expm_matvecs"],
+                         final_dressed.info["expm_matvecs"]],
         "t_final": t_final,
     }

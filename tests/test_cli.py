@@ -251,14 +251,30 @@ def test_validator_agrees_with_jsonschema(cfg):
         assert expected
 
 
-def test_import_loads_no_heavy_scipy_modules():
-    # scipy.integrate pulls in optimize, special, spatial and fft, which
-    # cost about 0.4 s of every process's start-up
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.special",
-             "scipy.fft", "scipy.spatial"]
-    code = ("import sys; import vacuum_shake.cli; "
-            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+def test_import_loads_no_heavy_scipy_modules(tmp_path):
+    # scipy.integrate pulls in optimize, special, spatial and fft (about 0.4 s
+    # of every process's start-up), and scipy.sparse another 0.2 s: only the
+    # Fock scenarios need scipy, and fock imports scipy.sparse on first use
+    oracle = write_json(tmp_path / "oracle.json", {
+        "scenario": "OracleCompare",
+        "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}})
+    plain = [str(CONFIG_DIR / f"{name}.json") for name in
+             ("dressing_dump", "rate_sweep_1d", "rate_sweep_3d", "scattering_3photon")]
+    fock = [str(CONFIG_DIR / "transform_residual.json"), oracle]
+    code = "\n".join([
+        "import sys",
+        "from vacuum_shake import cli",
+        "def run(cfgs):",
+        "    for i, cfg in enumerate(cfgs):",
+        f"        assert cli.run_scenario(cfg, {str(tmp_path)!r} + f'/{{i}}') == 0",
+        f"run({plain!r})",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        f"run({fock!r})",
+        "print([m in sys.modules for m in",
+        "       ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')])",
+    ])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
-    assert out.stdout.strip() == "[]"
+    printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
+    assert printed == ["[]", "[True, False, False]"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -331,6 +332,92 @@ class TestApplyT:
         with pytest.warns(UserWarning, match="truncation error"):
             out = fk.apply_T(b, frame, 0.0, top, +1)
         assert out.info["truncation_estimate"] > 1e-6
+
+
+def oracle_frame():
+    """The shipped OracleCompare's dressed frame: modes at 0.5 and 2.0 in both
+    directions, xi_max 0.03, k_m r_m 0.1, omega_m 2.5."""
+    grid = modes.few_mode_waveguide_grid([0.5, 2.0])
+    wm = 2.5
+    prof = cp.CouplingProfile(
+        kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
+        chi_scale=0.03 * (0.5 + OMEGA_E) / np.sqrt(0.5), c=1.0, r_m=0.1 / wm,
+        omega_m=wm, km_rm_guard=0.1001,
+    )
+    return dr.DressedFrame(grid, prof, xi_mode="floquet")
+
+
+def random_generator(n, seed):
+    """Traceless anti-Hermitian sparse n x n generator with 1-norm 1."""
+    rng = np.random.default_rng(seed)
+    A = (sp.random(n, n, density=0.05, random_state=rng, format="csr")
+         + 1j * sp.random(n, n, density=0.05, random_state=rng, format="csr"))
+    U = sp.triu(A, k=1, format="csr")
+    G = (U - U.conj().T).tocsr()
+    return G / max(abs(G).sum(axis=0).flat), rng
+
+
+class TestExpmMultiply:
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 6])
+    def test_bit_equal_to_scipy_on_oracle_generators(self, n_max):
+        frame = oracle_frame()
+        b = fk.enumerate_basis(4, n_max)
+        rng = np.random.default_rng(n_max)
+        v = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+        for t in (0.0, 12.0, 200.0):
+            for direction in (+1, -1):
+                # the port first: scipy sorts G's column indices in place
+                G = fk._displacement_generator(b, frame, t, direction)
+                out, n_products = fk._expm_multiply(G, v)
+                assert np.array_equal(out, expm_multiply(G, v))
+                assert n_products > 0
+
+    def test_bit_equal_to_scipy_at_every_theta_switch(self):
+        # just below and just above each theta_m the choice of (m, s) switches.
+        # On a hopping chain started at one end, Taylor term j first reaches
+        # site j, so a different number of terms shows in the last bits.
+        n = 80
+        rng = np.random.default_rng(3)
+        U = sp.diags(np.exp(2j * np.pi * rng.random(n - 1)), 1, format="csr")
+        chain = (U - U.conj().T).tocsr() / 2.0
+        v = np.zeros(n, dtype=complex)
+        v[0] = 1.0
+        for theta in fk._THETA.values():
+            for norm in (theta * (1 - 1e-6), theta * (1 + 1e-6)):
+                G = norm * chain
+                assert np.array_equal(fk._expm_multiply(G, v)[0],
+                                      expm_multiply(G, v)), norm
+
+    def test_bit_equal_to_scipy_over_several_steps(self):
+        # at |G|_1 = 20 the series runs s = 3 steps of up to 55 terms
+        G0, rng = random_generator(120, 7)
+        G = 20.0 * G0
+        v = rng.normal(size=120) + 1j * rng.normal(size=120)
+        out, n_products = fk._expm_multiply(G, v)
+        assert np.array_equal(out, expm_multiply(G, v))
+        assert n_products > max(fk._THETA)
+
+    def test_agrees_with_scipy_beyond_condition_3_13(self):
+        # above |G|_1 ~ 63 scipy bounds s by estimated norms of powers of G;
+        # the theta bound kept here takes more products to the same result
+        G0, rng = random_generator(120, 8)
+        G = 100.0 * G0
+        v = rng.normal(size=120) + 1j * rng.normal(size=120)
+        ref = expm_multiply(G, v)
+        out, _ = fk._expm_multiply(G, v)
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["appendix", "oracle"])
+    def test_dense_T_matches_expm(self, case):
+        # the residual's T: the exponential applied to the identity
+        if case == "appendix":
+            grid = modes.build_waveguide_grid(2, 1.2, 2 * np.pi, 1.0)
+            frame, b, t = frame_with_xi(grid, 0.04), fk.enumerate_basis(2, 4), 0.0
+        else:
+            frame, b, t = oracle_frame(), fk.enumerate_basis(4, 4), 12.0
+        G = fk._displacement_generator(b, frame, t, +1)
+        T, _ = fk._expm_multiply(G, np.eye(b.dimension, dtype=complex))
+        assert np.max(np.abs(T - expm(G.toarray()))) <= 1e-14
 
 
 class TestPropagate:

@@ -88,6 +88,17 @@ def test_scenario_runs_and_writes_finite_outputs(tmp_path, scenario):
         assert all(math.isfinite(x) for x in csv_numbers(out / name)), name
     assert all(math.isfinite(x) for x in numbers(summary))
     assert all(math.isfinite(x) for x in numbers(manifest))
+    assert manifest["peak_rss_mb"] > 0
+
+
+def test_wall_time_survives_a_clock_step(tmp_path, monkeypatch):
+    # the wall clock steps back an hour after its first reading (an NTP
+    # correction, a resumed VM); the run time must not go negative
+    readings = iter([1.7e9])
+    monkeypatch.setattr(cli.time, "time", lambda: next(readings, 1.7e9 - 3600.0))
+    rc, out = run(tmp_path, "DressingDump")
+    assert rc == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0.0
 
 
 @pytest.mark.parametrize("zero", ["gamma", "k_m_r_m"])
@@ -235,8 +246,8 @@ def test_oracle_solver_statistics_in_manifest(tmp_path):
     rc, out = run(tmp_path, "OracleCompare")
     assert rc == cli.EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert sorted(solver) == ["n_rejected", "n_rhs_evals", "n_steps", "norm_drift",
-                              "truncation_estimates"]
+    assert sorted(solver) == ["expm_matvecs", "n_rejected", "n_rhs_evals", "n_steps",
+                              "norm_drift", "truncation_estimates"]
     assert isinstance(solver["n_rhs_evals"], int) and solver["n_rhs_evals"] > 0
     assert isinstance(solver["n_steps"], int) and solver["n_steps"] > 0
     assert isinstance(solver["n_rejected"], int) and solver["n_rejected"] >= 0
@@ -244,4 +255,6 @@ def test_oracle_solver_statistics_in_manifest(tmp_path):
     assert 0.0 <= solver["norm_drift"] <= 1e-9
     assert len(solver["truncation_estimates"]) == 2
     assert all(x >= 0.0 for x in solver["truncation_estimates"])
+    assert len(solver["expm_matvecs"]) == 2
+    assert all(isinstance(n, int) and n > 0 for n in solver["expm_matvecs"])
     assert "solver" not in json.loads((out / "summary.json").read_text())
