@@ -430,6 +430,9 @@ def _scenario_oracle_compare(cfg, outdir):
             "n_rhs_evals": report["n_rhs_evals"],
             "n_steps": report["n_steps"],
             "n_rejected": report["n_rejected"],
+            "n_periods": report["n_periods"],
+            "period_rhs_evals": report["period_rhs_evals"],
+            "unitarity_defect": report["unitarity_defect"],
             "norm_drift": report["norm_drift"],
             "truncation_estimates": report["truncation_estimates"],
             "expm_matvecs": report["expm_matvecs"],

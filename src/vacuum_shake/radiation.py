@@ -275,11 +275,14 @@ def oracle_compare_pair_production(
     part of the perturbative amplitude.  Reports the maximum relative
     deviation over resonant pairs, plus magnitude-only deviations that are
     insensitive to secular phase drifts, and the solver statistics: the
-    propagator's norm drift, RHS evaluations and accepted and rejected
-    steps, and the truncation estimates and sparse-product counts of the
-    transforms into and out of the lab frame.  A pair (j, k) is resonant
-    when |w_j + w_k - w_m| is below a quarter of the smallest gap between
-    distinct grid frequencies (0.1 w_m on a one-frequency grid).
+    propagator's norm drift, RHS evaluations, accepted and rejected steps,
+    the number of whole drive periods taken by the one-period propagator
+    and that propagator's RHS evaluations and unitarity defect (see
+    :func:`fock.propagate`), and the truncation estimates and
+    sparse-product counts of the transforms into and out of the lab frame.
+    A pair (j, k) is resonant when |w_j + w_k - w_m| is below a quarter of
+    the smallest gap between distinct grid frequencies (0.1 w_m on a
+    one-frequency grid).
     """
     profile = frame.profile
     omega = grid.omega
@@ -347,6 +350,9 @@ def oracle_compare_pair_production(
         "n_rhs_evals": final_lab.info["n_rhs_evals"],
         "n_steps": final_lab.info["n_steps"],
         "n_rejected": final_lab.info["n_rejected"],
+        "n_periods": final_lab.info["n_periods"],
+        "period_rhs_evals": final_lab.info["period_rhs_evals"],
+        "unitarity_defect": final_lab.info["unitarity_defect"],
         "truncation_estimates": [lab0.info["truncation_estimate"],
                                  final_dressed.info["truncation_estimate"]],
         "expm_matvecs": [lab0.info["expm_matvecs"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -170,6 +172,31 @@ class TestOriginalHamiltonian:
             ref = H(t) @ y
             applied = H.diag * y + H.apply_offdiagonal(t, y)
             assert np.linalg.norm(applied - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_offdiagonal_block_is_columnwise(self, small_waveguide):
+        prof = oscillating_1d_profile(small_waveguide, omega_m=0.3, km_rm=0.1,
+                                      gamma=1e-2)
+        b = fk.enumerate_basis(4, 2)
+        H = fk.original_hamiltonian_series(b, small_waveguide, prof)
+        rng = np.random.default_rng(2)
+        Y = rng.normal(size=(b.dimension, 3)) + 1j * rng.normal(size=(b.dimension, 3))
+        block = H.apply_offdiagonal(1.7, Y)
+        assert block.shape == Y.shape
+        for j in range(3):
+            assert np.allclose(block[:, j], H.apply_offdiagonal(1.7, Y[:, j]),
+                               rtol=1e-14, atol=0.0)
+
+    def test_series_conserves_parity(self):
+        # sigma_x flips the atom and a_k changes N by one, so every V_nu keeps
+        # (-1)^(N + atom); the dressed vacuum lies in the even half
+        H, lab0 = oracle_series(2)
+        b = lab0.basis
+        parity = (b.total_photons + b.atom) % 2
+        for v in H.V:
+            rows, cols = v.nonzero()
+            assert v.nnz > 0 and np.all(parity[rows] == parity[cols])
+        (even,) = fk._parity_sectors(H, b, lab0.amplitudes)
+        assert len(even) == 15 and np.all(parity[even] == 0)
 
     def test_hermiticity_random_profiles(self, small_waveguide):
         rng = np.random.default_rng(3)
@@ -511,7 +538,6 @@ class TestPropagate:
         H = fk.original_hamiltonian_series(b, small_waveguide, prof)
         info = fk.propagate(H, b.vacuum(), 0.0, 5.0, 1e-10).info
         assert info["n_steps"] > 0
-        assert info["n_rhs_evals"] == 2 + 12 * (info["n_steps"] + info["n_rejected"])
         info = fk.propagate(H, b.vacuum(), 1.0, 1.0).info
         assert (info["n_rhs_evals"], info["n_steps"], info["n_rejected"]) == (0, 0, 0)
 
@@ -519,6 +545,75 @@ class TestPropagate:
         b = fk.enumerate_basis(4, 1)
         with pytest.raises(ConfigError):
             fk.propagate(np.eye(b.dimension), b.vacuum(), 1.0, 0.0)
+
+
+def oracle_series(n_max):
+    """The shipped OracleCompare's Hamiltonian series (omega_m 2.5) at
+    ``n_max`` and its dressed vacuum carried to the lab frame."""
+    frame = oracle_frame()
+    b = fk.enumerate_basis(frame.grid.n_modes, n_max)
+    H = fk.original_hamiltonian_series(b, frame.grid, frame.profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the truncation estimate at n_max 2
+        lab0 = fk.apply_T(b, frame, 0.0, b.vacuum(), direction=-1)
+    return H, lab0
+
+
+class TestPeriodPropagator:
+    PERIOD = 2 * np.pi / 2.5
+
+    @pytest.mark.parametrize("n_max", [2, 4])
+    def test_matches_stepping_over_many_periods(self, n_max, monkeypatch):
+        H, psi = oracle_series(n_max)
+        out = fk.propagate(H, psi, 0.0, 60.0, 1e-10)
+        assert out.info["n_periods"] == 23
+        assert 0.0 < out.info["unitarity_defect"] <= 1e-10
+        monkeypatch.setattr(fk, "_period_pays", lambda n, d: False)
+        stepped = fk.propagate(H, psi, 0.0, 60.0, 1e-10)
+        assert stepped.info["n_periods"] == 0
+        assert np.max(np.abs(out.amplitudes - stepped.amplitudes)) <= 1e-9
+
+    @pytest.mark.parametrize("keeps_parity", [True, False])
+    def test_both_sectors_match_expm_multiply(self, small_waveguide, keeps_parity):
+        # a static coupling given a drive frequency: a harmonic series that
+        # is trivially periodic, so exp(-i H t) is exact over whole periods.
+        # Without sigma_x the coupling a_k changes the parity, and the whole
+        # basis is one sector.
+        prof = static_1d_profile(small_waveguide, gamma=5e-2)
+        b = fk.enumerate_basis(4, 2)
+        static = fk.original_hamiltonian_series(b, small_waveguide, prof)
+        V = static.V if keeps_parity else [(v @ b.sigma_x).tocsr() for v in static.V]
+        H = fk.HarmonicHamiltonian(static.diag, V, omega_m=3.0)
+        rng = np.random.default_rng(8)
+        amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+        amp /= np.linalg.norm(amp)
+        assert len(fk._parity_sectors(H, b, amp)) == (2 if keeps_parity else 1)
+        t = 20.0
+        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, t, 1e-12)
+        assert out.info["n_periods"] == 9
+        expected = expm_multiply(-1j * t * H(0.0), amp)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
+
+    def test_cost_does_not_grow_with_periods(self):
+        H, psi = oracle_series(2)
+        r = 1.0
+        short = fk.propagate(H, psi, 0.0, 4 * self.PERIOD + r, 1e-10).info
+        long = fk.propagate(H, psi, 0.0, 40 * self.PERIOD + r, 1e-10).info
+        assert (short["n_periods"], long["n_periods"]) == (4, 40)
+        assert short["n_rhs_evals"] == long["n_rhs_evals"]
+        assert short["period_rhs_evals"] == long["period_rhs_evals"] > 0
+
+    def test_cost_rule_steps_a_large_sector_over_few_periods(self):
+        # n_max 6: 210 even states, whose period costs more than 4 stepped ones
+        H, psi = oracle_series(6)
+        info = fk.propagate(H, psi, 0.0, 12.0, 1e-10).info
+        assert (info["n_periods"], info["period_rhs_evals"]) == (0, 0)
+        assert info["unitarity_defect"] == 0.0
+
+    def test_short_interval_is_stepped(self):
+        H, psi = oracle_series(2)
+        info = fk.propagate(H, psi, 0.0, 0.9 * self.PERIOD, 1e-10).info
+        assert info["n_periods"] == 0 and info["n_steps"] > 0
 
 
 class TestTransformedResidual:
@@ -545,6 +640,22 @@ class TestTransformedResidual:
         without_e = fk.transformed_residual_norm(b, frame, 0.0,
                                                  include_phase=False)
         assert with_e < without_e
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_static_frame_skips_the_derivative(self, small_waveguide, driven,
+                                               monkeypatch):
+        # a static xi has dT^+/dt = 0: only T(t) itself is exponentiated
+        if driven:
+            prof = oscillating_1d_profile(small_waveguide, omega_m=0.05)
+            frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
+        else:
+            frame = frame_with_xi(small_waveguide, 0.02)
+        calls = []
+        expm = fk._expm_multiply
+        monkeypatch.setattr(fk, "_expm_multiply",
+                            lambda G, B: calls.append(B.ndim) or expm(G, B))
+        fk.transformed_residual_norm(fk.enumerate_basis(4, 2), frame, 0.7)
+        assert calls == [2] * (3 if driven else 1)
 
     def test_driven_frame_residual(self, small_waveguide):
         # the residual also certifies time-dependent frames (finite-difference
@@ -596,6 +707,18 @@ class TestDop853:
         assert stats["n_steps"] == len(sol.t) - 1
         if problem == "stiff":
             assert stats["n_rejected"] > 0
+
+    @pytest.mark.parametrize("problem, t1, rtol", [
+        ("oracle", 12.0, 1e-10), ("stiff", 2.0, 1e-6)])
+    def test_counts_every_rhs_evaluation(self, small_waveguide, problem, t1, rtol):
+        # two evaluations pick the first step, then 12 per attempted step
+        fun, y0 = (oracle_rhs(small_waveguide) if problem == "oracle"
+                   else stiff_linear_rhs())
+        calls = []
+        _, stats = fk._dop853(lambda t, y: calls.append(t) or fun(t, y), 0.0, y0,
+                              t1, rtol, rtol * 1e-2)
+        assert stats["n_rhs_evals"] == len(calls)
+        assert stats["n_rhs_evals"] == 2 + 12 * (stats["n_steps"] + stats["n_rejected"])
 
     def test_step_underflow_raises_with_time_reached(self):
         def fun(t, y):

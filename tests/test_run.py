@@ -242,16 +242,34 @@ def test_scattering_spectra(tmp_path):
     assert abs(summary["P3_rel_change"]) > 1e-3
 
 
+def test_oracle_period_statistics_in_manifest(tmp_path):
+    # t_final 12 holds four drive periods of 2 pi / 2.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "OracleCompare",
+        "oracle": {**SMALL["OracleCompare"]["oracle"], "t_final": 12.0},
+    }))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    solver = json.loads((tmp_path / "out" / "manifest.json").read_text())["solver"]
+    assert solver["n_periods"] == 4
+    assert isinstance(solver["period_rhs_evals"], int)
+    assert 0 < solver["period_rhs_evals"] < solver["n_rhs_evals"]
+    assert 0.0 < solver["unitarity_defect"] <= 1e-10
+
+
 def test_oracle_solver_statistics_in_manifest(tmp_path):
     rc, out = run(tmp_path, "OracleCompare")
     assert rc == cli.EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert sorted(solver) == ["expm_matvecs", "n_rejected", "n_rhs_evals", "n_steps",
-                              "norm_drift", "truncation_estimates"]
+    assert sorted(solver) == ["expm_matvecs", "n_periods", "n_rejected", "n_rhs_evals",
+                              "n_steps", "norm_drift", "period_rhs_evals",
+                              "truncation_estimates", "unitarity_defect"]
     assert isinstance(solver["n_rhs_evals"], int) and solver["n_rhs_evals"] > 0
     assert isinstance(solver["n_steps"], int) and solver["n_steps"] > 0
     assert isinstance(solver["n_rejected"], int) and solver["n_rejected"] >= 0
-    assert solver["n_rhs_evals"] == 2 + 12 * (solver["n_steps"] + solver["n_rejected"])
+    # t_final 3 is about one drive period (2 pi / 2.5): stepped, no period propagator
+    assert (solver["n_periods"], solver["period_rhs_evals"]) == (0, 0)
+    assert solver["unitarity_defect"] == 0.0
     assert 0.0 <= solver["norm_drift"] <= 1e-9
     assert len(solver["truncation_estimates"]) == 2
     assert all(x >= 0.0 for x in solver["truncation_estimates"])
