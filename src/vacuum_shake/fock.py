@@ -10,9 +10,11 @@ The space is (photon configurations with total number <= n_max) x (atom
 level).  Photon configurations p are enumerated total-number major, then
 lexicographic in the occupation vector, and the atom is the minor factor:
 state 2 p + atom holds configuration p with the atom in ``atom`` (GROUND 0,
-EXCITED 1).  Atom operators are kron(I_photon, 2x2), and each a_k is its
-photon-space matrix placed on both atom levels.  Every operator and
-Hamiltonian is a CSR matrix.
+EXCITED 1), so the atom level is the low bit of a state's index.  Each a_k
+is its photon-space matrix placed on both atom levels, and an atom flip is
+an index flip i -> i ^ 1: sigma_x and sigma_+- are built that way, and so
+are the products of sigma_x with mode sums, straight from the entries of
+the a_k.  Every operator and Hamiltonian is a CSR matrix.
 
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
@@ -24,16 +26,17 @@ evaluation -- and never forms H(t).  It steps with an in-package DOP853
 control of ``scipy.integrate.solve_ivp(method="DOP853")``, so the package
 never imports ``scipy.integrate``.
 
-H(t) is periodic with T = 2 pi / omega_m, so the propagator over n whole
-periods is the n-th power of the one-period propagator U(T) (Floquet's
+H(t) is periodic with T = 2 pi / omega_m, so the propagator over
+t1 - t0 = n T + r factors as U(t0 + r, t0) U(t0 + T, t0)^n (Floquet's
 theorem; J. H. Shirley, Phys. Rev. 138, B979 (1965)), and the series also
 conserves the parity Pi = (-1)^(N + atom): sigma_x flips the atom and each
 a_k changes the photon number N by one, so every V_nu maps a parity sector
 into itself.  :func:`propagate` therefore works sector by sector, on the
 half of the basis the state occupies (the dressed vacuum is even), and when
-many periods fit into the interval it integrates the sector's identity
-through one period, then applies U(T) by matrix-vector products instead of
-stepping every period again.  The cost of a long run then no longer grows
+the interval spans enough periods it integrates the sector's identity once
+from t0, keeping it at t0 + r as U(r) and carrying it on to t0 + T, then
+applies U(r) U(T)^n to the state by matrix-vector products instead of
+stepping the state at all.  The cost of a long run then no longer grows
 with t, while the error of U(T) accumulates about linearly in n.
 
 The displacement transform and the residual's dense T both come from one
@@ -185,24 +188,26 @@ class FockBasis:
         return sp.csr_matrix((vals * c[mode], (rows, cols)),
                              shape=(self.dimension, self.dimension))
 
-    def _atom_operator(self, m) -> sp.csr_matrix:
-        """kron(I_photon, m) for a 2x2 matrix m on (GROUND, EXCITED)."""
-        return sp.kron(sp.identity(self.dimension // 2),
-                       sp.csr_matrix(np.asarray(m, dtype=complex)), format="csr")
+    def _atom_flip(self, rows) -> sp.csr_matrix:
+        """The matrix with a 1 at (i, i ^ 1) for each row i given: the atom
+        level is the low bit of a state's index, so this flips it."""
+        rows = np.asarray(rows)
+        return sp.csr_matrix((np.ones(len(rows), dtype=complex), (rows, rows ^ 1)),
+                             shape=(self.dimension, self.dimension))
 
     @cached_property
     def sigma_x(self) -> sp.csr_matrix:
-        return self._atom_operator([[0, 1], [1, 0]])
+        return self._atom_flip(np.arange(self.dimension))
 
     @cached_property
     def sigma_plus(self) -> sp.csr_matrix:
         """|e><g|."""
-        return self._atom_operator([[0, 0], [1, 0]])
+        return self._atom_flip(np.arange(EXCITED, self.dimension, 2))
 
     @cached_property
     def sigma_minus(self) -> sp.csr_matrix:
         """|g><e|."""
-        return self._atom_operator([[0, 1], [0, 0]])
+        return self._atom_flip(np.arange(GROUND, self.dimension, 2))
 
     def mode_number_diagonal(self, omegas) -> np.ndarray:
         """Diagonal of sum_k omega_k n_k for the given frequencies."""
@@ -295,8 +300,12 @@ def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
         raise ConfigError("grid and basis disagree on the number of modes")
     diag = 0.5 * profile.omega_e * basis.sigma_z_diagonal() \
         + basis.mode_number_diagonal(grid.omega)
-    sx = basis.sigma_x
-    V = [(basis.mode_sum(g_nu) @ sx).tocsr() for g_nu in cp.grid_fourier(profile, grid)]
+    # (sum_k g_k a_k) sigma_x holds the entries of sum_k g_k a_k with the
+    # column's atom level, the low bit of its index, flipped
+    rows, cols, vals, mode = basis._lowering
+    V = [sp.csr_matrix((vals * g_nu[mode], (rows, cols ^ 1)),
+                       shape=(basis.dimension, basis.dimension))
+         for g_nu in cp.grid_fourier(profile, grid)]
     return HarmonicHamiltonian(diag, V, profile.omega_m)
 
 
@@ -422,8 +431,15 @@ def _expm_multiply(G: sp.csr_matrix, B: np.ndarray) -> tuple:
 
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> sp.csr_matrix:
-    S = basis.mode_sum(frame.xi_all(t))
-    return float(direction) * (basis.sigma_x @ (S.conj().T - S)).tocsr()
+    """direction * sigma_x (S^+ - S) for S = sum_k xi_k a_k, built by index:
+    sigma_x flips the atom level, the low bit of a row index."""
+    rows, cols, vals, mode = basis._lowering
+    s = float(direction) * (vals * frame.xi_all(t)[mode])   # entries of direction * S
+    # sigma_x S^+ at (cols ^ 1, rows), and -sigma_x S at (rows ^ 1, cols)
+    return sp.csr_matrix((np.concatenate([np.conj(s), -s]),
+                          (np.concatenate([cols ^ 1, rows ^ 1]),
+                           np.concatenate([rows, cols]))),
+                         shape=(basis.dimension, basis.dimension))
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
@@ -632,18 +648,19 @@ def _parity_sectors(H, basis: FockBasis, psi: np.ndarray) -> list:
             if np.any(psi[idx])]
 
 
-def _period_pays(n: int, d: int) -> bool:
-    """Whether n whole drive periods of a d-state sector cost less through
-    the period propagator than stepped one by one.
+def _period_pays(periods: float, d: int) -> bool:
+    """Whether an interval of ``periods`` drive periods costs less on a
+    d-state sector by integrating the sector's identity through one period
+    than by stepping its vector through the whole interval.
 
     Integrating d columns through one period costs as much as stepping the
-    sector's vector through about 1 + (d / 28)^2 periods: measured on a
-    2-vCPU VM at rtol 1e-10 on the OracleCompare physics, the break-even
-    was 1.3-1.4 periods at d = 15, 2.4-3.0 at d = 35, 6.9-8.4 at d = 70 and
-    49-63 at d = 210.  Applying U(T) costs d^2 a period, negligible against
+    vector through about 1 + (d / 28)^2 periods: measured on a 2-vCPU VM at
+    rtol 1e-10 on the OracleCompare physics, the break-even interval was
+    1.4-1.8 periods at d = 15, 2.7 at d = 35, 7.8-8.4 at d = 70 and 52-60
+    at d = 210.  Applying U(T) costs d^2 a period, negligible against
     a stepped period's couple of hundred RHS evaluations.
     """
-    return n > 1 + (d / 28.0) ** 2
+    return periods > 1 + (d / 28.0) ** 2
 
 
 def _evolve(D: np.ndarray, offdiag, y: np.ndarray, start: float, end: float,
@@ -686,27 +703,31 @@ def propagate(
     A harmonic series is propagated on each parity sector of
     (-1)^(N + atom) where the state has support (V_nu never leaves a sector;
     a series whose V_nu do is propagated on the whole basis).  With
-    omega_m > 0, t1 - t0 = n T + r for the period T = 2 pi / omega_m, and by
-    periodicity U(t1, t0) = U(t0 + r + T, t0 + r)^n U(t0 + r, t0): the state
-    is stepped through r, the sector's d x d identity is integrated through
-    the one period that follows, U(T) = exp(-i D T) U_I(T), and U(T) is
-    applied n times.  That is worthwhile when the d columns of one period
-    cost less than n stepped periods; :func:`_period_pays` decides it from n
-    and d alone, by the measured rule n > 1 + (d / 28)^2, and otherwise n
-    is taken as 0 and the whole interval is stepped (so a static series,
-    omega_m = 0, and an interval shorter than T are always stepped).  The error of U(T) compounds about linearly in
-    n, as stepping's does: on the OracleCompare physics at n_max 2 and rtol
-    1e-10, against stepping at rtol 1e-13, the state was off by 1.3e-11
-    after 4 periods, 2.4e-10 after 79 and 5.9e-10 after 795, where stepping
-    at rtol 1e-10 was off by 7.2e-12, 1.2e-10 and 6.9e-10.
+    omega_m > 0, H(t + T) = H(t) for the period T = 2 pi / omega_m, so for
+    t1 - t0 = n T + r the propagator factors as
+    U(t1, t0) = U(t0 + r, t0) U(t0 + T, t0)^n.  One integration of the
+    sector's d x d identity from t0 gives both factors: it is kept at t0 + r
+    as U(r) and carried on to t0 + T for U(T), and the state is
+    U(r) U(T)^n psi(t0) by matrix-vector products; no vector is stepped.
+    That pays when the d columns of one period cost less than stepping the
+    vector through the whole interval; :func:`_period_pays` decides it from
+    the interval in periods, (t1 - t0) / T, and d alone, by the measured
+    rule (t1 - t0) / T > 1 + (d / 28)^2, and otherwise the whole interval
+    is stepped (so a static series, omega_m = 0, and an interval shorter
+    than T always are).  The error of U(T) compounds about linearly in n,
+    as stepping's does: on the OracleCompare physics at n_max 2 and rtol
+    1e-10, against stepping at rtol 1e-13, the state was off by 1.4e-11
+    after 4 periods, 2.3e-10 after 79 and 5.6e-10 after 795, where stepping
+    at rtol 1e-10 was off by 7.3e-12, 1.2e-10 and 6.9e-10.
 
     The returned state records in ``.info`` the norm drift, the number of
     right-hand-side evaluations and the numbers of accepted and rejected
     steps over every integration (``norm_drift``, ``n_rhs_evals``,
     ``n_steps``, ``n_rejected``); the number of whole periods applied as
-    U(T) (``n_periods``, 0 when stepped), the RHS evaluations of the period
-    integrations, each on a d-column block (``period_rhs_evals``), and the
-    largest max|U(T)^+ U(T) - 1| over the sectors (``unitarity_defect``).
+    U(T) (``n_periods``, 0 when stepped), the RHS evaluations of the
+    integrations of the d-column identity (``period_rhs_evals``, all of
+    ``n_rhs_evals`` on the period path), and the largest
+    max|U(T)^+ U(T) - 1| over the sectors (``unitarity_defect``).
     """
     if t1 < t0:
         raise ConfigError("t1 must be >= t0")
@@ -718,7 +739,8 @@ def propagate(
     out = np.zeros_like(psi, dtype=complex)
     periodic = isinstance(H, HarmonicHamiltonian) and H.omega_m > 0
     period = 2.0 * np.pi / H.omega_m if periodic else np.inf
-    n_whole, r = divmod(t1 - t0, period)   # no whole period when T is infinite
+    n, r = divmod(t1 - t0, period)   # no whole period when T is infinite
+    n = int(n)
     for idx in _parity_sectors(H, basis, psi):
         d = len(idx)
         if isinstance(H, HarmonicHamiltonian):
@@ -730,19 +752,21 @@ def propagate(
             def offdiag(t, u):
                 return H @ u - D * u
 
-        n = int(n_whole) if _period_pays(int(n_whole), d) else 0
-        end = t0 + r if n else t1   # where the stepped part ends and a period starts
-        y, stats = _evolve(D, offdiag, psi[idx], t0, end, tol)
-        if n:
-            U, period_stats = _evolve(D, offdiag, np.eye(d, dtype=complex),
-                                      end, end + period, tol)
+        if _period_pays((t1 - t0) / period, d):
+            # one integration of the identity: U(t0 + r, t0) on the way to U(t0 + T, t0)
+            U_r, stats = _evolve(D, offdiag, np.eye(d, dtype=complex), t0, t0 + r, tol)
+            U, rest = _evolve(D, offdiag, U_r, t0 + r, t0 + period, tol)
+            stats = {key: stats[key] + rest[key] for key in stats}
+            y = psi[idx]
             for _ in range(n):
                 y = U @ y
-            stats = {key: stats[key] + period_stats[key] for key in stats}
+            y = U_r @ y
             info["n_periods"] = n
-            info["period_rhs_evals"] += period_stats["n_rhs_evals"]
+            info["period_rhs_evals"] += stats["n_rhs_evals"]
             info["unitarity_defect"] = max(info["unitarity_defect"], float(
                 np.max(np.abs(U.conj().T @ U - np.eye(d)))))
+        else:
+            y, stats = _evolve(D, offdiag, psi[idx], t0, t1, tol)
         for key in stats:
             info[key] += stats[key]
         out[idx] = y

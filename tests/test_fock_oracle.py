@@ -594,6 +594,39 @@ class TestPeriodPropagator:
         expected = expm_multiply(-1j * t * H(0.0), amp)
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("t0, periods, n_periods, both_parities", [
+        (0.7, 4.4, 4, False),         # H(t) is periodic about t0, not only about 0
+        (0.0, 4.0, 4, False),         # r = 0
+        (0.0, 5 - 1e-6, 4, False),    # r just below T
+        (0.7, 4.4, 4, True),          # a random state, on both parity sectors
+    ])
+    def test_factorisation_matches_stepping(self, t0, periods, n_periods, both_parities,
+                                            monkeypatch):
+        H, psi = oracle_series(2)
+        b = psi.basis
+        if both_parities:
+            rng = np.random.default_rng(11)
+            amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+            psi = fk.FockStateVector(b, amp / np.linalg.norm(amp))
+        assert len(fk._parity_sectors(H, b, psi.amplitudes)) == (2 if both_parities else 1)
+        t1 = t0 + periods * self.PERIOD
+        out = fk.propagate(H, psi, t0, t1, 1e-10)
+        assert out.info["n_periods"] == n_periods
+        assert out.info["period_rhs_evals"] == out.info["n_rhs_evals"] > 0
+        monkeypatch.setattr(fk, "_period_pays", lambda periods, d: False)
+        stepped = fk.propagate(H, psi, t0, t1, 1e-10)
+        assert stepped.info["n_periods"] == 0
+        assert np.max(np.abs(out.amplitudes - stepped.amplitudes)) <= 1e-9
+
+    @pytest.mark.parametrize("periods, takes_period", [(1.27, False), (1.30, True)])
+    def test_cost_rule_breaks_even_at_d_15(self, periods, takes_period):
+        # the even sector at n_max 2 holds 15 states: 1 + (15 / 28)^2 = 1.287 periods
+        H, psi = oracle_series(2)
+        assert [len(idx) for idx in fk._parity_sectors(H, psi.basis, psi.amplitudes)] == [15]
+        info = fk.propagate(H, psi, 0.0, periods * self.PERIOD, 1e-10).info
+        assert info["n_periods"] == (1 if takes_period else 0)
+        assert info["period_rhs_evals"] == (info["n_rhs_evals"] if takes_period else 0)
+
     def test_cost_does_not_grow_with_periods(self):
         H, psi = oracle_series(2)
         r = 1.0
