@@ -14,7 +14,8 @@ EXCITED 1), so the atom level is the low bit of a state's index.  Each a_k
 is its photon-space matrix placed on both atom levels, and an atom flip is
 an index flip i -> i ^ 1: sigma_x and sigma_+- are built that way, and so
 are the products of sigma_x with mode sums, straight from the entries of
-the a_k.  Every operator and Hamiltonian is a CSR matrix.
+the a_k.  Every operator and Hamiltonian is a CSR matrix, except in the
+residual, which fills dense arrays from the same entries.
 
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
@@ -46,8 +47,8 @@ the branch ``scipy.sparse.linalg.expm_multiply`` takes when the generator's
 1-norm is below about 63, with scipy's operation order.  Every shipped
 displacement generator has a 1-norm below 1, so scipy's other branch, which
 estimates norms of powers of the generator (the alpha_p bound), is left out.
-This module needs only numpy and ``scipy.sparse``, and it imports
-``scipy.sparse`` on first use, not when the package is imported.
+The dense residual needs numpy alone; propagation and :func:`apply_T`
+import ``scipy.sparse`` on first use, not when the package is imported.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class _SparseOnFirstUse:
     """Stands in for ``scipy.sparse`` until an attribute is first read.
 
     Importing scipy.sparse costs about 0.2 s of a process's start-up, and
-    only the Fock scenarios use it, while the rest of the package imports
+    only propagation and :func:`apply_T` (the OracleCompare scenario) use
+    it, while the rest of the package, the dense residual included, imports
     this module.  The first read imports it and rebinds ``sp`` to it.
     """
 
@@ -239,14 +241,44 @@ class FockStateVector:
         return complex(self.amplitudes[self.basis.index(atom, occ)])
 
 
-def _hermitian(M: sp.spmatrix, tol: float) -> sp.csr_matrix:
-    """M as CSR, after checking that it equals its adjoint to ``tol`` per element."""
-    M = M.tocsr()
-    diff = abs(M - M.conj().T)
-    err = diff.max() if diff.nnz else 0.0
+def _hermitian(M, tol: float):
+    """M after checking that it equals its adjoint to ``tol`` per element: a
+    sparse M as CSR, a dense array as it is."""
+    if not isinstance(M, np.ndarray):
+        M = M.tocsr()
+    err = abs(M - M.conj().T).max()
     if err > tol:
         raise NumericalError(f"operator not Hermitian: max deviation {err:.3e}")
     return M
+
+
+def _dense(d: int, rows, cols, vals) -> np.ndarray:
+    """The d x d array with ``vals`` at (rows, cols), no position twice (a
+    lowered configuration identifies its mode, so the a_k never collide)."""
+    M = np.zeros((d, d), dtype=complex)
+    M[rows, cols] = vals
+    return M
+
+
+def _dense_hamiltonian(diag: np.ndarray, rows, cols, vals) -> np.ndarray:
+    """diag(diag) + M + M^+, dense, for an M with entries (rows, cols, vals)
+    that has none on the diagonal or where M^+ has one."""
+    H = _dense(len(diag), rows, cols, vals)
+    H += H.conj().T
+    H[np.diag_indices(len(diag))] += diag
+    return H
+
+
+def _free_diagonal(basis: FockBasis, omega_e: float, omega) -> np.ndarray:
+    """Diagonal of (omega_e/2) sigma_z + sum_k omega_k n_k."""
+    return 0.5 * omega_e * basis.sigma_z_diagonal() + basis.mode_number_diagonal(omega)
+
+
+def _coupling_entries(basis: FockBasis, g: np.ndarray) -> tuple:
+    """(rows, cols, values) of (sum_k g_k a_k) sigma_x: those of sum_k g_k a_k
+    with the column's atom level, the low bit of its index, flipped."""
+    rows, cols, vals, mode = basis._lowering
+    return rows, cols ^ 1, vals * g[mode]
 
 
 class HarmonicHamiltonian:
@@ -298,14 +330,10 @@ def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
     """
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
-    diag = 0.5 * profile.omega_e * basis.sigma_z_diagonal() \
-        + basis.mode_number_diagonal(grid.omega)
-    # (sum_k g_k a_k) sigma_x holds the entries of sum_k g_k a_k with the
-    # column's atom level, the low bit of its index, flipped
-    rows, cols, vals, mode = basis._lowering
-    V = [sp.csr_matrix((vals * g_nu[mode], (rows, cols ^ 1)),
-                       shape=(basis.dimension, basis.dimension))
-         for g_nu in cp.grid_fourier(profile, grid)]
+    diag = _free_diagonal(basis, profile.omega_e, grid.omega)
+    V = [sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
+         for rows, cols, vals in (_coupling_entries(basis, g_nu)
+                                  for g_nu in cp.grid_fourier(profile, grid))]
     return HarmonicHamiltonian(diag, V, profile.omega_m)
 
 
@@ -316,60 +344,74 @@ def build_original_hamiltonian(
     return _hermitian(original_hamiltonian_series(basis, grid, profile)(t), 1e-12)
 
 
+def _original_hamiltonian_dense(basis: FockBasis, grid: ModeGrid,
+                                profile: CouplingProfile, t: float) -> np.ndarray:
+    """:func:`build_original_hamiltonian` as a dense array, from the entries
+    of V(t) = sum_nu e^{i nu omega_m t} V_nu."""
+    g = cp.harmonic_phases(profile.omega_m, t) @ cp.grid_fourier(profile, grid)
+    H = _dense_hamiltonian(_free_diagonal(basis, profile.omega_e, grid.omega),
+                           *_coupling_entries(basis, g))
+    return _hermitian(H, 1e-12)
+
+
 def build_transformed_hamiltonian(
     basis: FockBasis, frame: DressedFrame, t: float, variant: str = "NormalOrdered",
-    *, include_phase: bool = True,
 ) -> sp.csr_matrix:
-    """Dressed-frame Hamiltonian on the truncated space.
+    """Approximate dressed-frame Hamiltonian on the truncated space, CSR.
 
     Variants:
 
-    * ``"FullOrder2"`` -- the complete second-order transform: free part,
-      co- and counter-rotating single-photon terms with their displacement
-      coefficients, the quadratic sigma_z term, and (optionally) the scalar
-      phase E(t).  With exact xi the counter-rotating coefficients vanish.
     * ``"NormalOrdered"`` -- H0 + H1 + sigma_z Gamma with the pair kernel in
       normal order and the frequency shift absorbed into omega_e', which
       is held equal to omega_e (see :mod:`vacuum_shake.dressing`).
     * ``"H0H1only"`` -- excitation-conserving part alone.
+
+    The complete second-order transform H'_(2), which the residual
+    certifies, is the dense :func:`_order2_hamiltonian`.
     """
-    if variant not in ("FullOrder2", "NormalOrdered", "H0H1only"):
+    if variant not in ("NormalOrdered", "H0H1only"):
         raise ConfigError(f"unknown variant {variant!r}")
     grid = frame.grid
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
-    omega = grid.omega
-    omega_e = frame.omega_e
-    sz = basis.sigma_z_diagonal()
-    n_diag = basis.mode_number_diagonal(omega)
-    spl, smi = basis.sigma_plus, basis.sigma_minus
-
-    if variant == "FullOrder2":
-        xi = frame.xi_all(t)
-        xid = frame.xi_dot_all(t)
-        g = frame.g_all(t)
-        c_co = (omega_e - omega) * xi + g - 1j * xid
-        c_cr = (-omega_e - omega) * xi + g - 1j * xid
-        C = spl @ basis.mode_sum(c_co) + smi @ basis.mode_sum(c_cr)
-        H = sp.diags((0.5 * omega_e * sz + n_diag).astype(complex), format="csr")
-        H = H + C + C.conj().T
-        S = basis.mode_sum(xi)
-        X = (S.conj().T - S).tocsr()   # sum_k (xi_k* a_k^+ - xi_k a_k)
-        H = H + omega_e * (X @ X).tocsr().multiply(sz[:, None])
-        if include_phase:
-            H = H + phase_E(frame, t) * sp.identity(basis.dimension, dtype=complex,
-                                                    format="csr")
-        return _hermitian(H, 1e-11)
-
     S = basis.mode_sum(frame.eta_all(t))  # sum_k eta_k a_k
-    C = spl @ S
-    H = sp.diags((0.5 * omega_e * sz + n_diag).astype(complex),
+    C = basis.sigma_plus @ S
+    H = sp.diags(_free_diagonal(basis, frame.omega_e, grid.omega).astype(complex),
                  format="csr")
     H = H + C + C.conj().T
     if variant == "NormalOrdered":
         P = S.conj().T.tocsr()  # sum_k eta_k* a_k^+, the pair kernel's creator
-        Gamma = (P @ P + S @ S - 2.0 * (P @ S)) / (4.0 * omega_e)
-        H = H + Gamma.tocsr().multiply(sz[:, None])
+        Gamma = (P @ P + S @ S - 2.0 * (P @ S)) / (4.0 * frame.omega_e)
+        H = H + Gamma.tocsr().multiply(basis.sigma_z_diagonal()[:, None])
+    return _hermitian(H, 1e-11)
+
+
+def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame, t: float,
+                        include_phase: bool) -> np.ndarray:
+    """The complete second-order transformed Hamiltonian H'_(2) at t, dense.
+
+    The free part, the co- and counter-rotating single-photon terms
+    sigma_+ sum_k c_co,k a_k + sigma_- sum_k c_cr,k a_k + h.c. with their
+    displacement coefficients, the quadratic term omega_e sigma_z X^2 for
+    X = sum_k (xi_k* a_k^+ - xi_k a_k), and (optionally) the scalar phase
+    E(t).  With exact xi the counter-rotating coefficients vanish.
+    """
+    omega, omega_e = frame.grid.omega, frame.omega_e
+    xi, xid, g = frame.xi_all(t), frame.xi_dot_all(t), frame.g_all(t)
+    c_co = (omega_e - omega) * xi + g - 1j * xid
+    c_cr = (-omega_e - omega) * xi + g - 1j * xid
+    # sigma_+ moves the entries of a_k on the ground level to the excited
+    # row, sigma_- those on the excited level to the ground row
+    rows, cols, vals, mode = basis._lowering
+    c = np.where(rows % 2 == GROUND, c_co[mode], c_cr[mode])
+    H = _dense_hamiltonian(_free_diagonal(basis, omega_e, omega),
+                           rows ^ 1, cols, vals * c)
+    # a_k acts on both atom levels alike, so sigma_x commutes with X and
+    # X^2 = G^2 for the generator G = sigma_x X
+    G = _dense(basis.dimension, *_generator_entries(basis, xi, +1))
+    H += omega_e * ((G @ G) * basis.sigma_z_diagonal()[:, None])
+    if include_phase:
+        H[np.diag_indices(basis.dimension)] += phase_E(frame, t)
     return _hermitian(H, 1e-11)
 
 
@@ -386,30 +428,35 @@ _THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
           35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
-def _expm_multiply(G: sp.csr_matrix, B: np.ndarray) -> tuple:
-    """exp(G) B for a traceless CSR matrix G and a vector or matrix B;
-    returns it with the number of products G @ (block) taken.
+def _expm_multiply(G, B: np.ndarray) -> tuple:
+    """exp(G) B for a traceless G, a CSR matrix or a dense array, and a
+    vector or matrix B; returns it with the number of products G @ (block)
+    taken.
 
     Algorithm 3.2 of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011),
-    as ``scipy.sparse.linalg.expm_multiply`` runs it, bit for bit, when the
-    exact 1-norm of G is at most about 63 and B is one vector: s steps of m
-    Taylor terms, with (m, s) minimising m s over the ``_THETA`` table at
-    s = ceil(|G|_1 / theta_m), and a step's series stopped once two
-    successive terms fall below 2^-53 of the partial sum (infinity norms).
+    as ``scipy.sparse.linalg.expm_multiply`` runs it, bit for bit for a CSR
+    G, when the exact 1-norm of G is at most about 63 and B is one vector:
+    s steps of m Taylor terms, with (m, s) minimising m s over the
+    ``_THETA`` table at s = ceil(|G|_1 / theta_m), and a step's series
+    stopped once two successive terms fall below 2^-53 of the partial sum
+    (infinity norms).
     The generators here are traceless, so scipy's trace shift is 0 and
     left out.  Above |G|_1 of about 63 / (columns of B), scipy bounds s with
     estimated norms of powers of G (the alpha_p branch, condition 3.13 of
     the paper); that branch is left out because every displacement
     generator of the shipped scenarios has |G|_1 < 1, and the theta bound
-    stays accurate above it, only costlier.
+    stays accurate above it, only costlier.  A dense G takes the same
+    steps with dense products, which sum in another order.
     """
-    if not G.has_sorted_indices:
+    dense = isinstance(G, np.ndarray)
+    if not dense and not G.has_sorted_indices:
         # scipy multiplies by a canonical copy of G, which sums each row of
         # G @ B in column order
         G = G.sorted_indices()
-    # exact 1-norm: the largest column sum of |G|, summed in the order of
-    # scipy's abs(G).sum(axis=0) and about 25 times faster on small G
-    norm = np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[1]).max()
+    # exact 1-norm: the largest column sum of |G|; for CSR summed in the order
+    # of scipy's abs(G).sum(axis=0) and about 25 times faster on small G
+    norm = np.abs(G).sum(axis=0).max() if dense else \
+        np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[1]).max()
     m_star, s = (0, 1) if norm == 0 else min(
         ((m, ceil(norm / theta)) for m, theta in _THETA.items()),
         key=lambda ms: ms[0] * ms[1])
@@ -429,17 +476,22 @@ def _expm_multiply(G: sp.csr_matrix, B: np.ndarray) -> tuple:
     return F, n_products
 
 
+def _generator_entries(basis: FockBasis, xi: np.ndarray, direction: int) -> tuple:
+    """(rows, cols, values) of direction * sigma_x (S^+ - S) for
+    S = sum_k xi_k a_k: sigma_x flips the atom level, the low bit of a row
+    index."""
+    rows, cols, vals, mode = basis._lowering
+    s = float(direction) * (vals * xi[mode])   # entries of direction * S
+    # sigma_x S^+ at (cols ^ 1, rows), and -sigma_x S at (rows ^ 1, cols)
+    return (np.concatenate([cols ^ 1, rows ^ 1]), np.concatenate([rows, cols]),
+            np.concatenate([np.conj(s), -s]))
+
+
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> sp.csr_matrix:
-    """direction * sigma_x (S^+ - S) for S = sum_k xi_k a_k, built by index:
-    sigma_x flips the atom level, the low bit of a row index."""
-    rows, cols, vals, mode = basis._lowering
-    s = float(direction) * (vals * frame.xi_all(t)[mode])   # entries of direction * S
-    # sigma_x S^+ at (cols ^ 1, rows), and -sigma_x S at (rows ^ 1, cols)
-    return sp.csr_matrix((np.concatenate([np.conj(s), -s]),
-                          (np.concatenate([cols ^ 1, rows ^ 1]),
-                           np.concatenate([rows, cols]))),
-                         shape=(basis.dimension, basis.dimension))
+    """The generator of :func:`_generator_entries` at xi(t), CSR."""
+    rows, cols, vals = _generator_entries(basis, frame.xi_all(t), direction)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
@@ -780,32 +832,37 @@ def transformed_residual_norm(
 ) -> float:
     """Max-element norm of T H T^+ - i T dT^+/dt - H'_(2) over bulk states.
 
-    T-conjugation is numerical: T is :func:`_expm_multiply` of the sparse
-    displacement generator applied to the identity.  dT^+/dt is a central
-    difference with step 1e-4 / omega_e, and H'_(2) is the FullOrder2
-    variant.  When every Fourier row of xi with a nonzero frequency is zero,
-    xi and T are constant and dT^+/dt = 0 exactly, so the two exponentials of
-    the difference are skipped.  Rows and columns are restricted to photon-number shells
-    <= n_max - shell_margin: elements touching the top shells are dominated
-    by basis-truncation boundary artifacts rather than by the third-order
-    remainder this residual certifies.
+    Dense throughout, with numpy alone: H(t), H'_(2)
+    (:func:`_order2_hamiltonian`) and the displacement generator are filled
+    from the entries of the a_k, and T is :func:`_expm_multiply` of the
+    generator applied to the identity.  dT^+/dt is a central difference with
+    step 1e-4 / omega_e.  When every Fourier row of xi with a nonzero
+    frequency is zero, xi and T are constant and dT^+/dt = 0 exactly, so the
+    two exponentials of the difference are skipped.  Rows and columns are
+    restricted to photon-number shells <= n_max - shell_margin: elements
+    touching the top shells are dominated by basis-truncation boundary
+    artifacts rather than by the third-order remainder this residual certifies.
+
+    Each d x d array takes 16 d^2 bytes, 256 MB at the cap of 4000 states,
+    checked before any is built.  At most eight are held at once, while
+    T(t - h) is exponentiated: the identity, T, the partial residual,
+    T(t + h), the generator and three blocks of the Taylor loop.
     """
-    if basis.dimension > 4000:
+    d = basis.dimension
+    if d > 4000:
         raise CapacityError("residual check is a dense computation; use a smaller basis")
     grid, profile = frame.grid, frame.profile
-
-    eye = np.eye(basis.dimension, dtype=complex)
+    if grid.n_modes != basis.n_modes:
+        raise ConfigError("grid and basis disagree on the number of modes")
+    eye = np.eye(d, dtype=complex)
 
     def dense_T(at, direction):
-        return _expm_multiply(_displacement_generator(basis, frame, at, direction),
-                              eye)[0]
+        G = _dense(d, *_generator_entries(basis, frame.xi_all(at), direction))
+        return _expm_multiply(G, eye)[0]
 
     T = dense_T(t, +1)
-    H = build_original_hamiltonian(basis, grid, profile, t).toarray()
-    H2 = build_transformed_hamiltonian(
-        basis, frame, t, "FullOrder2", include_phase=include_phase
-    ).toarray()
-    R = T @ H @ T.conj().T - H2
+    R = T @ _original_hamiltonian_dense(basis, grid, profile, t) @ T.conj().T
+    R -= _order2_hamiltonian(basis, frame, t, include_phase)
 
     if np.any(frame.xi_coeffs[frame.xi_freqs != 0]):
         h = 1e-4 / frame.omega_e

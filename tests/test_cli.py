@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -253,14 +254,16 @@ def test_validator_agrees_with_jsonschema(cfg):
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
     # scipy.integrate pulls in optimize, special, spatial and fft (about 0.4 s
-    # of every process's start-up), and scipy.sparse another 0.2 s: only the
-    # Fock scenarios need scipy, and fock imports scipy.sparse on first use
+    # of every process's start-up), and scipy.sparse another 0.2 s: only
+    # OracleCompare needs scipy, and fock imports scipy.sparse on first use;
+    # the AppendixAVerify residual is dense and needs numpy alone
     oracle = write_json(tmp_path / "oracle.json", {
         "scenario": "OracleCompare",
         "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}})
     plain = [str(CONFIG_DIR / f"{name}.json") for name in
              ("dressing_dump", "rate_sweep_1d", "rate_sweep_3d", "scattering_3photon")]
-    fock = [str(CONFIG_DIR / "transform_residual.json"), oracle]
+    residual = [str(CONFIG_DIR / "transform_residual.json")]
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     code = "\n".join([
         "import sys",
         "from vacuum_shake import cli",
@@ -268,8 +271,10 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
         "    for i, cfg in enumerate(cfgs):",
         f"        assert cli.run_scenario(cfg, {str(tmp_path)!r} + f'/{{i}}') == 0",
         f"run({plain!r})",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        f"run({fock!r})",
+        scipy_modules,
+        f"run({residual!r})",
+        scipy_modules,
+        f"run({[oracle]!r})",
         "print([m in sys.modules for m in",
         "       ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')])",
     ])
@@ -277,4 +282,21 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
     printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
-    assert printed == ["[]", "[True, False, False]"]
+    assert printed == ["[]", "[]", "[True, False, False]"]
+
+
+def test_residual_over_the_dense_cap_exits_4(tmp_path, capsys):
+    # 4 modes at n_max 13 are 4760 states, over the residual's cap of 4000;
+    # it refuses them before a single 4760 x 4760 array (363 MB) is allocated
+    cfg = write_json(tmp_path / "cfg.json", {
+        "scenario": "AppendixAVerify",
+        "residual": {"xi_values": [0.04], "n_modes": 4, "n_max": 13}})
+    tracemalloc.start()
+    try:
+        rc = cli.run_scenario(cfg, str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_CAPACITY == 4
+    assert "dense computation" in capsys.readouterr().err
+    assert peak < 16 * 4760 ** 2 / 10

@@ -215,7 +215,7 @@ class TestTransformedHamiltonian:
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
         frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_transformed_hamiltonian(b, frame, 2.3, "FullOrder2").toarray()
+        H = fk._order2_hamiltonian(b, frame, 2.3, True)
         # <e,1_k|H'|g,0>: counter-rotating single-photon element
         ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
         for k in range(4):
@@ -227,7 +227,7 @@ class TestTransformedHamiltonian:
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
         frame = dr.DressedFrame(small_waveguide, prof)  # adiabatic
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_transformed_hamiltonian(b, frame, 2.3, "FullOrder2").toarray()
+        H = fk._order2_hamiltonian(b, frame, 2.3, True)
         ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
         vals = [abs(H[b.index(fk.EXCITED, tuple(np.eye(4, dtype=int)[k])), ig0])
                 for k in range(4)]
@@ -699,6 +699,42 @@ class TestTransformedResidual:
         R = fk.transformed_residual_norm(b, frame, 1.3)
         xi_scale = float(np.max(np.abs(frame.xi_all(1.3))))
         assert R < 50.0 * xi_scale**3 + 1e-9
+
+
+class TestDenseResidualOperators:
+    """The residual's dense arrays against the CSR operators they stand for."""
+
+    @pytest.fixture(params=["oscillating", "oscillating_3d"])
+    def frame(self, request, small_waveguide):
+        if request.param == "oscillating":
+            grid = small_waveguide
+            prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
+        else:
+            # the magnetic term makes g+ != g-, which 1D motion never does
+            grid = modes.build_freespace_quadrature(1, 2, 1, 2.0, V=(2 * np.pi) ** 3)
+            prof = cp.CouplingProfile.oscillating_3d(
+                OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
+                r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
+        return dr.DressedFrame(grid, prof, xi_mode="floquet")
+
+    def test_hamiltonian_matches_csr(self, frame):
+        b = fk.enumerate_basis(frame.grid.n_modes, 2)
+        for t in (0.0, 1.3, 7.9):
+            ref = fk.build_original_hamiltonian(b, frame.grid, frame.profile, t).toarray()
+            H = fk._original_hamiltonian_dense(b, frame.grid, frame.profile, t)
+            assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_generator_and_T_match_csr(self, frame):
+        b = fk.enumerate_basis(frame.grid.n_modes, 2)
+        eye = np.eye(b.dimension, dtype=complex)
+        for t in (0.0, 1.3, 7.9):
+            G = fk._displacement_generator(b, frame, t, +1)
+            dense = fk._dense(b.dimension, *fk._generator_entries(b, frame.xi_all(t), +1))
+            assert np.array_equal(dense, G.toarray())
+            T, n_products = fk._expm_multiply(dense, eye)
+            ref, n_ref = fk._expm_multiply(G, eye)
+            assert n_products == n_ref > 0
+            assert np.max(np.abs(T - ref)) <= 1e-15
 
 
 def oracle_rhs(grid):
