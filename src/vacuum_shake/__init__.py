@@ -12,9 +12,9 @@ table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
 
 Importing the package loads no scipy module.  Only ``fock`` uses scipy,
-and it imports ``scipy.sparse`` on first use, inside the OracleCompare and
-AppendixAVerify scenarios, whose manifest ``wall_time_s`` therefore
-includes that import.
+and it imports ``scipy.sparse`` on first use, for the CSR products of the
+OracleCompare scenario, whose manifest ``wall_time_s`` therefore includes
+that import.  AppendixAVerify's residual is dense and needs numpy alone.
 """
 
 __version__ = "0.1.0"

@@ -10,16 +10,21 @@ The space is (photon configurations with total number <= n_max) x (atom
 level).  Photon configurations p are enumerated total-number major, then
 lexicographic in the occupation vector, and the atom is the minor factor:
 state 2 p + atom holds configuration p with the atom in ``atom`` (GROUND 0,
-EXCITED 1), so the atom level is the low bit of a state's index.  Each a_k
-is its photon-space matrix placed on both atom levels, and an atom flip is
-an index flip i -> i ^ 1: sigma_x and sigma_+- are built that way, and so
-are the products of sigma_x with mode sums, straight from the entries of
-the a_k.  Every operator and Hamiltonian is a CSR matrix, except in the
-residual, which fills dense arrays from the same entries.
+EXCITED 1), so the atom level is the low bit of a state's index.  Every
+operator comes from one entry table, ``FockBasis._lowering``: the row,
+column, value and mode of each entry of each a_k, placed on both atom
+levels.  An atom flip is an index flip i -> i ^ 1, so sigma_x, sigma_+- and
+their products with mode sums are those entries with a row or a column
+flipped.  A Hamiltonian is a :class:`HarmonicHamiltonian`, which holds such
+entries and forms the dense H(t) from them on request.  CSR matrices are
+built only where a product needs them: the stacked operator that
+propagation applies, the displacement generator of :func:`apply_T` and the
+pair-kernel products of :func:`build_transformed_hamiltonian`.
 
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
-V_nu = sum_k g_nu,k a_k sigma_x built once per (basis, grid, profile).
+V_nu = sum_k g_nu,k a_k sigma_x, whose entries are built once per
+(basis, grid, profile).
 Propagation applies H(t) to the state from those fixed operators -- one
 sparse product with the stacked [V_nu; V_nu^+] per right-hand-side
 evaluation -- and never forms H(t).  It steps with an in-package DOP853
@@ -47,8 +52,9 @@ the branch ``scipy.sparse.linalg.expm_multiply`` takes when the generator's
 1-norm is below about 63, with scipy's operation order.  Every shipped
 displacement generator has a 1-norm below 1, so scipy's other branch, which
 estimates norms of powers of the generator (the alpha_p bound), is left out.
-The dense residual needs numpy alone; propagation and :func:`apply_T`
-import ``scipy.sparse`` on first use, not when the package is imported.
+The dense residual needs numpy alone; propagation, :func:`apply_T` and
+:func:`build_transformed_hamiltonian` import ``scipy.sparse`` on first use,
+not when the package is imported.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, comb
-from typing import Union
 
 import numpy as np
 
@@ -85,9 +90,10 @@ class _SparseOnFirstUse:
     """Stands in for ``scipy.sparse`` until an attribute is first read.
 
     Importing scipy.sparse costs about 0.2 s of a process's start-up, and
-    only propagation and :func:`apply_T` (the OracleCompare scenario) use
-    it, while the rest of the package, the dense residual included, imports
-    this module.  The first read imports it and rebinds ``sp`` to it.
+    only the CSR products use it (``HarmonicHamiltonian.W``, :func:`apply_T`
+    and :func:`build_transformed_hamiltonian`), while the rest of the
+    package, the dense residual included, imports this module.  The first
+    read imports it and rebinds ``sp`` to it.
     """
 
     def __getattr__(self, name):
@@ -142,9 +148,6 @@ class FockBasis:
             raise KeyError(f"atom level {atom!r} is neither GROUND nor EXCITED")
         return 2 * self._photon_index[tuple(int(x) for x in occ)] + int(atom)
 
-    def state_label(self, i: int) -> tuple:
-        return (int(self.atom[i]), tuple(int(x) for x in self.occ[i]))
-
     def vacuum(self, atom: int = GROUND) -> "FockStateVector":
         return self.basis_state(atom, (0,) * self.n_modes)
 
@@ -157,7 +160,8 @@ class FockBasis:
 
     @cached_property
     def _lowering(self) -> tuple:
-        """(rows, cols, values, mode) of the entries of every a_k."""
+        """(rows, cols, values, mode) of the entries of every a_k: the entry
+        table every operator of this module is built from."""
         rows, cols, vals, mode = [], [], [], []
         for k in range(self.n_modes):
             src = np.flatnonzero(self.photons[:, k])
@@ -174,53 +178,12 @@ class FockBasis:
                 np.concatenate([2 * cols, 2 * cols + 1]),
                 np.tile(vals, 2).astype(complex), np.tile(mode, 2))
 
-    def annihilator(self, k: int) -> sp.csr_matrix:
-        rows, cols, vals, mode = self._lowering
-        sel = mode == k
-        return sp.csr_matrix((vals[sel], (rows[sel], cols[sel])),
-                             shape=(self.dimension, self.dimension))
-
-    def creator(self, k: int) -> sp.csr_matrix:
-        return self.annihilator(k).conj().T.tocsr()
-
-    def mode_sum(self, c) -> sp.csr_matrix:
-        """sum_k c_k a_k as one sparse matrix (its adjoint is sum_k c_k* a_k^+)."""
-        rows, cols, vals, mode = self._lowering
-        c = np.asarray(c, dtype=complex)
-        return sp.csr_matrix((vals * c[mode], (rows, cols)),
-                             shape=(self.dimension, self.dimension))
-
-    def _atom_flip(self, rows) -> sp.csr_matrix:
-        """The matrix with a 1 at (i, i ^ 1) for each row i given: the atom
-        level is the low bit of a state's index, so this flips it."""
-        rows = np.asarray(rows)
-        return sp.csr_matrix((np.ones(len(rows), dtype=complex), (rows, rows ^ 1)),
-                             shape=(self.dimension, self.dimension))
-
-    @cached_property
-    def sigma_x(self) -> sp.csr_matrix:
-        return self._atom_flip(np.arange(self.dimension))
-
-    @cached_property
-    def sigma_plus(self) -> sp.csr_matrix:
-        """|e><g|."""
-        return self._atom_flip(np.arange(EXCITED, self.dimension, 2))
-
-    @cached_property
-    def sigma_minus(self) -> sp.csr_matrix:
-        """|g><e|."""
-        return self._atom_flip(np.arange(GROUND, self.dimension, 2))
-
     def mode_number_diagonal(self, omegas) -> np.ndarray:
         """Diagonal of sum_k omega_k n_k for the given frequencies."""
         return self.occ @ np.asarray(omegas, dtype=float)
 
     def sigma_z_diagonal(self) -> np.ndarray:
         return np.where(self.atom == EXCITED, 1.0, -1.0)
-
-    def excitation_number_diagonal(self) -> np.ndarray:
-        """Diagonal of N_exc = sum_k n_k + |e><e|."""
-        return self.total_photons + (self.atom == EXCITED)
 
 
 def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
@@ -274,40 +237,48 @@ def _free_diagonal(basis: FockBasis, omega_e: float, omega) -> np.ndarray:
     return 0.5 * omega_e * basis.sigma_z_diagonal() + basis.mode_number_diagonal(omega)
 
 
-def _coupling_entries(basis: FockBasis, g: np.ndarray) -> tuple:
-    """(rows, cols, values) of (sum_k g_k a_k) sigma_x: those of sum_k g_k a_k
-    with the column's atom level, the low bit of its index, flipped."""
-    rows, cols, vals, mode = basis._lowering
-    return rows, cols ^ 1, vals * g[mode]
-
-
+@dataclass(eq=False)
 class HarmonicHamiltonian:
-    """H(t) = diag + sum_nu (f_nu(t) V_nu + f_nu(t)* V_nu^+) with
-    f = ``harmonic_phases(omega_m, t)``, held as fixed operators.
+    """H(t) = diag(diag) + sum_nu (f_nu(t) V_nu + f_nu(t)* V_nu^+) with
+    f = ``harmonic_phases(omega_m, t)``, held as the entries of the V_nu.
 
-    ``diag`` is the static diagonal and ``V`` the three CSR operators V_nu.
-    Each V_nu moves one photon, so it has no diagonal.  Calling the object
-    forms H(t); :meth:`apply_offdiagonal` applies H(t) - diag to a vector
-    or a block of vectors with one product with ``W``, the stacked [V_0; V_1; V_2; V_0^+; V_1^+;
-    V_2^+] of shape (6 d, d), and never forms H(t).  ``W`` is built on first
-    use, so forming H(t) costs no more than the sum itself.
+    V_nu has the values ``vals[nu]`` at (``rows``, ``cols``): the harmonics
+    of ``coupling.HARMONICS`` share the positions, and ``vals`` has shape
+    (3, nnz).  No position appears twice, on the diagonal or where the
+    adjoint of an entry sits: each V_nu of the full Hamiltonian moves one
+    photon, and a static series (``omega_m`` 0, where every phase is 1)
+    keeps the strict upper triangle of its operator in row 0.
+
+    Calling the object forms the dense H(t), the one place that H(t) is
+    formed; propagation never calls it.  :meth:`apply_offdiagonal` applies
+    H(t) - diag to a vector or a block of vectors with one product with
+    ``W``, the stacked [V_0; V_1; V_2; V_0^+; V_1^+; V_2^+] of shape
+    (6 d, d), a CSR matrix built on first apply from the nonzero values
+    alone: forming H(t) needs no scipy, and a zero value adds no work to
+    the product.
     """
 
-    def __init__(self, diag: np.ndarray, V: list, omega_m: float):
-        self.diag = diag
-        self.V = V
-        self.omega_m = omega_m
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    omega_m: float
 
     @cached_property
     def W(self) -> sp.csr_matrix:
-        # all six blocks CSR, so that vstack concatenates them without a COO pass
-        return sp.vstack(self.V + [v.conj().T.tocsr() for v in self.V], format="csr")
+        d = len(self.diag)
+        nu, e = np.nonzero(self.vals)
+        v, rows, cols = self.vals[nu, e], self.rows[e], self.cols[e]
+        # V_nu in row block nu, V_nu^+ in row block 3 + nu
+        return sp.csr_matrix(
+            (np.concatenate([v, np.conj(v)]),
+             (np.concatenate([nu * d + rows, (nu + 3) * d + cols]),
+              np.concatenate([cols, rows]))),
+            shape=(6 * d, d))
 
-    def __call__(self, t: float) -> sp.csr_matrix:
+    def __call__(self, t: float) -> np.ndarray:
         f = cp.harmonic_phases(self.omega_m, t)
-        X = f[0] * self.V[0] + f[1] * self.V[1] + f[2] * self.V[2]
-        return (sp.diags(self.diag.astype(complex), format="csr")
-                + X + X.conj().T).tocsr()
+        return _dense_hamiltonian(self.diag, self.rows, self.cols, f @ self.vals)
 
     def apply_offdiagonal(self, t: float, u: np.ndarray) -> np.ndarray:
         """(H(t) - diag) u for a vector u of shape (d,) or a block of shape (d, m)."""
@@ -316,8 +287,13 @@ class HarmonicHamiltonian:
         return (f @ Wu[:3] + np.conj(f) @ Wu[3:]).reshape(u.shape)
 
     def restricted(self, idx: np.ndarray) -> "HarmonicHamiltonian":
-        """The series on the basis states ``idx``, which V_nu must not leave."""
-        return HarmonicHamiltonian(self.diag[idx], [v[idx][:, idx] for v in self.V],
+        """The series on the basis states ``idx``, renumbered in their order:
+        the entries whose row and column are both among them."""
+        new = np.full(len(self.diag), -1)
+        new[idx] = np.arange(len(idx))
+        keep = (new[self.rows] >= 0) & (new[self.cols] >= 0)
+        return HarmonicHamiltonian(self.diag[idx], new[self.rows[keep]],
+                                   new[self.cols[keep]], self.vals[:, keep],
                                    self.omega_m)
 
 
@@ -325,39 +301,34 @@ def original_hamiltonian_series(basis: FockBasis, grid: ModeGrid,
                                 profile: CouplingProfile) -> HarmonicHamiltonian:
     """Full atom-field Hamiltonian as a function of time,
     H(t) = (omega_e/2) sigma_z + sum_k omega_k n_k + sum_k [g_k*(t) a_k^+ + g_k(t) a_k] sigma_x,
-    as H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) from the operators
-    V_nu = sum_k g_nu,k a_k sigma_x, which are built once here.
+    as H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) from the entries of
+    V_nu = sum_k g_nu,k a_k sigma_x, which are built once here: those of
+    sum_k g_nu,k a_k with the column's atom level, the low bit of its index,
+    flipped.
     """
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
-    diag = _free_diagonal(basis, profile.omega_e, grid.omega)
-    V = [sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
-         for rows, cols, vals in (_coupling_entries(basis, g_nu)
-                                  for g_nu in cp.grid_fourier(profile, grid))]
-    return HarmonicHamiltonian(diag, V, profile.omega_m)
+    rows, cols, vals, mode = basis._lowering
+    return HarmonicHamiltonian(_free_diagonal(basis, profile.omega_e, grid.omega),
+                               rows, cols ^ 1,
+                               vals * cp.grid_fourier(profile, grid)[:, mode],
+                               profile.omega_m)
 
 
 def build_original_hamiltonian(
     basis: FockBasis, grid: ModeGrid, profile: CouplingProfile, t: float,
-) -> sp.csr_matrix:
-    """The full atom-field Hamiltonian of :func:`original_hamiltonian_series` at t."""
+) -> np.ndarray:
+    """The full atom-field Hamiltonian of :func:`original_hamiltonian_series`
+    at t, dense."""
     return _hermitian(original_hamiltonian_series(basis, grid, profile)(t), 1e-12)
-
-
-def _original_hamiltonian_dense(basis: FockBasis, grid: ModeGrid,
-                                profile: CouplingProfile, t: float) -> np.ndarray:
-    """:func:`build_original_hamiltonian` as a dense array, from the entries
-    of V(t) = sum_nu e^{i nu omega_m t} V_nu."""
-    g = cp.harmonic_phases(profile.omega_m, t) @ cp.grid_fourier(profile, grid)
-    H = _dense_hamiltonian(_free_diagonal(basis, profile.omega_e, grid.omega),
-                           *_coupling_entries(basis, g))
-    return _hermitian(H, 1e-12)
 
 
 def build_transformed_hamiltonian(
     basis: FockBasis, frame: DressedFrame, t: float, variant: str = "NormalOrdered",
-) -> sp.csr_matrix:
-    """Approximate dressed-frame Hamiltonian on the truncated space, CSR.
+) -> HarmonicHamiltonian:
+    """Approximate dressed-frame Hamiltonian on the truncated space at t, as
+    a static series: ``diag`` is its real diagonal, row 0 of ``vals`` holds
+    the entries of its strict upper triangle, and ``omega_m`` is 0.
 
     Variants:
 
@@ -366,24 +337,35 @@ def build_transformed_hamiltonian(
       is held equal to omega_e (see :mod:`vacuum_shake.dressing`).
     * ``"H0H1only"`` -- excitation-conserving part alone.
 
-    The complete second-order transform H'_(2), which the residual
-    certifies, is the dense :func:`_order2_hamiltonian`.
+    S = sum_k eta_k a_k and sigma_+ S come straight from the entry table;
+    the pair kernel Gamma is a product of CSR matrices, and the sum must be
+    Hermitian to 1e-11 per element.  The complete second-order transform
+    H'_(2), which the residual certifies, is the dense
+    :func:`_order2_hamiltonian`.
     """
     if variant not in ("NormalOrdered", "H0H1only"):
         raise ConfigError(f"unknown variant {variant!r}")
     grid = frame.grid
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
-    S = basis.mode_sum(frame.eta_all(t))  # sum_k eta_k a_k
-    C = basis.sigma_plus @ S
+    shape = (basis.dimension, basis.dimension)
+    rows, cols, vals, mode = basis._lowering
+    s = vals * frame.eta_all(t)[mode]  # the entries of S
+    up = rows % 2 == GROUND            # sigma_+ S: S's ground-level rows, raised
+    C = sp.csr_matrix((s[up], (rows[up] ^ 1, cols[up])), shape=shape)
     H = sp.diags(_free_diagonal(basis, frame.omega_e, grid.omega).astype(complex),
                  format="csr")
     H = H + C + C.conj().T
     if variant == "NormalOrdered":
+        S = sp.csr_matrix((s, (rows, cols)), shape=shape)
         P = S.conj().T.tocsr()  # sum_k eta_k* a_k^+, the pair kernel's creator
         Gamma = (P @ P + S @ S - 2.0 * (P @ S)) / (4.0 * frame.omega_e)
         H = H + Gamma.tocsr().multiply(basis.sigma_z_diagonal()[:, None])
-    return _hermitian(H, 1e-11)
+    H = _hermitian(H, 1e-11)
+    upper = sp.triu(H, k=1, format="coo")
+    series = np.zeros((3, upper.nnz), dtype=complex)
+    series[0] = upper.data
+    return HarmonicHamiltonian(H.diagonal().real, upper.row, upper.col, series, 0.0)
 
 
 def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame, t: float,
@@ -684,18 +666,14 @@ def _dop853(fun, t0: float, y0: np.ndarray, t1: float, rtol: float,
                "n_steps": n_steps, "n_rejected": n_rejected}
 
 
-def _parity_sectors(H, basis: FockBasis, psi: np.ndarray) -> list:
+def _parity_sectors(H: HarmonicHamiltonian, basis: FockBasis,
+                    psi: np.ndarray) -> list:
     """Index arrays of the parity sectors of ``basis`` on which ``psi`` has
-    support, for a :class:`HarmonicHamiltonian` whose V_nu conserve the
-    parity (-1)^(N + atom); the whole basis as one sector otherwise."""
-    whole = [np.arange(basis.dimension)]
-    if not isinstance(H, HarmonicHamiltonian):
-        return whole
+    support, when every entry of H keeps the parity (-1)^(N + atom); the
+    whole basis as one sector otherwise."""
     parity = (basis.total_photons + basis.atom) % 2
-    for v in H.V:
-        rows = np.repeat(np.arange(v.shape[0]), np.diff(v.indptr))
-        if np.any(parity[rows] != parity[v.indices]):
-            return whole
+    if np.any(parity[H.rows] != parity[H.cols]):
+        return [np.arange(basis.dimension)]
     return [idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
             if np.any(psi[idx])]
 
@@ -715,26 +693,26 @@ def _period_pays(periods: float, d: int) -> bool:
     return periods > 1 + (d / 28.0) ** 2
 
 
-def _evolve(D: np.ndarray, offdiag, y: np.ndarray, start: float, end: float,
+def _evolve(H: HarmonicHamiltonian, y: np.ndarray, start: float, end: float,
             tol: float) -> tuple:
     """Carry the vector or (d, m) block ``y`` from ``start`` to ``end`` under
-    H = diag(D) + offdiag with :func:`_dop853` in the interaction picture of D;
-    return it in the lab frame with the stepper's statistics."""
+    H with :func:`_dop853` in the interaction picture of ``H.diag``; return
+    it in the lab frame with the stepper's statistics."""
     if end <= start:
         return y, {"n_rhs_evals": 0, "n_steps": 0, "n_rejected": 0}
     shape = y.shape
-    D = D.reshape(-1, *(1,) * (y.ndim - 1))
+    D = H.diag.reshape(-1, *(1,) * (y.ndim - 1))
 
     def rhs(t, v):
         ph = np.exp(-1j * D * (t - start))
-        return (-1j * np.conj(ph) * offdiag(t, ph * v.reshape(shape))).ravel()
+        return (-1j * np.conj(ph) * H.apply_offdiagonal(t, ph * v.reshape(shape))).ravel()
 
     v, stats = _dop853(rhs, start, y.ravel(), end, tol, tol * 1e-2)
     return np.exp(-1j * D * (end - start)) * v.reshape(shape), stats
 
 
 def propagate(
-    H: Union[HarmonicHamiltonian, sp.spmatrix],
+    H: HarmonicHamiltonian,
     state: FockStateVector,
     t0: float,
     t1: float,
@@ -743,20 +721,20 @@ def propagate(
     """Solve i d|psi>/dt = H(t) |psi> from t0 to t1 with DOP853 at rtol ``tol``
     and atol ``tol * 1e-2``.
 
-    ``H`` is a :class:`HarmonicHamiltonian` or a static sparse matrix.  Its
-    static diagonal D (for the harmonic series ``H.diag``) is removed
-    analytically, psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the
-    coupling strength instead of the fastest phase; the rest of H(t) is
-    applied to the vector at each step (``apply_offdiagonal`` for the
-    series) and never formed.  The stepper is the in-package :func:`_dop853`,
-    with Hairer's dop853 coefficients, taking the steps that
+    ``H`` is a :class:`HarmonicHamiltonian`; a static one has ``omega_m`` 0.
+    Its static diagonal D = ``H.diag`` is removed analytically,
+    psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the coupling
+    strength instead of the fastest phase; the rest of H(t) is applied to
+    the vector at each step by ``apply_offdiagonal`` and never formed.  The
+    stepper is the in-package :func:`_dop853`, with Hairer's dop853
+    coefficients, taking the steps that
     ``scipy.integrate.solve_ivp(method="DOP853")`` takes.
 
-    A harmonic series is propagated on each parity sector of
-    (-1)^(N + atom) where the state has support (V_nu never leaves a sector;
-    a series whose V_nu do is propagated on the whole basis).  With
-    omega_m > 0, H(t + T) = H(t) for the period T = 2 pi / omega_m, so for
-    t1 - t0 = n T + r the propagator factors as
+    H is propagated on each parity sector of (-1)^(N + atom) where the
+    state has support (the V_nu of the full and of the transformed
+    Hamiltonian never leave a sector; a series whose V_nu do is propagated
+    on the whole basis).  With omega_m > 0, H(t + T) = H(t) for the period
+    T = 2 pi / omega_m, so for t1 - t0 = n T + r the propagator factors as
     U(t1, t0) = U(t0 + r, t0) U(t0 + T, t0)^n.  One integration of the
     sector's d x d identity from t0 gives both factors: it is kept at t0 + r
     as U(r) and carried on to t0 + T for U(T), and the state is
@@ -789,25 +767,16 @@ def propagate(
     if t1 == t0:
         return FockStateVector(basis, psi.copy(), info=info)
     out = np.zeros_like(psi, dtype=complex)
-    periodic = isinstance(H, HarmonicHamiltonian) and H.omega_m > 0
-    period = 2.0 * np.pi / H.omega_m if periodic else np.inf
+    period = 2.0 * np.pi / H.omega_m if H.omega_m > 0 else np.inf
     n, r = divmod(t1 - t0, period)   # no whole period when T is infinite
     n = int(n)
     for idx in _parity_sectors(H, basis, psi):
         d = len(idx)
-        if isinstance(H, HarmonicHamiltonian):
-            Hs = H if d == basis.dimension else H.restricted(idx)
-            D, offdiag = Hs.diag, Hs.apply_offdiagonal
-        else:
-            D = np.real(np.asarray(H.diagonal()))
-
-            def offdiag(t, u):
-                return H @ u - D * u
-
+        Hs = H if d == basis.dimension else H.restricted(idx)
         if _period_pays((t1 - t0) / period, d):
             # one integration of the identity: U(t0 + r, t0) on the way to U(t0 + T, t0)
-            U_r, stats = _evolve(D, offdiag, np.eye(d, dtype=complex), t0, t0 + r, tol)
-            U, rest = _evolve(D, offdiag, U_r, t0 + r, t0 + period, tol)
+            U_r, stats = _evolve(Hs, np.eye(d, dtype=complex), t0, t0 + r, tol)
+            U, rest = _evolve(Hs, U_r, t0 + r, t0 + period, tol)
             stats = {key: stats[key] + rest[key] for key in stats}
             y = psi[idx]
             for _ in range(n):
@@ -818,7 +787,7 @@ def propagate(
             info["unitarity_defect"] = max(info["unitarity_defect"], float(
                 np.max(np.abs(U.conj().T @ U - np.eye(d)))))
         else:
-            y, stats = _evolve(D, offdiag, psi[idx], t0, t1, tol)
+            y, stats = _evolve(Hs, psi[idx], t0, t1, tol)
         for key in stats:
             info[key] += stats[key]
         out[idx] = y
@@ -861,7 +830,7 @@ def transformed_residual_norm(
         return _expm_multiply(G, eye)[0]
 
     T = dense_T(t, +1)
-    R = T @ _original_hamiltonian_dense(basis, grid, profile, t) @ T.conj().T
+    R = T @ build_original_hamiltonian(basis, grid, profile, t) @ T.conj().T
     R -= _order2_hamiltonian(basis, frame, t, include_phase)
 
     if np.any(frame.xi_coeffs[frame.xi_freqs != 0]):

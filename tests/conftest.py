@@ -3,6 +3,7 @@ import pytest
 
 from vacuum_shake import coupling as cp
 from vacuum_shake import modes
+from vacuum_shake.fock import EXCITED, GROUND
 
 OMEGA_E = 1.0
 
@@ -30,3 +31,25 @@ def static_1d_profile(grid, *, gamma=1e-3, omega_e=OMEGA_E):
     return cp.CouplingProfile.waveguide_1d(
         omega_e, gamma=gamma, L=grid.geometry.length, c=grid.c,
     )
+
+
+def dense_annihilator(basis, k):
+    """a_k on both atom levels of a Fock ``basis``, dense, built by lowering
+    each photon configuration and looking both states up with ``index``."""
+    a = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for occ in basis.photons:
+        if occ[k]:
+            lowered = occ.copy()
+            lowered[k] -= 1
+            for atom in (GROUND, EXCITED):
+                a[basis.index(atom, lowered), basis.index(atom, occ)] = np.sqrt(occ[k])
+    return a
+
+
+def dense_sigma_x(basis):
+    """The atom flip |e><g| + |g><e| on a Fock ``basis``, dense."""
+    sx = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for occ in basis.photons:
+        ig, ie = basis.index(GROUND, occ), basis.index(EXCITED, occ)
+        sx[ig, ie] = sx[ie, ig] = 1.0
+    return sx

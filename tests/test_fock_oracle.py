@@ -15,7 +15,8 @@ from vacuum_shake import fock as fk
 from vacuum_shake import modes
 from vacuum_shake.errors import CapacityError, ConfigError, NumericalError
 
-from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
+from conftest import (OMEGA_E, dense_annihilator, dense_sigma_x, oscillating_1d_profile,
+                      static_1d_profile)
 
 
 def frame_with_xi(grid, xi_target, xi_mode="adiabatic"):
@@ -30,7 +31,7 @@ def frame_with_xi(grid, xi_target, xi_mode="adiabatic"):
 class TestBasis:
     def test_one_mode_enumeration(self):
         b = fk.enumerate_basis(1, 1)
-        assert [b.state_label(i) for i in range(4)] == [
+        assert [(b.atom[i], tuple(b.occ[i])) for i in range(4)] == [
             (0, (0,)), (1, (0,)), (0, (1,)), (1, (1,))]
         with pytest.raises(KeyError):
             b.index(2, (0,))  # would be (0, (1,)) if the level were not checked
@@ -48,8 +49,7 @@ class TestBasis:
     def test_index_round_trip(self, n_modes, n_max, data):
         b = fk.enumerate_basis(n_modes, n_max)
         i = data.draw(st.integers(0, b.dimension - 1))
-        atom, occ = b.state_label(i)
-        assert b.index(atom, occ) == i
+        assert b.index(b.atom[i], b.occ[i]) == i
 
     def test_enumeration_is_number_major(self):
         b = fk.enumerate_basis(2, 2)
@@ -58,8 +58,9 @@ class TestBasis:
 
 
 class TestTensorAlgebra:
-    """Operators on (3 modes, n_max 3) x (atom) obey the algebra of bosons
-    times a two-level atom."""
+    """Operators on (3 modes, n_max 3) x (atom), built by the tests' own
+    dense reference, obey the algebra of bosons times a two-level atom, and
+    the entry table of the basis reproduces them."""
 
     @pytest.fixture
     def b(self):
@@ -69,36 +70,33 @@ class TestTensorAlgebra:
         below = np.ix_(b.total_photons < b.n_max, b.total_photons < b.n_max)
         for j in range(3):
             for k in range(3):
-                a, adag = b.annihilator(j).toarray(), b.creator(k).toarray()
+                a, adag = dense_annihilator(b, j), dense_annihilator(b, k).conj().T
                 comm = (a @ adag - adag @ a)[below]
                 assert np.allclose(comm, np.eye(len(comm)) * (j == k),
                                    rtol=0, atol=1e-14)
 
     def test_modes_commute_with_atom_operators(self, b):
+        sx = dense_sigma_x(b)
+        sigma_plus = np.diag(b.atom == fk.EXCITED) @ sx
         for k in range(3):
-            a = b.annihilator(k)
-            for s in (b.sigma_x, b.sigma_plus, b.sigma_minus):
-                assert abs(a @ s - s @ a).max() == 0.0
-
-    def test_sigma_x_is_sum_of_ladder_operators(self, b):
-        assert abs(b.sigma_x - b.sigma_plus - b.sigma_minus).max() == 0.0
-
-    def test_raising_then_lowering_projects_on_excited(self, b):
-        P = (b.sigma_plus @ b.sigma_minus).toarray()
-        assert np.array_equal(P, np.diag((b.atom == fk.EXCITED).astype(float)))
+            a = dense_annihilator(b, k)
+            for s in (sx, sigma_plus, sx - sigma_plus):
+                assert np.max(np.abs(a @ s - s @ a)) == 0.0
 
     def test_mode_sum_is_weighted_sum_of_annihilators(self, b):
+        # sum_k c_k a_k from the entry table against the dense reference
         c = np.array([0.3 - 0.1j, -1.2, 0.5j])
-        ref = sum(c[k] * b.annihilator(k) for k in range(3))
-        assert abs(b.mode_sum(c) - ref).max() <= 1e-15
+        ref = sum(c[k] * dense_annihilator(b, k) for k in range(3))
+        rows, cols, vals, mode = b._lowering
+        built = fk._dense(b.dimension, rows, cols, vals * c[mode])
+        assert np.max(np.abs(built - ref)) <= 1e-15
 
 
 class TestOriginalHamiltonian:
     def test_free_hamiltonian_diagonal(self, small_waveguide):
         prof = static_1d_profile(small_waveguide, gamma=0.0)
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
-        M = H.toarray()
+        M = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
         assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
         expected = 0.5 * OMEGA_E * b.sigma_z_diagonal() \
             + b.mode_number_diagonal(small_waveguide.omega)
@@ -109,7 +107,7 @@ class TestOriginalHamiltonian:
                                           directions="positive")
         prof = static_1d_profile(grid)
         b = fk.enumerate_basis(1, 1)
-        H = fk.build_original_hamiltonian(b, grid, prof, 0.0).toarray()
+        H = fk.build_original_hamiltonian(b, grid, prof, 0.0)
         g = (cp.harmonic_phases(prof.omega_m, 0.0) @ cp.grid_fourier(prof, grid))[0]
         ie0 = b.index(fk.EXCITED, (0,))
         ig1 = b.index(fk.GROUND, (1,))
@@ -130,7 +128,7 @@ class TestOriginalHamiltonian:
                                           km_rm=0.1, gamma=1e-2)
         b = fk.enumerate_basis(4, 2)
         H_of_t = fk.original_hamiltonian_series(b, small_waveguide, prof)
-        sx = b.sigma_x.toarray()
+        sx = dense_sigma_x(b)
         rng = np.random.default_rng(4)
         for t in rng.uniform(0.0, 40.0, size=5):
             ref = np.diag(0.5 * OMEGA_E * b.sigma_z_diagonal()
@@ -140,11 +138,11 @@ class TestOriginalHamiltonian:
                 x_a = prof.r_m * np.cos(prof.omega_m * t)
                 g = prof.chi(small_waveguide.omega[k]) \
                     * (1.0 + 1j * small_waveguide.wavevectors[k, 0] * x_a)
-                a = b.annihilator(k).toarray()
+                a = dense_annihilator(b, k)
                 ref += (g * a + np.conj(g) * a.conj().T) @ sx
             scale = np.max(np.abs(ref - np.diag(np.diag(ref))))
             built = fk.build_original_hamiltonian(b, small_waveguide, prof, t)
-            for M in (built.toarray(), H_of_t(t).toarray()):
+            for M in (built, H_of_t(t)):
                 assert np.max(np.abs(M - ref)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n_max", [2, 4])
@@ -192,9 +190,8 @@ class TestOriginalHamiltonian:
         H, lab0 = oracle_series(2)
         b = lab0.basis
         parity = (b.total_photons + b.atom) % 2
-        for v in H.V:
-            rows, cols = v.nonzero()
-            assert v.nnz > 0 and np.all(parity[rows] == parity[cols])
+        assert np.count_nonzero(H.vals, axis=1).tolist() == [len(H.rows)] * 3
+        assert np.all(parity[H.rows] == parity[H.cols])
         (even,) = fk._parity_sectors(H, b, lab0.amplitudes)
         assert len(even) == 15 and np.all(parity[even] == 0)
 
@@ -236,8 +233,7 @@ class TestTransformedHamiltonian:
     def test_pair_kernel_matrix_element(self, small_waveguide):
         frame = frame_with_xi(small_waveguide, 0.02)
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")
-        M = H.toarray()
+        M = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")(0.0)
         eta = frame.eta_all(0.0)
         ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
         # distinct pair: <g;1_0 1_1|sigma_z Gamma|g;0> = -2 eta0* eta1*/(4 we)
@@ -252,13 +248,13 @@ class TestTransformedHamiltonian:
     def test_h0h1_is_excitation_conserving(self, small_waveguide):
         frame = frame_with_xi(small_waveguide, 0.02)
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_transformed_hamiltonian(b, frame, 0.0, "H0H1only").toarray()
-        n_exc = b.excitation_number_diagonal()
+        H = fk.build_transformed_hamiltonian(b, frame, 0.0, "H0H1only")(0.0)
+        n_exc = b.total_photons + b.atom
         rows, cols = np.nonzero(np.abs(H) > 1e-15)
         assert np.all(n_exc[rows] == n_exc[cols])
         # |e,0> couples exactly to the single-photon ground manifold
         ie0 = b.index(fk.EXCITED, (0, 0, 0, 0))
-        coupled = [b.state_label(r) for r in rows[cols == ie0] if r != ie0]
+        coupled = [(b.atom[r], tuple(b.occ[r])) for r in rows[cols == ie0] if r != ie0]
         assert all(atom == fk.GROUND and sum(occ) == 1 for atom, occ in coupled)
 
     def test_spectral_match_at_small_xi(self):
@@ -270,9 +266,8 @@ class TestTransformedHamiltonian:
         for xi in (2e-3, 1e-3):
             frame = frame_with_xi(grid, xi)
             prof = frame.profile
-            H = fk.build_original_hamiltonian(b, grid, prof, 0.0).toarray()
-            Hp = fk.build_transformed_hamiltonian(b, frame, 0.0,
-                                                  "NormalOrdered").toarray()
+            H = fk.build_original_hamiltonian(b, grid, prof, 0.0)
+            Hp = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")(0.0)
             e1 = np.sort(np.linalg.eigvalsh(H))
             e2 = np.sort(np.linalg.eigvalsh(Hp))
             spread = e1[-1] - e1[0]
@@ -311,9 +306,9 @@ class TestApplyT:
         frame = frame_with_xi(small_waveguide, 0.3)
         b = fk.enumerate_basis(4, n_max)
         xi = frame.xi_all(0.0)
-        X = sum(np.conj(xi[k]) * b.creator(k) - xi[k] * b.annihilator(k)
-                for k in range(4))
-        G = (b.sigma_x @ X).toarray()
+        a = [dense_annihilator(b, k) for k in range(4)]
+        X = sum(np.conj(xi[k]) * a[k].conj().T - xi[k] * a[k] for k in range(4))
+        G = dense_sigma_x(b) @ X
         rng = np.random.default_rng(n_max)
         amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
         amp /= np.linalg.norm(amp)
@@ -452,11 +447,11 @@ class TestPropagate:
         grid = modes.build_waveguide_grid(2, 1.0, 2 * np.pi, 1.0)
         prof = static_1d_profile(grid, gamma=0.0)
         b = fk.enumerate_basis(2, 1)
-        H = fk.build_original_hamiltonian(b, grid, prof, 0.0)
+        H = fk.original_hamiltonian_series(b, grid, prof)
         amp = np.ones(b.dimension, dtype=complex) / np.sqrt(b.dimension)
         out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, 7.0,
                            1e-12)
-        E = np.real(H.diagonal())
+        E = H.diag
         expected = amp * np.exp(-1j * E * 7.0)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
@@ -489,7 +484,7 @@ class TestPropagate:
         amp[b.index(fk.EXCITED, (0, 0, 0, 0))] = 1 / np.sqrt(2)
         amp[b.index(fk.GROUND, (0, 1, 0, 0))] = 1 / np.sqrt(2)
         psi = fk.FockStateVector(b, amp)
-        nexc = b.excitation_number_diagonal()
+        nexc = b.total_photons + b.atom
         before = float(np.sum(nexc * np.abs(amp) ** 2))
         out = fk.propagate(H, psi, 0.0, 300.0, 1e-11)
         after = float(np.sum(nexc * np.abs(out.amplitudes) ** 2))
@@ -498,9 +493,9 @@ class TestPropagate:
     def test_full_hamiltonian_breaks_excitation_number(self, small_waveguide):
         prof = static_1d_profile(small_waveguide, gamma=5e-2)
         b = fk.enumerate_basis(4, 2)
-        H = fk.build_original_hamiltonian(b, small_waveguide, prof, 0.0)
+        H = fk.original_hamiltonian_series(b, small_waveguide, prof)
         psi = b.vacuum()
-        nexc = b.excitation_number_diagonal()
+        nexc = b.total_photons + b.atom
         out = fk.propagate(H, psi, 0.0, 1.0 / OMEGA_E, 1e-11)
         p = np.abs(out.amplitudes) ** 2
         mean = float(np.sum(nexc * p))
@@ -541,10 +536,29 @@ class TestPropagate:
         info = fk.propagate(H, b.vacuum(), 1.0, 1.0).info
         assert (info["n_rhs_evals"], info["n_steps"], info["n_rejected"]) == (0, 0, 0)
 
+    def test_normal_ordered_series_splits_by_parity(self, small_waveguide):
+        # sigma_+ a_k and the pair terms of Gamma keep (-1)^(N + atom), so the
+        # static transformed series is propagated sector by sector
+        frame = frame_with_xi(small_waveguide, 0.02)
+        b = fk.enumerate_basis(4, 2)
+        H = fk.build_transformed_hamiltonian(b, frame, 0.0, "NormalOrdered")
+        rng = np.random.default_rng(6)
+        amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+        amp /= np.linalg.norm(amp)
+        assert len(fk._parity_sectors(H, b, amp)) == 2
+        excited = b.basis_state(fk.EXCITED, (0, 0, 0, 0)).amplitudes
+        assert len(fk._parity_sectors(H, b, excited)) == 1
+        t = 50.0
+        out = fk.propagate(H, fk.FockStateVector(b, amp), 0.0, t, 1e-12)
+        expected = expm(-1j * t * H(0.0)) @ amp
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-9
+
     def test_time_reversed_interval_rejected(self, small_waveguide):
         b = fk.enumerate_basis(4, 1)
+        H = fk.original_hamiltonian_series(b, small_waveguide,
+                                           static_1d_profile(small_waveguide))
         with pytest.raises(ConfigError):
-            fk.propagate(np.eye(b.dimension), b.vacuum(), 1.0, 0.0)
+            fk.propagate(H, b.vacuum(), 1.0, 0.0)
 
 
 def oracle_series(n_max):
@@ -577,13 +591,14 @@ class TestPeriodPropagator:
     def test_both_sectors_match_expm_multiply(self, small_waveguide, keeps_parity):
         # a static coupling given a drive frequency: a harmonic series that
         # is trivially periodic, so exp(-i H t) is exact over whole periods.
-        # Without sigma_x the coupling a_k changes the parity, and the whole
-        # basis is one sector.
+        # Without sigma_x, on the raw columns of the a_k, the coupling
+        # changes the parity, and the whole basis is one sector.
         prof = static_1d_profile(small_waveguide, gamma=5e-2)
         b = fk.enumerate_basis(4, 2)
         static = fk.original_hamiltonian_series(b, small_waveguide, prof)
-        V = static.V if keeps_parity else [(v @ b.sigma_x).tocsr() for v in static.V]
-        H = fk.HarmonicHamiltonian(static.diag, V, omega_m=3.0)
+        cols = static.cols if keeps_parity else b._lowering[1]
+        H = fk.HarmonicHamiltonian(static.diag, static.rows, cols, static.vals,
+                                   omega_m=3.0)
         rng = np.random.default_rng(8)
         amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
         amp /= np.linalg.norm(amp)
@@ -716,13 +731,6 @@ class TestDenseResidualOperators:
                 OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
                 r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
         return dr.DressedFrame(grid, prof, xi_mode="floquet")
-
-    def test_hamiltonian_matches_csr(self, frame):
-        b = fk.enumerate_basis(frame.grid.n_modes, 2)
-        for t in (0.0, 1.3, 7.9):
-            ref = fk.build_original_hamiltonian(b, frame.grid, frame.profile, t).toarray()
-            H = fk._original_hamiltonian_dense(b, frame.grid, frame.profile, t)
-            assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_generator_and_T_match_csr(self, frame):
         b = fk.enumerate_basis(frame.grid.n_modes, 2)

@@ -15,7 +15,7 @@ from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError, DomainError
 from vacuum_shake.modes import ModeGrid
 
-from conftest import OMEGA_E, static_1d_profile
+from conftest import OMEGA_E, dense_annihilator, static_1d_profile
 
 
 def narrow_band_grid(gamma, n_modes=200, halfwidth=20.0):
@@ -327,10 +327,11 @@ class TestThreePhotonTensor:
         b = fk.enumerate_basis(3, 3)
         psi = np.zeros(b.dimension, dtype=complex)
         vac = b.vacuum().amplitudes
+        adag = [dense_annihilator(b, k).conj().T for k in range(3)]
         for j in range(3):
             for k in range(3):
                 for l in range(3):
-                    vec = b.creator(j) @ (b.creator(k) @ (b.creator(l) @ vac))
+                    vec = adag[j] @ (adag[k] @ (adag[l] @ vac))
                     psi += raw[j, k, l] * vec
         assert sc.three_photon_probability(t) == pytest.approx(
             float(np.linalg.norm(psi) ** 2), rel=1e-12)
