@@ -150,6 +150,19 @@ def _schema_error(value, schema: dict, path: list):
     return None
 
 
+def _integers_as_int(value, schema: dict):
+    """``value`` with each number that ``schema`` types ``integer``, such as
+    an integer-valued 16.0, as an int; the scenarios count with them."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _integers_as_int(v, schema.get("properties", {}).get(k, {}))
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integers_as_int(v, schema.get("items", {})) for v in value]
+    return value
+
+
 def validate_config(cfg: dict) -> dict:
     """Check ``cfg`` against the shipped schema and fill in defaults.
 
@@ -157,7 +170,7 @@ def validate_config(cfg: dict) -> dict:
     ``type``, ``enum``, ``const``, ``required``, ``properties`` with
     ``additionalProperties: false``, ``minimum``, ``maximum``,
     ``exclusiveMinimum``, ``items``, ``minItems``, ``maxItems`` and
-    ``allOf`` of ``if``/``then``.
+    ``allOf`` of ``if``/``then``.  Values typed ``integer`` come back as ints.
     """
     schema = load_schema()
     unknown = _unsupported_keywords(schema)
@@ -168,7 +181,7 @@ def validate_config(cfg: dict) -> dict:
     if err:
         raise ConfigError(f"config schema violation at {err[0]}: {err[1]}")
     merged = {"omega_e": 1.0, "output_directory": "results"}
-    merged.update(cfg)
+    merged.update(_integers_as_int(cfg, schema))
     merged.setdefault("tolerances", {})
     merged["tolerances"].setdefault("propagation", 1e-10)
     return merged

@@ -1,8 +1,7 @@
 """Atom-field coupling models g_k(t) and their co-rotating counterparts eta_k(t).
 
-Four coupling kinds are supported:
+Three coupling kinds are supported:
 
-* ``STATIC_3D`` -- atom at rest in free space, ``g = chi_k (dhat . eps)``.
 * ``OSCILLATING_3D`` -- atom on the prescribed trajectory
   ``r_A(t) = r_m cos(omega_m t) rhat_m`` in free space.  The coupling carries
   the translation phase ``exp(i k . r_A)`` and the velocity-dependent
@@ -24,8 +23,8 @@ frequency omega_e unless configured otherwise, c explicit.  The per-mode
 normalization ``chi_k = sqrt(omega_k) * chi_scale`` absorbs the dipole matrix
 element and quantization volume; ``chi_scale`` is most conveniently set by
 targeting a spontaneous decay rate: the constructors
-``CouplingProfile.static_3d``, ``oscillating_3d``, ``waveguide_1d`` and
-``oscillating_1d`` take it as ``gamma=``.
+``CouplingProfile.oscillating_3d``, ``waveguide_1d`` and ``oscillating_1d``
+take it as ``gamma=``.
 
 The expanded coupling of every kind is exactly a three-term Fourier series
 g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}.  One kernel maps node
@@ -63,7 +62,6 @@ HARMONICS = np.array([0, 1, -1])
 
 
 class CouplingKind(enum.Enum):
-    STATIC_3D = "Static"
     OSCILLATING_3D = "OscillatingPosition3D"
     WAVEGUIDE_1D = "Waveguide1D"
     OSCILLATING_1D = "OscillatingPosition1D"
@@ -90,23 +88,22 @@ class CouplingProfile:
     omega_e: float
     chi_scale: float
     c: float = 1.0
-    dipole_direction: Optional[np.ndarray] = None  # unit 3-vector, 3D kinds
+    dipole_direction: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
     r_m: float = 0.0
     omega_m: float = 0.0
     rhat_m: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
-    km_rm_guard: float = 0.1
+    km_rm_guard: float = 0.1  # OracleCompare raises it to its own k_m r_m
 
     def __post_init__(self):
         if self.omega_e <= 0:
             raise ConfigError("omega_e must be positive")
         if self.chi_scale < 0:
             raise ConfigError("chi_scale must be >= 0")
-        if self.kind in (CouplingKind.STATIC_3D, CouplingKind.OSCILLATING_3D):
+        if self.kind is CouplingKind.OSCILLATING_3D:
             if self.dipole_direction is None:
                 raise ConfigError("3D profiles need a dipole direction")
             object.__setattr__(self, "dipole_direction",
                                _unit(self.dipole_direction, "dipole_direction"))
-        if self.kind is CouplingKind.OSCILLATING_3D:
             if self.rhat_m is None:
                 raise ConfigError("oscillating 3D profile needs rhat_m")
             object.__setattr__(self, "rhat_m", _unit(self.rhat_m, "rhat_m"))
@@ -137,22 +134,13 @@ class CouplingProfile:
     # -- normalization helpers ------------------------------------------------
 
     @staticmethod
-    def static_3d(omega_e, dipole_direction, *, gamma, V, c=1.0):
-        """Static 3D profile normalized so the free-space decay rate is ``gamma``."""
-        scale = np.sqrt(3.0 * np.pi * c**3 * gamma / (2.0 * V * omega_e**3))
-        return CouplingProfile(
-            kind=CouplingKind.STATIC_3D, omega_e=omega_e, chi_scale=scale,
-            c=c, dipole_direction=dipole_direction,
-        )
-
-    @staticmethod
     def oscillating_3d(omega_e, dipole_direction, rhat_m, r_m, omega_m, *,
-                       gamma, V, c=1.0, km_rm_guard=0.1):
+                       gamma, V, c=1.0):
         scale = np.sqrt(3.0 * np.pi * c**3 * gamma / (2.0 * V * omega_e**3))
         return CouplingProfile(
             kind=CouplingKind.OSCILLATING_3D, omega_e=omega_e, chi_scale=scale,
             c=c, dipole_direction=dipole_direction, rhat_m=rhat_m,
-            r_m=r_m, omega_m=omega_m, km_rm_guard=km_rm_guard,
+            r_m=r_m, omega_m=omega_m,
         )
 
     @staticmethod
@@ -165,18 +153,11 @@ class CouplingProfile:
         )
 
     @staticmethod
-    def waveguide_1d_from_dipole(omega_e, d, *, A, L, c=1.0):
-        return CouplingProfile(
-            kind=CouplingKind.WAVEGUIDE_1D, omega_e=omega_e,
-            chi_scale=d / np.sqrt(2.0 * A * L), c=c,
-        )
-
-    @staticmethod
-    def oscillating_1d(omega_e, r_m, omega_m, *, gamma, L, c=1.0, km_rm_guard=0.1):
+    def oscillating_1d(omega_e, r_m, omega_m, *, gamma, L, c=1.0):
         scale = np.sqrt(c * gamma / (2.0 * L * omega_e))
         return CouplingProfile(
             kind=CouplingKind.OSCILLATING_1D, omega_e=omega_e, chi_scale=scale,
-            c=c, r_m=r_m, omega_m=omega_m, km_rm_guard=km_rm_guard,
+            c=c, r_m=r_m, omega_m=omega_m,
         )
 
 
@@ -193,8 +174,8 @@ def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
     In free space the translation phase i k.r_A gives the Doppler-like term
     (k/k_m)(khat.rhat_m)(dhat.eps) and the velocity the magnetic bracket
     rhat_m.[eps (dhat.khat) - khat (dhat.eps)], entering a+ and a- with
-    opposite signs; in 1D the phase alone gives a+- = k_signed/k_m.  Static
-    kinds have no sidebands.
+    opposite signs; in 1D the phase alone gives a+- = k_signed/k_m.  The
+    static waveguide has no sidebands.
     """
     omega = np.asarray(omega, dtype=float)
     if profile.is_1d:
@@ -205,8 +186,6 @@ def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
         return a0, side, side
     dhat = profile.dipole_direction
     d_eps = polarization @ dhat
-    if profile.kind is CouplingKind.STATIC_3D:
-        return d_eps, np.zeros_like(omega), np.zeros_like(omega)
     rm = profile.rhat_m
     rm_khat = direction @ rm
     doppler = (omega / profile.omega_m) * rm_khat * d_eps  # |k|/k_m, shared c

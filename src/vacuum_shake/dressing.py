@@ -3,19 +3,17 @@
 The frame tracks per-mode displacement amplitudes xi_k(t) that remove the
 excitation-non-conserving (counter-rotating) coupling terms.  The coupling
 is the harmonic series g_k(t) = sum_nu g_nu,k e^{i nu omega_m t} (nu = 0,
-+1, -1), and so is xi, with xi_nu,k = g_nu,k / D_nu,k.  Three evaluation
++1, -1), and so is xi, with xi_nu,k = g_nu,k / D_nu,k.  Two evaluation
 modes differ in the denominator:
 
 * ``adiabatic`` -- D = omega_k + omega_e, so xi_k(t) = g_k(t) / (omega_k +
   omega_e), valid when the coupling varies slowly on the 1/omega_e
-  timescale;
+  timescale.  Its eta = 2 omega_e g / (omega_k + omega_e) is the one of the
+  golden-rule rates and of the three-photon tensor;
 * ``floquet`` -- D = omega_k + omega_e - nu omega_m, the periodic
   steady-state solution of the first-order elimination condition
-  (omega_k + omega_e) xi - i d(xi)/dt = g;
-* ``exact`` -- the floquet series plus the homogeneous transient
-  (xi_k(0) - sum_nu xi_nu,k) e^{i(omega_k+omega_e)t}, which is the closed
-  form of xi_k(0) e^{i(omega_k+omega_e)t}
-  - i integral_0^t g_k(t') e^{i(omega_k+omega_e)(t-t')} dt'.
+  (omega_k + omega_e) xi + i d(xi)/dt = g: the frame of the oscillating
+  atom and of the Fock oracle.
 
 Derived quantities, each a plain numpy array or float: the co-rotating
 coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel
@@ -33,7 +31,6 @@ here and its renormalization is out of scope.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
@@ -70,46 +67,29 @@ def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
 class DressedFrame:
     """Evaluator bundle for xi, eta, Lambda and E over one grid + profile.
 
-    ``xi_mode`` is ``"adiabatic"``, ``"floquet"`` or ``"exact"`` (see the
-    module docstring).  The frame stores the (3, n) Fourier array of g, and
-    xi as a sum of exponentials, xi_k(t) = sum_a X_ak e^{i F_ak t}, with the
-    coefficients X in ``xi_coeffs`` and the frequencies F in ``xi_freqs``,
-    both (m, n).  Rows 0-2 are the harmonics at 0, +omega_m and -omega_m
-    (``coupling.HARMONICS``); exact mode adds a fourth row, the transient
-    at omega_k + omega_e.  Every evaluator is a closed-form sum over the
-    rows.  In exact mode ``xi0`` gives the initial displacement per mode;
-    it defaults to the adiabatic value at t = 0, which suppresses the
-    transient oscillation entirely for slowly varying couplings.
+    ``xi_mode`` is ``"adiabatic"`` or ``"floquet"`` (see the module
+    docstring).  The frame stores the (3, n) Fourier array of g, and xi as
+    xi_k(t) = sum_a X_ak e^{i F_ak t}, coefficients X in ``xi_coeffs`` and
+    frequencies F in ``xi_freqs``, both (3, n) with the rows of
+    ``coupling.HARMONICS``; every evaluator is a closed-form sum over them.
     """
 
     def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile, *,
-                 xi_mode: str = "adiabatic", xi0: Optional[np.ndarray] = None):
-        if xi_mode not in ("adiabatic", "exact", "floquet"):
+                 xi_mode: str = "adiabatic"):
+        if xi_mode not in ("adiabatic", "floquet"):
             raise ConfigError(f"unknown xi_mode {xi_mode!r}")
         self.grid = grid
         self.profile = profile
         self.omega_e = profile.omega_e
-        self.xi_mode = xi_mode
         self._omega_m = profile.omega_m
-        w = grid.omega + self.omega_e
         self._g = cp.grid_fourier(profile, grid)
         if xi_mode == "adiabatic":
-            xi = self._g / w
+            self.xi_coeffs = self._g / (grid.omega + self.omega_e)
         else:
-            xi = _periodic_xi(self._g, grid.omega, self.omega_e, self._omega_m)
-        freqs = np.repeat(cp.HARMONICS[:, None] * self._omega_m, grid.n_modes, axis=1)
-        if xi_mode == "exact":
-            if xi0 is None:
-                xi0 = self._g.sum(axis=0) / w
-            else:
-                xi0 = np.asarray(xi0, dtype=complex)
-                if xi0.shape != (grid.n_modes,):
-                    raise ConfigError("xi0 must have one entry per grid mode")
-            xi = np.vstack([xi, xi0 - xi.sum(axis=0)])
-            freqs = np.vstack([freqs, w])
-        self.xi_coeffs = xi
-        self.xi_freqs = freqs
-        self.xi0 = xi0
+            self.xi_coeffs = _periodic_xi(self._g, grid.omega, self.omega_e,
+                                          self._omega_m)
+        self.xi_freqs = np.repeat(cp.HARMONICS[:, None] * self._omega_m,
+                                  grid.n_modes, axis=1)
 
     def _xi_at(self, t: float, order: int = 0) -> np.ndarray:
         """xi (order 0) or d xi/dt (order 1) of all modes at t."""

@@ -335,7 +335,8 @@ def build_transformed_hamiltonian(
     * ``"NormalOrdered"`` -- H0 + H1 + sigma_z Gamma with the pair kernel in
       normal order and the frequency shift absorbed into omega_e', which
       is held equal to omega_e (see :mod:`vacuum_shake.dressing`).
-    * ``"H0H1only"`` -- excitation-conserving part alone.
+    * ``"H0H1only"`` -- excitation-conserving part alone; no scenario uses
+      it, the propagation tests need its conserved excitation number.
 
     S = sum_k eta_k a_k and sigma_+ S come straight from the entry table;
     the pair kernel Gamma is a product of CSR matrices, and the sum must be
@@ -368,15 +369,15 @@ def build_transformed_hamiltonian(
     return HarmonicHamiltonian(H.diagonal().real, upper.row, upper.col, series, 0.0)
 
 
-def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame, t: float,
-                        include_phase: bool) -> np.ndarray:
+def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame,
+                        t: float) -> np.ndarray:
     """The complete second-order transformed Hamiltonian H'_(2) at t, dense.
 
     The free part, the co- and counter-rotating single-photon terms
     sigma_+ sum_k c_co,k a_k + sigma_- sum_k c_cr,k a_k + h.c. with their
     displacement coefficients, the quadratic term omega_e sigma_z X^2 for
-    X = sum_k (xi_k* a_k^+ - xi_k a_k), and (optionally) the scalar phase
-    E(t).  With exact xi the counter-rotating coefficients vanish.
+    X = sum_k (xi_k* a_k^+ - xi_k a_k), and the scalar phase E(t).  With
+    the Floquet xi the counter-rotating coefficients vanish.
     """
     omega, omega_e = frame.grid.omega, frame.omega_e
     xi, xid, g = frame.xi_all(t), frame.xi_dot_all(t), frame.g_all(t)
@@ -392,8 +393,7 @@ def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame, t: float,
     # X^2 = G^2 for the generator G = sigma_x X
     G = _dense(basis.dimension, *_generator_entries(basis, xi, +1))
     H += omega_e * ((G @ G) * basis.sigma_z_diagonal()[:, None])
-    if include_phase:
-        H[np.diag_indices(basis.dimension)] += phase_E(frame, t)
+    H[np.diag_indices(basis.dimension)] += phase_E(frame, t)
     return _hermitian(H, 1e-11)
 
 
@@ -797,10 +797,11 @@ def propagate(
 
 def transformed_residual_norm(
     basis: FockBasis, frame: DressedFrame, t: float, *,
-    shell_margin: int = 2, include_phase: bool = True,
+    shell_margin: int = 2,
 ) -> float:
     """Max-element norm of T H T^+ - i T dT^+/dt - H'_(2) over bulk states.
 
+    H'_(2) includes the phase E(t), without which the residual is O(xi^2).
     Dense throughout, with numpy alone: H(t), H'_(2)
     (:func:`_order2_hamiltonian`) and the displacement generator are filled
     from the entries of the a_k, and T is :func:`_expm_multiply` of the
@@ -831,7 +832,7 @@ def transformed_residual_norm(
 
     T = dense_T(t, +1)
     R = T @ build_original_hamiltonian(basis, grid, profile, t) @ T.conj().T
-    R -= _order2_hamiltonian(basis, frame, t, include_phase)
+    R -= _order2_hamiltonian(basis, frame, t)
 
     if np.any(frame.xi_coeffs[frame.xi_freqs != 0]):
         h = 1e-4 / frame.omega_e

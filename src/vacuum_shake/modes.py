@@ -108,26 +108,6 @@ class ModeGrid:
     def c(self) -> float:
         return self.geometry.c
 
-    def node_weights(self) -> np.ndarray:
-        """Quadrature weights of distinct wavevector nodes.
-
-        In 3D each node carries two polarization modes that share one
-        geometric weight; summing per-mode weights would double count the
-        ``d^3k`` measure.  In 1D every mode is its own node.
-        """
-        if self.is_waveguide:
-            return self.weight
-        return self.weight[::2]
-
-    def band_mode_count(self, omega_lo: float, omega_hi: float) -> float:
-        """Continuum-consistent count of modes with omega in the given band."""
-        sel = (self.omega >= omega_lo) & (self.omega <= omega_hi)
-        if self.is_waveguide:
-            return float(np.count_nonzero(sel))
-        # bare d^3k weights -> multiply by the box-counting density
-        dens = self.geometry.volume / (2.0 * np.pi) ** 3
-        return float(np.sum(self.weight[sel]) * dens)
-
     def geometry_dict(self) -> dict:
         """Kind, c and box size of the geometry, as written to run summaries."""
         doc = {"kind": "Waveguide1D" if self.is_waveguide else "FreeSpace3D",
@@ -359,7 +339,8 @@ def density_of_states(grid: ModeGrid, omega: float) -> float:
     Includes all propagation directions and polarizations:
     ``L/(pi*c)`` for the waveguide (``L/(2*pi*c)`` per direction) and
     ``V*omega^2/(pi^2*c^3)`` in free space (``V*omega^2/(2*pi^2*c^3)`` per
-    polarization).
+    polarization).  Kept, with no scenario caller, as the tests' reference
+    for mode counts; ``perfbench/spans.py`` traces it.
     """
     if not (grid.omega_min <= omega <= grid.omega_max):
         raise DomainError(

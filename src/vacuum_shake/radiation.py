@@ -6,14 +6,13 @@ The pair amplitude over mode pairs,
                + i * integral_0^t Lambda_kk'(tau) e^{-i(w_k+w_k')(t-tau)} dtau,
 
 splits into the instantaneous dressing Lambda_kk'(t)/(w_k+w_k') plus a freely
-propagating remainder.  The dressing displacement xi is a finite sum of
-exponentials (three drive harmonics, plus the transient at w_k + w_e in
-exact mode), so Lambda_kk'(tau) e^{i(w_k+w_k')tau} is one too, at most 16
-terms per pair, and the memory integral is exact: each term at frequency x
-contributes I(x, t) = t e^{ixt/2} sinc(xt/2pi), which tends to t at
-resonance.  For static couplings the remainder cancels exactly;
-under periodic modulation it grows secularly at pair resonances and the
-continuum limit gives a golden-rule emission rate
+propagating remainder.  The dressing displacement xi is a sum of three
+exponentials, one per drive harmonic, so Lambda_kk'(tau) e^{i(w_k+w_k')tau}
+is one of at most 9 terms per pair, and the memory integral is exact: each
+term at frequency x contributes I(x, t) = t e^{ixt/2} sinc(xt/2pi), which
+tends to t at resonance.  For static couplings the remainder cancels
+exactly; under periodic modulation it grows secularly at pair resonances
+and the continuum limit gives a golden-rule emission rate
 
     R = pi (k_m r_m)^2 / (4 w_e^2) * int d^Dk d^Dk' rho rho'
         (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
@@ -28,7 +27,6 @@ constant in front of the free-space law.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +38,6 @@ from .errors import ConfigError, DomainError, FitQualityError, NumericalError
 from .modes import FreeSpace3D, ModeGrid, Waveguide1D, gauss_legendre
 
 __all__ = [
-    "PairAmplitudeResult",
     "pair_amplitude",
     "golden_rule_rate",
     "rate_sweep",
@@ -49,21 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairAmplitudeResult:
-    """Pair amplitudes over mode pairs at one time, split into total and
-    freely propagating parts (both symmetric in the two mode indices)."""
-
-    t: float
-    C: np.ndarray
-    freely_propagating_part: np.ndarray
-
-    def max_free_magnitude(self) -> float:
-        return float(np.max(np.abs(self.freely_propagating_part)))
-
-
-def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
-    """Perturbative pair amplitude C_kk'(t) and its freely propagating part.
+def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbative pair amplitude C_kk'(t) and its freely propagating part,
+    the (n, n) arrays ``(C, free)``, both symmetric in the two mode indices.
 
     With xi_k(t) = sum_a X_ak e^{i F_ak t} (the frame's ``xi_coeffs`` and
     ``xi_freqs``), Lambda_kk'(tau) e^{i Omega tau} is a sum of exponentials
@@ -74,8 +59,8 @@ def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
 
     with Omega_kk' = w_k + w_k' and sinc(y) = sin(pi y)/(pi y).  I is finite
     at resonance (I(0, t) = t, the secular growth) and never divides by x;
-    at t = 0 it vanishes, so C = Lambda(0)/Omega.  ``freely_propagating_part``
-    subtracts the instantaneous dressing Lambda_kk'(t)/Omega_kk'.
+    at t = 0 it vanishes, so C = Lambda(0)/Omega.  ``free`` subtracts the
+    instantaneous dressing Lambda_kk'(t)/Omega_kk'.
     """
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
@@ -87,8 +72,7 @@ def pair_amplitude(frame: DressedFrame, t: float) -> PairAmplitudeResult:
     memory = frame.omega_e * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
     C = lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory
-    free = C - lambda_matrix(frame, t) / Omega
-    return PairAmplitudeResult(t=t, C=C, freely_propagating_part=free)
+    return C, C - lambda_matrix(frame, t) / Omega
 
 
 def _angular_moments_3d(profile, grid, omega):
@@ -319,7 +303,7 @@ def oracle_compare_pair_production(
     final_dressed = fk.apply_T(basis, frame, t_final, final_lab, direction=+1)
 
     vac_amp = final_dressed.amplitude(fk.GROUND, (0,) * n)
-    pert = pair_amplitude(frame, t_final)
+    free = pair_amplitude(frame, t_final)[1]
     lam_t = lambda_matrix(frame, t_final)
     Omega = omega[:, None] + omega[None, :]
 
@@ -331,7 +315,7 @@ def oracle_compare_pair_production(
         a_orac = final_dressed.amplitude(fk.GROUND, occ) / vac_amp
         dressing = 2.0 * lam_t[j, k] / Omega[j, k]
         d_orac = a_orac - dressing
-        d_pert = 2.0 * pert.freely_propagating_part[j, k]
+        d_pert = 2.0 * free[j, k]
         rows.append({
             "pair": (j, k),
             "omega_sum": float(omega[j] + omega[k]),

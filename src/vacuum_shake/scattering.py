@@ -161,33 +161,6 @@ def packet_dressing_overlap(packet: Wavepacket, omega_e: float, *,
     raise ConfigError(f"unknown overlap method {method!r}")
 
 
-def assert_far_from_atom(packet: Wavepacket, omega_e: float,
-                         tol: float = 1e-6) -> float:
-    """Verify the far-packet condition: front edge at least 10 decay lengths
-    out AND reconstructed norm inside the dressing region below ``tol``.
-
-    Needs a quantization box long enough to hold the packet without
-    wrap-around; raises :class:`ConfigError` otherwise.
-    """
-    c = packet.grid.geometry.c
-    if abs(packet.x0) < 10.0 * c / packet.gamma_prime:
-        raise DomainError("front edge closer than 10 c/gamma' to the emitter")
-    L = packet.grid.geometry.length
-    # tail wrapped around the periodic box must stay below tol at the window
-    wrap = np.exp(-packet.gamma_prime * (L - abs(packet.x0)) / c)
-    if wrap > 0.1 * tol:
-        raise ConfigError(
-            "quantization box too short to verify the far-packet condition "
-            f"(wrap-around floor {wrap:.1e})"
-        )
-    overlap = packet_dressing_overlap(packet, omega_e, method="modes")
-    if overlap > tol:
-        raise DomainError(
-            f"packet norm {overlap:.2e} inside the dressing region exceeds {tol:.1e}"
-        )
-    return overlap
-
-
 def decay_amplitudes(grid: ModeGrid, profile: cp.CouplingProfile, t: float):
     """Spontaneous-decay solution from the excited emitter at t = 0.
 
@@ -206,6 +179,8 @@ def decay_amplitudes(grid: ModeGrid, profile: cp.CouplingProfile, t: float):
     :func:`~vacuum_shake.modes.build_waveguide_grid` band does), and a
     resonance between nodes by (gamma/2) cot(pi phi), phi its fractional
     offset from the nearest node.
+    Kept, with no scenario caller yet, as a one-photon cross-check for a
+    three-photon oracle (ROADMAP item 11); ``perfbench/spans.py`` traces it.
     """
     gamma = gamma_from_coupling(grid, profile)
     omega_e = profile.omega_e
@@ -228,6 +203,7 @@ def excited_amplitude_scattering(gamma: float, gamma_prime: float,
     [2i sqrt(gamma' gamma) / (gamma - gamma')] (e^{-gamma tau/2} - e^{-gamma' tau/2})
     e^{-i omega_e tau / 2}; the removable gamma' -> gamma singularity is
     evaluated analytically.
+    Kept, like :func:`decay_amplitudes`, for the three-photon oracle.
     """
     if gamma <= 0 or gamma_prime < 0:
         raise DomainError("decay rates must be positive")
@@ -380,7 +356,8 @@ class ThreePhotonTensor:
         return 1.0 / ((1j * d3 - self.gamma / 2.0) * (1j * d3 - self.gamma_prime / 2.0))
 
     def raw_slice(self, l: int) -> np.ndarray:
-        """C_{jk,l} over (j, k) with photon l emitted last."""
+        """C_{jk,l} over (j, k) with photon l emitted last: the paper's
+        coefficient, kept as the tests' reference for ``sym`` and P3."""
         W = self._pair_kernel(l)
         ee = self._eta_conj[:, None] * self._eta_conj[None, :]
         return self._pref * ee * self._eta_conj[l] * W * self._u[l]
@@ -391,15 +368,6 @@ class ThreePhotonTensor:
         ee = self._eta_conj[:, None] * self._eta_conj[None, :] * self._eta_conj[l]
         u_sum = (self._u[:, None] + self._u[None, :] + self._u[l]) / 3.0
         return self._pref * ee * W * u_sum
-
-    def to_arrays(self, max_modes: int = 120):
-        """Dense (raw, sym) tensors; guarded against cubic blowup."""
-        n = self.n_modes
-        if n > max_modes:
-            raise ConfigError(f"dense tensor for {n} modes exceeds guard {max_modes}")
-        raw = np.stack([self.raw_slice(l) for l in range(n)], axis=2)
-        sym = np.stack([self.sym_slice(l) for l in range(n)], axis=2)
-        return raw, sym
 
     # -- reductions over |sym|^2 ------------------------------------------------
 
@@ -511,17 +479,6 @@ class ThreePhotonTensor:
 
     def total_sym_weight(self) -> float:
         return float(np.sum(self.spectrum[1]))
-
-    def check_support(self, threshold: float = 0.9,
-                      window_factor: float = 10.0) -> float:
-        frac = self.mass_fraction_within(
-            window_factor * max(self.gamma, self.gamma_prime)
-        )
-        if frac < threshold:
-            raise DomainError(
-                f"on-shell mass fraction {frac:.4f} below {threshold}"
-            )
-        return frac
 
     def slice_to_csv(self, path, l: int):
         """Write ``slice_spectrum(l)`` as ``omega_j,weight``, one row per mode."""

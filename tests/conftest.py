@@ -33,6 +33,14 @@ def static_1d_profile(grid, *, gamma=1e-3, omega_e=OMEGA_E):
     )
 
 
+def dense_tensors(tensor):
+    """The dense three-photon tensors (raw, sym), indexed [j, k, l], stacked
+    from ``raw_slice`` and ``sym_slice`` of a ``ThreePhotonTensor``."""
+    ls = range(tensor.n_modes)
+    return (np.stack([tensor.raw_slice(l) for l in ls], axis=2),
+            np.stack([tensor.sym_slice(l) for l in ls], axis=2))
+
+
 def dense_annihilator(basis, k):
     """a_k on both atom levels of a Fock ``basis``, dense, built by lowering
     each photon configuration and looking both states up with ``index``."""

@@ -72,10 +72,9 @@ class TestGuards:
 
 
 class TestEvalG:
-    def test_static_time_independent(self):
-        prof = cp.CouplingProfile.static_3d(OMEGA_E, [0, 0, 1], gamma=1e-3, V=V)
-        m = node3d(0.7, [1, 0, 0], [0, 0, 1])
-        vals = {complex(g_at(prof, m, t)[0]) for t in (0.0, 1.3, 97.2)}
+    def test_static_time_independent(self, small_waveguide):
+        prof = static_1d_profile(small_waveguide)
+        vals = {complex(g_at(prof, small_waveguide, t)[0]) for t in (0.0, 1.3, 97.2)}
         assert len(vals) == 1
 
     def test_zero_amplitude_reduces_to_static(self):
@@ -157,7 +156,8 @@ class TestEtaComponents3D:
 class TestEtaWaveguide:
     @staticmethod
     def eta(grid, d, A, L, omega_e):
-        prof = cp.CouplingProfile.waveguide_1d_from_dipole(omega_e, d, A=A, L=L)
+        prof = cp.CouplingProfile(kind=cp.CouplingKind.WAVEGUIDE_1D, omega_e=omega_e,
+                                  chi_scale=d / np.sqrt(2.0 * A * L))
         return sc.eta_array(grid, prof)
 
     def test_resonance_value(self):

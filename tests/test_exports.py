@@ -24,7 +24,18 @@ def traced_targets():
     return spans.TARGETS
 
 
-@pytest.mark.parametrize("layer", ["fock", "radiation", "scattering", "cli"])
+# the 11 traced names that ``TARGETS`` lists but the package no longer
+# defines; ROADMAP item 8 drops them from ``TARGETS``
+ALREADY_ABSENT = {
+    "modes": ["grid_from_json"],
+    "coupling": ["eval_g", "dg_dt", "g_fourier_components", "eta_components_1d",
+                 "eta_components_3d", "eta_waveguide", "eta_of_t"],
+    "dressing": ["xi_adiabatic", "xi_exact", "counter_rotating_residual"],
+}
+
+
+@pytest.mark.parametrize("layer", ["modes", "coupling", "dressing", "fock",
+                                   "radiation", "scattering", "cli"])
 def test_traced_names_resolve(layer):
     # a renamed or deleted function would drop out of the benchmark's
     # per-layer spans with no other test failing
@@ -33,6 +44,6 @@ def test_traced_names_resolve(layer):
     for target in traced_targets()[layer]:
         owner, _, attr = target.rpartition(".")
         scope = vars(getattr(module, owner, object)) if owner else vars(module)
-        if not callable(scope.get(attr)):
+        if not callable(scope.get(attr)) and target not in ALREADY_ABSENT.get(layer, []):
             missing.append(target)
     assert missing == []

@@ -19,13 +19,13 @@ from conftest import (OMEGA_E, dense_annihilator, dense_sigma_x, oscillating_1d_
                       static_1d_profile)
 
 
-def frame_with_xi(grid, xi_target, xi_mode="adiabatic"):
+def frame_with_xi(grid, xi_target):
     """Static waveguide frame whose per-mode displacement is xi_target."""
     w = grid.omega[0]
     chi_scale = xi_target * (w + OMEGA_E) / np.sqrt(w)
     prof = cp.CouplingProfile(kind=cp.CouplingKind.WAVEGUIDE_1D,
                               omega_e=OMEGA_E, chi_scale=chi_scale, c=grid.c)
-    return dr.DressedFrame(grid, prof, xi_mode=xi_mode)
+    return dr.DressedFrame(grid, prof)
 
 
 class TestBasis:
@@ -212,7 +212,7 @@ class TestTransformedHamiltonian:
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
         frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
         b = fk.enumerate_basis(4, 2)
-        H = fk._order2_hamiltonian(b, frame, 2.3, True)
+        H = fk._order2_hamiltonian(b, frame, 2.3)
         # <e,1_k|H'|g,0>: counter-rotating single-photon element
         ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
         for k in range(4):
@@ -224,7 +224,7 @@ class TestTransformedHamiltonian:
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
         frame = dr.DressedFrame(small_waveguide, prof)  # adiabatic
         b = fk.enumerate_basis(4, 2)
-        H = fk._order2_hamiltonian(b, frame, 2.3, True)
+        H = fk._order2_hamiltonian(b, frame, 2.3)
         ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
         vals = [abs(H[b.index(fk.EXCITED, tuple(np.eye(4, dtype=int)[k])), ig0])
                 for k in range(4)]
@@ -677,17 +677,6 @@ class TestTransformedResidual:
         r04 = fk.transformed_residual_norm(b, frame_with_xi(grid, 0.04), 0.0)
         r02 = fk.transformed_residual_norm(b, frame_with_xi(grid, 0.02), 0.0)
         assert 6.0 <= r04 / r02 <= 10.0
-
-    def test_phase_term_reduces_residual(self):
-        grid = modes.build_waveguide_grid(2, 1.2, 2 * np.pi, 1.0)
-        b = fk.enumerate_basis(2, 4)
-        frame = frame_with_xi(grid, 0.1)
-        E = dr.phase_E(frame, 0.0)
-        assert E != 0.0
-        with_e = fk.transformed_residual_norm(b, frame, 0.0, include_phase=True)
-        without_e = fk.transformed_residual_norm(b, frame, 0.0,
-                                                 include_phase=False)
-        assert with_e < without_e
 
     @pytest.mark.parametrize("driven", [False, True])
     def test_static_frame_skips_the_derivative(self, small_waveguide, driven,

@@ -83,64 +83,57 @@ def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
 
 
 class TestPairAmplitude:
-    XI0 = 0.01 * np.array([0.3 - 1.1j, -0.8 + 0.2j, 1.4 + 0.6j, -0.5 - 0.9j])
-
-    @pytest.mark.parametrize("xi_mode, custom_xi0", [
-        ("adiabatic", False), ("floquet", False), ("exact", False),
-        ("exact", True),
-    ], ids=["adiabatic", "floquet", "exact", "exact-xi0"])
+    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet"])
     @pytest.mark.parametrize("omega_m, t", [
         (0.55, 37.0),
         # Omega = 0.4 + 0.9 = omega_m: those pairs grow like t
         (1.3, 200.0),
     ], ids=["off-resonant", "resonant"])
-    def test_matches_quadrature(self, xi_mode, custom_xi0, omega_m, t):
+    def test_matches_quadrature(self, xi_mode, omega_m, t):
         grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.09 / omega_m, omega_m=omega_m,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode=xi_mode,
-                                xi0=self.XI0 if custom_xi0 else None)
-        res = rad.pair_amplitude(frame, t)
+        frame = dr.DressedFrame(grid, prof, xi_mode=xi_mode)
+        C, _ = rad.pair_amplitude(frame, t)
         ref = quadrature_pair_amplitude(frame, t)
-        assert res.C == pytest.approx(ref, rel=1e-12, abs=0)
+        assert C == pytest.approx(ref, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet", "exact"])
+    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet"])
     def test_zero_time_is_the_dressing(self, small_waveguide, xi_mode):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
         frame = dr.DressedFrame(small_waveguide, prof, xi_mode=xi_mode)
-        res = rad.pair_amplitude(frame, 0.0)
+        C, free = rad.pair_amplitude(frame, 0.0)
         omega = small_waveguide.omega
         Omega = omega[:, None] + omega[None, :]
-        assert np.array_equal(res.C, dr.lambda_matrix(frame, 0.0) / Omega)
-        assert np.all(res.freely_propagating_part == 0.0)
+        assert np.array_equal(C, dr.lambda_matrix(frame, 0.0) / Omega)
+        assert np.all(free == 0.0)
 
     def test_static_coupling_cancellation(self, small_waveguide):
         frame = dr.DressedFrame(small_waveguide,
                                 static_1d_profile(small_waveguide))
         lam_max = np.max(np.abs(dr.lambda_matrix(frame, 0.0)))
         for t in (0.0, 13.0, 77.0):
-            res = rad.pair_amplitude(frame, t)
-            assert res.max_free_magnitude() <= 1e-13 * lam_max
+            C, free = rad.pair_amplitude(frame, t)
+            assert np.max(np.abs(free)) <= 1e-13 * lam_max
             # total amplitude equals the instantaneous dressing
             Omega = small_waveguide.omega[:, None] + small_waveguide.omega[None, :]
-            assert np.allclose(res.C, dr.lambda_matrix(frame, t) / Omega,
+            assert np.allclose(C, dr.lambda_matrix(frame, t) / Omega,
                                rtol=0, atol=1e-13 * lam_max)
 
     def test_zero_dipole(self, small_waveguide):
         frame = dr.DressedFrame(small_waveguide,
                                 static_1d_profile(small_waveguide, gamma=0.0))
-        res = rad.pair_amplitude(frame, 5.0)
-        assert np.all(res.C == 0.0)
+        C, _ = rad.pair_amplitude(frame, 5.0)
+        assert np.all(C == 0.0)
 
     def test_symmetry(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
         frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
-        res = rad.pair_amplitude(frame, 9.0)
-        assert np.array_equal(res.C, res.C.T)
-        assert np.array_equal(res.freely_propagating_part,
-                              res.freely_propagating_part.T)
+        C, free = rad.pair_amplitude(frame, 9.0)
+        assert np.array_equal(C, C.T)
+        assert np.array_equal(free, free.T)
 
     def test_resonant_secular_growth(self):
         # pair resonance Omega = omega_m: over an integer number of drive
@@ -153,8 +146,8 @@ class TestPairAmplitude:
         ts = np.linspace(0, T, 601)[:-1]
         lam_t = np.array([dr.lambda_matrix(frame, t)[0, 0] for t in ts])
         lam_minus = np.mean(lam_t * np.exp(1j * wm * ts))
-        c1 = rad.pair_amplitude(frame, 5 * T).C[0, 0]
-        c2 = rad.pair_amplitude(frame, 15 * T).C[0, 0]
+        c1 = rad.pair_amplitude(frame, 5 * T)[0][0, 0]
+        c2 = rad.pair_amplitude(frame, 15 * T)[0][0, 0]
         assert abs(c2 - c1) == pytest.approx(abs(lam_minus) * 10 * T, rel=1e-6)
 
     def test_against_closed_form(self):
@@ -168,7 +161,7 @@ class TestPairAmplitude:
         )
         frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
         t = 37.0
-        res = rad.pair_amplitude(frame, t)
+        C, _ = rad.pair_amplitude(frame, t)
 
         # Fourier components of Lambda over one period
         T = 2 * np.pi / wm
@@ -176,7 +169,7 @@ class TestPairAmplitude:
         lam_series = np.stack([dr.lambda_matrix(frame, x) for x in ts])
         omega = grid.omega
         Om = omega[:, None] + omega[None, :]
-        C_ref = np.zeros_like(res.C)
+        C_ref = np.zeros_like(C)
         lam0 = dr.lambda_matrix(frame, 0.0)
         C_ref += lam0 / Om * np.exp(-1j * Om * t)
         for m in (-2, -1, 0, 1, 2):
@@ -188,7 +181,7 @@ class TestPairAmplitude:
                 (np.exp(1j * nu * t) - 1.0) / (1j * np.where(nu == 0, 1, nu)),
             )
             C_ref += 1j * np.exp(-1j * Om * t) * lam_m * kernel
-        assert np.max(np.abs(res.C - C_ref)) < 1e-13 * np.max(np.abs(C_ref))
+        assert np.max(np.abs(C - C_ref)) < 1e-13 * np.max(np.abs(C_ref))
 
     def test_off_resonant_bound(self):
         # no secular growth off resonance: |C| bounded uniformly in t
@@ -205,8 +198,8 @@ class TestPairAmplitude:
         detune = np.min(np.abs(Om - wm))
         bound = 4.0 * lam_scale / detune
         for t in (40.0, 160.0):
-            res = rad.pair_amplitude(frame, t)
-            assert np.max(np.abs(res.C)) < bound
+            C, _ = rad.pair_amplitude(frame, t)
+            assert np.max(np.abs(C)) < bound
 
 
 class TestGoldenRuleRate:

@@ -44,9 +44,9 @@ SMALL = {
 }
 
 
-def run(tmp_path, scenario):
+def run(tmp_path, scenario, doc=None):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": scenario, **SMALL[scenario]}))
+    cfg.write_text(json.dumps({"scenario": scenario, **(doc or SMALL[scenario])}))
     out = tmp_path / "out"
     rc = cli.main(["run", str(cfg), "--out", str(out)])
     return rc, out
@@ -99,6 +99,33 @@ def test_wall_time_survives_a_clock_step(tmp_path, monkeypatch):
     rc, out = run(tmp_path, "DressingDump")
     assert rc == cli.EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0.0
+
+
+# one count per scenario, to be written as an integer-valued float, which
+# the schema accepts as an integer (draft 7) and the scenario must run with
+INTEGRAL_FLOATS = {
+    "DressingDump": ("grid", "n_modes"),
+    "RateSweep1D": ("sweep", "n_points"),
+    "RateSweep3D": ("grid", "n_polar"),
+    "Scattering3Photon": ("scattering", "n_modes"),
+    "OracleCompare": ("oracle", "n_max"),
+    "AppendixAVerify": ("residual", "n_modes"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(INTEGRAL_FLOATS))
+def test_integral_float_count_runs(tmp_path, scenario):
+    section, key = INTEGRAL_FLOATS[scenario]
+    doc = json.loads(json.dumps(SMALL[scenario]))
+    doc[section][key] = float(doc[section][key])
+    rc, out = run(tmp_path, scenario, doc)
+    assert rc == cli.EXIT_OK
+    if scenario == "OracleCompare":
+        as_int = tmp_path / "int"
+        as_int.mkdir()
+        assert run(as_int, scenario)[0] == cli.EXIT_OK
+        csv_name = "pair_amplitudes.csv"
+        assert (out / csv_name).read_bytes() == (as_int / "out" / csv_name).read_bytes()
 
 
 @pytest.mark.parametrize("zero", ["gamma", "k_m_r_m"])
