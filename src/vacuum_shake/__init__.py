@@ -12,9 +12,10 @@ table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
 
 Importing the package loads no scipy module.  Only ``fock`` uses scipy,
-and it imports ``scipy.sparse`` on first use, for the CSR products of the
-OracleCompare scenario, whose manifest ``wall_time_s`` therefore includes
-that import.  AppendixAVerify's residual is dense and needs numpy alone.
+and it imports ``scipy.sparse`` on first use, for the CSR products of
+Fock sectors above ``fock.DENSE_ENTRIES_MAX``; an OracleCompare run that
+reaches them has that import in its manifest ``wall_time_s``.  The shipped
+OracleCompare and AppendixAVerify are dense and need numpy alone.
 """
 
 __version__ = "0.1.0"

@@ -263,7 +263,7 @@ def oracle_compare_pair_production(
     the number of whole drive periods taken by the one-period propagator
     and that propagator's RHS evaluations and unitarity defect (see
     :func:`fock.propagate`), and the truncation estimates and
-    sparse-product counts of the transforms into and out of the lab frame.
+    product counts of the transforms into and out of the lab frame.
     A pair (j, k) is resonant when |w_j + w_k - w_m| is below a quarter of
     the smallest gap between distinct grid frequencies (0.1 w_m on a
     one-frequency grid).

@@ -254,16 +254,22 @@ def test_validator_agrees_with_jsonschema(cfg):
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
     # scipy.integrate pulls in optimize, special, spatial and fft (about 0.4 s
-    # of every process's start-up), and scipy.sparse another 0.2 s: only
-    # OracleCompare needs scipy, and fock imports scipy.sparse on first use;
-    # the AppendixAVerify residual is dense and needs numpy alone
-    oracle = write_json(tmp_path / "oracle.json", {
-        "scenario": "OracleCompare",
-        "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}})
+    # of every process's start-up), and scipy.sparse another 0.2 s: fock
+    # imports scipy.sparse on first use, for the CSR products above
+    # fock.DENSE_ENTRIES_MAX; the AppendixAVerify residual and the shipped
+    # OracleCompare (a 15-state sector) are dense and need numpy alone,
+    # while OracleCompare's 70-state sector at n_max 4 takes the CSR path
+    oracle = {"scenario": "OracleCompare",
+              "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}}
+    small = write_json(tmp_path / "oracle.json", oracle)
+    oracle["oracle"]["n_max"] = 4
+    large = write_json(tmp_path / "oracle_large.json", oracle)
     plain = [str(CONFIG_DIR / f"{name}.json") for name in
              ("dressing_dump", "rate_sweep_1d", "rate_sweep_3d", "scattering_3photon")]
     residual = [str(CONFIG_DIR / "transform_residual.json")]
     scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    heavy = ("print([m in sys.modules for m in"
+             " ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')])")
     code = "\n".join([
         "import sys",
         "from vacuum_shake import cli",
@@ -274,15 +280,16 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
         scipy_modules,
         f"run({residual!r})",
         scipy_modules,
-        f"run({[oracle]!r})",
-        "print([m in sys.modules for m in",
-        "       ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')])",
+        f"run({[small]!r})",
+        scipy_modules,
+        f"run({[large]!r})",
+        heavy,
     ])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
     printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
-    assert printed == ["[]", "[]", "[True, False, False]"]
+    assert printed == ["[]", "[]", "[]", "[True, False, False]"]
 
 
 def test_residual_over_the_dense_cap_exits_4(tmp_path, capsys):

@@ -28,6 +28,23 @@ def frame_with_xi(grid, xi_target):
     return dr.DressedFrame(grid, prof)
 
 
+def harmonic_series(grid, kind, n_max):
+    """A static, an oscillating 1D or an oscillating 3D harmonic series at
+    ``n_max``: the 1D ones on ``grid``, the 3D one on four modes at omega 1."""
+    if kind == "static":
+        prof = static_1d_profile(grid, gamma=1e-2)
+    elif kind == "oscillating":
+        prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
+    else:
+        # the magnetic term makes g+ != g-, which 1D motion never does
+        grid = modes.build_freespace_quadrature(1, 2, 1, 2.0, V=(2 * np.pi) ** 3)
+        prof = cp.CouplingProfile.oscillating_3d(
+            OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
+            r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
+    b = fk.enumerate_basis(grid.n_modes, n_max)
+    return fk.original_hamiltonian_series(b, grid, prof)
+
+
 class TestBasis:
     def test_one_mode_enumeration(self):
         b = fk.enumerate_basis(1, 1)
@@ -149,27 +166,38 @@ class TestOriginalHamiltonian:
     @pytest.mark.parametrize("kind", ["static", "oscillating", "oscillating_3d"])
     def test_applied_series_matches_formed(self, small_waveguide, kind, n_max):
         # diag * y + the applied off-diagonal part against H(t) @ y
-        grid = small_waveguide
-        if kind == "static":
-            prof = static_1d_profile(grid, gamma=1e-2)
-        elif kind == "oscillating":
-            prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1,
-                                          gamma=1e-2)
-        else:
-            # the magnetic term makes g+ != g-, which 1D motion never does
-            grid = modes.build_freespace_quadrature(1, 2, 1, 2.0,
-                                                    V=(2 * np.pi) ** 3)
-            prof = cp.CouplingProfile.oscillating_3d(
-                OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
-                r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
-        b = fk.enumerate_basis(grid.n_modes, n_max)
-        H = fk.original_hamiltonian_series(b, grid, prof)
+        H = harmonic_series(small_waveguide, kind, n_max)
         rng = np.random.default_rng(n_max)
         for t in rng.uniform(0.0, 40.0, size=5):
-            y = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
+            y = rng.normal(size=len(H.diag)) + 1j * rng.normal(size=len(H.diag))
             ref = H(t) @ y
             applied = H.diag * y + H.apply_offdiagonal(t, y)
             assert np.linalg.norm(applied - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", ["static", "oscillating", "oscillating_3d"])
+    def test_frequency_table_matches_formed(self, small_waveguide, kind):
+        # the table's e^{i Omega tau} @ A against the interaction-picture
+        # -i e^{i D tau} (H(t) - diag) e^{-i D tau} of the formed H(t), on a
+        # vector and on a block, with the series started at 0.7
+        H = harmonic_series(small_waveguide, kind, 2)
+        d, start = len(H.diag), 0.7
+        Omega, A = fk._frequency_table(H, start)
+        assert len(Omega) * d * d <= fk.DENSE_ENTRIES_MAX
+        rng = np.random.default_rng(9)
+        for t in rng.uniform(0.0, 40.0, size=5):
+            ph = np.exp(1j * H.diag * (t - start))
+            ref = -1j * ph[:, None] * (H(t) - np.diag(H.diag)) * np.conj(ph)
+            M = (np.exp(1j * (t - start) * Omega) @ A).reshape(d, d)
+            for y in (rng.normal(size=d) + 1j * rng.normal(size=d),
+                      rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
+                assert np.linalg.norm(M @ y - ref @ y) <= 1e-14 * np.linalg.norm(ref @ y)
+
+    def test_frequency_table_bound(self, small_waveguide, monkeypatch):
+        # J d^2 entries: 29 frequencies on the 30 states of the oscillating series
+        H = harmonic_series(small_waveguide, "oscillating", 2)
+        assert len(fk._frequency_table(H, 0.0)[0]) == 29
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 29 * 30 ** 2 - 1)
+        assert fk._frequency_table(H, 0.0) is None
 
     def test_offdiagonal_block_is_columnwise(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.3, km_rm=0.1,
@@ -658,6 +686,27 @@ class TestPeriodPropagator:
         assert (info["n_periods"], info["period_rhs_evals"]) == (0, 0)
         assert info["unitarity_defect"] == 0.0
 
+    @pytest.mark.parametrize("periods, n_periods", [(4.4, 4), (0.9, 0)])
+    def test_dense_and_csr_kernels_agree(self, periods, n_periods, monkeypatch):
+        # the frequency table below DENSE_ENTRIES_MAX against the CSR product
+        # above it, on the period path and on the stepped path
+        H, psi = oracle_series(2)
+        t1 = periods * self.PERIOD
+        dense = fk.propagate(H, psi, 0.0, t1, 1e-10)
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 0)
+        csr = fk.propagate(H, psi, 0.0, t1, 1e-10)
+        assert dense.info["n_periods"] == csr.info["n_periods"] == n_periods
+        assert np.max(np.abs(dense.amplitudes - csr.amplitudes)) <= 1e-12
+
+    def test_period_block_is_one_integration(self):
+        # U(r) is kept on the way to U(T): the seed-0 oracle at t 12 takes as
+        # many evaluations as a whole number of periods, which has no U(r)
+        H, psi = oracle_series(2)
+        at_12 = fk.propagate(H, psi, 0.0, 12.0, 1e-10).info
+        whole = fk.propagate(H, psi, 0.0, 4 * self.PERIOD, 1e-10).info
+        assert at_12["n_periods"] == whole["n_periods"] == 4
+        assert at_12["n_rhs_evals"] == whole["n_rhs_evals"] == 206
+
     def test_short_interval_is_stepped(self):
         H, psi = oracle_series(2)
         info = fk.propagate(H, psi, 0.0, 0.9 * self.PERIOD, 1e-10).info
@@ -735,8 +784,10 @@ class TestDenseResidualOperators:
 
 
 def oracle_rhs(grid):
-    """Interaction-picture right-hand side of the oracle propagation, as
-    ``fk.propagate`` forms it, for an oscillating coupling on ``grid``."""
+    """Interaction-picture right-hand side of the oracle propagation in the
+    CSR form that ``fk._evolve`` takes above ``fk.DENSE_ENTRIES_MAX`` (its
+    70 states and 13 frequencies make a table of 63 700 entries),
+    for an oscillating coupling on ``grid``."""
     prof = oscillating_1d_profile(grid, omega_m=3.0, km_rm=0.1, gamma=1e-2)
     b = fk.enumerate_basis(grid.n_modes, 3)
     H = fk.original_hamiltonian_series(b, grid, prof)
@@ -764,7 +815,7 @@ class TestDop853:
     def test_bit_equal_to_solve_ivp(self, small_waveguide, problem, t1, rtol):
         fun, y0 = (oracle_rhs(small_waveguide) if problem == "oracle"
                    else stiff_linear_rhs())
-        y, stats = fk._dop853(fun, 0.0, y0, t1, rtol, rtol * 1e-2)
+        (y,), stats = fk._dop853(fun, 0.0, y0, [t1], rtol, rtol * 1e-2)
         sol = solve_ivp(fun, (0.0, t1), y0, method="DOP853", rtol=rtol,
                         atol=rtol * 1e-2)
         assert sol.status == 0
@@ -782,14 +833,32 @@ class TestDop853:
                    else stiff_linear_rhs())
         calls = []
         _, stats = fk._dop853(lambda t, y: calls.append(t) or fun(t, y), 0.0, y0,
-                              t1, rtol, rtol * 1e-2)
+                              [t1], rtol, rtol * 1e-2)
         assert stats["n_rhs_evals"] == len(calls)
         assert stats["n_rhs_evals"] == 2 + 12 * (stats["n_steps"] + stats["n_rejected"])
+
+    def test_output_times_in_one_integration(self, small_waveguide):
+        # one integration through several output times: the state at each
+        # matches integrations to it from t0 (the first bit for bit, since
+        # the steps up to the first clip are the same), and starting up once
+        # takes fewer evaluations than integrating segment by segment
+        fun, y0 = oracle_rhs(small_waveguide)
+        t_out = [0.0, 2.5, 7.0, 12.0]
+        ys, stats = fk._dop853(fun, 0.0, y0, t_out, 1e-10, 1e-12)
+        assert len(ys) == 4 and np.array_equal(ys[0], y0)
+        segments, y = 0, y0
+        for t_prev, t, y_out in zip(t_out, t_out[1:], ys[1:]):
+            (ref,), _ = fk._dop853(fun, 0.0, y0, [t], 1e-10, 1e-12)
+            assert np.max(np.abs(y_out - ref)) <= (0.0 if t == 2.5 else 1e-11)
+            (y,), seg = fk._dop853(fun, t_prev, y, [t], 1e-10, 1e-12)
+            segments += seg["n_rhs_evals"]
+        assert stats["n_rhs_evals"] == 2 + 12 * (stats["n_steps"] + stats["n_rejected"])
+        assert stats["n_rhs_evals"] < segments
 
     def test_step_underflow_raises_with_time_reached(self):
         def fun(t, y):
             return np.full_like(y, np.nan) if t > 1.0 else -1j * y
 
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
-            fk._dop853(fun, 0.0, np.ones(3, dtype=complex), 3.0, 1e-8, 1e-10)
+            fk._dop853(fun, 0.0, np.ones(3, dtype=complex), [3.0], 1e-8, 1e-10)
         assert exc.value.details["t_reached"] == pytest.approx(1.0, abs=1e-12)
