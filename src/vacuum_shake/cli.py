@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import resource
@@ -61,9 +62,16 @@ EXIT_NUMERICAL = 3
 EXIT_CAPACITY = 4
 
 
+@functools.cache
+def _schema_text() -> str:
+    schema = resources.files("vacuum_shake").joinpath("config_schema.json")
+    return schema.read_text(encoding="utf-8")
+
+
 def load_schema() -> dict:
-    with resources.files("vacuum_shake").joinpath("config_schema.json").open() as fh:
-        return json.load(fh)
+    """The packaged config schema, a fresh dict per call; the file is read
+    once per process."""
+    return json.loads(_schema_text())
 
 
 # JSON Schema keywords that ``validate_config`` interprets, and annotations

@@ -28,15 +28,18 @@ H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
 V_nu = sum_k g_nu,k a_k sigma_x, whose entries are built once per
 (basis, grid, profile).
 Propagation applies H(t) to the state from those fixed operators and never
-forms H(t).  In the interaction picture of H_diag every entry of V_nu
-oscillates at one frequency, nu omega_m + D_row - D_col, so a small sector
-reads its right-hand side from a table of those frequencies: one short
-exponential, one product with the (J, d^2) table and one d x d product per
-evaluation.  A larger sector takes one CSR product with the stacked
-[V_nu; V_nu^+] instead.  It steps with an in-package DOP853
-(:func:`_dop853`): Hairer's explicit Runge-Kutta 8(5,3) pair with the step
-control of ``scipy.integrate.solve_ivp(method="DOP853")``, so the package
-never imports ``scipy.integrate``.
+forms H(t).  Its right-hand side is linear, y' = L(t) y, and L does not
+depend on y, so the stepper, an in-package DOP853 (:func:`_dop853`:
+Hairer's explicit Runge-Kutta 8(5,3) pair with the step control of
+``scipy.integrate.solve_ivp(method="DOP853")``, so the package never
+imports ``scipy.integrate``), asks for the operators at all of a step's
+stage times in one call.  In the interaction picture of H_diag every entry
+of V_nu oscillates at one frequency, nu omega_m + D_row - D_col, so a small
+sector reads those operators from a table of the frequencies: one short
+exponential and one product with the (J, d^2) table per step, and one
+d x d product per stage.  A larger sector takes the phases of a step from
+one exponential and one CSR product with the stacked [V_nu; V_nu^+] per
+stage instead.
 
 H(t) is periodic with T = 2 pi / omega_m, so the propagator over
 t1 - t0 = n T + r factors as U(t0 + r, t0) U(t0 + T, t0)^n (Floquet's
@@ -265,11 +268,12 @@ class HarmonicHamiltonian:
     formed; propagation never calls it.  Propagation reads the entries
     either through the frequency table of :func:`_frequency_table` (small
     sectors, numpy alone) or through :meth:`apply_offdiagonal`, which
-    applies H(t) - diag to a vector or a block of vectors with one product
-    with ``W``, the stacked [V_0; V_1; V_2; V_0^+; V_1^+; V_2^+] of shape
-    (6 d, d), a CSR matrix built on first apply from the nonzero values
-    alone: forming H(t) needs no scipy, and a zero value adds no work to
-    the product.
+    applies H(t) - diag to a vector or a block of vectors, given the phases
+    f at t (so that the phases of many times come from one exponential),
+    with one product with ``W``, the stacked
+    [V_0; V_1; V_2; V_0^+; V_1^+; V_2^+] of shape (6 d, d), a CSR matrix
+    built on first apply from the nonzero values alone: forming H(t) needs
+    no scipy, and a zero value adds no work to the product.
     """
 
     diag: np.ndarray
@@ -294,9 +298,9 @@ class HarmonicHamiltonian:
         f = cp.harmonic_phases(self.omega_m, t)
         return _dense_hamiltonian(self.diag, self.rows, self.cols, f @ self.vals)
 
-    def apply_offdiagonal(self, t: float, u: np.ndarray) -> np.ndarray:
-        """(H(t) - diag) u for a vector u of shape (d,) or a block of shape (d, m)."""
-        f = cp.harmonic_phases(self.omega_m, t)
+    def apply_offdiagonal(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(H(t) - diag) u for the phases f = ``harmonic_phases(omega_m, t)``
+        and a vector u of shape (d,) or a block of shape (d, m)."""
         Wu = (self.W @ u).reshape(6, -1)
         return (f @ Wu[:3] + np.conj(f) @ Wu[3:]).reshape(u.shape)
 
@@ -614,25 +618,36 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(fun, t0: float, y0: np.ndarray, t_out, rtol: float,
+def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
             atol: float) -> tuple:
-    """Integrate y' = fun(t, y) from t0 through the increasing times
-    ``t_out`` (each >= t0) with DOP853; return the list of y at each of them
-    and ``{"n_rhs_evals", "n_steps", "n_rejected"}``.
+    """Integrate the linear problem y' = L(t) y from t0 through the
+    increasing times ``t_out`` (each >= t0) with DOP853; return the list of
+    y at each of them and ``{"n_rhs_evals", "n_steps", "n_rejected"}``.
+
+    L enters only through ``stages(ts)``: for an array of times it returns
+    ``apply(s, z, out)``, which writes L(ts[s]) z into ``out`` (both of
+    y's shape).  L at a step's stage times does not depend on y, so each
+    attempted step calls ``stages`` once, for its 11 distinct stage times
+    t + C[1:] h, and forms all of its operators in one batch; C[11] = 1, so
+    the evaluation f(t + h, y_new) that the next step reuses (FSAL) applies
+    stage 11's operator.  The start calls it twice more, for f(t0) and for
+    the probe of the initial-step rule, whose time depends on f(t0).
 
     Step for step the algorithm of ``scipy.integrate.solve_ivp(method=
     "DOP853")`` without dense output: Hairer's initial-step rule, the error
     norm |h| |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) of the scaled E5 and E3
     estimates, the step factor 0.9 err^(-1/8) (the estimate is O(h^8))
-    clamped to [0.2, 10], no growth right after a rejection, a minimum step of 10 ulp of t and the
-    last step clipped to t1 = ``t_out[-1]``.  A step that would pass an
-    earlier output time is clipped to it the same way, and once accepted the
-    next step takes at least the length the clip cut short, unless the
-    controller asks to shrink; so the stepper starts up once for all output
-    times, and with a single one its steps are scipy's.  ``fun`` returns an
-    array of y's shape; rtol below 100 machine epsilon is raised to it, with
-    a warning.  A step below the minimum raises :class:`NumericalError`
-    with ``t_reached``.
+    clamped to [0.2, 10], no growth right after a rejection, a minimum step
+    of 10 ulp of t and the last step clipped to t1 = ``t_out[-1]``.  The
+    stage sums run in scipy's order, into preallocated buffers, so when
+    ``apply`` computes L(t) z as scipy's ``fun(t, z)`` would, the states are
+    scipy's to the bit.  A step that would pass an earlier output time is
+    clipped to it the same way, and once accepted the next step takes at
+    least the length the clip cut short, unless the controller asks to
+    shrink; so the stepper starts up once for all output times, and with a
+    single one its steps are scipy's.  Rtol below 100 machine epsilon is
+    raised to it, with a warning.  A step below the minimum raises
+    :class:`NumericalError` with ``t_reached``.
     """
     eps = np.finfo(float).eps
     if rtol < 100 * eps:
@@ -641,23 +656,34 @@ def _dop853(fun, t0: float, y0: np.ndarray, t_out, rtol: float,
         rtol = 100 * eps
     t_out = [float(x) for x in t_out]
     t, t1 = float(t0), t_out[-1]
-    y = np.asarray(y0, dtype=complex)
+    y = np.array(y0, dtype=complex)
     if t1 <= t:
         return [y] * len(t_out), {"n_rhs_evals": 0, "n_steps": 0, "n_rejected": 0}
 
-    f = fun(t, y)
+    # K[s] is stage s as y's shape, Kf the same rows flat for the stage sums
+    # and KT[s] the first s of them as columns
+    Kf = np.empty((13, y.size), dtype=complex)
+    K = list(Kf.reshape(13, *y.shape))
+    KT = [Kf[:s].T for s in range(14)]
+    z, y_new = np.empty_like(y), np.empty_like(y)
+    zf, y_newf = z.reshape(-1), y_new.reshape(-1)
+
+    stages(np.array([t]))(0, y, K[0])
+    f = K[0]
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    stages(np.array([t + h0]))(0, y + h0 * f, K[1])
+    d2 = _rms((K[1] - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t1 - t)
 
-    K = np.empty((13, y.size), dtype=complex)
+    yf = y.reshape(-1)
+    abs_y = np.abs(yf)
     ys, n_steps, n_rejected = [], 0, 0
     for t_stop in t_out:
         while t < t_stop:
@@ -673,15 +699,21 @@ def _dop853(fun, t0: float, y0: np.ndarray, t_out, rtol: float,
                 h_wanted = h_abs
                 t_new = min(t + h_abs, t_stop)
                 h = h_abs = t_new - t
-                K[0] = f
+                apply = stages(t + _DOP_C[1:] * h)
                 for s in range(1, 12):
-                    K[s] = fun(t + _DOP_C[s] * h, y + np.dot(K[:s].T, _DOP_A[s]) * h)
-                y_new = y + h * np.dot(K[:12].T, _DOP_B)
-                K[12] = f_new = fun(t + h, y_new)
+                    np.dot(KT[s], _DOP_A[s], out=zf)
+                    zf *= h
+                    zf += yf
+                    apply(s - 1, z, K[s])
+                np.dot(KT[12], _DOP_B, out=y_newf)
+                y_newf *= h
+                y_newf += yf
+                apply(10, y_new, K[12])
 
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                e5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
-                e3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
+                abs_new = np.abs(y_newf)
+                scale = atol + np.maximum(abs_y, abs_new) * rtol
+                e5 = np.linalg.norm(np.dot(KT[13], _DOP_E5) / scale) ** 2
+                e3 = np.linalg.norm(np.dot(KT[13], _DOP_E3) / scale) ** 2
                 err = 0.0 if e5 == 0 and e3 == 0 else \
                     h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
                 if err < 1:
@@ -693,9 +725,12 @@ def _dop853(fun, t0: float, y0: np.ndarray, t_out, rtol: float,
                 h_abs *= max(0.2, 0.9 * err ** -0.125)
                 rejected = True
                 n_rejected += 1
-            t, y, f = t_new, y_new, f_new
+            t, abs_y = t_new, abs_new
+            y, y_new = y_new, y
+            yf, y_newf = y_newf, yf
+            Kf[0] = Kf[12]
             n_steps += 1
-        ys.append(y)
+        ys.append(y.copy())
     return ys, {"n_rhs_evals": 2 + 12 * (n_steps + n_rejected),
                 "n_steps": n_steps, "n_rejected": n_rejected}
 
@@ -718,15 +753,18 @@ def _period_pays(periods: float, d: int) -> bool:
     than by stepping its vector through the whole interval.
 
     Integrating d columns through one period costs as much as stepping the
-    vector through about 1 + (d / 28)^2 periods: measured on a 2-vCPU VM
-    with one BLAS thread at rtol 1e-10 on the OracleCompare physics, the
-    break-even interval was 1.33-1.39 periods at d = 15 and 2.24-2.31 at
-    d = 35 (frequency-table kernel, where a 15-column block costs about 1.3
-    vector evaluations), and 7.2-8.4 at d = 70 and 52-71 at d = 210 (CSR
-    kernel).  Applying U(T) costs d^2 a period, negligible against a
-    stepped period's couple of hundred RHS evaluations.
+    vector through about 1 + (d / 24)^2 periods: measured on a 2-vCPU VM
+    with one BLAS thread at rtol 1e-10 on the OracleCompare physics (the
+    stepped cost fitted over four interval lengths, interleaved with the
+    period path), the break-even interval was 1.3-1.7 periods (median 1.39)
+    at d = 15 and 2.3-2.6 at d = 35 (frequency-table kernel), and 8.6-10.8
+    (median 9.9) at d = 70 and 77-86 at d = 210 (CSR kernel).  The rule
+    fits three of the four sizes and steps d = 35 over 2.6-3.1 periods,
+    where the period path is about 15% cheaper.  Applying U(T) costs d^2 a
+    period, negligible against a stepped period's couple of hundred RHS
+    evaluations.
     """
-    return periods > 1 + (d / 28.0) ** 2
+    return periods > 1 + (d / 24.0) ** 2
 
 
 def _frequency_table(H: HarmonicHamiltonian, start: float) -> tuple | None:
@@ -765,30 +803,36 @@ def _evolve(H: HarmonicHamiltonian, y: np.ndarray, start: float, ends,
     in the interaction picture of ``H.diag``; return the list of its
     lab-frame values at ``ends`` with the stepper's statistics.
 
-    While H's :func:`_frequency_table` fits in ``DENSE_ENTRIES_MAX``
-    entries, each right-hand-side evaluation forms the dense d x d
-    interaction-picture operator as e^{i Omega (t - start)} @ A and applies
-    it with one dense product.  Otherwise it applies the CSR product of
-    :meth:`HarmonicHamiltonian.apply_offdiagonal` between the diagonal
-    phases, whose cost grows with H's entries instead of J d^2.
+    The stepper asks for the operators of all stage times of a step at
+    once.  While H's :func:`_frequency_table` fits in ``DENSE_ENTRIES_MAX``
+    entries, they are the (k, d, d) stack e^{i Omega (t - start)} @ A, one
+    exponential and one product for the k times, and each stage is one
+    dense product.  Otherwise the k rows of diagonal phases and of harmonic
+    phases come from one exponential each, and each stage applies the CSR
+    product of :meth:`HarmonicHamiltonian.apply_offdiagonal` between the
+    diagonal phases, whose cost grows with H's entries instead of J d^2.
     """
-    shape, d = y.shape, len(H.diag)
-    D = H.diag.reshape(-1, *(1,) * (y.ndim - 1))
+    d = len(H.diag)
     table = _frequency_table(H, start)
     if table is not None:
         Omega, A = table
 
-        def rhs(t, v):
-            M = (np.exp(1j * (t - start) * Omega) @ A).reshape(d, d)
-            return (M @ v.reshape(shape)).ravel()
+        def stages(ts):
+            M = (np.exp(1j * (ts - start)[:, None] * Omega) @ A).reshape(-1, d, d)
+            return lambda s, z, out: np.matmul(M[s], z, out=out)
     else:
-        def rhs(t, v):
-            ph = np.exp(-1j * D * (t - start))
-            return (-1j * np.conj(ph) * H.apply_offdiagonal(t, ph * v.reshape(shape))).ravel()
+        column = (...,) + (None,) * (y.ndim - 1)
 
-    vs, stats = _dop853(rhs, start, y.ravel(), ends, tol, tol * 1e-2)
-    return [np.exp(-1j * D * (end - start)) * v.reshape(shape)
-            for end, v in zip(ends, vs)], stats
+        def stages(ts):
+            P = np.exp(-1j * H.diag * (ts - start)[:, None])[column]
+            Q = -1j * np.conj(P)
+            F = cp.harmonic_phases(H.omega_m, ts[:, None])
+            return lambda s, z, out: np.multiply(
+                Q[s], H.apply_offdiagonal(F[s], P[s] * z), out=out)
+
+    vs, stats = _dop853(stages, start, y, ends, tol, tol * 1e-2)
+    D = H.diag.reshape(-1, *(1,) * (y.ndim - 1))
+    return [np.exp(-1j * D * (end - start)) * v for end, v in zip(ends, vs)], stats
 
 
 def propagate(
@@ -806,12 +850,13 @@ def propagate(
     psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the coupling
     strength instead of the fastest phase; the rest of H(t) is never formed.
     On a sector whose frequency table fits in ``DENSE_ENTRIES_MAX`` entries
-    each step reads the interaction-picture operator from that table
-    (:func:`_frequency_table`, numpy alone); a larger sector applies
-    ``apply_offdiagonal``'s CSR product.  The
-    stepper is the in-package :func:`_dop853`, with Hairer's dop853
-    coefficients, taking the steps that
-    ``scipy.integrate.solve_ivp(method="DOP853")`` takes.
+    each step reads the interaction-picture operators of its stages from
+    that table (:func:`_frequency_table`, numpy alone); a larger sector
+    applies ``apply_offdiagonal``'s CSR product at each stage.  The stepper
+    is the in-package :func:`_dop853` for linear problems, with Hairer's
+    dop853 coefficients, taking the steps that
+    ``scipy.integrate.solve_ivp(method="DOP853")`` takes; it forms the
+    operators of a step's stage times in one batch (see :func:`_evolve`).
 
     H is propagated on each parity sector of (-1)^(N + atom) where the
     state has support (the V_nu of the full and of the transformed
@@ -825,7 +870,7 @@ def propagate(
     That pays when the d columns of one period cost less than stepping the
     vector through the whole interval; :func:`_period_pays` decides it from
     the interval in periods, (t1 - t0) / T, and d alone, by the measured
-    rule (t1 - t0) / T > 1 + (d / 28)^2, and otherwise the whole interval
+    rule (t1 - t0) / T > 1 + (d / 24)^2, and otherwise the whole interval
     is stepped (so a static series, omega_m = 0, and an interval shorter
     than T always are).  The error of U(T) compounds about linearly in n,
     as stepping's does: on the OracleCompare physics at n_max 2 and rtol
@@ -896,9 +941,11 @@ def transformed_residual_norm(
     artifacts rather than by the third-order remainder this residual certifies.
 
     Each d x d array takes 16 d^2 bytes, 256 MB at the cap of 4000 states,
-    checked before any is built.  At most eight are held at once, while
-    T(t - h) is exponentiated: the identity, T, the partial residual,
-    T(t + h), the generator and three blocks of the Taylor loop.
+    checked before any is built.  At most six are held at once, while an
+    exponential is taken: T, the partial residual, the generator and three
+    blocks of the Taylor loop.  Each exponential starts from an identity of
+    its own, which the loop's first sum releases, and the two terms of the
+    difference are subtracted from the residual one exponential at a time.
     """
     d = basis.dimension
     if d > 4000:
@@ -906,19 +953,20 @@ def transformed_residual_norm(
     grid, profile = frame.grid, frame.profile
     if grid.n_modes != basis.n_modes:
         raise ConfigError("grid and basis disagree on the number of modes")
-    eye = np.eye(d, dtype=complex)
 
     def dense_T(at, direction):
         G = _dense(d, *_generator_entries(basis, frame.xi_all(at), direction))
-        return _expm_multiply(G, eye)[0]
+        return _expm_multiply(G, np.eye(d, dtype=complex))[0]
 
     T = dense_T(t, +1)
     R = T @ build_original_hamiltonian(basis, grid, profile, t) @ T.conj().T
     R -= _order2_hamiltonian(basis, frame, t)
 
     if np.any(frame.xi_coeffs[frame.xi_freqs != 0]):
+        # R -= i T (T^+(t + h) - T^+(t - h)) / 2h
         h = 1e-4 / frame.omega_e
-        dTdag = (dense_T(t + h, -1) - dense_T(t - h, -1)) / (2.0 * h)
-        R -= 1j * (T @ dTdag)
+        c = 1j / (2.0 * h)
+        R -= c * (T @ dense_T(t + h, -1))
+        R += c * (T @ dense_T(t - h, -1))
     bulk = basis.total_photons <= max(basis.n_max - shell_margin, 0)
     return float(np.max(np.abs(R[np.ix_(bulk, bulk)])))

@@ -61,14 +61,28 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     at resonance (I(0, t) = t, the secular growth) and never divides by x;
     at t = 0 it vanishes, so C = Lambda(0)/Omega.  ``free`` subtracts the
     instantaneous dressing Lambda_kk'(t)/Omega_kk'.
+
+    Row a of the frame's series oscillates at nu_a omega_m for every mode
+    (every column of ``xi_freqs`` is the same), so F_ak + F_bk' takes only
+    the values (nu_a + nu_b) omega_m, five of them for the harmonics
+    0, +1, -1 (one for a static frame).  The sum is therefore taken over
+    five (n, n) kernels I(Omega - s, t), each weighing the sum of the outer
+    products X_a* X_b* over the pairs (a, b) of its s, instead of over one
+    (3, 3, n, n) kernel.
     """
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
     X = np.conj(frame.xi_coeffs)
-    F = frame.xi_freqs
-    x = Omega - (F[:, None, :, None] + F[None, :, None, :])  # (a, b, k, k')
+    f = frame.xi_freqs[:, 0]
+    sums = f[:, None] + f[None, :]
+    s = np.unique(sums)
+    # pairs[s, a, b] = 1 where f_a + f_b = s, and
+    # outer[s, k, l] = sum_ab pairs[s, a, b] X_ak X_bl
+    pairs = (sums == s[:, None, None]).astype(float)
+    outer = np.matmul(X.T, pairs @ X)
+    x = Omega - s[:, None, None]
     kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
-    memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
+    memory = np.einsum("skl,skl->kl", outer, kernel)
     memory = frame.omega_e * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
     C = lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory

@@ -168,6 +168,13 @@ class TestValidateConfig:
     def test_shipped_config_is_valid(self, path):
         cli.validate_config(json.loads(path.read_text()))
 
+    def test_schema_is_a_fresh_copy_per_call(self):
+        # the file is read once per process; a caller's edits stay its own
+        schema = cli.load_schema()
+        schema["properties"].clear()
+        assert cli.load_schema()["properties"]
+        assert cli.load_schema() is not cli.load_schema()
+
     def test_unknown_schema_keyword_is_refused(self, monkeypatch):
         schema = cli.load_schema()
         schema["properties"]["grid"]["properties"]["n_modes"]["multipleOf"] = 2

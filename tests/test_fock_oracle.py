@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestOriginalHamiltonian:
         for t in rng.uniform(0.0, 40.0, size=5):
             y = rng.normal(size=len(H.diag)) + 1j * rng.normal(size=len(H.diag))
             ref = H(t) @ y
-            applied = H.diag * y + H.apply_offdiagonal(t, y)
+            applied = H.diag * y + H.apply_offdiagonal(cp.harmonic_phases(H.omega_m, t), y)
             assert np.linalg.norm(applied - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("kind", ["static", "oscillating", "oscillating_3d"])
@@ -206,10 +207,11 @@ class TestOriginalHamiltonian:
         H = fk.original_hamiltonian_series(b, small_waveguide, prof)
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(b.dimension, 3)) + 1j * rng.normal(size=(b.dimension, 3))
-        block = H.apply_offdiagonal(1.7, Y)
+        f = cp.harmonic_phases(H.omega_m, 1.7)
+        block = H.apply_offdiagonal(f, Y)
         assert block.shape == Y.shape
         for j in range(3):
-            assert np.allclose(block[:, j], H.apply_offdiagonal(1.7, Y[:, j]),
+            assert np.allclose(block[:, j], H.apply_offdiagonal(f, Y[:, j]),
                                rtol=1e-14, atol=0.0)
 
     def test_series_conserves_parity(self):
@@ -661,9 +663,9 @@ class TestPeriodPropagator:
         assert stepped.info["n_periods"] == 0
         assert np.max(np.abs(out.amplitudes - stepped.amplitudes)) <= 1e-9
 
-    @pytest.mark.parametrize("periods, takes_period", [(1.27, False), (1.30, True)])
+    @pytest.mark.parametrize("periods, takes_period", [(1.38, False), (1.40, True)])
     def test_cost_rule_breaks_even_at_d_15(self, periods, takes_period):
-        # the even sector at n_max 2 holds 15 states: 1 + (15 / 28)^2 = 1.287 periods
+        # the even sector at n_max 2 holds 15 states: 1 + (15 / 24)^2 = 1.391 periods
         H, psi = oracle_series(2)
         assert [len(idx) for idx in fk._parity_sectors(H, psi.basis, psi.amplitudes)] == [15]
         info = fk.propagate(H, psi, 0.0, periods * self.PERIOD, 1e-10).info
@@ -697,6 +699,25 @@ class TestPeriodPropagator:
         csr = fk.propagate(H, psi, 0.0, t1, 1e-10)
         assert dense.info["n_periods"] == csr.info["n_periods"] == n_periods
         assert np.max(np.abs(dense.amplitudes - csr.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_evolve_kernels_agree(self, block, monkeypatch):
+        # one integration through two output times with the stage operators
+        # from the frequency table and from the CSR product, on the even
+        # sector's vector and on its d-column identity
+        H, psi = oracle_series(2)
+        idx = fk._parity_sectors(H, psi.basis, psi.amplitudes)[0]
+        Hs = H.restricted(idx)
+        y = np.eye(len(idx), dtype=complex) if block else psi.amplitudes[idx]
+        ends = (1.3, self.PERIOD)
+        dense, dense_stats = fk._evolve(Hs, y, 0.0, ends, 1e-10)
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 0)
+        assert fk._frequency_table(Hs, 0.0) is None
+        csr, csr_stats = fk._evolve(Hs, y, 0.0, ends, 1e-10)
+        assert dense_stats == csr_stats
+        for a, b in zip(dense, csr):
+            assert a.shape == b.shape == y.shape
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_period_block_is_one_integration(self):
         # U(r) is kept on the way to U(T): the seed-0 oracle at t 12 takes as
@@ -754,6 +775,26 @@ class TestTransformedResidual:
         assert R < 50.0 * xi_scale**3 + 1e-9
 
 
+    def test_peak_memory_of_the_dense_arrays(self):
+        # at most six d x d complex arrays live at once on a driven frame
+        # (T, the residual, the generator and three Taylor blocks), where
+        # holding the identity and T(t + h) through T(t - h) took eight
+        grid = modes.build_waveguide_grid(4, 2.0, 4.0 * np.pi, 1.0)
+        prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
+        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        b = fk.enumerate_basis(4, 5)
+        d = b.dimension
+        assert d == 252
+        b._lowering  # the basis's entry table is built once and kept
+        tracemalloc.start()
+        try:
+            fk.transformed_residual_norm(b, frame, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 16 * d * d
+
+
 class TestDenseResidualOperators:
     """The residual's dense arrays against the CSR operators they stand for."""
 
@@ -783,8 +824,8 @@ class TestDenseResidualOperators:
             assert np.max(np.abs(T - ref)) <= 1e-15
 
 
-def oracle_rhs(grid):
-    """Interaction-picture right-hand side of the oracle propagation in the
+def oracle_stages(grid):
+    """Interaction-picture stage operators of the oracle propagation in the
     CSR form that ``fk._evolve`` takes above ``fk.DENSE_ENTRIES_MAX`` (its
     70 states and 13 frequencies make a table of 63 700 entries),
     for an oscillating coupling on ``grid``."""
@@ -792,13 +833,15 @@ def oracle_rhs(grid):
     b = fk.enumerate_basis(grid.n_modes, 3)
     H = fk.original_hamiltonian_series(b, grid, prof)
 
-    def rhs(t, y):
-        ph = np.exp(-1j * H.diag * t)
-        return -1j * np.conj(ph) * H.apply_offdiagonal(t, ph * y)
-    return rhs, b.vacuum().amplitudes
+    def stages(ts):
+        P = np.exp(-1j * H.diag * ts[:, None])
+        F = cp.harmonic_phases(H.omega_m, ts[:, None])
+        return lambda s, z, out: np.multiply(
+            -1j * np.conj(P[s]), H.apply_offdiagonal(F[s], P[s] * z), out=out)
+    return stages, b.vacuum().amplitudes
 
 
-def stiff_linear_rhs():
+def stiff_linear_stages():
     """y' = M y with decay rates from 1 to 1e3 and random complex coupling:
     DOP853's stability limit, not its accuracy, bounds the step, so steps
     get rejected."""
@@ -806,17 +849,28 @@ def stiff_linear_rhs():
     n = 30
     M = (-np.diag(np.logspace(0, 3, n)) + 50j * np.diag(rng.normal(size=n))
          + 5.0 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
-    return (lambda t, y: M @ y), rng.normal(size=n) + 1j * rng.normal(size=n)
+    return (lambda ts: lambda s, z, out: np.matmul(M, z, out=out)), \
+        rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def rhs_of(stages):
+    """The right-hand side f(t, y) = L(t) y of the same stage operators,
+    one time at a time, as ``solve_ivp`` takes it."""
+    def fun(t, y):
+        out = np.empty_like(y)
+        stages(np.array([t]))(0, y, out)
+        return out
+    return fun
 
 
 class TestDop853:
     @pytest.mark.parametrize("problem, t1, rtol", [
         ("oracle", 12.0, 1e-10), ("stiff", 2.0, 1e-6), ("stiff", 2.0, 1e-10)])
     def test_bit_equal_to_solve_ivp(self, small_waveguide, problem, t1, rtol):
-        fun, y0 = (oracle_rhs(small_waveguide) if problem == "oracle"
-                   else stiff_linear_rhs())
-        (y,), stats = fk._dop853(fun, 0.0, y0, [t1], rtol, rtol * 1e-2)
-        sol = solve_ivp(fun, (0.0, t1), y0, method="DOP853", rtol=rtol,
+        stages, y0 = (oracle_stages(small_waveguide) if problem == "oracle"
+                      else stiff_linear_stages())
+        (y,), stats = fk._dop853(stages, 0.0, y0, [t1], rtol, rtol * 1e-2)
+        sol = solve_ivp(rhs_of(stages), (0.0, t1), y0, method="DOP853", rtol=rtol,
                         atol=rtol * 1e-2)
         assert sol.status == 0
         assert np.array_equal(y, sol.y[:, -1])
@@ -828,37 +882,47 @@ class TestDop853:
     @pytest.mark.parametrize("problem, t1, rtol", [
         ("oracle", 12.0, 1e-10), ("stiff", 2.0, 1e-6)])
     def test_counts_every_rhs_evaluation(self, small_waveguide, problem, t1, rtol):
-        # two evaluations pick the first step, then 12 per attempted step
-        fun, y0 = (oracle_rhs(small_waveguide) if problem == "oracle"
-                   else stiff_linear_rhs())
-        calls = []
-        _, stats = fk._dop853(lambda t, y: calls.append(t) or fun(t, y), 0.0, y0,
-                              [t1], rtol, rtol * 1e-2)
+        # two evaluations pick the first step, then 12 per attempted step;
+        # the operators are asked for once for each of the two, then once
+        # per attempted step, for its 11 distinct stage times
+        stages, y0 = (oracle_stages(small_waveguide) if problem == "oracle"
+                      else stiff_linear_stages())
+        batches, calls = [], []
+
+        def counted(ts):
+            batches.append(len(ts))
+            apply = stages(ts)
+            return lambda s, z, out: calls.append(ts[s]) or apply(s, z, out)
+
+        _, stats = fk._dop853(counted, 0.0, y0, [t1], rtol, rtol * 1e-2)
+        attempted = stats["n_steps"] + stats["n_rejected"]
         assert stats["n_rhs_evals"] == len(calls)
-        assert stats["n_rhs_evals"] == 2 + 12 * (stats["n_steps"] + stats["n_rejected"])
+        assert stats["n_rhs_evals"] == 2 + 12 * attempted
+        assert batches == [1, 1] + [11] * attempted
 
     def test_output_times_in_one_integration(self, small_waveguide):
         # one integration through several output times: the state at each
         # matches integrations to it from t0 (the first bit for bit, since
         # the steps up to the first clip are the same), and starting up once
         # takes fewer evaluations than integrating segment by segment
-        fun, y0 = oracle_rhs(small_waveguide)
+        stages, y0 = oracle_stages(small_waveguide)
         t_out = [0.0, 2.5, 7.0, 12.0]
-        ys, stats = fk._dop853(fun, 0.0, y0, t_out, 1e-10, 1e-12)
+        ys, stats = fk._dop853(stages, 0.0, y0, t_out, 1e-10, 1e-12)
         assert len(ys) == 4 and np.array_equal(ys[0], y0)
         segments, y = 0, y0
         for t_prev, t, y_out in zip(t_out, t_out[1:], ys[1:]):
-            (ref,), _ = fk._dop853(fun, 0.0, y0, [t], 1e-10, 1e-12)
+            (ref,), _ = fk._dop853(stages, 0.0, y0, [t], 1e-10, 1e-12)
             assert np.max(np.abs(y_out - ref)) <= (0.0 if t == 2.5 else 1e-11)
-            (y,), seg = fk._dop853(fun, t_prev, y, [t], 1e-10, 1e-12)
+            (y,), seg = fk._dop853(stages, t_prev, y, [t], 1e-10, 1e-12)
             segments += seg["n_rhs_evals"]
         assert stats["n_rhs_evals"] == 2 + 12 * (stats["n_steps"] + stats["n_rejected"])
         assert stats["n_rhs_evals"] < segments
 
     def test_step_underflow_raises_with_time_reached(self):
-        def fun(t, y):
-            return np.full_like(y, np.nan) if t > 1.0 else -1j * y
+        def stages(ts):
+            return lambda s, z, out: np.multiply(
+                np.nan if ts[s] > 1.0 else -1j, z, out=out)
 
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
-            fk._dop853(fun, 0.0, np.ones(3, dtype=complex), [3.0], 1e-8, 1e-10)
+            fk._dop853(stages, 0.0, np.ones(3, dtype=complex), [3.0], 1e-8, 1e-10)
         assert exc.value.details["t_reached"] == pytest.approx(1.0, abs=1e-12)

@@ -73,6 +73,22 @@ def quadrature_pair_amplitude(frame, t, panel_width=0.25, order=16):
     return dr.lambda_matrix(frame, 0.0) / Omega * phase + 1j * phase * integral
 
 
+def einsum_pair_amplitude(frame, t):
+    """``rad.pair_amplitude`` with the memory sum over all 3 x 3 pairs of
+    series rows as one (3, 3, n, n) kernel (its einsum form)."""
+    omega = frame.grid.omega
+    Omega = omega[:, None] + omega[None, :]
+    X = np.conj(frame.xi_coeffs)
+    F = frame.xi_freqs
+    x = Omega - (F[:, None, :, None] + F[None, :, None, :])
+    kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
+    memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
+    memory = frame.omega_e * 0.5 * (memory + memory.T)
+    phase_now = np.exp(-1j * Omega * t)
+    C = dr.lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory
+    return C, C - dr.lambda_matrix(frame, t) / Omega
+
+
 def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
     """Oscillating free-space profile; alpha is the dipole-motion angle."""
     rhat = [np.sin(alpha), 0.0, np.cos(alpha)]
@@ -99,6 +115,24 @@ class TestPairAmplitude:
         C, _ = rad.pair_amplitude(frame, t)
         ref = quadrature_pair_amplitude(frame, t)
         assert C == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("omega_m", [0.0, 0.05])
+    def test_matches_einsum_on_a_dense_lattice(self, omega_m):
+        # five kernels of the distinct harmonic sums against the 3 x 3 pairs
+        n, L = 120, 2000.0
+        grid = modes.build_waveguide_grid(n, (n // 2) * 2 * np.pi / L, L, 1.0)
+        if omega_m:
+            prof = oscillating_1d_profile(grid, omega_m=omega_m)
+            frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        else:
+            frame = dr.DressedFrame(grid, static_1d_profile(grid))
+        for t in (7.0, 300.0):
+            (C, free), (C_ref, free_ref) = (rad.pair_amplitude(frame, t),
+                                            einsum_pair_amplitude(frame, t))
+            # free = C - Lambda(t)/Omega cancels, so both are measured on C's scale
+            scale = np.max(np.abs(C_ref))
+            assert np.max(np.abs(C - C_ref)) <= 1e-14 * scale
+            assert np.max(np.abs(free - free_ref)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet"])
     def test_zero_time_is_the_dressing(self, small_waveguide, xi_mode):

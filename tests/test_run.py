@@ -281,7 +281,7 @@ def test_oracle_period_statistics_in_manifest(tmp_path):
     assert solver["n_periods"] == 4
     assert isinstance(solver["period_rhs_evals"], int)
     # U(r) and U(T) come from one integration of the identity; no vector is stepped
-    assert solver["period_rhs_evals"] == solver["n_rhs_evals"] > 0
+    assert solver["period_rhs_evals"] == solver["n_rhs_evals"] == 206
     assert 0.0 < solver["unitarity_defect"] <= 1e-10
 
 
