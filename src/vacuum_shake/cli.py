@@ -223,12 +223,11 @@ def _scenario_dressing_dump(cfg, outdir):
             omega_e, r_m=km_rm * grid.c / omega_m, omega_m=omega_m,
             gamma=gamma, L=grid.geometry.length, c=grid.c,
         )
-        frame = dr.DressedFrame(grid, profile, xi_mode="floquet")
     else:
         profile = cp.CouplingProfile.waveguide_1d(
             omega_e, gamma=gamma, L=grid.geometry.length, c=grid.c,
         )
-        frame = dr.DressedFrame(grid, profile)
+    frame = dr.DressedFrame(grid, profile)
 
     times = p.get("times", [0.0])
     header = ["k_index", "k_prime_index", "re", "im"]
@@ -423,7 +422,7 @@ def _scenario_oracle_compare(cfg, outdir):
         chi_scale=chi_scale, c=1.0, r_m=km_rm / omega_m, omega_m=omega_m,
         km_rm_guard=max(0.1, km_rm) + 1e-9,
     )
-    frame = dr.DressedFrame(grid, profile, xi_mode="floquet")
+    frame = dr.DressedFrame(grid, profile)
     basis = fk.enumerate_basis(grid.n_modes, n_max)
     report = rad.oracle_compare_pair_production(
         basis, frame, grid, t_final, tol=cfg["tolerances"]["propagation"],
@@ -447,17 +446,7 @@ def _scenario_oracle_compare(cfg, outdir):
         "mode_frequencies": list(map(float, freqs)),
         "omega_m": omega_m,
         "files": ["pair_amplitudes.csv"],
-        "solver": {
-            "n_rhs_evals": report["n_rhs_evals"],
-            "n_steps": report["n_steps"],
-            "n_rejected": report["n_rejected"],
-            "n_periods": report["n_periods"],
-            "period_rhs_evals": report["period_rhs_evals"],
-            "unitarity_defect": report["unitarity_defect"],
-            "norm_drift": report["norm_drift"],
-            "truncation_estimates": report["truncation_estimates"],
-            "expm_matvecs": report["expm_matvecs"],
-        },
+        "solver": report["solver"],
     }
 
 

@@ -3,17 +3,13 @@
 The frame tracks per-mode displacement amplitudes xi_k(t) that remove the
 excitation-non-conserving (counter-rotating) coupling terms.  The coupling
 is the harmonic series g_k(t) = sum_nu g_nu,k e^{i nu omega_m t} (nu = 0,
-+1, -1), and so is xi, with xi_nu,k = g_nu,k / D_nu,k.  Two evaluation
-modes differ in the denominator:
-
-* ``adiabatic`` -- D = omega_k + omega_e, so xi_k(t) = g_k(t) / (omega_k +
-  omega_e), valid when the coupling varies slowly on the 1/omega_e
-  timescale.  Its eta = 2 omega_e g / (omega_k + omega_e) is the one of the
-  golden-rule rates and of the three-photon tensor;
-* ``floquet`` -- D = omega_k + omega_e - nu omega_m, the periodic
-  steady-state solution of the first-order elimination condition
-  (omega_k + omega_e) xi + i d(xi)/dt = g: the frame of the oscillating
-  atom and of the Fock oracle.
++1, -1), and so is xi: its Fourier array xi_nu,k = g_nu,k / (omega_k +
+omega_e - nu omega_m) is the periodic steady-state solution of the
+first-order elimination condition (omega_k + omega_e) xi + i d(xi)/dt = g.
+A static coupling has only the nu = 0 row, where this is g / (omega_k +
+omega_e).  The adiabatic denominator omega_k + omega_e of a shaken coupling
+lives only in :func:`coupling.eta_from_g`, which the golden-rule rates and
+the static three-photon tensor use.
 
 Derived quantities, each a plain numpy array or float: the co-rotating
 coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel
@@ -67,43 +63,29 @@ def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
 class DressedFrame:
     """Evaluator bundle for xi, eta, Lambda and E over one grid + profile.
 
-    ``xi_mode`` is ``"adiabatic"`` or ``"floquet"`` (see the module
-    docstring).  The frame stores the (3, n) Fourier array of g, and xi as
-    xi_k(t) = sum_a X_ak e^{i F_ak t}, coefficients X in ``xi_coeffs`` and
-    frequencies F in ``xi_freqs``, both (3, n) with the rows of
-    ``coupling.HARMONICS``; every evaluator is a closed-form sum over them.
+    The frame stores the (3, n) Fourier arrays of g and of xi (the latter
+    in ``xi_coeffs``), both with the rows of ``coupling.HARMONICS``, and
+    evaluates each series at t as ``harmonic_phases(omega_m, t) @ array``.
     """
 
-    def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile, *,
-                 xi_mode: str = "adiabatic"):
-        if xi_mode not in ("adiabatic", "floquet"):
-            raise ConfigError(f"unknown xi_mode {xi_mode!r}")
+    def __init__(self, grid: ModeGrid, profile: cp.CouplingProfile):
         self.grid = grid
         self.profile = profile
         self.omega_e = profile.omega_e
         self._omega_m = profile.omega_m
         self._g = cp.grid_fourier(profile, grid)
-        if xi_mode == "adiabatic":
-            self.xi_coeffs = self._g / (grid.omega + self.omega_e)
-        else:
-            self.xi_coeffs = _periodic_xi(self._g, grid.omega, self.omega_e,
-                                          self._omega_m)
-        self.xi_freqs = np.repeat(cp.HARMONICS[:, None] * self._omega_m,
-                                  grid.n_modes, axis=1)
-
-    def _xi_at(self, t: float, order: int = 0) -> np.ndarray:
-        """xi (order 0) or d xi/dt (order 1) of all modes at t."""
-        F = self.xi_freqs
-        return np.sum(self.xi_coeffs * (1j * F) ** order * np.exp(1j * F * t), axis=0)
+        self.xi_coeffs = _periodic_xi(self._g, grid.omega, self.omega_e,
+                                      self._omega_m)
 
     def g_all(self, t: float) -> np.ndarray:
         return cp.harmonic_phases(self._omega_m, t) @ self._g
 
     def xi_all(self, t: float) -> np.ndarray:
-        return self._xi_at(t)
+        return cp.harmonic_phases(self._omega_m, t) @ self.xi_coeffs
 
     def xi_dot_all(self, t: float) -> np.ndarray:
-        return self._xi_at(t, order=1)
+        f = cp.harmonic_phases(self._omega_m, t) * (1j * cp.HARMONICS * self._omega_m)
+        return f @ self.xi_coeffs
 
     def eta_all(self, t: float) -> np.ndarray:
         return 2.0 * self.omega_e * self.xi_all(t)

@@ -96,25 +96,6 @@ __all__ = [
 ]
 
 
-class _SparseOnFirstUse:
-    """Stands in for ``scipy.sparse`` until an attribute is first read.
-
-    Importing scipy.sparse costs about 0.2 s of a process's start-up, and
-    only the CSR products use it (``HarmonicHamiltonian.W`` and the
-    generator of :func:`apply_T` above ``DENSE_ENTRIES_MAX``, and
-    :func:`build_transformed_hamiltonian`), while the rest of the package,
-    the dense residual and small-sector propagation included, imports this
-    module.  The first read imports it and rebinds ``sp`` to it.
-    """
-
-    def __getattr__(self, name):
-        global sp
-        import scipy.sparse as sp
-        return getattr(sp, name)
-
-
-sp = _SparseOnFirstUse()
-
 DIMENSION_CAP = 2_000_000
 # Most entries of the dense array that one product reads, for which
 # propagation and apply_T use dense arrays instead of CSR: the frequency
@@ -283,7 +264,9 @@ class HarmonicHamiltonian:
     omega_m: float
 
     @cached_property
-    def W(self) -> sp.csr_matrix:
+    def W(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
+
         d = len(self.diag)
         nu, e = np.nonzero(self.vals)
         v, rows, cols = self.vals[nu, e], self.rows[e], self.cols[e]
@@ -362,6 +345,8 @@ def build_transformed_hamiltonian(
     H'_(2), which the residual certifies, is the dense
     :func:`_order2_hamiltonian`.
     """
+    import scipy.sparse as sp
+
     if variant not in ("NormalOrdered", "H0H1only"):
         raise ConfigError(f"unknown variant {variant!r}")
     grid = frame.grid
@@ -391,22 +376,23 @@ def _order2_hamiltonian(basis: FockBasis, frame: DressedFrame,
                         t: float) -> np.ndarray:
     """The complete second-order transformed Hamiltonian H'_(2) at t, dense.
 
-    The free part, the co- and counter-rotating single-photon terms
-    sigma_+ sum_k c_co,k a_k + sigma_- sum_k c_cr,k a_k + h.c. with their
-    displacement coefficients, the quadratic term omega_e sigma_z X^2 for
-    X = sum_k (xi_k* a_k^+ - xi_k a_k), and the scalar phase E(t).  With
-    the Floquet xi the counter-rotating coefficients vanish.
+    The free part, the co-rotating single-photon term
+    sigma_+ sum_k c_co,k a_k + h.c. with its displacement coefficients, the
+    quadratic term omega_e sigma_z X^2 for X = sum_k (xi_k* a_k^+ - xi_k a_k),
+    and the scalar phase E(t).  The counter-rotating coefficients
+    c_cr = g - (omega_e + omega) xi - i d(xi)/dt are the elimination
+    condition the frame's periodic xi solves, so they vanish and their
+    sigma_- term is left out; a frame that failed to remove them would leave
+    a residual of first order in xi.
     """
     omega, omega_e = frame.grid.omega, frame.omega_e
-    xi, xid, g = frame.xi_all(t), frame.xi_dot_all(t), frame.g_all(t)
-    c_co = (omega_e - omega) * xi + g - 1j * xid
-    c_cr = (-omega_e - omega) * xi + g - 1j * xid
-    # sigma_+ moves the entries of a_k on the ground level to the excited
-    # row, sigma_- those on the excited level to the ground row
+    xi = frame.xi_all(t)
+    c_co = (omega_e - omega) * xi + frame.g_all(t) - 1j * frame.xi_dot_all(t)
+    # sigma_+ moves the entries of a_k on the ground level to the excited row
     rows, cols, vals, mode = basis._lowering
-    c = np.where(rows % 2 == GROUND, c_co[mode], c_cr[mode])
+    up = rows % 2 == GROUND
     H = _dense_hamiltonian(_free_diagonal(basis, omega_e, omega),
-                           rows ^ 1, cols, vals * c)
+                           rows[up] ^ 1, cols[up], vals[up] * c_co[mode[up]])
     # a_k acts on both atom levels alike, so sigma_x commutes with X and
     # X^2 = G^2 for the generator G = sigma_x X
     G = _dense(basis.dimension, *_generator_entries(basis, xi, +1))
@@ -488,8 +474,10 @@ def _generator_entries(basis: FockBasis, xi: np.ndarray, direction: int) -> tupl
 
 
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
-                            direction: int) -> sp.csr_matrix:
+                            direction: int) -> "scipy.sparse.csr_matrix":
     """The generator of :func:`_generator_entries` at xi(t), CSR."""
+    import scipy.sparse as sp
+
     rows, cols, vals = _generator_entries(basis, frame.xi_all(t), direction)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
 
@@ -933,12 +921,12 @@ def transformed_residual_norm(
     (:func:`_order2_hamiltonian`) and the displacement generator are filled
     from the entries of the a_k, and T is :func:`_expm_multiply` of the
     generator applied to the identity.  dT^+/dt is a central difference with
-    step 1e-4 / omega_e.  When every Fourier row of xi with a nonzero
-    frequency is zero, xi and T are constant and dT^+/dt = 0 exactly, so the
-    two exponentials of the difference are skipped.  Rows and columns are
-    restricted to photon-number shells <= n_max - shell_margin: elements
-    touching the top shells are dominated by basis-truncation boundary
-    artifacts rather than by the third-order remainder this residual certifies.
+    step 1e-4 / omega_e.  When both sideband rows of xi are zero, xi and T
+    are constant and dT^+/dt = 0 exactly, so the two exponentials of the
+    difference are skipped.  Rows and columns are restricted to
+    photon-number shells <= n_max - shell_margin: elements touching the top
+    shells are dominated by basis-truncation boundary artifacts rather than
+    by the third-order remainder this residual certifies.
 
     Each d x d array takes 16 d^2 bytes, 256 MB at the cap of 4000 states,
     checked before any is built.  At most six are held at once, while an
@@ -962,7 +950,7 @@ def transformed_residual_norm(
     R = T @ build_original_hamiltonian(basis, grid, profile, t) @ T.conj().T
     R -= _order2_hamiltonian(basis, frame, t)
 
-    if np.any(frame.xi_coeffs[frame.xi_freqs != 0]):
+    if np.any(frame.xi_coeffs[1:]):
         # R -= i T (T^+(t + h) - T^+(t - h)) / 2h
         h = 1e-4 / frame.omega_e
         c = 1j / (2.0 * h)

@@ -339,8 +339,8 @@ def density_of_states(grid: ModeGrid, omega: float) -> float:
     Includes all propagation directions and polarizations:
     ``L/(pi*c)`` for the waveguide (``L/(2*pi*c)`` per direction) and
     ``V*omega^2/(pi^2*c^3)`` in free space (``V*omega^2/(2*pi^2*c^3)`` per
-    polarization).  Kept, with no scenario caller, as the tests' reference
-    for mode counts; ``perfbench/spans.py`` traces it.
+    polarization).  :func:`scattering.gamma_from_coupling` reads the
+    waveguide's density at resonance from it.
     """
     if not (grid.omega_min <= omega <= grid.omega_max):
         raise DomainError(
@@ -348,7 +348,8 @@ def density_of_states(grid: ModeGrid, omega: float) -> float:
         )
     if grid.is_waveguide:
         g = grid.geometry
-        n_dirs = len(np.unique(grid.direction_signs))
+        # not np.unique, whose first call imports numpy.ma (about 10 ms)
+        n_dirs = len(set(grid.direction_signs.tolist()))
         return n_dirs * g.length / (2.0 * np.pi * g.c)
     g = grid.geometry
     return g.volume * omega**2 / (np.pi**2 * g.c**3)

@@ -50,11 +50,12 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     """Perturbative pair amplitude C_kk'(t) and its freely propagating part,
     the (n, n) arrays ``(C, free)``, both symmetric in the two mode indices.
 
-    With xi_k(t) = sum_a X_ak e^{i F_ak t} (the frame's ``xi_coeffs`` and
-    ``xi_freqs``), Lambda_kk'(tau) e^{i Omega tau} is a sum of exponentials
-    and the memory integral is, in closed form,
+    With xi_k(t) = sum_a X_ak e^{i f_a t}, the frame's ``xi_coeffs`` X and
+    the harmonic frequencies f = ``coupling.HARMONICS`` omega_m,
+    Lambda_kk'(tau) e^{i Omega tau} is a sum of exponentials and the memory
+    integral is, in closed form,
 
-        w_e sum_ab X_ak* X_bk'* I(Omega_kk' - F_ak - F_bk', t),
+        w_e sum_ab X_ak* X_bk'* I(Omega_kk' - f_a - f_b, t),
         I(x, t) = integral_0^t e^{i x tau} dtau = t e^{i x t/2} sinc(x t/2 pi),
 
     with Omega_kk' = w_k + w_k' and sinc(y) = sin(pi y)/(pi y).  I is finite
@@ -62,18 +63,17 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     at t = 0 it vanishes, so C = Lambda(0)/Omega.  ``free`` subtracts the
     instantaneous dressing Lambda_kk'(t)/Omega_kk'.
 
-    Row a of the frame's series oscillates at nu_a omega_m for every mode
-    (every column of ``xi_freqs`` is the same), so F_ak + F_bk' takes only
-    the values (nu_a + nu_b) omega_m, five of them for the harmonics
-    0, +1, -1 (one for a static frame).  The sum is therefore taken over
-    five (n, n) kernels I(Omega - s, t), each weighing the sum of the outer
-    products X_a* X_b* over the pairs (a, b) of its s, instead of over one
-    (3, 3, n, n) kernel.
+    The frequency f_a of row a is the same for every mode, so f_a + f_b
+    takes only the values (nu_a + nu_b) omega_m, five of them for the
+    harmonics 0, +1, -1 (one for a static frame).  The sum is therefore
+    taken over five (n, n) kernels I(Omega - s, t), each weighing the sum of
+    the outer products X_a* X_b* over the pairs (a, b) of its s, instead of
+    over one (3, 3, n, n) kernel.
     """
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
     X = np.conj(frame.xi_coeffs)
-    f = frame.xi_freqs[:, 0]
+    f = cp.HARMONICS * frame.profile.omega_m
     sums = f[:, None] + f[None, :]
     s = np.unique(sums)
     # pairs[s, a, b] = 1 where f_a + f_b = s, and
@@ -272,12 +272,10 @@ def oracle_compare_pair_production(
     all global phases) is compared pair by pair with the freely propagating
     part of the perturbative amplitude.  Reports the maximum relative
     deviation over resonant pairs, plus magnitude-only deviations that are
-    insensitive to secular phase drifts, and the solver statistics: the
-    propagator's norm drift, RHS evaluations, accepted and rejected steps,
-    the number of whole drive periods taken by the one-period propagator
-    and that propagator's RHS evaluations and unitarity defect (see
-    :func:`fock.propagate`), and the truncation estimates and
-    product counts of the transforms into and out of the lab frame.
+    insensitive to secular phase drifts, the propagator's norm drift, and
+    in ``"solver"`` the solver statistics: the ``info`` of
+    :func:`fock.propagate` with the truncation estimates and product counts
+    of the transforms into and out of the lab frame.
     A pair (j, k) is resonant when |w_j + w_k - w_m| is below a quarter of
     the smallest gap between distinct grid frequencies (0.1 w_m on a
     one-frequency grid).
@@ -345,15 +343,12 @@ def oracle_compare_pair_production(
         "max_mag_deviation": max(r["mag_deviation"] for r in rows),
         "vacuum_amplitude": vac_amp,
         "norm_drift": final_lab.info["norm_drift"],
-        "n_rhs_evals": final_lab.info["n_rhs_evals"],
-        "n_steps": final_lab.info["n_steps"],
-        "n_rejected": final_lab.info["n_rejected"],
-        "n_periods": final_lab.info["n_periods"],
-        "period_rhs_evals": final_lab.info["period_rhs_evals"],
-        "unitarity_defect": final_lab.info["unitarity_defect"],
-        "truncation_estimates": [lab0.info["truncation_estimate"],
-                                 final_dressed.info["truncation_estimate"]],
-        "expm_matvecs": [lab0.info["expm_matvecs"],
-                         final_dressed.info["expm_matvecs"]],
+        "solver": {
+            **final_lab.info,
+            "truncation_estimates": [lab0.info["truncation_estimate"],
+                                     final_dressed.info["truncation_estimate"]],
+            "expm_matvecs": [lab0.info["expm_matvecs"],
+                             final_dressed.info["expm_matvecs"]],
+        },
         "t_final": t_final,
     }

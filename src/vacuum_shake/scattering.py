@@ -30,7 +30,7 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ConfigError, DomainError
-from .modes import ModeGrid, Waveguide1D
+from .modes import ModeGrid, Waveguide1D, density_of_states
 from .table import write_csv
 
 __all__ = [
@@ -53,19 +53,15 @@ def _require_waveguide(grid: ModeGrid):
 
 def gamma_from_coupling(grid: ModeGrid, profile: cp.CouplingProfile) -> float:
     """Spontaneous decay rate gamma = 2 pi |eta(omega_e)|^2 rho(omega_e),
-    with the modal density summed over both propagation directions."""
+    with the modal density :func:`modes.density_of_states` summed over the
+    grid's propagation directions (one on a ``directions="positive"`` grid).
+    Raises :class:`DomainError` when omega_e lies outside the grid's band."""
     _require_waveguide(grid)
     if not profile.is_1d:
         raise ConfigError("profile must be a waveguide coupling")
     omega_e = profile.omega_e
-    if not (grid.omega_min <= omega_e <= grid.omega_max):
-        raise DomainError(
-            f"resonance {omega_e} outside grid band "
-            f"[{grid.omega_min}, {grid.omega_max}]"
-        )
+    rho_total = density_of_states(grid, omega_e)
     eta_res = cp.eta_from_g(profile, omega_e, profile.chi(omega_e))  # = chi(omega_e)
-    g = grid.geometry
-    rho_total = 2.0 * g.length / (2.0 * np.pi * g.c)
     return float(2.0 * np.pi * eta_res**2 * rho_total)
 
 

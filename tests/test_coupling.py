@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuum_shake import coupling as cp
-from vacuum_shake import dressing as dr
 from vacuum_shake import modes
 from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError
@@ -208,27 +207,26 @@ class TestEtaOfT:
             assert abs(eta_at(prof, m, t)[0]) <= bound + 1e-14
 
     def test_matches_adiabatic_displacement(self, small_waveguide):
-        # eta(t) = 2 omega_e xi(t) of the adiabatic frame across kinds, modes
-        # and times
+        # eta(t) = 2 omega_e g(t) / (omega + omega_e), the adiabatic
+        # displacement of the rates, across kinds, modes and times
         profiles = [
             static_1d_profile(small_waveguide),
             oscillating_1d_profile(small_waveguide, omega_m=0.05),
         ]
         for prof in profiles:
-            frame = dr.DressedFrame(small_waveguide, prof)
             for t in (0.0, 2.2, 31.4):
                 lhs = eta_at(prof, small_waveguide, t)
-                rhs = 2.0 * OMEGA_E * frame.xi_all(t)
+                rhs = (2.0 * OMEGA_E * g_at(prof, small_waveguide, t)
+                       / (small_waveguide.omega + OMEGA_E))
                 assert np.all(np.abs(lhs - rhs)
                               <= 1e-12 * np.maximum(np.abs(lhs), 1e-30))
 
     def test_matches_adiabatic_displacement_3d(self):
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1], r_m=0.5, omega_m=0.1)
         m = node3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
-        frame = dr.DressedFrame(m, prof)
         for t in (0.0, 3.3, 17.9):
             lhs = eta_at(prof, m, t)[0]
-            rhs = 2.0 * OMEGA_E * frame.xi_all(t)[0]
+            rhs = 2.0 * OMEGA_E * g_at(prof, m, t)[0] / (m.omega[0] + OMEGA_E)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
 
 

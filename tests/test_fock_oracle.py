@@ -240,7 +240,7 @@ class TestOriginalHamiltonian:
 class TestTransformedHamiltonian:
     def test_counter_rotating_block_vanishes_with_exact_xi(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
-        frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(small_waveguide, prof)
         b = fk.enumerate_basis(4, 2)
         H = fk._order2_hamiltonian(b, frame, 2.3)
         # <e,1_k|H'|g,0>: counter-rotating single-photon element
@@ -249,16 +249,6 @@ class TestTransformedHamiltonian:
             occ = [0] * 4
             occ[k] = 1
             assert abs(H[b.index(fk.EXCITED, tuple(occ)), ig0]) < 1e-10
-
-    def test_counter_rotating_block_present_with_adiabatic_xi(self, small_waveguide):
-        prof = oscillating_1d_profile(small_waveguide, omega_m=0.4)
-        frame = dr.DressedFrame(small_waveguide, prof)  # adiabatic
-        b = fk.enumerate_basis(4, 2)
-        H = fk._order2_hamiltonian(b, frame, 2.3)
-        ig0 = b.index(fk.GROUND, (0, 0, 0, 0))
-        vals = [abs(H[b.index(fk.EXCITED, tuple(np.eye(4, dtype=int)[k])), ig0])
-                for k in range(4)]
-        assert max(vals) > 1e-10  # -i d(xi)/dt residue survives
 
     def test_pair_kernel_matrix_element(self, small_waveguide):
         frame = frame_with_xi(small_waveguide, 0.02)
@@ -396,7 +386,7 @@ def oracle_frame():
         chi_scale=0.03 * (0.5 + OMEGA_E) / np.sqrt(0.5), c=1.0, r_m=0.1 / wm,
         omega_m=wm, km_rm_guard=0.1001,
     )
-    return dr.DressedFrame(grid, prof, xi_mode="floquet")
+    return dr.DressedFrame(grid, prof)
 
 
 def random_generator(n, seed):
@@ -748,13 +738,34 @@ class TestTransformedResidual:
         r02 = fk.transformed_residual_norm(b, frame_with_xi(grid, 0.02), 0.0)
         assert 6.0 <= r04 / r02 <= 10.0
 
+    @pytest.mark.parametrize("omega_m", [0.3, 2.5])
+    def test_third_order_scaling_under_drive(self, omega_m):
+        # the shaken atom's transform: H'_(2) has no counter-rotating term, so
+        # one the frame failed to remove would leave a residual linear in xi;
+        # what is left falls as xi^3 at a slow and at a fast drive
+        grid = modes.build_waveguide_grid(2, 1.2, 2 * np.pi, 1.0)
+        b = fk.enumerate_basis(2, 4)
+        w = grid.omega[0]
+        residuals = []
+        for xi in (0.04, 0.02, 0.01):
+            prof = cp.CouplingProfile(
+                kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
+                chi_scale=xi * (w + OMEGA_E) / np.sqrt(w), c=grid.c,
+                r_m=0.3 * grid.c / omega_m, omega_m=omega_m, km_rm_guard=0.3001,
+            )
+            frame = dr.DressedFrame(grid, prof)
+            residuals.append(max(fk.transformed_residual_norm(b, frame, t)
+                                 for t in (0.0, 0.7, 1.9)))
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert 7.5 <= coarse / fine <= 8.5
+
     @pytest.mark.parametrize("driven", [False, True])
     def test_static_frame_skips_the_derivative(self, small_waveguide, driven,
                                                monkeypatch):
         # a static xi has dT^+/dt = 0: only T(t) itself is exponentiated
         if driven:
             prof = oscillating_1d_profile(small_waveguide, omega_m=0.05)
-            frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
+            frame = dr.DressedFrame(small_waveguide, prof)
         else:
             frame = frame_with_xi(small_waveguide, 0.02)
         calls = []
@@ -768,12 +779,11 @@ class TestTransformedResidual:
         # the residual also certifies time-dependent frames (finite-difference
         # derivative of the transform against the analytic phase bookkeeping)
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.05)
-        frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(small_waveguide, prof)
         b = fk.enumerate_basis(4, 3)
         R = fk.transformed_residual_norm(b, frame, 1.3)
         xi_scale = float(np.max(np.abs(frame.xi_all(1.3))))
         assert R < 50.0 * xi_scale**3 + 1e-9
-
 
     def test_peak_memory_of_the_dense_arrays(self):
         # at most six d x d complex arrays live at once on a driven frame
@@ -781,7 +791,7 @@ class TestTransformedResidual:
         # holding the identity and T(t + h) through T(t - h) took eight
         grid = modes.build_waveguide_grid(4, 2.0, 4.0 * np.pi, 1.0)
         prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         b = fk.enumerate_basis(4, 5)
         d = b.dimension
         assert d == 252
@@ -809,7 +819,7 @@ class TestDenseResidualOperators:
             prof = cp.CouplingProfile.oscillating_3d(
                 OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
                 r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
-        return dr.DressedFrame(grid, prof, xi_mode="floquet")
+        return dr.DressedFrame(grid, prof)
 
     def test_generator_and_T_match_csr(self, frame):
         b = fk.enumerate_basis(frame.grid.n_modes, 2)

@@ -79,8 +79,8 @@ def einsum_pair_amplitude(frame, t):
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
     X = np.conj(frame.xi_coeffs)
-    F = frame.xi_freqs
-    x = Omega - (F[:, None, :, None] + F[None, :, None, :])
+    f = cp.HARMONICS * frame.profile.omega_m
+    x = Omega - (f[:, None] + f[None, :])[:, :, None, None]
     kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
     memory = np.einsum("ak,bl,abkl->kl", X, X, kernel)
     memory = frame.omega_e * 0.5 * (memory + memory.T)
@@ -99,19 +99,18 @@ def osc3d_profile(omega_m, *, alpha=0.0, km_rm=0.05, gamma=GAMMA):
 
 
 class TestPairAmplitude:
-    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet"])
     @pytest.mark.parametrize("omega_m, t", [
         (0.55, 37.0),
         # Omega = 0.4 + 0.9 = omega_m: those pairs grow like t
         (1.3, 200.0),
     ], ids=["off-resonant", "resonant"])
-    def test_matches_quadrature(self, xi_mode, omega_m, t):
+    def test_matches_quadrature(self, omega_m, t):
         grid = modes.few_mode_waveguide_grid([0.4, 0.9])
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.09 / omega_m, omega_m=omega_m,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode=xi_mode)
+        frame = dr.DressedFrame(grid, prof)
         C, _ = rad.pair_amplitude(frame, t)
         ref = quadrature_pair_amplitude(frame, t)
         assert C == pytest.approx(ref, rel=1e-12, abs=0)
@@ -123,7 +122,7 @@ class TestPairAmplitude:
         grid = modes.build_waveguide_grid(n, (n // 2) * 2 * np.pi / L, L, 1.0)
         if omega_m:
             prof = oscillating_1d_profile(grid, omega_m=omega_m)
-            frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+            frame = dr.DressedFrame(grid, prof)
         else:
             frame = dr.DressedFrame(grid, static_1d_profile(grid))
         for t in (7.0, 300.0):
@@ -134,10 +133,9 @@ class TestPairAmplitude:
             assert np.max(np.abs(C - C_ref)) <= 1e-14 * scale
             assert np.max(np.abs(free - free_ref)) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("xi_mode", ["adiabatic", "floquet"])
-    def test_zero_time_is_the_dressing(self, small_waveguide, xi_mode):
+    def test_zero_time_is_the_dressing(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
-        frame = dr.DressedFrame(small_waveguide, prof, xi_mode=xi_mode)
+        frame = dr.DressedFrame(small_waveguide, prof)
         C, free = rad.pair_amplitude(frame, 0.0)
         omega = small_waveguide.omega
         Omega = omega[:, None] + omega[None, :]
@@ -164,7 +162,7 @@ class TestPairAmplitude:
 
     def test_symmetry(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.08)
-        frame = dr.DressedFrame(small_waveguide, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(small_waveguide, prof)
         C, free = rad.pair_amplitude(frame, 9.0)
         assert np.array_equal(C, C.T)
         assert np.array_equal(free, free.T)
@@ -175,7 +173,7 @@ class TestPairAmplitude:
         grid = modes.build_waveguide_grid(2, 0.15, 2 * np.pi, 1.0)
         wm = 0.3
         prof = oscillating_1d_profile(grid, omega_m=wm, km_rm=0.1)
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         T = 2 * np.pi / wm
         ts = np.linspace(0, T, 601)[:-1]
         lam_t = np.array([dr.lambda_matrix(frame, t)[0, 0] for t in ts])
@@ -193,7 +191,7 @@ class TestPairAmplitude:
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.09 / wm, omega_m=wm,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         t = 37.0
         C, _ = rad.pair_amplitude(frame, t)
 
@@ -225,7 +223,7 @@ class TestPairAmplitude:
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.09 / wm, omega_m=wm,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         omega = grid.omega
         Om = omega[:, None] + omega[None, :]
         lam_scale = np.max(np.abs(dr.lambda_matrix(frame, 0.0)))
@@ -448,7 +446,7 @@ class TestOracleComparison:
             chi_scale=chi_scale, c=1.0, r_m=0.1 / wm, omega_m=wm,
             km_rm_guard=0.1001,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 2)
         import warnings
         with warnings.catch_warnings():
@@ -465,7 +463,7 @@ class TestOracleComparison:
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.01, omega_m=0.55,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 2)
         with pytest.raises(ConfigError):
             rad.oracle_compare_pair_production(basis, frame, grid, 10.0)
@@ -476,7 +474,7 @@ class TestOracleComparison:
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=0.05, c=1.0, r_m=0.01, omega_m=0.8,
         )
-        frame = dr.DressedFrame(grid, prof, xi_mode="floquet")
+        frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 1)
         with pytest.raises(ConfigError):
             rad.oracle_compare_pair_production(basis, frame, grid, 10.0)

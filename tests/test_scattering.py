@@ -72,6 +72,17 @@ class TestGammaFromCoupling:
         prof = static_1d_profile(g, gamma=2.5e-3)
         assert sc.gamma_from_coupling(g, prof) == pytest.approx(2.5e-3)
 
+    def test_one_direction_halves_the_rate(self):
+        # the same lattice, L and c with right-movers only: half the density
+        both = narrow_band_grid(1e-3)
+        right = modes.build_waveguide_grid(
+            100, OMEGA_E + 20.0 * 1e-3, both.geometry.length, 1.0,
+            omega_min=OMEGA_E - 20.0 * 1e-3, directions="positive")
+        assert (right.c, right.geometry.length) == (both.c, both.geometry.length)
+        prof = static_1d_profile(both, gamma=2.5e-3)
+        assert sc.gamma_from_coupling(right, prof) \
+            == 0.5 * sc.gamma_from_coupling(both, prof)
+
     def test_out_of_band(self):
         g = narrow_band_grid(1e-3)
         prof = cp.CouplingProfile.waveguide_1d(
