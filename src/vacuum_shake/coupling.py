@@ -27,12 +27,18 @@ targeting a spontaneous decay rate: the constructors
 take it as ``gamma=``.
 
 The expanded coupling of every kind is exactly a three-term Fourier series
-g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}.  One kernel maps node
-arrays (frequency, direction, polarization) to those components; the
-grid-wide (3, n) array of :func:`grid_fourier` and the co-rotating
-amplitudes of ``eta_components_arrays_1d/3d`` both derive from it.  A
-coupling at one time is ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.
-Profiles are immutable and safe to share.
+g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}, whose sideband
+amplitudes are affine in x = omega/omega_m: a+- = x P +- Q, with the
+carrier a0 and the factors P and Q depending on direction and polarization
+alone.  The angular-factor kernel :func:`angular_factors` maps direction
+(and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
+and magnetic terms.  ``_amplitudes`` composes the sidebands from it at
+frequency nodes; the grid-wide (3, n) array of :func:`grid_fourier` and the
+co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that,
+and :func:`radiation.golden_rule_rate` sums the factors over a direction
+rule once per rate.  A coupling at one time is
+``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
+immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "CouplingKind",
     "CouplingProfile",
     "HARMONICS",
+    "angular_factors",
     "grid_fourier",
     "harmonic_phases",
     "eta_from_g",
@@ -161,36 +168,49 @@ class CouplingProfile:
         )
 
 
+def angular_factors(profile: CouplingProfile, direction, polarization=None):
+    """Angular factors (a0, P, Q) of the coupling at direction nodes.
+
+    The carrier amplitude is a0 and the sideband amplitudes are affine in
+    x = omega/omega_m, a+- = x P +- Q (see :func:`_amplitudes`), with a0, P
+    and Q independent of the frequency.  ``direction`` holds the signed
+    propagation direction s (shape (n,)) of waveguide modes or the unit
+    wavevector khat (n, 3) in free space, where ``polarization`` is eps
+    (n, 3); it is unused in 1D.
+
+    In free space the translation phase i k.r_A gives the Doppler-like term
+    x P with P = (rhat_m.khat)(dhat.eps), and the velocity the magnetic
+    bracket Q = rhat_m.[eps (dhat.khat) - khat (dhat.eps)], which enters a+
+    and a- with opposite signs; a0 = dhat.eps.  In 1D the phase alone gives
+    a0 = 1, P = s and Q = 0.  The static waveguide has no sidebands.
+    """
+    if profile.is_1d:
+        s = np.asarray(direction, dtype=float)
+        if profile.kind is CouplingKind.WAVEGUIDE_1D:
+            return np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
+        return np.ones_like(s), s, np.zeros_like(s)
+    dhat = profile.dipole_direction
+    rm = profile.rhat_m
+    d_eps = polarization @ dhat
+    doppler = (direction @ rm) * d_eps
+    return d_eps, doppler, (polarization @ rm) * (direction @ dhat) - doppler
+
+
 def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
     """Real carrier and sideband amplitudes (a0, a+, a-) over nodes.
 
     The expanded coupling is g_k(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}
     with g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-; the co-rotating
     amplitudes are eta0 = 2 pref a0 and eta+- = pref a+-, pref = chi/(1 +
-    omega/omega_e).  ``direction`` holds the signed propagation direction
-    (shape (n,)) of waveguide modes or the unit wavevector (n, 3) in free
-    space, where ``polarization`` is (n, 3); it is unused in 1D.
-
-    In free space the translation phase i k.r_A gives the Doppler-like term
-    (k/k_m)(khat.rhat_m)(dhat.eps) and the velocity the magnetic bracket
-    rhat_m.[eps (dhat.khat) - khat (dhat.eps)], entering a+ and a- with
-    opposite signs; in 1D the phase alone gives a+- = k_signed/k_m.  The
-    static waveguide has no sidebands.
+    omega/omega_e).  The sidebands a+- = x P +- Q, x = omega/omega_m, are
+    composed from the :func:`angular_factors` (a0, P, Q) at the nodes'
+    directions and polarizations.
     """
-    omega = np.asarray(omega, dtype=float)
-    if profile.is_1d:
-        a0 = np.ones_like(omega)
-        if profile.kind is CouplingKind.WAVEGUIDE_1D:
-            return a0, np.zeros_like(omega), np.zeros_like(omega)
-        side = np.asarray(direction, dtype=float) * omega / profile.omega_m
-        return a0, side, side
-    dhat = profile.dipole_direction
-    d_eps = polarization @ dhat
-    rm = profile.rhat_m
-    rm_khat = direction @ rm
-    doppler = (omega / profile.omega_m) * rm_khat * d_eps  # |k|/k_m, shared c
-    magnetic = (polarization @ rm) * (direction @ dhat) - rm_khat * d_eps
-    return d_eps, doppler + magnetic, doppler - magnetic
+    a0, P, Q = angular_factors(profile, direction, polarization)
+    if profile.kind is CouplingKind.WAVEGUIDE_1D:
+        return a0, P, Q  # no drive: P = Q = 0
+    doppler = (np.asarray(omega, dtype=float) / profile.omega_m) * P  # |k|/k_m
+    return a0, doppler + Q, doppler - Q
 
 
 def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
@@ -238,8 +258,9 @@ def _eta_arrays(profile: CouplingProfile, omega, direction, polarization=None):
 def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
     """Vectorized (eta0, eta_plus, eta_minus) over arrays of nodes.
 
-    ``khat`` and ``eps`` have shape (n, 3); ``omega`` shape (n,).  Used by
-    the rate quadrature at radii that are not grid nodes.
+    ``khat`` and ``eps`` have shape (n, 3); ``omega`` shape (n,).  The
+    node-by-node form of what :func:`radiation.golden_rule_rate` sums
+    through the angular factors.
     """
     if profile.kind is not CouplingKind.OSCILLATING_3D:
         raise ConfigError("sideband components are defined for the oscillating 3D kind")

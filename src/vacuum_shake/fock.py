@@ -773,9 +773,16 @@ def _frequency_table(H: HarmonicHamiltonian, start: float) -> tuple | None:
     rows, cols = H.rows[e], H.cols[e]
     w = cp.HARMONICS[nu] * H.omega_m
     freq = w + H.diag[rows] - H.diag[cols]
-    Omega, j = np.unique(np.concatenate([freq, -freq]), return_inverse=True)
+    freq = np.concatenate([freq, -freq])
+    # sorted distinct frequencies by mask, not np.unique, whose first call
+    # imports numpy.ma (about 10 ms); the mask also serves an empty H
+    Omega = np.sort(freq)
+    distinct = np.ones(len(Omega), dtype=bool)
+    distinct[1:] = Omega[1:] != Omega[:-1]
+    Omega = Omega[distinct]
     if len(Omega) * d * d > DENSE_ENTRIES_MAX:
         return None
+    j = np.searchsorted(Omega, freq)
     v = -1j * H.vals[nu, e] * np.exp(1j * w * start)
     A = np.zeros((len(Omega), d * d), dtype=complex)
     # -i V_nu at (rows, cols), and -i V_nu^+ at (cols, rows)

@@ -318,11 +318,18 @@ def build_freespace_quadrature(
 
 
 def _check_polarization_completeness(grid: ModeGrid, tol: float = 1e-12):
-    """Assert sum_s eps_a eps_b = delta_ab - khat_a khat_b at every node."""
-    e1 = grid.polarizations[0::2]
-    e2 = grid.polarizations[1::2]
-    khat = grid.wavevectors[0::2]
-    khat = khat / np.linalg.norm(khat, axis=1, keepdims=True)
+    """Assert sum_s eps_a eps_b = delta_ab - khat_a khat_b for every direction.
+
+    Checks the m distinct (khat, eps1, eps2) frames of the angular rule:
+    khat from ``angular_directions`` and the frames from the first radial
+    shell, ``polarizations[:2 m]``.  :func:`build_freespace_quadrature`
+    tiles those same frames onto every shell, so they are the frames of
+    every node.
+    """
+    khat = grid.angular_directions
+    m = len(khat)
+    e1 = grid.polarizations[0:2 * m:2]
+    e2 = grid.polarizations[1:2 * m:2]
     outer = (
         np.einsum("na,nb->nab", e1, e1)
         + np.einsum("na,nb->nab", e2, e2)

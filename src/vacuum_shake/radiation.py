@@ -18,10 +18,18 @@ and the continuum limit gives a golden-rule emission rate
         (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
 
 The energy delta is always resolved analytically into a single radial
-integral over w in (0, w_m); angular and polarization sums reuse the grid's
-angular quadrature.  Sweeps over the drive frequency extract the scaling
-exponent (3 in a waveguide, 7 in free space) and the dimensionless rate
-constant in front of the free-space law.
+integral over w in (0, w_m).  The angular and polarization sums separate
+from it: the sideband amplitudes are affine in x = w/w_m, eta+ = (e/2)
+(x P + Q) with eta0 = e a0, where e depends on the frequency alone and the
+angular factors (a0, P, Q) of :func:`coupling.angular_factors` on the
+direction and polarization alone.  Squaring the pair amplitude and summing
+over directions therefore needs only the six weighted sums of P^2, PQ,
+Q^2, a0^2, P a0 and Q a0 over the geometry's direction rule (the grid's
+angular quadrature and frames in 3D, s = +-1 in 1D), so a rate costs
+O(n_radial + n_dir) and both geometries share one integrand (see
+:func:`golden_rule_rate`).  Sweeps over the drive frequency extract the
+scaling exponent (3 in a waveguide, 7 in free space) and the dimensionless
+rate constant in front of the free-space law.
 """
 
 from __future__ import annotations
@@ -75,7 +83,9 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     X = np.conj(frame.xi_coeffs)
     f = cp.HARMONICS * frame.profile.omega_m
     sums = f[:, None] + f[None, :]
-    s = np.unique(sums)
+    # the distinct sums by sort and mask (np.unique would import numpy.ma)
+    s = np.sort(sums, axis=None)
+    s = s[np.append(True, s[1:] != s[:-1])]
     # pairs[s, a, b] = 1 where f_a + f_b = s, and
     # outer[s, k, l] = sum_ab pairs[s, a, b] X_ak X_bl
     pairs = (sums == s[:, None, None]).astype(float)
@@ -89,24 +99,31 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     return C, C - lambda_matrix(frame, t) / Omega
 
 
-def _angular_moments_3d(profile, grid, omega):
-    """Angular+polarization moments of the sideband couplings at the radii
-    ``omega`` (shape (r,)): the arrays (sum eta+^2, sum eta0^2, sum eta+ eta0),
-    each of shape (r,) and summed over the grid's angular rule.
+def _direction_rule(grid: ModeGrid, profile: cp.CouplingProfile) -> tuple:
+    """(D, density, direction, polarization, weight): the dimension, the
+    box-counting density of the geometry and the direction rule over which
+    the rate sums the angular factors.
 
-    The polarization frames do not depend on the radius: they are the grid's
-    own, read from its first radial shell (``grid.polarizations[:2 n_dir]``,
-    see :class:`ModeGrid` for the layout), and all radii are evaluated in
-    one (r, 2 n_dir) pass.
+    In 3D the rule is the grid's angular rule with its own polarization
+    frames, read from its first radial shell (``grid.polarizations[:2 m]``
+    for m directions, see :class:`ModeGrid` for the layout), each frame
+    vector carrying its direction's weight; in 1D it is s = +-1 with weight 1.
     """
-    dirs = grid.angular_directions
-    if dirs is None:
-        raise ConfigError("grid carries no angular quadrature rule")
-    khat = np.repeat(dirs, 2, axis=0)
-    pol = grid.polarizations[:2 * len(dirs)]
-    w2 = np.repeat(grid.angular_weights, 2)
-    eta0, etap, _ = cp.eta_components_arrays_3d(profile, omega[:, None], khat, pol)
-    return (etap**2) @ w2, (eta0**2) @ w2, (etap * eta0) @ w2
+    if isinstance(grid.geometry, FreeSpace3D):
+        if profile.kind is not cp.CouplingKind.OSCILLATING_3D:
+            raise ConfigError("3D rate needs an oscillating free-space profile")
+        dirs = grid.angular_directions
+        if dirs is None:
+            raise ConfigError("grid carries no angular quadrature rule")
+        return (3, grid.geometry.volume / (2.0 * np.pi) ** 3,
+                np.repeat(dirs, 2, axis=0), grid.polarizations[:2 * len(dirs)],
+                np.repeat(grid.angular_weights, 2))
+    if isinstance(grid.geometry, Waveguide1D):
+        if profile.kind is not cp.CouplingKind.OSCILLATING_1D:
+            raise ConfigError("1D rate needs an oscillating waveguide profile")
+        return (1, grid.geometry.length / (2.0 * np.pi), np.array([1.0, -1.0]),
+                None, np.ones(2))
+    raise ConfigError("unsupported grid geometry")
 
 
 def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
@@ -117,11 +134,28 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     the double continuum integral collapses to one radial integral over
     w in (0, w_m), evaluated by the ``n_radial``-point Gauss-Legendre rule of
     :func:`modes.gauss_legendre` (built once per order and process, so a
-    sweep pays for it once); the angular and polarization structure enters
-    through moments taken with the grid's angular rule and frames.
-    Each call evaluates the couplings at all radial nodes w and w' in one
-    array pass.  Both photons of a pair must lie above the infrared cutoff
-    1e-6 w_e, so w_m must exceed 2e-6 w_e.
+    sweep pays for it once).  Both photons of a pair must lie above the
+    infrared cutoff 1e-6 w_e, so w_m must exceed 2e-6 w_e.
+
+    The angular and polarization sums separate from the radial one.  With
+    e(w) = ``eta_from_g(w, chi(w))`` and x = w/w_m, the co-rotating
+    amplitudes at a direction node n are eta0 = e a0_n and eta+ = (e/2)
+    (x P_n + Q_n), the :func:`coupling.angular_factors` (a0, P, Q) of the
+    node.  Expanding (eta+_n(w) eta0_n'(w') + eta+_n'(w') eta0_n(w))^2 and
+    summing over the direction rule (weights w_n; see ``_direction_rule``)
+    leaves six angular sums, taken once per call,
+
+        S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0),
+
+    and at each radius
+
+        Ip = (e/2)^2 (x^2 S_PP + 2 x S_PQ + S_QQ)    (sum of eta+^2),
+        I0 = e^2 S_00                               (sum of eta0^2),
+        J  = (e^2/2) (x S_P0 + S_Q0)                (sum of eta+ eta0),
+
+    so that the integrand of both geometries is
+    (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.  A rate costs
+    O(n_radial + n_dir) operations, not O(n_radial n_dir).
 
     Low-frequency laws (w_m << w_e), which the quadrature reproduces:
 
@@ -153,43 +187,33 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
             "omega_m >= omega_e/2: long-wavelength and adiabatic assumptions "
             "are strained", stacklevel=2,
         )
+    dim, dens, direction, polarization, weight = _direction_rule(grid, profile)
 
-    km_rm = profile.k_m * profile.r_m
+    a0, P, Q = cp.angular_factors(profile, direction, polarization)
+    S_pp, S_pq, S_qq, S_00, S_p0, S_q0 = (
+        np.stack([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]) @ weight)
+
     c = profile.c
     k_m = profile.k_m
-    x, wq = gauss_legendre(n_radial)
-    k_nodes = 0.5 * k_m * (x + 1.0)
+    xq, wq = gauss_legendre(n_radial)
+    k_nodes = 0.5 * k_m * (xq + 1.0)
     k_wts = 0.5 * k_m * wq
     kp = k_m - k_nodes
     # radii of both photons of a pair: w = c k (first half), w' = c (k_m - k)
     radii = c * np.concatenate([k_nodes, kp])
+    x = radii / omega_m
+    e2 = cp.eta_from_g(profile, radii, profile.chi(radii)) ** 2
+    # rows (w, w') of sum eta+^2, sum eta0^2 and sum eta+ eta0
+    Ip, I0, J = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
+                                np.full_like(x, S_00),
+                                0.5 * (x * S_p0 + S_q0)])).reshape(3, 2, n_radial)
+    integrand = (k_nodes * kp) ** (dim - 1) * (Ip[0] * I0[1] + 2.0 * J[0] * J[1]
+                                               + Ip[1] * I0[0])
+    if np.min(integrand) < -1e-12 * max(np.max(np.abs(integrand)), 1e-300):
+        raise NumericalError("rate integrand went negative")
+    radial = float(np.sum(k_wts * integrand))
 
-    if isinstance(grid.geometry, FreeSpace3D):
-        if profile.kind is not cp.CouplingKind.OSCILLATING_3D:
-            raise ConfigError("3D rate needs an oscillating free-space profile")
-        dens = grid.geometry.volume / (2.0 * np.pi) ** 3
-        Ip, I0, J = (m.reshape(2, n_radial)
-                     for m in _angular_moments_3d(profile, grid, radii))
-        integrand = (k_nodes**2) * (kp**2) * (Ip[0] * I0[1] + 2.0 * J[0] * J[1]
-                                              + Ip[1] * I0[0])
-        if np.min(integrand) < -1e-12 * max(np.max(np.abs(integrand)), 1e-300):
-            raise NumericalError("rate integrand went negative")
-        radial = float(np.sum(k_wts * integrand))
-    elif isinstance(grid.geometry, Waveguide1D):
-        if profile.kind is not cp.CouplingKind.OSCILLATING_1D:
-            raise ConfigError("1D rate needs an oscillating waveguide profile")
-        dens = grid.geometry.length / (2.0 * np.pi)
-        # one call over (radius, direction) nodes, direction minor
-        e0, ep, _ = cp.eta_components_arrays_1d(
-            profile, np.repeat(radii, 2), np.tile([1.0, -1.0], 2 * n_radial))
-        e0, ep = e0.reshape(2, n_radial, 2), ep.reshape(2, n_radial, 2)
-        # (eta+_s(w) eta0_s'(w') + eta+_s'(w') eta0_s(w))^2 over s, s'
-        pair = (ep[0][:, :, None] * e0[1][:, None, :]
-                + ep[1][:, None, :] * e0[0][:, :, None])
-        radial = float(np.sum(k_wts * np.sum(pair**2, axis=(1, 2))))
-    else:
-        raise ConfigError("unsupported grid geometry")
-
+    km_rm = k_m * profile.r_m
     rate = np.pi * km_rm**2 / (4.0 * omega_e**2) * dens**2 / c * radial
     if rate < -1e-300:
         raise NumericalError(f"negative emission rate {rate}")
@@ -286,7 +310,8 @@ def oracle_compare_pair_production(
     n = grid.n_modes
     if basis.n_max < 2:
         raise ConfigError("pair production needs a basis with n_max >= 2")
-    gaps = np.diff(np.sort(np.unique(omega)))
+    gaps = np.diff(np.sort(omega))
+    gaps = gaps[gaps > 0]  # between distinct frequencies
     resonance_tol = 0.25 * float(gaps.min()) if len(gaps) else 0.1 * omega_m
 
     resonant = [

@@ -265,7 +265,9 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
     # imports scipy.sparse on first use, for the CSR products above
     # fock.DENSE_ENTRIES_MAX; the AppendixAVerify residual and the shipped
     # OracleCompare (a 15-state sector) are dense and need numpy alone,
-    # while OracleCompare's 70-state sector at n_max 4 takes the CSR path
+    # while OracleCompare's 70-state sector at n_max 4 takes the CSR path.
+    # numpy.ma (about 10 ms, imported by np.unique's first call) stays
+    # unloaded until scipy.sparse brings it
     oracle = {"scenario": "OracleCompare",
               "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}}
     small = write_json(tmp_path / "oracle.json", oracle)
@@ -274,7 +276,8 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
     plain = [str(CONFIG_DIR / f"{name}.json") for name in
              ("dressing_dump", "rate_sweep_1d", "rate_sweep_3d", "scattering_3photon")]
     residual = [str(CONFIG_DIR / "transform_residual.json")]
-    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    scipy_modules = ("print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
     heavy = ("print([m in sys.modules for m in"
              " ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')])")
     code = "\n".join([

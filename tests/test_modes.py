@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,34 @@ class TestVectorisedFrames:
         dirs = g.angular_directions
         expected = np.stack(modes._polarization_pair(dirs), axis=1).reshape(-1, 3)
         np.testing.assert_array_equal(g.polarizations[:2 * len(dirs)], expected)
+
+    @pytest.mark.parametrize("counts", [(1, 3, 4), (3, 2, 5), (8, 24, 12)])
+    def test_every_shell_carries_the_first_shell_frames(self, counts):
+        # the completeness check and the rates read only the first shell's
+        # (khat, eps1, eps2) frames; they hold for the grid because every
+        # shell repeats them
+        g = modes.build_freespace_quadrature(*counts, 2.0, 1.0)
+        n_radial, m = counts[0], len(g.angular_directions)
+        pols = g.polarizations.reshape(n_radial, 2 * m, 3)
+        np.testing.assert_array_equal(pols, np.broadcast_to(pols[0], pols.shape))
+        k = g.wavevectors[::2].reshape(n_radial, m, 3)
+        khat = k / np.linalg.norm(k, axis=2, keepdims=True)
+        np.testing.assert_allclose(
+            khat, np.broadcast_to(g.angular_directions, khat.shape),
+            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("node", [0, 5, 17])
+    def test_completeness_check_sees_one_rotated_eps(self, node):
+        g = modes.build_freespace_quadrature(2, 3, 6, 2.0, 1.0)
+        modes._check_polarization_completeness(g)
+        # turn eps1 of one direction towards eps2: still transverse and
+        # unit, but no longer orthogonal to eps2
+        pols = g.polarizations.copy()
+        e1, e2 = pols[2 * node], pols[2 * node + 1]
+        pols[2 * node] = np.cos(0.1) * e1 + np.sin(0.1) * e2
+        bad = dataclasses.replace(g, polarizations=pols)
+        with pytest.raises(ConfigError, match="not complete"):
+            modes._check_polarization_completeness(bad)
 
 
 class TestGaussLegendre:
