@@ -23,8 +23,9 @@ printed to stderr and listed under ``warnings`` in ``manifest.json``.
 The manifest's ``wall_time_s`` is read from the monotonic
 ``time.perf_counter``, and ``peak_rss_mb`` is the process's peak resident
 set size so far (``ru_maxrss``, kilobytes on Linux, over 1024).
-A scenario's solver statistics (a ``"solver"`` entry of its summary, so far
-only OracleCompare's) go to ``manifest.json`` under ``solver``, not to
+A scenario's solver statistics (a ``"solver"`` entry of its summary: the
+propagator's of OracleCompare, the sweep and quadrature sizes of
+RateSweep1D/3D) go to ``manifest.json`` under ``solver``, not to
 ``summary.json``.
 """
 
@@ -308,6 +309,12 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         "polarization_sum": "included in all 3D rate integrals" if dim == 3
         else "single polarization (waveguide)",
         "files": ["rates.csv"],
+        "solver": {
+            "n_points": len(wms),
+            "n_radial": n_radial,
+            # the direction rule: (direction, polarization) nodes in 3D, s = +-1 in 1D
+            "n_directions": 2 * len(grid.angular_directions) if dim == 3 else 2,
+        },
     }
     if dim == 3:
         summary["constant_C"] = rad.extract_rate_constant(

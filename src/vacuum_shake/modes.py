@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DomainError
 
 __all__ = [
     "Waveguide1D",
@@ -222,14 +222,27 @@ def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
     )
 
 
+#: Largest Gauss-Legendre order: ``leggauss`` builds an n x n companion
+#: matrix (8 MB at this order), and numpy documents it only up to order 100.
+RULE_ORDER_CAP = 1000
+#: Most modes a free-space quadrature grid may hold (about 70 MB of node
+#: arrays), so that an oversized rule fails before it is allocated.
+MODE_CAP = 1_000_000
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
 
     Exactly ``np.polynomial.legendre.leggauss(n)``, built once per order and
     shared by every caller in the process: both arrays are read-only.  The
-    cache keeps one rule (2 n floats) per order asked for.
+    cache keeps one rule (2 n floats) per order asked for.  Raises
+    :class:`CapacityError` above ``RULE_ORDER_CAP``, before building the rule.
     """
+    if n > RULE_ORDER_CAP:
+        raise CapacityError(
+            f"Gauss-Legendre order {n} exceeds the cap {RULE_ORDER_CAP}"
+        )
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -270,6 +283,9 @@ def build_freespace_quadrature(
     distinct wavevector nodes approximates ``integral d^3k f(k)``.
 
     Every node carries two polarization modes sharing the node weight.
+    Raises :class:`CapacityError` when the grid would hold more than
+    ``MODE_CAP`` modes, before allocating anything, and when a rule order
+    exceeds ``RULE_ORDER_CAP``, before building that rule.
     """
     if omega_max <= 0:
         raise ConfigError("omega_max must be positive")
@@ -277,6 +293,11 @@ def build_freespace_quadrature(
         raise ConfigError("V and c must be positive")
     if n_radial < 1 or n_polar < 1 or n_azimuthal < 1:
         raise ConfigError("all quadrature counts must be >= 1")
+    n_modes = 2 * n_radial * n_polar * n_azimuthal
+    if n_modes > MODE_CAP:
+        raise CapacityError(
+            f"free-space grid of {n_modes} modes exceeds the cap {MODE_CAP}"
+        )
 
     k_max = omega_max / c
     xr, wr = gauss_legendre(n_radial)

@@ -27,9 +27,14 @@ over directions therefore needs only the six weighted sums of P^2, PQ,
 Q^2, a0^2, P a0 and Q a0 over the geometry's direction rule (the grid's
 angular quadrature and frames in 3D, s = +-1 in 1D), so a rate costs
 O(n_radial + n_dir) and both geometries share one integrand (see
-:func:`golden_rule_rate`).  Sweeps over the drive frequency extract the
-scaling exponent (3 in a waveguide, 7 in free space) and the dimensionless
-rate constant in front of the free-space law.
+:func:`golden_rule_rate`).  One kernel computes the rates of any number of
+profiles in one array pass: the angular sums as a (points, 6) array, the
+radial factor as a (points, 2 n_radial) array of radii with each row's
+k_m, chi, w_e and r_m.  A sweep over the drive frequency therefore costs
+O(points (n_radial + n_dir)) in one pass (:func:`rate_sweep`), and it
+extracts the scaling exponent (3 in a waveguide, 7 in free space) from a
+closed-form least-squares line through (log w_m, log R), and the
+dimensionless rate constant in front of the free-space law.
 """
 
 from __future__ import annotations
@@ -99,31 +104,119 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     return C, C - lambda_matrix(frame, t) / Omega
 
 
-def _direction_rule(grid: ModeGrid, profile: cp.CouplingProfile) -> tuple:
-    """(D, density, direction, polarization, weight): the dimension, the
-    box-counting density of the geometry and the direction rule over which
-    the rate sums the angular factors.
+def _angular_sums(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile]) -> tuple:
+    """(D, density, S): the dimension, the box-counting density of the
+    geometry and the six weighted angular sums
+
+        S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0)
+
+    of the :func:`coupling.angular_factors` over the direction rule, as a
+    (rows, 6) array.
 
     In 3D the rule is the grid's angular rule with its own polarization
     frames, read from its first radial shell (``grid.polarizations[:2 m]``
     for m directions, see :class:`ModeGrid` for the layout), each frame
-    vector carrying its direction's weight; in 1D it is s = +-1 with weight 1.
+    vector carrying its direction's weight.  The factors come from the
+    stacked dipole and motion axes of all profiles at once, one row per
+    profile, so a profile may turn its geometry with w_m.  In 1D the rule
+    is s = +-1 with weight 1; the factors do not depend on the profile, and
+    the one row serves every profile.
     """
+    kind = profiles[0].kind
     if isinstance(grid.geometry, FreeSpace3D):
-        if profile.kind is not cp.CouplingKind.OSCILLATING_3D:
+        if kind is not cp.CouplingKind.OSCILLATING_3D:
             raise ConfigError("3D rate needs an oscillating free-space profile")
         dirs = grid.angular_directions
         if dirs is None:
             raise ConfigError("grid carries no angular quadrature rule")
-        return (3, grid.geometry.volume / (2.0 * np.pi) ** 3,
-                np.repeat(dirs, 2, axis=0), grid.polarizations[:2 * len(dirs)],
-                np.repeat(grid.angular_weights, 2))
-    if isinstance(grid.geometry, Waveguide1D):
-        if profile.kind is not cp.CouplingKind.OSCILLATING_1D:
+        a0, P, Q = cp.dipole_motion_factors(
+            np.stack([p.dipole_direction for p in profiles]),
+            np.stack([p.rhat_m for p in profiles]),
+            np.repeat(dirs, 2, axis=0), grid.polarizations[:2 * len(dirs)])
+        dim, dens = 3, grid.geometry.volume / (2.0 * np.pi) ** 3
+        weight = np.repeat(grid.angular_weights, 2)
+    elif isinstance(grid.geometry, Waveguide1D):
+        if kind is not cp.CouplingKind.OSCILLATING_1D:
             raise ConfigError("1D rate needs an oscillating waveguide profile")
-        return (1, grid.geometry.length / (2.0 * np.pi), np.array([1.0, -1.0]),
-                None, np.ones(2))
-    raise ConfigError("unsupported grid geometry")
+        a0, P, Q = (f[None] for f in cp.angular_factors(profiles[0],
+                                                         np.array([1.0, -1.0])))
+        dim, dens = 1, grid.geometry.length / (2.0 * np.pi)
+        weight = np.ones(2)
+    else:
+        raise ConfigError("unsupported grid geometry")
+    # (rows, 6, n_dir) @ (n_dir,): one matrix-vector product per row
+    S = np.stack([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0], axis=1) @ weight
+    return dim, dens, S
+
+
+def _rates(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile],
+           n_radial: int) -> np.ndarray:
+    """Golden-rule rates of ``profiles`` on ``grid`` in one array pass, one
+    rate per profile (see :func:`golden_rule_rate` for the integral).
+
+    Row i of every array belongs to profile i: the angular sums S of
+    ``_angular_sums`` and the radial factor at the 2 n_radial radii
+    w = c k and w' = c (k_m - k), with the row's k_m, chi, w_e and r_m.
+    Each row is computed exactly as a pass with that profile alone would
+    compute it, so a sweep point is bitwise the rate of its profile.
+    Every check applies per row: a non-positive drive frequency, a pair
+    band below the infrared cutoff, the w_m >= w_e/2 warning (once per
+    offending row) and a negative integrand or rate.
+    """
+    if len({p.kind for p in profiles}) > 1:
+        raise ConfigError("the profiles of one rate pass must share a kind")
+    # per-row columns (rows, 1)
+    omega_e, omega_m, c, chi_scale, r_m = np.array(
+        [(p.omega_e, p.omega_m, p.c, p.chi_scale, p.r_m) for p in profiles],
+        dtype=float).T[:, :, None]
+    if np.any(omega_m <= 0):
+        raise ConfigError("profile must carry a positive drive frequency")
+    omega_min = 1e-6 * omega_e
+    low = (omega_m <= 2.0 * omega_min)[:, 0]
+    if np.any(low):
+        i = int(np.argmax(low))
+        raise DomainError(
+            f"drive frequency {omega_m[i, 0]} leaves no pair band above the "
+            f"infrared cutoff {omega_min[i, 0]}"
+        )
+    for wm in omega_m[omega_m >= 0.5 * omega_e]:
+        warnings.warn(
+            f"omega_m = {wm:.6g} >= omega_e/2: long-wavelength and adiabatic "
+            "assumptions are strained", stacklevel=3,
+        )
+    dim, dens, S = _angular_sums(grid, profiles)
+    S_pp, S_pq, S_qq, S_00, S_p0, S_q0 = S.T[:, :, None]
+
+    k_m = omega_m / c
+    xq, wq = gauss_legendre(n_radial)
+    k_nodes = 0.5 * k_m * (xq + 1.0)
+    k_wts = 0.5 * k_m * wq
+    kp = k_m - k_nodes
+    # radii of both photons of a pair: w = c k (first half), w' = c (k_m - k)
+    radii = c * np.concatenate([k_nodes, kp], axis=1)
+    x = radii / omega_m
+    # e = eta_from_g(w, chi(w)) with chi(w) = sqrt(w) chi_scale
+    e2 = cp.eta_from_g(omega_e, radii, np.sqrt(radii) * chi_scale) ** 2
+    # per row, halves (w, w') of sum eta+^2, sum eta0^2 and sum eta+ eta0
+    Ip, I0, J = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
+                                np.broadcast_to(S_00, x.shape),
+                                0.5 * (x * S_p0 + S_q0)])
+                 ).reshape(3, -1, 2, n_radial)
+    integrand = (k_nodes * kp) ** (dim - 1) * (Ip[:, 0] * I0[:, 1]
+                                               + 2.0 * J[:, 0] * J[:, 1]
+                                               + Ip[:, 1] * I0[:, 0])
+    scale = np.maximum(np.max(np.abs(integrand), axis=1), 1e-300)
+    negative = np.min(integrand, axis=1) < -1e-12 * scale
+    if np.any(negative):
+        raise NumericalError("rate integrand went negative",
+                             {"omega_m": omega_m[negative, 0].tolist()})
+    radial = np.sum(k_wts * integrand, axis=1, keepdims=True)
+
+    km_rm = k_m * r_m
+    rate = (np.pi * km_rm**2 / (4.0 * omega_e**2) * dens**2 / c * radial)[:, 0]
+    if np.any(rate < -1e-300):
+        raise NumericalError(f"negative emission rate {rate[rate < -1e-300][0]}")
+    return rate
 
 
 def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
@@ -142,8 +235,8 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     amplitudes at a direction node n are eta0 = e a0_n and eta+ = (e/2)
     (x P_n + Q_n), the :func:`coupling.angular_factors` (a0, P, Q) of the
     node.  Expanding (eta+_n(w) eta0_n'(w') + eta+_n'(w') eta0_n(w))^2 and
-    summing over the direction rule (weights w_n; see ``_direction_rule``)
-    leaves six angular sums, taken once per call,
+    summing over the direction rule (weights w_n; see ``_angular_sums``)
+    leaves six angular sums, taken once per drive frequency,
 
         S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0),
 
@@ -155,7 +248,11 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
 
     so that the integrand of both geometries is
     (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.  A rate costs
-    O(n_radial + n_dir) operations, not O(n_radial n_dir).
+    O(n_radial + n_dir) operations, not O(n_radial n_dir).  This is the
+    one-profile case of the kernel that :func:`rate_sweep` runs over all
+    its drive frequencies at once: one pass of O(points (n_radial + n_dir))
+    operations, with the log-log slope from a closed-form least-squares
+    line.
 
     Low-frequency laws (w_m << w_e), which the quadrature reproduces:
 
@@ -172,52 +269,7 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     log-log slope falls short of 7 (3) by about 2 w_m/w_e at the sweep's
     typical w_m.
     """
-    omega_e = profile.omega_e
-    omega_m = profile.omega_m
-    if omega_m <= 0:
-        raise ConfigError("profile must carry a positive drive frequency")
-    omega_min = 1e-6 * omega_e
-    if omega_m <= 2.0 * omega_min:
-        raise DomainError(
-            f"drive frequency {omega_m} leaves no pair band above the "
-            f"infrared cutoff {omega_min}"
-        )
-    if omega_m >= 0.5 * omega_e:
-        warnings.warn(
-            "omega_m >= omega_e/2: long-wavelength and adiabatic assumptions "
-            "are strained", stacklevel=2,
-        )
-    dim, dens, direction, polarization, weight = _direction_rule(grid, profile)
-
-    a0, P, Q = cp.angular_factors(profile, direction, polarization)
-    S_pp, S_pq, S_qq, S_00, S_p0, S_q0 = (
-        np.stack([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]) @ weight)
-
-    c = profile.c
-    k_m = profile.k_m
-    xq, wq = gauss_legendre(n_radial)
-    k_nodes = 0.5 * k_m * (xq + 1.0)
-    k_wts = 0.5 * k_m * wq
-    kp = k_m - k_nodes
-    # radii of both photons of a pair: w = c k (first half), w' = c (k_m - k)
-    radii = c * np.concatenate([k_nodes, kp])
-    x = radii / omega_m
-    e2 = cp.eta_from_g(profile, radii, profile.chi(radii)) ** 2
-    # rows (w, w') of sum eta+^2, sum eta0^2 and sum eta+ eta0
-    Ip, I0, J = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
-                                np.full_like(x, S_00),
-                                0.5 * (x * S_p0 + S_q0)])).reshape(3, 2, n_radial)
-    integrand = (k_nodes * kp) ** (dim - 1) * (Ip[0] * I0[1] + 2.0 * J[0] * J[1]
-                                               + Ip[1] * I0[0])
-    if np.min(integrand) < -1e-12 * max(np.max(np.abs(integrand)), 1e-300):
-        raise NumericalError("rate integrand went negative")
-    radial = float(np.sum(k_wts * integrand))
-
-    km_rm = k_m * profile.r_m
-    rate = np.pi * km_rm**2 / (4.0 * omega_e**2) * dens**2 / c * radial
-    if rate < -1e-300:
-        raise NumericalError(f"negative emission rate {rate}")
-    return rate
+    return float(_rates(grid, [profile], n_radial)[0])
 
 
 def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
@@ -227,17 +279,29 @@ def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
 
     Returns ``(rates, fitted_exponent, pointwise_slopes)``: the rate at each
     entry of ``omega_m_values``, the slope of the least-squares line through
-    (log w_m, log R), and the local slopes d log R / d log w_m at each point.
-    Raises :class:`DomainError` when a rate is not positive (a zero coupling
-    or amplitude), since the slope is fitted to log rates.
+    (log w_m, log R), and the local slopes d log R / d log w_m at each point
+    (``np.gradient``).  The rates come from one array pass over all points,
+    O(points (n_radial + n_dir)) operations, and each equals
+    :func:`golden_rule_rate` of its profile bitwise.  The slope is the
+    closed form sum(dX dY) / sum(dX^2) of the mean-centred X = log w_m and
+    Y = log R.
+
+    Raises :class:`ConfigError` for fewer than two drive frequencies or a
+    repeated one, and :class:`DomainError` when a rate is not positive (a
+    zero coupling or amplitude), since the slope is fitted to log rates.
     """
-    rates = np.array([golden_rule_rate(grid, build_profile(wm), n_radial=n_radial)
-                      for wm in omega_m_values])
+    wm = np.asarray(omega_m_values, dtype=float)
+    if wm.ndim != 1 or len(wm) < 2:
+        raise ConfigError("a rate sweep needs at least two drive frequencies")
+    if np.any(np.diff(np.sort(wm)) == 0):
+        raise ConfigError("the drive frequencies of a rate sweep must be distinct")
+    rates = _rates(grid, [build_profile(w) for w in omega_m_values], n_radial)
     if np.any(rates <= 0):
         raise DomainError("all rates must be positive for a log-space fit")
-    lw = np.log(np.asarray(omega_m_values, dtype=float))
+    lw = np.log(wm)
     lr = np.log(rates)
-    slope, _ = np.polyfit(lw, lr, 1)
+    dx = lw - np.mean(lw)
+    slope = np.sum(dx * (lr - np.mean(lr))) / np.sum(dx * dx)
     return rates, float(slope), np.gradient(lr, lw)
 
 

@@ -19,6 +19,19 @@ def freespace_grid():
     return modes.build_freespace_quadrature(6, 16, 8, 2.0, V=(2.0 * np.pi) ** 3)
 
 
+@pytest.fixture
+def no_large_rules(monkeypatch):
+    """Make ``leggauss`` fail for any order over ``modes.RULE_ORDER_CAP``;
+    smaller rules (a free-space grid's other rule) are still built."""
+    leggauss = np.polynomial.legendre.leggauss
+
+    def guarded(n):
+        assert n <= modes.RULE_ORDER_CAP, f"leggauss({n}) was called"
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", guarded)
+
+
 def oscillating_1d_profile(grid, *, omega_m, km_rm=0.05, gamma=1e-3,
                            omega_e=OMEGA_E):
     return cp.CouplingProfile.oscillating_1d(

@@ -40,7 +40,7 @@ def g_at(prof, grid, t):
 
 def eta_at(prof, grid, t):
     """Co-rotating coupling eta_k(t) = 2 omega_e g_k(t) / (omega_k + omega_e)."""
-    return cp.eta_from_g(prof, grid.omega, g_at(prof, grid, t))
+    return cp.eta_from_g(prof.omega_e, grid.omega, g_at(prof, grid, t))
 
 
 def eta3d(prof, grid):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vacuum_shake import modes
-from vacuum_shake.errors import ConfigError, DomainError
+from vacuum_shake.errors import CapacityError, ConfigError, DomainError
 
 
 class TestWaveguideGrid:
@@ -222,6 +222,24 @@ class TestGaussLegendre:
                 arr[0] = 0.0
         again = modes.gauss_legendre(8)
         assert again[0] is nodes and again[1] is weights
+
+
+class TestCapacity:
+    def test_rule_order_over_the_cap(self, no_large_rules):
+        with pytest.raises(CapacityError, match="order 1001"):
+            modes.gauss_legendre(modes.RULE_ORDER_CAP + 1)
+
+    @pytest.mark.parametrize("orders", [(1001, 2, 2), (2, 1001, 2)])
+    def test_grid_rule_over_the_cap(self, no_large_rules, orders):
+        with pytest.raises(CapacityError, match="order 1001"):
+            modes.build_freespace_quadrature(*orders, 2.0, 1.0)
+
+    def test_grid_over_the_mode_cap(self, monkeypatch):
+        # 2 * 100 * 100 * 51 = 1.02e6 modes; refused before any rule is built
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        modes.gauss_legendre.cache_clear()
+        with pytest.raises(CapacityError, match="1020000 modes"):
+            modes.build_freespace_quadrature(100, 100, 51, 2.0, 1.0)
 
 
 def test_geometry_dict_matches_json(small_waveguide, freespace_grid):

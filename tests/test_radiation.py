@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,84 @@ class TestSweepAndConstant:
         with pytest.raises(FitQualityError):
             rad.extract_rate_constant(wms, rates, k_m_r_m=0.05, gamma=GAMMA,
                                       omega_e=OMEGA_E)
+
+
+def turning_profile(omega_m):
+    """Oscillating free-space profile whose dipole and motion axes turn with
+    the drive frequency, at different rates."""
+    a = np.log(omega_m)
+    return cp.CouplingProfile.oscillating_3d(
+        OMEGA_E, [np.sin(a) * np.cos(2 * a), np.sin(a) * np.sin(2 * a), np.cos(a)],
+        [np.cos(3 * a), np.sin(3 * a), 0.5], r_m=0.05 / omega_m,
+        omega_m=omega_m, gamma=GAMMA, V=V)
+
+
+class TestSweepKernel:
+    def test_turning_geometry_matches_loop_form(self):
+        grid = modes.build_freespace_quadrature(2, 5, 4, 2.0, V)
+        wms = np.geomspace(1e-3, 1e-1, 7)
+        rates, _, _ = rad.rate_sweep(grid, wms, turning_profile, n_radial=12)
+        for wm, rate in zip(wms, rates):
+            assert rate == pytest.approx(loop_rate(grid, turning_profile(wm), 12),
+                                         rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_sweep_point_is_the_single_rate_bitwise(self, dim):
+        wms = np.geomspace(1e-3, 1e-2, 16)
+        if dim == 3:
+            grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
+            build = turning_profile
+        else:
+            grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
+
+            def build(wm):
+                return oscillating_1d_profile(grid, omega_m=wm)
+        rates, _, _ = rad.rate_sweep(grid, wms, build, n_radial=48)
+        single = [rad.golden_rule_rate(grid, build(wm), n_radial=48) for wm in wms]
+        assert rates.tolist() == single
+
+    def test_slope_matches_polyfit(self, freespace_grid):
+        wms = np.geomspace(2e-4, 0.3, 9)
+        rates, exponent, slopes = rad.rate_sweep(freespace_grid, wms,
+                                                 turning_profile, n_radial=16)
+        lw, lr = np.log(wms), np.log(rates)
+        assert exponent == pytest.approx(np.polyfit(lw, lr, 1)[0], rel=1e-12, abs=0)
+        np.testing.assert_array_equal(slopes, np.gradient(lr, lw))
+
+    def test_fast_drive_warns_once_per_point(self, freespace_grid):
+        wms = [0.1, 0.55, 0.6, 0.7]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rad.rate_sweep(freespace_grid, wms, osc3d_profile, n_radial=8)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3
+        assert all("strained" in m for m in messages)
+        assert [m.split(" >=")[0] for m in messages] == [
+            "omega_m = 0.55", "omega_m = 0.6", "omega_m = 0.7"]
+        assert {w.filename for w in caught} == {__file__}
+
+    @pytest.mark.parametrize("wms", [[3e-3], [2e-3, 2e-3, 5e-3], []])
+    def test_too_few_or_repeated_points(self, freespace_grid, wms):
+        built = []
+
+        def build(wm):
+            built.append(wm)
+            return osc3d_profile(wm)
+
+        with pytest.raises(ConfigError, match="at least two|distinct"):
+            rad.rate_sweep(freespace_grid, wms, build, n_radial=8)
+        assert built == []
+
+    def test_mixed_kinds_rejected(self, freespace_grid):
+        grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
+
+        def build(wm):
+            if wm > 5e-3:
+                return oscillating_1d_profile(grid1, omega_m=wm)
+            return osc3d_profile(wm)
+
+        with pytest.raises(ConfigError, match="share a kind"):
+            rad.rate_sweep(freespace_grid, [1e-3, 1e-2], build, n_radial=8)
 
 
 def count_leggauss(monkeypatch):

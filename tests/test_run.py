@@ -304,3 +304,31 @@ def test_oracle_solver_statistics_in_manifest(tmp_path):
     assert len(solver["expm_matvecs"]) == 2
     assert all(isinstance(n, int) and n > 0 for n in solver["expm_matvecs"])
     assert "solver" not in json.loads((out / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("dim, n_directions", [(1, 2), (3, 2 * 6 * 4)])
+def test_rate_sweep_statistics_in_manifest(tmp_path, dim, n_directions):
+    rc, out = run(tmp_path, f"RateSweep{dim}D")
+    assert rc == cli.EXIT_OK
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    sweep = SMALL[f"RateSweep{dim}D"]["sweep"]
+    assert solver == {"n_points": sweep["n_points"], "n_radial": sweep["n_radial"],
+                      "n_directions": n_directions}
+    assert "solver" not in json.loads((out / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("scenario, section, key, value", [
+    ("RateSweep1D", "sweep", "n_radial", 1001),
+    ("RateSweep3D", "grid", "n_polar", 1001),
+    ("RateSweep3D", "grid", "n_azimuthal", 100_000),
+])
+def test_oversized_quadrature_exits_4(tmp_path, capsys, no_large_rules, scenario,
+                                      section, key, value):
+    # a rule order over 1000 or a grid over 1e6 modes is refused before the
+    # rule or the grid is built
+    doc = json.loads(json.dumps(SMALL[scenario]))
+    doc[section][key] = value
+    rc, out = run(tmp_path, scenario, doc)
+    assert rc == cli.EXIT_CAPACITY == 4
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
