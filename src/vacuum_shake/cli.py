@@ -27,6 +27,9 @@ A scenario's solver statistics (a ``"solver"`` entry of its summary: the
 propagator's of OracleCompare, the sweep and quadrature sizes of
 RateSweep1D/3D) go to ``manifest.json`` under ``solver``, not to
 ``summary.json``.
+
+RateSweep3D builds no mode grid: of the ``grid`` keys it reads only
+``volume``, ``n_polar`` and ``n_azimuthal`` (free space and angular rule).
 """
 
 from __future__ import annotations
@@ -111,6 +114,18 @@ def _unsupported_keywords(schema: dict) -> set:
     return own.union(*(_unsupported_keywords(sub) for sub in _subschemas(schema)))
 
 
+@functools.cache
+def _checked_schema() -> dict:
+    """The schema that ``validate_config`` reads (and never changes), parsed
+    and checked for keywords the validator does not know once per process."""
+    schema = load_schema()
+    unknown = _unsupported_keywords(schema)
+    if unknown:
+        raise NotImplementedError(
+            f"config schema uses keywords the validator does not know: {sorted(unknown)}")
+    return schema
+
+
 def _schema_error(value, schema: dict, path: list):
     """``(path, message)`` of the first violation of ``schema``, else None."""
     if "type" in schema and not _TYPES[schema["type"]](value):
@@ -181,11 +196,7 @@ def validate_config(cfg: dict) -> dict:
     ``exclusiveMinimum``, ``items``, ``minItems``, ``maxItems`` and
     ``allOf`` of ``if``/``then``.  Values typed ``integer`` come back as ints.
     """
-    schema = load_schema()
-    unknown = _unsupported_keywords(schema)
-    if unknown:
-        raise NotImplementedError(
-            f"config schema uses keywords the validator does not know: {sorted(unknown)}")
+    schema = _checked_schema()
     err = _schema_error(cfg, schema, [])
     if err:
         raise ConfigError(f"config schema violation at {err[0]}: {err[1]}")
@@ -269,33 +280,33 @@ def _scenario_rate_sweep(cfg, outdir, dim):
     wms, n_radial = _sweep_values(cfg)
 
     if dim == 3:
-        V = g.get("volume", (2.0 * np.pi) ** 3)
-        grid = modes.build_freespace_quadrature(
-            g.get("n_radial", 8), g.get("n_polar", 24), g.get("n_azimuthal", 12),
-            g.get("omega_max", 2.0 * omega_e), V,
-        )
+        geometry = modes.FreeSpace3D(g.get("volume", (2.0 * np.pi) ** 3))
+        rule = modes.angular_rule(g.get("n_polar", 24), g.get("n_azimuthal", 12))
         dhat = p.get("dipole_direction", [0.0, 0.0, 1.0])
         rhat = p.get("rhat_m", [0.0, 0.0, 1.0])
 
         def build(wm):
             return cp.CouplingProfile.oscillating_3d(
                 omega_e, dhat, rhat, r_m=km_rm / wm, omega_m=wm,
-                gamma=gamma, V=V,
+                gamma=gamma, V=geometry.volume,
             )
     else:
         n_modes = g.get("n_modes", 64)
-        grid = modes.build_waveguide_grid(
+        rule = None
+        # c comes from the box lattice that tiles (0, omega_max]
+        geometry = modes.build_waveguide_grid(
             n_modes, g.get("omega_max", 2.0 * omega_e),
             g.get("length", n_modes * np.pi), g.get("area", 1.0),
-        )
+        ).geometry
 
         def build(wm):
             return cp.CouplingProfile.oscillating_1d(
-                omega_e, r_m=km_rm * grid.c / wm, omega_m=wm, gamma=gamma,
-                L=grid.geometry.length, c=grid.c,
+                omega_e, r_m=km_rm * geometry.c / wm, omega_m=wm, gamma=gamma,
+                L=geometry.length, c=geometry.c,
             )
 
-    rates, exponent, slopes = rad.rate_sweep(grid, wms, build, n_radial=n_radial)
+    rates, exponent, slopes = rad.rate_sweep(geometry, wms, build, rule=rule,
+                                             n_radial=n_radial)
     write_csv(outdir / "rates.csv", ["omega_m", "rate", "pointwise_slope"],
               [wms, rates, slopes])
     summary = {
@@ -305,7 +316,7 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         "k_m_r_m": km_rm,
         "n_points": len(wms),
         "n_radial": n_radial,
-        "grid": grid.geometry_dict(),
+        "grid": geometry.as_dict(),
         "polarization_sum": "included in all 3D rate integrals" if dim == 3
         else "single polarization (waveguide)",
         "files": ["rates.csv"],
@@ -313,7 +324,7 @@ def _scenario_rate_sweep(cfg, outdir, dim):
             "n_points": len(wms),
             "n_radial": n_radial,
             # the direction rule: (direction, polarization) nodes in 3D, s = +-1 in 1D
-            "n_directions": 2 * len(grid.angular_directions) if dim == 3 else 2,
+            "n_directions": len(rule[0]) if dim == 3 else 2,
         },
     }
     if dim == 3:
@@ -405,7 +416,7 @@ def _scenario_scattering(cfg, outdir):
         "packet_front_edge_in_decay_lengths": abs(x0) * gamma_p / grid.c,
         "n_modes": n_modes,
         "directions": "both propagation directions included in all sums",
-        "grid": grid.geometry_dict(),
+        "grid": grid.geometry.as_dict(),
         "slice_omega_l": [float(grid.omega[l]) for l in slice_ls],
         "files": files,
     }
@@ -427,7 +438,7 @@ def _scenario_oracle_compare(cfg, outdir):
     profile = cp.CouplingProfile(
         kind=cp.CouplingKind.OSCILLATING_1D, omega_e=omega_e,
         chi_scale=chi_scale, c=1.0, r_m=km_rm / omega_m, omega_m=omega_m,
-        km_rm_guard=max(0.1, km_rm) + 1e-9,
+        km_rm_guard=max(0.1, km_rm),
     )
     frame = dr.DressedFrame(grid, profile)
     basis = fk.enumerate_basis(grid.n_modes, n_max)

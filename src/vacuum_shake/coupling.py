@@ -121,7 +121,8 @@ class CouplingProfile:
             if self.r_m < 0 or self.omega_m <= 0:
                 raise ConfigError("oscillating profiles need r_m >= 0 and omega_m > 0")
             km = self.omega_m / self.c
-            if km * self.r_m > self.km_rm_guard:
+            # a few ulp of slack: (w_m/c) (k_m r_m c/w_m) may round above k_m r_m
+            if km * self.r_m > self.km_rm_guard * (1.0 + 1e-15):
                 raise ConfigError(
                     f"k_m*r_m = {km * self.r_m:.3g} exceeds the long-wavelength "
                     f"guard {self.km_rm_guard}"

@@ -14,6 +14,8 @@ natural bookkeeping of each geometry:
   bare ``d^3k`` measure including the ``k^2`` Jacobian; the box-counting
   density ``V/(2pi)^3`` is applied by consumers (see
   :func:`density_of_states`), which keeps the quantization volume visible.
+  Its angular part, :func:`angular_rule`, is tiled over the radial shells;
+  the golden-rule rates of :mod:`radiation` sum over that rule alone.
 
 Grids are immutable after construction and safe to share across threads.
 """
@@ -35,6 +37,7 @@ __all__ = [
     "build_waveguide_grid",
     "few_mode_waveguide_grid",
     "build_freespace_quadrature",
+    "angular_rule",
     "density_of_states",
     "gauss_legendre",
 ]
@@ -44,8 +47,14 @@ __all__ = [
 DEFAULT_OMEGA_MIN_FRACTION = 1e-6
 
 
+class _Geometry:
+    def as_dict(self) -> dict:
+        """Kind, c and box size, as written to run summaries."""
+        return {"kind": type(self).__name__, **vars(self)}
+
+
 @dataclass(frozen=True)
-class Waveguide1D:
+class Waveguide1D(_Geometry):
     """One-dimensional waveguide of length ``length`` and cross-section ``area``."""
 
     length: float
@@ -54,7 +63,7 @@ class Waveguide1D:
 
 
 @dataclass(frozen=True)
-class FreeSpace3D:
+class FreeSpace3D(_Geometry):
     """Three-dimensional free space with quantization volume ``volume``."""
 
     volume: float
@@ -66,15 +75,11 @@ class ModeGrid:
     """Immutable discretized mode set with quadrature weights.
 
     Array fields are index-aligned: entry ``i`` of ``omega``/``weight``/
-    ``wavevectors``/... describes mode ``i``.  ``angular_directions`` and
-    ``angular_weights`` (3D only) expose the underlying angular rule so rate
-    integrals can reuse it at radii that are not grid nodes.
+    ``wavevectors``/... describes mode ``i``.
 
     3D modes are radius-major: mode ``i`` is (radius, direction,
-    polarization) with polarization fastest, so with ``m`` angular directions
-    ``polarizations[:2 * m]`` holds the (eps1, eps2) frame of every
-    direction, in the order of ``angular_directions``, and the same frames
-    repeat on every radial shell.
+    polarization) with polarization fastest, and every radial shell carries
+    the nodes of the same :func:`angular_rule`, in its order.
     """
 
     geometry: object
@@ -85,16 +90,12 @@ class ModeGrid:
     direction_signs: Optional[np.ndarray]  # (n,) ints or None in 3D
     omega_min: float
     omega_max: float
-    angular_directions: Optional[np.ndarray] = None  # (m, 3) unit vectors
-    angular_weights: Optional[np.ndarray] = None     # (m,), sums to 4*pi
 
     def __post_init__(self):
-        for name in ("omega", "weight", "wavevectors"):
-            getattr(self, name).setflags(write=False)
-        if self.polarizations is not None:
-            self.polarizations.setflags(write=False)
-        if self.direction_signs is not None:
-            self.direction_signs.setflags(write=False)
+        for name in ("omega", "weight", "wavevectors", "polarizations",
+                     "direction_signs"):
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -107,17 +108,6 @@ class ModeGrid:
     @property
     def c(self) -> float:
         return self.geometry.c
-
-    def geometry_dict(self) -> dict:
-        """Kind, c and box size of the geometry, as written to run summaries."""
-        doc = {"kind": "Waveguide1D" if self.is_waveguide else "FreeSpace3D",
-               "c": self.c}
-        if self.is_waveguide:
-            doc["length"] = self.geometry.length
-            doc["area"] = self.geometry.area
-        else:
-            doc["volume"] = self.geometry.volume
-        return doc
 
 
 def build_waveguide_grid(
@@ -225,8 +215,8 @@ def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
 #: Largest Gauss-Legendre order: ``leggauss`` builds an n x n companion
 #: matrix (8 MB at this order), and numpy documents it only up to order 100.
 RULE_ORDER_CAP = 1000
-#: Most modes a free-space quadrature grid may hold (about 70 MB of node
-#: arrays), so that an oversized rule fails before it is allocated.
+#: Most modes a free-space grid, or nodes an angular rule, may hold (about
+#: 70 MB of node arrays), so that an oversized rule fails before allocation.
 MODE_CAP = 1_000_000
 
 
@@ -265,6 +255,50 @@ def _polarization_pair(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def angular_rule(n_polar: int, n_azimuthal: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Direction, polarization) nodes ``(khat, eps, weight)`` on the unit
+    sphere: (2 m, 3), (2 m, 3) and (2 m,) arrays, m = n_polar n_azimuthal.
+
+    Directions are Gauss-Legendre in ``cos(theta)`` (polar-major) times the
+    uniform azimuthal rule (exact for trigonometric polynomials up to degree
+    ``n_azimuthal - 1``).  Each direction has two nodes, polarization
+    fastest, with the frame (eps1, eps2) of :func:`_polarization_pair` and
+    both carrying the direction's weight, so ``weight[::2]`` sums to 4 pi.
+    Raises :class:`CapacityError` above ``MODE_CAP`` nodes before allocating
+    anything, or above ``RULE_ORDER_CAP`` polar nodes before building them.
+    """
+    if n_polar < 1 or n_azimuthal < 1:
+        raise ConfigError("all quadrature counts must be >= 1")
+    n_nodes = 2 * n_polar * n_azimuthal
+    if n_nodes > MODE_CAP:
+        raise CapacityError(
+            f"angular rule of {n_nodes} nodes exceeds the cap {MODE_CAP}"
+        )
+    mu, wmu = gauss_legendre(n_polar)  # mu = cos(theta)
+    phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+    wphi = 2.0 * np.pi / n_azimuthal
+
+    sin_th = np.repeat(np.sqrt(1.0 - mu**2), n_azimuthal)
+    az = np.tile(phi, n_polar)
+    dirs = np.stack([sin_th * np.cos(az), sin_th * np.sin(az),
+                     np.repeat(mu, n_azimuthal)], axis=1)
+    khat = np.repeat(dirs, 2, axis=0)
+    eps = np.stack(_polarization_pair(dirs), axis=1).reshape(-1, 3)
+    _check_polarization_completeness(khat, eps)
+    return khat, eps, np.repeat(np.repeat(wmu, n_azimuthal) * wphi, 2)
+
+
+def _check_polarization_completeness(khat: np.ndarray, eps: np.ndarray,
+                                     tol: float = 1e-12):
+    """Assert sum_s eps_a eps_b = delta_ab - khat_a khat_b for every direction
+    of a rule's nodes, (2 m, 3) arrays with polarization fastest."""
+    frames = np.stack([khat[0::2], eps[0::2], eps[1::2]], axis=1)
+    err = np.max(np.abs(np.einsum("nsa,nsb->nab", frames, frames) - np.eye(3)))
+    if err > tol:
+        raise ConfigError(f"polarization frame not complete: max deviation {err:.3e}")
+
+
 def build_freespace_quadrature(
     n_radial: int,
     n_polar: int,
@@ -276,21 +310,16 @@ def build_freespace_quadrature(
 ) -> ModeGrid:
     """Product quadrature for the ball ``|k| <= omega_max/c`` in 3D free space.
 
-    Radial: Gauss-Legendre on ``[0, k_max]``.  Polar: Gauss-Legendre in
-    ``cos(theta)``.  Azimuthal: uniform rule (exact for trigonometric
-    polynomials up to degree ``n_azimuthal - 1``).  Node weights carry the
+    Gauss-Legendre on ``[0, k_max]`` times the (direction, polarization)
+    nodes of :func:`angular_rule` on every radial shell.  Weights carry the
     full ``k^2 dk dcos(theta) dphi`` measure, so ``sum_i w_i f(k_i)`` over
-    distinct wavevector nodes approximates ``integral d^3k f(k)``.
-
-    Every node carries two polarization modes sharing the node weight.
-    Raises :class:`CapacityError` when the grid would hold more than
-    ``MODE_CAP`` modes, before allocating anything, and when a rule order
-    exceeds ``RULE_ORDER_CAP``, before building that rule.
+    distinct wavevector nodes approximates ``integral d^3k f(k)``.  Raises
+    :class:`CapacityError` when the grid would hold more than ``MODE_CAP``
+    modes, before allocating anything, and when a rule order exceeds
+    ``RULE_ORDER_CAP``, before building that rule.
     """
-    if omega_max <= 0:
-        raise ConfigError("omega_max must be positive")
-    if V <= 0 or c <= 0:
-        raise ConfigError("V and c must be positive")
+    if omega_max <= 0 or V <= 0 or c <= 0:
+        raise ConfigError("omega_max, V and c must be positive")
     if n_radial < 1 or n_polar < 1 or n_azimuthal < 1:
         raise ConfigError("all quadrature counts must be >= 1")
     n_modes = 2 * n_radial * n_polar * n_azimuthal
@@ -303,62 +332,20 @@ def build_freespace_quadrature(
     xr, wr = gauss_legendre(n_radial)
     k_nodes = 0.5 * k_max * (xr + 1.0)
     k_w = 0.5 * k_max * wr
+    khat, eps, ang_w = angular_rule(n_polar, n_azimuthal)
 
-    mu, wmu = gauss_legendre(n_polar)  # mu = cos(theta)
-    phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
-    wphi = 2.0 * np.pi / n_azimuthal
-
-    # directions polar-major; mode index = (radius, direction, polarization)
-    sin_th = np.repeat(np.sqrt(1.0 - mu**2), n_azimuthal)
-    az = np.tile(phi, n_polar)
-    dirs = np.stack([sin_th * np.cos(az), sin_th * np.sin(az),
-                     np.repeat(mu, n_azimuthal)], axis=1)
-    ang_w = np.repeat(wmu, n_azimuthal) * wphi
-
-    omega = np.repeat(c * k_nodes, 2 * len(dirs))
-    node_w = (k_w * k_nodes**2)[:, None] * ang_w  # full d^3k weight per node
-    weight = np.repeat(node_w.ravel(), 2)
-    kvecs = np.repeat((k_nodes[:, None, None] * dirs).reshape(-1, 3), 2, axis=0)
-    pols = np.tile(np.stack(_polarization_pair(dirs), axis=1).reshape(-1, 3),
-                   (n_radial, 1))
-
-    grid = ModeGrid(
+    # mode index = (radius, direction, polarization)
+    omega = np.repeat(c * k_nodes, len(khat))
+    return ModeGrid(
         geometry=FreeSpace3D(volume=V, c=c),
         omega=omega,
-        weight=weight,
-        wavevectors=kvecs,
-        polarizations=pols,
+        weight=((k_w * k_nodes**2)[:, None] * ang_w).ravel(),
+        wavevectors=(k_nodes[:, None, None] * khat).reshape(-1, 3),
+        polarizations=np.tile(eps, (n_radial, 1)),
         direction_signs=None,
         omega_min=float(omega.min()),
         omega_max=float(omega_max),
-        angular_directions=dirs,
-        angular_weights=ang_w,
     )
-    _check_polarization_completeness(grid)
-    return grid
-
-
-def _check_polarization_completeness(grid: ModeGrid, tol: float = 1e-12):
-    """Assert sum_s eps_a eps_b = delta_ab - khat_a khat_b for every direction.
-
-    Checks the m distinct (khat, eps1, eps2) frames of the angular rule:
-    khat from ``angular_directions`` and the frames from the first radial
-    shell, ``polarizations[:2 m]``.  :func:`build_freespace_quadrature`
-    tiles those same frames onto every shell, so they are the frames of
-    every node.
-    """
-    khat = grid.angular_directions
-    m = len(khat)
-    e1 = grid.polarizations[0:2 * m:2]
-    e2 = grid.polarizations[1:2 * m:2]
-    outer = (
-        np.einsum("na,nb->nab", e1, e1)
-        + np.einsum("na,nb->nab", e2, e2)
-        + np.einsum("na,nb->nab", khat, khat)
-    )
-    err = np.max(np.abs(outer - np.eye(3)))
-    if err > tol:
-        raise ConfigError(f"polarization frame not complete: max deviation {err:.3e}")
 
 
 def density_of_states(grid: ModeGrid, omega: float) -> float:

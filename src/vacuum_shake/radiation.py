@@ -17,24 +17,15 @@ and the continuum limit gives a golden-rule emission rate
     R = pi (k_m r_m)^2 / (4 w_e^2) * int d^Dk d^Dk' rho rho'
         (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
 
-The energy delta is always resolved analytically into a single radial
-integral over w in (0, w_m).  The angular and polarization sums separate
-from it: the sideband amplitudes are affine in x = w/w_m, eta+ = (e/2)
-(x P + Q) with eta0 = e a0, where e depends on the frequency alone and the
-angular factors (a0, P, Q) of :func:`coupling.angular_factors` on the
-direction and polarization alone.  Squaring the pair amplitude and summing
-over directions therefore needs only the six weighted sums of P^2, PQ,
-Q^2, a0^2, P a0 and Q a0 over the geometry's direction rule (the grid's
-angular quadrature and frames in 3D, s = +-1 in 1D), so a rate costs
-O(n_radial + n_dir) and both geometries share one integrand (see
-:func:`golden_rule_rate`).  One kernel computes the rates of any number of
-profiles in one array pass: the angular sums as a (points, 6) array, the
-radial factor as a (points, 2 n_radial) array of radii with each row's
-k_m, chi, w_e and r_m.  A sweep over the drive frequency therefore costs
-O(points (n_radial + n_dir)) in one pass (:func:`rate_sweep`), and it
-extracts the scaling exponent (3 in a waveguide, 7 in free space) from a
-closed-form least-squares line through (log w_m, log R), and the
-dimensionless rate constant in front of the free-space law.
+A rate reads no mode grid: :func:`golden_rule_rate` takes the geometry
+(``Waveguide1D`` or ``FreeSpace3D``) and, in 3D, the (direction,
+polarization) nodes of :func:`modes.angular_rule`.  The energy delta is
+resolved analytically into one radial integral over w in (0, w_m), and the
+angular sums separate from it into six weighted sums over the direction
+rule, so a rate costs O(n_radial + n_dir).  :func:`rate_sweep` takes a sweep
+over the drive frequency in one array pass and fits the scaling exponent
+(3 in a waveguide, 7 in free space) to (log w_m, log R);
+:func:`extract_rate_constant` gives the constant of the free-space law.
 """
 
 from __future__ import annotations
@@ -104,7 +95,8 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     return C, C - lambda_matrix(frame, t) / Omega
 
 
-def _angular_sums(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile]) -> tuple:
+def _angular_sums(geometry: Waveguide1D | FreeSpace3D, rule,
+                  profiles: Sequence[cp.CouplingProfile]) -> tuple:
     """(D, density, S): the dimension, the box-counting density of the
     geometry and the six weighted angular sums
 
@@ -113,46 +105,42 @@ def _angular_sums(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile]) -> tup
     of the :func:`coupling.angular_factors` over the direction rule, as a
     (rows, 6) array.
 
-    In 3D the rule is the grid's angular rule with its own polarization
-    frames, read from its first radial shell (``grid.polarizations[:2 m]``
-    for m directions, see :class:`ModeGrid` for the layout), each frame
-    vector carrying its direction's weight.  The factors come from the
-    stacked dipole and motion axes of all profiles at once, one row per
-    profile, so a profile may turn its geometry with w_m.  In 1D the rule
-    is s = +-1 with weight 1; the factors do not depend on the profile, and
-    the one row serves every profile.
+    In 3D the rule is ``rule``, the (khat, eps, weight) nodes of
+    :func:`modes.angular_rule`, and the factors come from the stacked dipole
+    and motion axes of all profiles at once, one row per profile, so a
+    profile may turn its geometry with w_m.  In 1D the rule is s = +-1 with
+    weight 1; its factors do not depend on the profile, and one row serves
+    every profile.
     """
     kind = profiles[0].kind
-    if isinstance(grid.geometry, FreeSpace3D):
+    if isinstance(geometry, FreeSpace3D):
         if kind is not cp.CouplingKind.OSCILLATING_3D:
             raise ConfigError("3D rate needs an oscillating free-space profile")
-        dirs = grid.angular_directions
-        if dirs is None:
-            raise ConfigError("grid carries no angular quadrature rule")
+        if rule is None:
+            raise ConfigError("3D rate needs an angular rule (modes.angular_rule)")
+        khat, eps, weight = rule
         a0, P, Q = cp.dipole_motion_factors(
             np.stack([p.dipole_direction for p in profiles]),
-            np.stack([p.rhat_m for p in profiles]),
-            np.repeat(dirs, 2, axis=0), grid.polarizations[:2 * len(dirs)])
-        dim, dens = 3, grid.geometry.volume / (2.0 * np.pi) ** 3
-        weight = np.repeat(grid.angular_weights, 2)
-    elif isinstance(grid.geometry, Waveguide1D):
+            np.stack([p.rhat_m for p in profiles]), khat, eps)
+        dim, dens = 3, geometry.volume / (2.0 * np.pi) ** 3
+    elif isinstance(geometry, Waveguide1D):
         if kind is not cp.CouplingKind.OSCILLATING_1D:
             raise ConfigError("1D rate needs an oscillating waveguide profile")
         a0, P, Q = (f[None] for f in cp.angular_factors(profiles[0],
                                                          np.array([1.0, -1.0])))
-        dim, dens = 1, grid.geometry.length / (2.0 * np.pi)
+        dim, dens = 1, geometry.length / (2.0 * np.pi)
         weight = np.ones(2)
     else:
-        raise ConfigError("unsupported grid geometry")
+        raise ConfigError("unsupported rate geometry")
     # (rows, 6, n_dir) @ (n_dir,): one matrix-vector product per row
     S = np.stack([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0], axis=1) @ weight
     return dim, dens, S
 
 
-def _rates(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile],
-           n_radial: int) -> np.ndarray:
-    """Golden-rule rates of ``profiles`` on ``grid`` in one array pass, one
-    rate per profile (see :func:`golden_rule_rate` for the integral).
+def _rates(geometry: Waveguide1D | FreeSpace3D, rule,
+           profiles: Sequence[cp.CouplingProfile], n_radial: int) -> np.ndarray:
+    """Golden-rule rates of ``profiles`` in one array pass, one rate per
+    profile (see :func:`golden_rule_rate` for the integral).
 
     Row i of every array belongs to profile i: the angular sums S of
     ``_angular_sums`` and the radial factor at the 2 n_radial radii
@@ -184,7 +172,7 @@ def _rates(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile],
             f"omega_m = {wm:.6g} >= omega_e/2: long-wavelength and adiabatic "
             "assumptions are strained", stacklevel=3,
         )
-    dim, dens, S = _angular_sums(grid, profiles)
+    dim, dens, S = _angular_sums(geometry, rule, profiles)
     S_pp, S_pq, S_qq, S_00, S_p0, S_q0 = S.T[:, :, None]
 
     k_m = omega_m / c
@@ -219,9 +207,14 @@ def _rates(grid: ModeGrid, profiles: Sequence[cp.CouplingProfile],
     return rate
 
 
-def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
+def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
+                     profile: cp.CouplingProfile, *, rule=None,
                      n_radial: int = 48) -> float:
     """Photon-pair emission rate of an oscillating emitter by the golden rule.
+
+    ``geometry`` is a ``modes.Waveguide1D`` or ``modes.FreeSpace3D``; a 3D
+    rate integrates over the directions of ``rule``, a
+    :func:`modes.angular_rule`; a 1D rate sums over s = +-1 and needs none.
 
     The energy-conservation delta is removed analytically: with w' = w_m - w
     the double continuum integral collapses to one radial integral over
@@ -235,8 +228,9 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     amplitudes at a direction node n are eta0 = e a0_n and eta+ = (e/2)
     (x P_n + Q_n), the :func:`coupling.angular_factors` (a0, P, Q) of the
     node.  Expanding (eta+_n(w) eta0_n'(w') + eta+_n'(w') eta0_n(w))^2 and
-    summing over the direction rule (weights w_n; see ``_angular_sums``)
-    leaves six angular sums, taken once per drive frequency,
+    summing over the direction rule (the nodes of ``rule`` in 3D, s = +-1
+    in 1D, with weights w_n; see ``_angular_sums``) leaves six angular sums,
+    taken once per drive frequency,
 
         S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0),
 
@@ -269,13 +263,16 @@ def golden_rule_rate(grid: ModeGrid, profile: cp.CouplingProfile, *,
     log-log slope falls short of 7 (3) by about 2 w_m/w_e at the sweep's
     typical w_m.
     """
-    return float(_rates(grid, [profile], n_radial)[0])
+    return float(_rates(geometry, rule, [profile], n_radial)[0])
 
 
-def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
+def rate_sweep(geometry: Waveguide1D | FreeSpace3D,
+               omega_m_values: Sequence[float],
                build_profile: Callable[[float], cp.CouplingProfile], *,
-               n_radial: int = 48) -> tuple:
+               rule=None, n_radial: int = 48) -> tuple:
     """Golden-rule rates over a set of drive frequencies plus a log-log slope fit.
+
+    ``geometry`` and ``rule`` are those of :func:`golden_rule_rate`.
 
     Returns ``(rates, fitted_exponent, pointwise_slopes)``: the rate at each
     entry of ``omega_m_values``, the slope of the least-squares line through
@@ -295,7 +292,8 @@ def rate_sweep(grid: ModeGrid, omega_m_values: Sequence[float],
         raise ConfigError("a rate sweep needs at least two drive frequencies")
     if np.any(np.diff(np.sort(wm)) == 0):
         raise ConfigError("the drive frequencies of a rate sweep must be distinct")
-    rates = _rates(grid, [build_profile(w) for w in omega_m_values], n_radial)
+    rates = _rates(geometry, rule, [build_profile(w) for w in omega_m_values],
+                   n_radial)
     if np.any(rates <= 0):
         raise DomainError("all rates must be positive for a log-space fit")
     lw = np.log(wm)

@@ -14,11 +14,6 @@ def small_waveguide():
     return modes.build_waveguide_grid(4, 2.0, 4.0 * np.pi, 1.0)
 
 
-@pytest.fixture(scope="session")
-def freespace_grid():
-    return modes.build_freespace_quadrature(6, 16, 8, 2.0, V=(2.0 * np.pi) ** 3)
-
-
 @pytest.fixture
 def no_large_rules(monkeypatch):
     """Make ``leggauss`` fail for any order over ``modes.RULE_ORDER_CAP``;

@@ -179,8 +179,20 @@ class TestValidateConfig:
         schema = cli.load_schema()
         schema["properties"]["grid"]["properties"]["n_modes"]["multipleOf"] = 2
         monkeypatch.setattr(cli, "load_schema", lambda: schema)
+        cli._checked_schema.cache_clear()  # the shipped schema passed
         with pytest.raises(NotImplementedError, match="multipleOf"):
             cli.validate_config({"scenario": "DressingDump"})
+
+    def test_schema_keywords_are_checked_once(self, monkeypatch):
+        walked = []
+        walk = cli._unsupported_keywords
+        monkeypatch.setattr(cli, "_unsupported_keywords",
+                            lambda schema: walked.append(1) or walk(schema))
+        cli._checked_schema.cache_clear()
+        cli.validate_config(json.loads(json.dumps(self.BASE)))
+        first = len(walked)
+        cli.validate_config(json.loads(json.dumps(self.BASE)))
+        assert first > 0 and len(walked) == first
 
     def test_validation_imports_no_jsonschema(self):
         code = ("import sys, json; from vacuum_shake import cli; "

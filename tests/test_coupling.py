@@ -56,6 +56,15 @@ class TestGuards:
         with pytest.raises(ConfigError):
             osc3d(r_m=2.0, omega_m=0.1)  # k_m r_m = 0.2 > 0.1
 
+    def test_long_wavelength_guard_has_only_rounding_slack(self):
+        # (w_m/c) (0.1 c/w_m) rounds one ulp above 0.1 here; the guard
+        # forgives that, and nothing as large as a relative 1e-9
+        wm = np.geomspace(1e-3, 1e-2, 16)[6]
+        assert wm * (0.1 / wm) > 0.1
+        osc3d(r_m=0.1 / wm, omega_m=wm)
+        with pytest.raises(ConfigError, match="long-wavelength"):
+            osc3d(r_m=0.1 * (1.0 + 1e-9) / wm, omega_m=wm)
+
     def test_relativistic_guard(self):
         with pytest.raises(ConfigError):
             cp.CouplingProfile(

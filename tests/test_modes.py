@@ -1,6 +1,3 @@
-
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -78,13 +75,10 @@ class TestFreespaceQuadrature:
     def test_polarization_sum_isotropy(self):
         # sum over directions and polarizations of (dhat.eps)^2 with the
         # angular weights alone gives 8 pi / 3 for any dhat
-        g = modes.build_freespace_quadrature(1, 20, 12, 1.0, 1.0)
+        _, eps, weight = modes.angular_rule(20, 12)
         dhat = np.array([0.3, -0.5, 0.8])
         dhat /= np.linalg.norm(dhat)
-        total = 0.0
-        for i, d in enumerate(g.angular_directions):
-            e1, e2 = modes._polarization_pair(d)
-            total += g.angular_weights[i] * ((dhat @ e1) ** 2 + (dhat @ e2) ** 2)
+        total = np.sum(weight * (eps @ dhat) ** 2)
         assert total == pytest.approx(8.0 * np.pi / 3.0, abs=1e-10)
 
     def test_polarization_completeness(self):
@@ -140,8 +134,7 @@ def old_freespace_arrays(n_radial, n_polar, n_azimuthal, omega_max, c=1.0):
                 kvecs.append(k * d)
                 pols.append(eps)
     return {"omega": omega, "weight": weight, "wavevectors": kvecs,
-            "polarizations": pols, "angular_directions": dirs,
-            "angular_weights": ang_w}
+            "polarizations": pols}
 
 
 class TestVectorisedFrames:
@@ -171,40 +164,76 @@ class TestVectorisedFrames:
 
     @pytest.mark.parametrize("counts", [(1, 3, 4), (8, 24, 12), (5, 7, 1)])
     def test_first_shell_holds_the_direction_frames(self, counts):
-        # radius-major layout: the rate integrals read the frames of every
-        # angular direction from the grid's first radial shell
+        # radius-major layout: the first radial shell is the angular rule,
+        # its frames those of _polarization_pair
         g = modes.build_freespace_quadrature(*counts, 2.0, 1.0)
-        dirs = g.angular_directions
-        expected = np.stack(modes._polarization_pair(dirs), axis=1).reshape(-1, 3)
-        np.testing.assert_array_equal(g.polarizations[:2 * len(dirs)], expected)
+        khat, eps, _ = modes.angular_rule(*counts[1:])
+        expected = np.stack(modes._polarization_pair(khat[::2]), axis=1)
+        np.testing.assert_array_equal(eps, expected.reshape(-1, 3))
+        np.testing.assert_array_equal(g.polarizations[:len(eps)], eps)
 
     @pytest.mark.parametrize("counts", [(1, 3, 4), (3, 2, 5), (8, 24, 12)])
     def test_every_shell_carries_the_first_shell_frames(self, counts):
-        # the completeness check and the rates read only the first shell's
-        # (khat, eps1, eps2) frames; they hold for the grid because every
-        # shell repeats them
+        # every shell carries the (khat, eps) nodes of the angular rule, so
+        # the rule's completeness check holds for the whole grid
         g = modes.build_freespace_quadrature(*counts, 2.0, 1.0)
-        n_radial, m = counts[0], len(g.angular_directions)
-        pols = g.polarizations.reshape(n_radial, 2 * m, 3)
-        np.testing.assert_array_equal(pols, np.broadcast_to(pols[0], pols.shape))
-        k = g.wavevectors[::2].reshape(n_radial, m, 3)
+        rule_khat, rule_eps, _ = modes.angular_rule(*counts[1:])
+        n_radial, n = counts[0], len(rule_khat)
+        pols = g.polarizations.reshape(n_radial, n, 3)
+        np.testing.assert_array_equal(pols, np.broadcast_to(rule_eps, pols.shape))
+        k = g.wavevectors.reshape(n_radial, n, 3)
         khat = k / np.linalg.norm(k, axis=2, keepdims=True)
-        np.testing.assert_allclose(
-            khat, np.broadcast_to(g.angular_directions, khat.shape),
-            rtol=0, atol=1e-15)
+        np.testing.assert_allclose(khat, np.broadcast_to(rule_khat, khat.shape),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("node", [0, 5, 17])
     def test_completeness_check_sees_one_rotated_eps(self, node):
-        g = modes.build_freespace_quadrature(2, 3, 6, 2.0, 1.0)
-        modes._check_polarization_completeness(g)
+        khat, eps, _ = modes.angular_rule(3, 6)
+        modes._check_polarization_completeness(khat, eps)
         # turn eps1 of one direction towards eps2: still transverse and
         # unit, but no longer orthogonal to eps2
-        pols = g.polarizations.copy()
-        e1, e2 = pols[2 * node], pols[2 * node + 1]
-        pols[2 * node] = np.cos(0.1) * e1 + np.sin(0.1) * e2
-        bad = dataclasses.replace(g, polarizations=pols)
+        bad = eps.copy()
+        e1, e2 = eps[2 * node], eps[2 * node + 1]
+        bad[2 * node] = np.cos(0.1) * e1 + np.sin(0.1) * e2
         with pytest.raises(ConfigError, match="not complete"):
-            modes._check_polarization_completeness(bad)
+            modes._check_polarization_completeness(khat, bad)
+
+
+class TestAngularRule:
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 5), (24, 12)])
+    def test_shapes_and_weights(self, counts):
+        khat, eps, weight = modes.angular_rule(*counts)
+        n = 2 * counts[0] * counts[1]
+        assert khat.shape == eps.shape == (n, 3) and weight.shape == (n,)
+        # both polarizations of a direction carry its weight
+        np.testing.assert_array_equal(khat[0::2], khat[1::2])
+        np.testing.assert_array_equal(weight[0::2], weight[1::2])
+        assert np.sum(weight[0::2]) == pytest.approx(4.0 * np.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 5), (24, 12)])
+    def test_frames_are_complete(self, counts):
+        khat, eps, _ = modes.angular_rule(*counts)
+        np.testing.assert_allclose(np.linalg.norm(khat, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+        outer = (np.einsum("na,nb->nab", khat[0::2], khat[0::2])
+                 + np.einsum("na,nb->nab", eps[0::2], eps[0::2])
+                 + np.einsum("na,nb->nab", eps[1::2], eps[1::2]))
+        np.testing.assert_allclose(outer, np.broadcast_to(np.eye(3), outer.shape),
+                                   rtol=0, atol=1e-14)
+
+    def test_oversized_rule_is_refused_before_allocating(self, monkeypatch):
+        # 2 * 1000 * 501 = 1.002e6 nodes: refused before the polar rule or
+        # any node array is built
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        monkeypatch.setattr(np, "arange", None)
+        modes.gauss_legendre.cache_clear()
+        with pytest.raises(CapacityError, match="1002000 nodes"):
+            modes.angular_rule(1000, 501)
+
+    @pytest.mark.parametrize("counts", [(0, 4), (4, 0)])
+    def test_empty_rule_is_refused(self, counts):
+        with pytest.raises(ConfigError):
+            modes.angular_rule(*counts)
 
 
 class TestGaussLegendre:
@@ -242,10 +271,10 @@ class TestCapacity:
             modes.build_freespace_quadrature(100, 100, 51, 2.0, 1.0)
 
 
-def test_geometry_dict_matches_json(small_waveguide, freespace_grid):
-    assert small_waveguide.geometry_dict() == {
+def test_geometry_dict_matches_json(small_waveguide):
+    assert small_waveguide.geometry.as_dict() == {
         "kind": "Waveguide1D", "c": 2.0, "length": 4.0 * np.pi, "area": 1.0}
-    assert freespace_grid.geometry_dict() == {
+    assert modes.FreeSpace3D((2.0 * np.pi) ** 3).as_dict() == {
         "kind": "FreeSpace3D", "c": 1.0, "volume": (2.0 * np.pi) ** 3}
 
 

@@ -16,17 +16,20 @@ from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
 
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
+FREE = modes.FreeSpace3D(V)
+RULE = modes.angular_rule(16, 8)
 
 
-def loop_rate(grid, profile, n_radial):
-    """Golden-rule rate summed radius by radius and direction by direction
-    (the loop form of ``rad.golden_rule_rate``)."""
+def loop_rate(geometry, profile, n_radial, rule=None):
+    """Golden-rule rate summed radius by radius and direction by direction,
+    over the (direction, polarization) nodes of ``rule`` in 3D (the loop
+    form of ``rad.golden_rule_rate``)."""
     k_m, c = profile.k_m, profile.c
     x, wq = np.polynomial.legendre.leggauss(n_radial)
     k_nodes, k_wts = 0.5 * k_m * (x + 1.0), 0.5 * k_m * wq
     total = np.zeros(n_radial)
-    if grid.is_waveguide:
-        dens = grid.geometry.length / (2.0 * np.pi)
+    if isinstance(geometry, modes.Waveguide1D):
+        dens = geometry.length / (2.0 * np.pi)
         signs = np.array([1.0, -1.0])
         for i, k in enumerate(k_nodes):
             e0, ep, _ = cp.eta_components_arrays_1d(profile, np.full(2, c * k), signs)
@@ -36,13 +39,10 @@ def loop_rate(grid, profile, n_radial):
                 for sp in range(2):
                     total[i] += (ep[s] * f0[sp] + fp[sp] * e0[s]) ** 2
     else:
-        dens = grid.geometry.volume / (2.0 * np.pi) ** 3
-        khat = np.repeat(grid.angular_directions, 2, axis=0)
-        w2 = np.repeat(grid.angular_weights, 2)
+        dens = geometry.volume / (2.0 * np.pi) ** 3
+        khat, pol, w2 = rule
 
         def moments(omega):
-            pol = np.array([e for d in grid.angular_directions
-                            for e in modes._polarization_pair(d)])
             e0, ep, _ = cp.eta_components_arrays_3d(
                 profile, np.full(len(khat), omega), khat, pol)
             return np.sum(w2 * ep**2), np.sum(w2 * e0**2), np.sum(w2 * ep * e0)
@@ -237,24 +237,24 @@ class TestPairAmplitude:
 
 
 class TestGoldenRuleRate:
-    def test_zero_amplitude(self, freespace_grid):
+    def test_zero_amplitude(self):
         prof = osc3d_profile(5e-3, km_rm=0.0)
-        assert rad.golden_rule_rate(freespace_grid, prof) == 0.0
+        assert rad.golden_rule_rate(FREE, prof, rule=RULE) == 0.0
 
-    def test_parallel_geometry_constant(self, freespace_grid):
+    def test_parallel_geometry_constant(self):
         # closed-form reduction of the rate integral for dipole parallel to
         # the motion axis: C = 1/(5040 pi) in the low-frequency limit
         wm = 2e-4
         prof = osc3d_profile(wm, alpha=0.0)
-        rate = rad.golden_rule_rate(freespace_grid, prof, n_radial=40)
+        rate = rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         assert C == pytest.approx(1.0 / (5040.0 * np.pi), rel=2e-3)
 
-    def test_perpendicular_geometry_constant(self, freespace_grid):
+    def test_perpendicular_geometry_constant(self):
         # perpendicular geometry keeps the magnetic sideband: 11/(5040 pi)
         wm = 2e-4
         prof = osc3d_profile(wm, alpha=np.pi / 2)
-        rate = rad.golden_rule_rate(freespace_grid, prof, n_radial=40)
+        rate = rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         assert C == pytest.approx(11.0 / (5040.0 * np.pi), rel=2e-3)
 
@@ -263,18 +263,18 @@ class TestGoldenRuleRate:
         grid = modes.build_waveguide_grid(16, 2.0, 16 * np.pi, 1.0)
         wm = 2e-4
         prof = oscillating_1d_profile(grid, omega_m=wm, km_rm=0.05)
-        rate = rad.golden_rule_rate(grid, prof, n_radial=40)
+        rate = rad.golden_rule_rate(grid.geometry, prof, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 3)
         assert C == pytest.approx(1.0 / (40.0 * np.pi), rel=2e-3)
 
     @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 4, np.pi / 3, 2.0])
-    def test_oblique_geometry_constant(self, freespace_grid, alpha):
+    def test_oblique_geometry_constant(self, alpha):
         # C(alpha) = (11 - 10 cos^2 alpha)/(5040 pi), 8.5/(5040 pi) at pi/3;
         # each |eta|^2 carries (1 + w/w_e)^-2, which over a pair gives the
         # first-order correction 1 - 2 w_m/w_e
         wm = 2e-4
-        rate = rad.golden_rule_rate(freespace_grid, osc3d_profile(wm, alpha=alpha),
-                                    n_radial=40)
+        rate = rad.golden_rule_rate(FREE, osc3d_profile(wm, alpha=alpha),
+                                    rule=RULE, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         law = (11.0 - 10.0 * np.cos(alpha) ** 2) / (5040.0 * np.pi)
         assert C == pytest.approx(law, rel=2e-3)
@@ -292,13 +292,13 @@ class TestGoldenRuleRate:
             return [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                     np.cos(theta)]
 
-        grid = modes.build_freespace_quadrature(2, n_polar, n_azimuthal, 2.0, V)
+        rule = modes.angular_rule(n_polar, n_azimuthal)
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, unit(*angles[:2]), unit(*angles[2:]), r_m=0.05 / wm,
             omega_m=wm, gamma=GAMMA, V=V)
-        rate = rad.golden_rule_rate(grid, prof, n_radial=n_radial)
+        rate = rad.golden_rule_rate(FREE, prof, rule=rule, n_radial=n_radial)
         # abs=0: rates are ~1e-20, far below approx's default absolute 1e-12
-        assert rate == pytest.approx(loop_rate(grid, prof, n_radial),
+        assert rate == pytest.approx(loop_rate(FREE, prof, n_radial, rule),
                                      rel=1e-12, abs=0)
 
     @settings(max_examples=25, deadline=None)
@@ -307,16 +307,16 @@ class TestGoldenRuleRate:
         grid = modes.build_waveguide_grid(2 * half_modes, 2.0,
                                           2 * half_modes * np.pi, 1.0)
         prof = oscillating_1d_profile(grid, omega_m=wm)
-        rate = rad.golden_rule_rate(grid, prof, n_radial=n_radial)
-        assert rate == pytest.approx(loop_rate(grid, prof, n_radial),
+        rate = rad.golden_rule_rate(grid.geometry, prof, n_radial=n_radial)
+        assert rate == pytest.approx(loop_rate(grid.geometry, prof, n_radial),
                                      rel=1e-12, abs=0)
 
-    def test_quadratic_in_drive_amplitude(self, freespace_grid):
+    def test_quadratic_in_drive_amplitude(self):
         wm = 1e-3
-        r1 = rad.golden_rule_rate(freespace_grid,
-                                  osc3d_profile(wm, km_rm=0.02), n_radial=24)
-        r2 = rad.golden_rule_rate(freespace_grid,
-                                  osc3d_profile(wm, km_rm=0.04), n_radial=24)
+        r1 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.02), rule=RULE,
+                                  n_radial=24)
+        r2 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.04), rule=RULE,
+                                  n_radial=24)
         assert r2 / r1 == pytest.approx(4.0, rel=1e-10)
 
     def test_independent_of_mode_list(self):
@@ -326,33 +326,33 @@ class TestGoldenRuleRate:
         for n in (8, 64):
             grid = modes.build_waveguide_grid(n, 2.0, n * np.pi, 1.0)
             prof = oscillating_1d_profile(grid, omega_m=wm)
-            r = rad.golden_rule_rate(grid, prof, n_radial=24)
+            r = rad.golden_rule_rate(grid.geometry, prof, n_radial=24)
             if n == 8:
                 first = r
         assert r == pytest.approx(first, rel=1e-12, abs=0)
 
-    def test_band_error(self, freespace_grid):
+    def test_band_error(self):
         # both photons of a pair must lie above the cutoff 1e-6 w_e
         prof = osc3d_profile(2e-6)
         with pytest.raises(DomainError):
-            rad.golden_rule_rate(freespace_grid, prof)
+            rad.golden_rule_rate(FREE, prof, rule=RULE)
 
-    def test_fast_drive_warns(self, freespace_grid):
+    def test_fast_drive_warns(self):
         prof = osc3d_profile(0.6, km_rm=0.05)
         with pytest.warns(UserWarning, match="strained"):
-            rad.golden_rule_rate(freespace_grid, prof, n_radial=16)
+            rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=16)
 
 
 class TestSweepAndConstant:
-    def test_slopes(self, freespace_grid):
+    def test_slopes(self):
         wms = np.geomspace(1e-3, 1e-2, 6)
-        _, exponent3, _ = rad.rate_sweep(freespace_grid, wms,
-                                         lambda wm: osc3d_profile(wm), n_radial=32)
+        _, exponent3, _ = rad.rate_sweep(FREE, wms, lambda wm: osc3d_profile(wm),
+                                         rule=RULE, n_radial=32)
         assert exponent3 == pytest.approx(7.0, abs=0.1)
 
         grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
         _, exponent1, _ = rad.rate_sweep(
-            grid1, wms, lambda wm: oscillating_1d_profile(grid1, omega_m=wm),
+            grid1.geometry, wms, lambda wm: oscillating_1d_profile(grid1, omega_m=wm),
             n_radial=32)
         assert exponent1 == pytest.approx(3.0, abs=0.1)
 
@@ -363,18 +363,20 @@ class TestSweepAndConstant:
         # shortfall from p and the fitted constant
         wms = np.geomspace(1e-3, 1e-2, 16)
         if dim == 3:
-            grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
+            geometry, rule = FREE, modes.angular_rule(24, 12)
             p, C0 = 7.0, 1.0 / (5040.0 * np.pi)
 
             def build(wm):
                 return osc3d_profile(wm)
         else:
             grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
+            geometry, rule = grid.geometry, None
             p, C0 = 3.0, 1.0 / (40.0 * np.pi)
 
             def build(wm):
                 return oscillating_1d_profile(grid, omega_m=wm)
-        rates, exponent, _ = rad.rate_sweep(grid, wms, build, n_radial=48)
+        rates, exponent, _ = rad.rate_sweep(geometry, wms, build, rule=rule,
+                                            n_radial=48)
         correction = np.log(1.0 - 2.0 * wms / OMEGA_E)
         slope = np.polyfit(np.log(wms), p * np.log(wms) + correction, 1)[0]
         assert exponent == pytest.approx(slope, abs=5e-4)
@@ -382,21 +384,21 @@ class TestSweepAndConstant:
                                       omega_e=OMEGA_E, exponent=p)
         assert C == pytest.approx(C0 * np.exp(np.mean(correction)), rel=2e-4)
 
-    def test_constant_invariant_under_amplitude(self, freespace_grid):
+    def test_constant_invariant_under_amplitude(self):
         wms = np.geomspace(1e-3, 1e-2, 5)
         cvals = []
         for km_rm in (0.02, 0.04):
-            rates, _, _ = rad.rate_sweep(freespace_grid, wms,
+            rates, _, _ = rad.rate_sweep(FREE, wms,
                                          lambda wm: osc3d_profile(wm, km_rm=km_rm),
-                                         n_radial=32)
+                                         rule=RULE, n_radial=32)
             cvals.append(rad.extract_rate_constant(
                 wms, rates, k_m_r_m=km_rm, gamma=GAMMA, omega_e=OMEGA_E))
         assert cvals[1] == pytest.approx(cvals[0], rel=1e-6)
 
-    def test_fit_quality_guard(self, freespace_grid):
+    def test_fit_quality_guard(self):
         wms = np.geomspace(1e-3, 1e-2, 5)
-        rates, _, _ = rad.rate_sweep(freespace_grid, wms,
-                                     lambda wm: osc3d_profile(wm), n_radial=32)
+        rates, _, _ = rad.rate_sweep(FREE, wms, lambda wm: osc3d_profile(wm),
+                                     rule=RULE, n_radial=32)
         rates[2] *= 3.0  # corrupt one point
         with pytest.raises(FitQualityError):
             rad.extract_rate_constant(wms, rates, k_m_r_m=0.05, gamma=GAMMA,
@@ -415,41 +417,44 @@ def turning_profile(omega_m):
 
 class TestSweepKernel:
     def test_turning_geometry_matches_loop_form(self):
-        grid = modes.build_freespace_quadrature(2, 5, 4, 2.0, V)
+        rule = modes.angular_rule(5, 4)
         wms = np.geomspace(1e-3, 1e-1, 7)
-        rates, _, _ = rad.rate_sweep(grid, wms, turning_profile, n_radial=12)
+        rates, _, _ = rad.rate_sweep(FREE, wms, turning_profile, rule=rule,
+                                     n_radial=12)
         for wm, rate in zip(wms, rates):
-            assert rate == pytest.approx(loop_rate(grid, turning_profile(wm), 12),
-                                         rel=1e-12, abs=0)
+            assert rate == pytest.approx(
+                loop_rate(FREE, turning_profile(wm), 12, rule), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_sweep_point_is_the_single_rate_bitwise(self, dim):
         wms = np.geomspace(1e-3, 1e-2, 16)
         if dim == 3:
-            grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
+            geometry, rule = FREE, modes.angular_rule(24, 12)
             build = turning_profile
         else:
             grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
+            geometry, rule = grid.geometry, None
 
             def build(wm):
                 return oscillating_1d_profile(grid, omega_m=wm)
-        rates, _, _ = rad.rate_sweep(grid, wms, build, n_radial=48)
-        single = [rad.golden_rule_rate(grid, build(wm), n_radial=48) for wm in wms]
+        rates, _, _ = rad.rate_sweep(geometry, wms, build, rule=rule, n_radial=48)
+        single = [rad.golden_rule_rate(geometry, build(wm), rule=rule, n_radial=48)
+                  for wm in wms]
         assert rates.tolist() == single
 
-    def test_slope_matches_polyfit(self, freespace_grid):
+    def test_slope_matches_polyfit(self):
         wms = np.geomspace(2e-4, 0.3, 9)
-        rates, exponent, slopes = rad.rate_sweep(freespace_grid, wms,
-                                                 turning_profile, n_radial=16)
+        rates, exponent, slopes = rad.rate_sweep(FREE, wms, turning_profile,
+                                                 rule=RULE, n_radial=16)
         lw, lr = np.log(wms), np.log(rates)
         assert exponent == pytest.approx(np.polyfit(lw, lr, 1)[0], rel=1e-12, abs=0)
         np.testing.assert_array_equal(slopes, np.gradient(lr, lw))
 
-    def test_fast_drive_warns_once_per_point(self, freespace_grid):
+    def test_fast_drive_warns_once_per_point(self):
         wms = [0.1, 0.55, 0.6, 0.7]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rad.rate_sweep(freespace_grid, wms, osc3d_profile, n_radial=8)
+            rad.rate_sweep(FREE, wms, osc3d_profile, rule=RULE, n_radial=8)
         messages = [str(w.message) for w in caught]
         assert len(messages) == 3
         assert all("strained" in m for m in messages)
@@ -458,7 +463,7 @@ class TestSweepKernel:
         assert {w.filename for w in caught} == {__file__}
 
     @pytest.mark.parametrize("wms", [[3e-3], [2e-3, 2e-3, 5e-3], []])
-    def test_too_few_or_repeated_points(self, freespace_grid, wms):
+    def test_too_few_or_repeated_points(self, wms):
         built = []
 
         def build(wm):
@@ -466,10 +471,10 @@ class TestSweepKernel:
             return osc3d_profile(wm)
 
         with pytest.raises(ConfigError, match="at least two|distinct"):
-            rad.rate_sweep(freespace_grid, wms, build, n_radial=8)
+            rad.rate_sweep(FREE, wms, build, rule=RULE, n_radial=8)
         assert built == []
 
-    def test_mixed_kinds_rejected(self, freespace_grid):
+    def test_mixed_kinds_rejected(self):
         grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
 
         def build(wm):
@@ -478,7 +483,17 @@ class TestSweepKernel:
             return osc3d_profile(wm)
 
         with pytest.raises(ConfigError, match="share a kind"):
-            rad.rate_sweep(freespace_grid, [1e-3, 1e-2], build, n_radial=8)
+            rad.rate_sweep(FREE, [1e-3, 1e-2], build, rule=RULE, n_radial=8)
+
+    def test_rate_takes_a_geometry_and_a_3d_rule(self):
+        # free space integrates over an angular rule, and a mode grid is not
+        # a rate geometry
+        grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
+        prof1 = oscillating_1d_profile(grid1, omega_m=1e-3)
+        with pytest.raises(ConfigError, match="needs an angular rule"):
+            rad.golden_rule_rate(FREE, osc3d_profile(1e-3), n_radial=8)
+        with pytest.raises(ConfigError, match="unsupported rate geometry"):
+            rad.golden_rule_rate(grid1, prof1, n_radial=8)
 
 
 def count_leggauss(monkeypatch):
@@ -499,17 +514,17 @@ class TestRuleBuiltOnce:
     def test_1d_sweep(self, monkeypatch):
         calls = count_leggauss(monkeypatch)
         grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
-        rad.rate_sweep(grid, np.geomspace(1e-3, 1e-2, 16),
+        rad.rate_sweep(grid.geometry, np.geomspace(1e-3, 1e-2, 16),
                        lambda wm: oscillating_1d_profile(grid, omega_m=wm),
                        n_radial=48)
         assert calls == [48]
 
     def test_3d_sweep_reuses_the_polar_rule(self, monkeypatch):
         calls = count_leggauss(monkeypatch)
-        grid = modes.build_freespace_quadrature(8, 24, 12, 2.0, V)
-        rad.rate_sweep(grid, np.geomspace(1e-3, 1e-2, 3), osc3d_profile,
-                       n_radial=24)
-        assert calls == [8, 24]
+        rule = modes.angular_rule(24, 12)
+        rad.rate_sweep(FREE, np.geomspace(1e-3, 1e-2, 3), osc3d_profile,
+                       rule=rule, n_radial=24)
+        assert calls == [24]
 
 
 @pytest.mark.slow

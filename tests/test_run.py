@@ -24,7 +24,7 @@ SMALL = {
                   "n_radial": 8},
     },
     "RateSweep3D": {
-        "grid": {"n_radial": 2, "n_polar": 6, "n_azimuthal": 4},
+        "grid": {"n_polar": 6, "n_azimuthal": 4},
         "profile": {"gamma": 1e-3, "k_m_r_m": 0.05},
         "sweep": {"omega_m_min": 1e-3, "omega_m_max": 1e-2, "n_points": 3,
                   "n_radial": 6},
@@ -141,6 +141,27 @@ def test_zero_rate_sweep_exits_2(tmp_path, capsys, dim, zero):
     assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
     assert "all rates must be positive" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_grid_n_radial_exits_2(tmp_path, capsys):
+    # RateSweep3D integrates over an angular rule, not a mode grid, and the
+    # key that set the grid's radial order is gone from the schema
+    doc = json.loads(json.dumps(SMALL["RateSweep3D"]))
+    doc["grid"]["n_radial"] = 8
+    rc, out = run(tmp_path, "RateSweep3D", doc)
+    assert rc == cli.EXIT_CONFIG == 2
+    assert "additional properties" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sweep_at_the_k_m_r_m_maximum_runs(tmp_path, dim):
+    # the schema's maximum 0.1 is the profile guard; (w_m/c) (0.1 c/w_m)
+    # rounds one ulp above it at the shipped sweep's w_m = 2.5118864315095794e-3
+    doc = json.loads(json.dumps(SMALL[f"RateSweep{dim}D"]))
+    doc["profile"]["k_m_r_m"] = 0.1
+    doc["sweep"]["n_points"] = 16
+    assert run(tmp_path, f"RateSweep{dim}D", doc)[0] == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("omega", [-0.5, 1.06])
