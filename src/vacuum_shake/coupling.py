@@ -102,7 +102,7 @@ class CouplingProfile:
     r_m: float = 0.0
     omega_m: float = 0.0
     rhat_m: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
-    km_rm_guard: float = 0.1  # OracleCompare raises it to its own k_m r_m
+    km_rm_guard: float = 0.1  # tests raise it to stress the transform
 
     def __post_init__(self):
         if self.omega_e <= 0:

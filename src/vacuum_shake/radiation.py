@@ -39,7 +39,7 @@ from . import coupling as cp
 from . import fock as fk
 from .dressing import DressedFrame, ground_state_pairs, lambda_matrix
 from .errors import ConfigError, DomainError, FitQualityError, NumericalError
-from .modes import FreeSpace3D, ModeGrid, Waveguide1D, gauss_legendre
+from .modes import FreeSpace3D, Waveguide1D, gauss_legendre
 
 __all__ = [
     "pair_amplitude",
@@ -345,7 +345,6 @@ def extract_rate_constant(omega_m: Sequence[float], rates: Sequence[float], *,
 def oracle_compare_pair_production(
     basis: fk.FockBasis,
     frame: DressedFrame,
-    grid: ModeGrid,
     t_final: float,
     *,
     tol: float = 1e-11,
@@ -366,7 +365,7 @@ def oracle_compare_pair_production(
     the smallest gap between distinct grid frequencies (0.1 w_m on a
     one-frequency grid).
     """
-    profile = frame.profile
+    grid, profile = frame.grid, frame.profile
     omega = grid.omega
     omega_m = profile.omega_m
     n = grid.n_modes

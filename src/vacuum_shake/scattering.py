@@ -61,8 +61,8 @@ def gamma_from_coupling(grid: ModeGrid, profile: cp.CouplingProfile) -> float:
         raise ConfigError("profile must be a waveguide coupling")
     omega_e = profile.omega_e
     rho_total = density_of_states(grid, omega_e)
-    eta_res = cp.eta_from_g(omega_e, omega_e, profile.chi(omega_e))  # = chi(omega_e)
-    return float(2.0 * np.pi * eta_res**2 * rho_total)
+    # the co-rotating coupling on resonance, eta(omega_e), is chi(omega_e)
+    return float(2.0 * np.pi * profile.chi(omega_e)**2 * rho_total)
 
 
 def eta_array(grid: ModeGrid, profile: cp.CouplingProfile) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import math
 import subprocess
@@ -201,6 +202,19 @@ class TestValidateConfig:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
 
+    @pytest.mark.parametrize("workload", ["scatter3", "oracle", "rates3d", "small"])
+    def test_benchmark_configs_are_valid(self, workload):
+        # the benchmark's seeded configs, read from ``perfbench/workloads.py``
+        # without importing its package; a refused one fails its run there
+        path = CONFIG_DIR.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert workload in workloads.WORKLOADS
+        for seed in range(50):
+            for cfg in workloads.configs(workload, seed):
+                cli.validate_config(cfg)
+
     def test_every_scenario_kind_is_shipped(self):
         kinds = {json.loads(p.read_text())["scenario"] for p in SCENARIO_CONFIGS}
         assert kinds == set(cli._SCENARIOS)
@@ -256,19 +270,46 @@ def _mutations():
                  lambda c: c["oracle"].update(mode_frequencies={"a": 1.0}))
     yield mutate("negative_time", "dressing_dump",
                  lambda c: c.setdefault("profile", {}).update(times=[0.0, -1.0]))
+    # keys of the shared schema that the scenario does not read
+    yield mutate("foreign_grid_omega_max", "rate_sweep_3d",
+                 lambda c: c.setdefault("grid", {}).update(omega_max=0.5))
+    yield mutate("foreign_grid_volume", "dressing_dump",
+                 lambda c: c["grid"].update(volume=8.0))
+    yield mutate("foreign_grid_omega_min", "rate_sweep_1d",
+                 lambda c: c.setdefault("grid", {}).update(omega_min=0.1))
+    yield mutate("foreign_sweep", "oracle_compare",
+                 lambda c: c.update(sweep={"n_points": 3}))
+    yield mutate("foreign_tolerances", "scattering_3photon",
+                 lambda c: c.update(tolerances={"propagation": 1e-10}))
+    yield mutate("foreign_profile", "transform_residual",
+                 lambda c: c.update(profile={"gamma": 1e-3}))
+    # settings that changed no number
+    yield mutate("grid_area", "dressing_dump",
+                 lambda c: c["grid"].update(area=2.0))
+    yield mutate("oracle_k_m_r_m_above_guard", "oracle_compare",
+                 lambda c: c["oracle"].update(k_m_r_m=0.105))
+    yield mutate("static_dump_k_m_r_m", "dressing_dump",
+                 lambda c: c["profile"].pop("omega_m"))
 
 
-@pytest.mark.parametrize("cfg", [c for _, c in _mutations()],
+# ids of the ``_mutations`` that are outside their scenario's surface
+REFUSED = {"foreign_grid_omega_max", "foreign_grid_volume", "foreign_grid_omega_min",
+           "foreign_sweep", "foreign_tolerances", "foreign_profile", "grid_area",
+           "oracle_k_m_r_m_above_guard", "static_dump_k_m_r_m"}
+
+
+@pytest.mark.parametrize("name, cfg", list(_mutations()),
                          ids=[name for name, _ in _mutations()])
-def test_validator_agrees_with_jsonschema(cfg):
-    jsonschema = pytest.importorskip("jsonschema")
-    expected = jsonschema.Draft7Validator(cli.load_schema()).is_valid(cfg)
+def test_validator_agrees_with_jsonschema(name, cfg):
     try:
         cli.validate_config(copy.deepcopy(cfg))
     except cli.ConfigError:
-        assert not expected
+        valid = False
     else:
-        assert expected
+        valid = True
+    assert not (valid and name in REFUSED)
+    jsonschema = pytest.importorskip("jsonschema")
+    assert jsonschema.Draft7Validator(cli.load_schema()).is_valid(cfg) == valid
 
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):

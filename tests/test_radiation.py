@@ -547,7 +547,7 @@ class TestOracleComparison:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = rad.oracle_compare_pair_production(
-                basis, frame, grid, 60.0, tol=1e-11)
+                basis, frame, 60.0, tol=1e-11)
         assert report["max_rel_deviation"] < 0.15
         assert len(report["resonant_pairs"]) == 4
 
@@ -561,7 +561,7 @@ class TestOracleComparison:
         frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 2)
         with pytest.raises(ConfigError):
-            rad.oracle_compare_pair_production(basis, frame, grid, 10.0)
+            rad.oracle_compare_pair_production(basis, frame, 10.0)
 
     def test_requires_pair_capacity(self):
         grid = modes.few_mode_waveguide_grid([0.4, 0.9])
@@ -572,4 +572,4 @@ class TestOracleComparison:
         frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 1)
         with pytest.raises(ConfigError):
-            rad.oracle_compare_pair_production(basis, frame, grid, 10.0)
+            rad.oracle_compare_pair_production(basis, frame, 10.0)

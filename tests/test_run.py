@@ -154,6 +154,28 @@ def test_grid_n_radial_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_key_outside_the_surface_exits_2(tmp_path, capsys):
+    # RateSweep3D reads no 1D grid keys; the shared schema once accepted and
+    # ignored them, with rates.csv unchanged
+    doc = json.loads(json.dumps(SMALL["RateSweep3D"]))
+    doc["grid"].update(omega_max=0.5, n_modes=3, length=9.0)
+    rc, out = run(tmp_path, "RateSweep3D", doc)
+    assert rc == cli.EXIT_CONFIG == 2
+    assert "additional properties" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dressing_smallness_warned_once(tmp_path):
+    # gamma 20 puts sum|xi|^2 far over the guard; the pair amplitudes and the
+    # summary's sum_xi_squared both read it
+    doc = json.loads(json.dumps(SMALL["DressingDump"]))
+    doc["profile"]["gamma"] = 20.0
+    rc, out = run(tmp_path, "DressingDump", doc)
+    assert rc == cli.EXIT_OK
+    warned = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert len(warned) == 1 and "smallness guard" in warned[0]
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_sweep_at_the_k_m_r_m_maximum_runs(tmp_path, dim):
     # the schema's maximum 0.1 is the profile guard; (w_m/c) (0.1 c/w_m)
