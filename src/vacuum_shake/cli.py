@@ -9,7 +9,9 @@ Subcommands::
 A scenario config is a single JSON document validated against the shipped
 schema (``vacuum-shake schema`` prints it).  The schema declares each
 scenario's surface, the sections and keys it reads, in one ``if``/``then``
-branch per scenario; any other key exits 2.  Every run writes its artifacts
+branch per scenario; any other key exits 2.  RateSweep3D, for example,
+reads ``grid.volume`` alone: its rates need no mode grid and no direction
+rule.  Every run writes its artifacts
 plus a ``manifest.json`` (the validated config with its filled-in defaults,
 package version, warnings, wall time, peak memory) into the output directory
 and nowhere else.  Every CSV artifact is written by
@@ -21,12 +23,13 @@ Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
 3 numerical failure, 4 capacity overrun.
 
 Every scenario runs in a single thread.  Warnings a scenario raises are
-printed to stderr and listed under ``warnings`` in ``manifest.json``.
+printed to stderr, one line each with no source line, and listed under
+``warnings`` in ``manifest.json``.
 The manifest's ``wall_time_s`` is read from the monotonic
 ``time.perf_counter``, and ``peak_rss_mb`` is the process's peak resident
 set size so far (``ru_maxrss``, kilobytes on Linux, over 1024).
 A scenario's solver statistics (a ``"solver"`` entry of its summary: the
-propagator's of OracleCompare, the sweep and quadrature sizes of
+propagator's of OracleCompare, the sweep size and radial order of
 RateSweep1D/3D) go to ``manifest.json`` under ``solver``, not to
 ``summary.json``.
 """
@@ -280,7 +283,6 @@ def _scenario_rate_sweep(cfg, outdir, dim):
 
     if dim == 3:
         geometry = modes.FreeSpace3D(g.get("volume", (2.0 * np.pi) ** 3))
-        rule = modes.angular_rule(g.get("n_polar", 24), g.get("n_azimuthal", 12))
         dhat = p.get("dipole_direction", [0.0, 0.0, 1.0])
         rhat = p.get("rhat_m", [0.0, 0.0, 1.0])
 
@@ -291,7 +293,6 @@ def _scenario_rate_sweep(cfg, outdir, dim):
             )
     else:
         n_modes = g.get("n_modes", 64)
-        rule = None
         # c comes from the box lattice that tiles (0, omega_max]
         geometry = modes.build_waveguide_grid(
             n_modes, g.get("omega_max", 2.0 * omega_e),
@@ -304,7 +305,7 @@ def _scenario_rate_sweep(cfg, outdir, dim):
                 L=geometry.length, c=geometry.c,
             )
 
-    rates, exponent, slopes = rad.rate_sweep(geometry, wms, build, rule=rule,
+    rates, exponent, slopes = rad.rate_sweep(geometry, wms, build,
                                              n_radial=n_radial)
     write_csv(outdir / "rates.csv", ["omega_m", "rate", "pointwise_slope"],
               [wms, rates, slopes])
@@ -319,12 +320,7 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         "polarization_sum": "included in all 3D rate integrals" if dim == 3
         else "single polarization (waveguide)",
         "files": ["rates.csv"],
-        "solver": {
-            "n_points": len(wms),
-            "n_radial": n_radial,
-            # the direction rule: (direction, polarization) nodes in 3D, s = +-1 in 1D
-            "n_directions": len(rule[0]) if dim == 3 else 2,
-        },
+        "solver": {"n_points": len(wms), "n_radial": n_radial},
     }
     if dim == 3:
         summary["constant_C"] = rad.extract_rate_constant(
@@ -571,7 +567,7 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
 
     for w in caught:
         sys.stderr.write(warnings.formatwarning(w.message, w.category,
-                                                w.filename, w.lineno))
+                                                w.filename, w.lineno, line=""))
     solver = summary.pop("solver", {})
     _write_json(outdir / "summary.json", summary)
     _write_json(outdir / "manifest.json", {

@@ -31,14 +31,12 @@ g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}, whose sideband
 amplitudes are affine in x = omega/omega_m: a+- = x P +- Q, with the
 carrier a0 and the factors P and Q depending on direction and polarization
 alone.  The angular-factor kernel :func:`angular_factors` maps direction
-(and polarization) nodes to (a0, P, Q); its free-space form
-:func:`dipole_motion_factors`, which also takes stacks of dipole and motion
-axes, is the only copy of the Doppler and magnetic terms.  ``_amplitudes``
-composes the sidebands from it at frequency nodes; the grid-wide (3, n)
-array of :func:`grid_fourier` and the co-rotating amplitudes of
-``eta_components_arrays_1d/3d`` derive from that, and the golden-rule rates
-of :mod:`radiation` sum the factors over a direction rule once per drive
-frequency.  A coupling at one time is
+(and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
+and magnetic terms.  ``_amplitudes`` composes the sidebands from it at
+frequency nodes; the grid-wide (3, n) array of :func:`grid_fourier` and the
+co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that,
+and the golden-rule rates of :mod:`radiation` use the closed-form sums of
+its products over directions and polarizations.  A coupling at one time is
 ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
 immutable and safe to share.
 """
@@ -59,7 +57,6 @@ __all__ = [
     "CouplingProfile",
     "HARMONICS",
     "angular_factors",
-    "dipole_motion_factors",
     "grid_fourier",
     "harmonic_phases",
     "eta_from_g",
@@ -193,28 +190,10 @@ def angular_factors(profile: CouplingProfile, direction, polarization=None):
         if profile.kind is CouplingKind.WAVEGUIDE_1D:
             return np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
         return np.ones_like(s), s, np.zeros_like(s)
-    return dipole_motion_factors(profile.dipole_direction, profile.rhat_m,
-                                 direction, polarization)
-
-
-def dipole_motion_factors(dhat, rhat_m, khat, eps):
-    """Free-space angular factors (a0, P, Q) of a dipole ``dhat`` moving
-    along ``rhat_m``, at nodes of unit wavevector ``khat`` and polarization
-    ``eps`` (both (n, 3)); see :func:`angular_factors`.
-
-    ``dhat`` and ``rhat_m`` are unit 3-vectors, giving factors of shape
-    (n,), or (m, 3) stacks of them, one geometry per row, giving (m, n).
-    The dot products are summed term by term, so a row does not depend on
-    how many geometries are stacked with it.
-    """
-    def dot(axis, nodes):
-        a = np.asarray(axis, dtype=float)[..., None, :]
-        return (a[..., 0] * nodes[:, 0] + a[..., 1] * nodes[:, 1]
-                + a[..., 2] * nodes[:, 2])
-
-    d_eps = dot(dhat, eps)
-    doppler = dot(rhat_m, khat) * d_eps
-    return d_eps, doppler, dot(rhat_m, eps) * dot(dhat, khat) - doppler
+    dhat, rm = profile.dipole_direction, profile.rhat_m
+    d_eps = polarization @ dhat
+    doppler = (direction @ rm) * d_eps
+    return d_eps, doppler, (polarization @ rm) * (direction @ dhat) - doppler
 
 
 def _amplitudes(profile: CouplingProfile, omega, direction, polarization):

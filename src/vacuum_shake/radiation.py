@@ -18,14 +18,16 @@ and the continuum limit gives a golden-rule emission rate
         (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
 
 A rate reads no mode grid: :func:`golden_rule_rate` takes the geometry
-(``Waveguide1D`` or ``FreeSpace3D``) and, in 3D, the (direction,
-polarization) nodes of :func:`modes.angular_rule`.  The energy delta is
-resolved analytically into one radial integral over w in (0, w_m), and the
-angular sums separate from it into six weighted sums over the direction
-rule, so a rate costs O(n_radial + n_dir).  :func:`rate_sweep` takes a sweep
-over the drive frequency in one array pass and fits the scaling exponent
-(3 in a waveguide, 7 in free space) to (log w_m, log R);
-:func:`extract_rate_constant` gives the constant of the free-space law.
+(``Waveguide1D`` or ``FreeSpace3D``) alone.  The energy delta is resolved
+analytically into one radial integral over w in (0, w_m), and the angular
+and polarization sums separate from it.  They are polynomials of degree at
+most 4 in the direction, so in 3D they are exact isotropic moments in
+closed form (see :func:`golden_rule_rate`); the sums of eta+ eta0 are odd
+and vanish, and a rate costs O(n_radial) with no direction rule.
+:func:`rate_sweep` takes a sweep over the drive frequency in one array pass
+and fits the scaling exponent (3 in a waveguide, 7 in free space) to
+(log w_m, log R); :func:`extract_rate_constant` gives the constant of the
+free-space law.
 """
 
 from __future__ import annotations
@@ -95,49 +97,38 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
     return C, C - lambda_matrix(frame, t) / Omega
 
 
-def _angular_sums(geometry: Waveguide1D | FreeSpace3D, rule,
+def _angular_sums(geometry: Waveguide1D | FreeSpace3D,
                   profiles: Sequence[cp.CouplingProfile]) -> tuple:
     """(D, density, S): the dimension, the box-counting density of the
-    geometry and the six weighted angular sums
+    geometry and the angular sums S = (S_PP, S_PQ, S_QQ, S_00) of the
+    :func:`coupling.angular_factors` (a0, P, Q), one row per profile, as a
+    (rows, 4) array; see :func:`golden_rule_rate` for their closed forms.
 
-        S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0)
-
-    of the :func:`coupling.angular_factors` over the direction rule, as a
-    (rows, 6) array.
-
-    In 3D the rule is ``rule``, the (khat, eps, weight) nodes of
-    :func:`modes.angular_rule`, and the factors come from the stacked dipole
-    and motion axes of all profiles at once, one row per profile, so a
-    profile may turn its geometry with w_m.  In 1D the rule is s = +-1 with
-    weight 1; its factors do not depend on the profile, and one row serves
-    every profile.
+    In 3D a row depends on its profile through c = dhat.rhat_m alone, so a
+    profile may turn its geometry with w_m.  In 1D the sums over s = +-1 do
+    not depend on the profile, and one row serves every profile.  The sums
+    of P a0 and Q a0 vanish in both geometries and are not formed.
     """
     kind = profiles[0].kind
     if isinstance(geometry, FreeSpace3D):
         if kind is not cp.CouplingKind.OSCILLATING_3D:
             raise ConfigError("3D rate needs an oscillating free-space profile")
-        if rule is None:
-            raise ConfigError("3D rate needs an angular rule (modes.angular_rule)")
-        khat, eps, weight = rule
-        a0, P, Q = cp.dipole_motion_factors(
-            np.stack([p.dipole_direction for p in profiles]),
-            np.stack([p.rhat_m for p in profiles]), khat, eps)
+        c2 = np.array([np.dot(p.dipole_direction, p.rhat_m) for p in profiles]) ** 2
+        S = np.pi * np.stack([8.0 / 15.0 * (2.0 - c2), -4.0 / 3.0 * (1.0 - c2),
+                              8.0 / 3.0 * (1.0 - c2),
+                              np.full_like(c2, 8.0 / 3.0)], axis=1)
         dim, dens = 3, geometry.volume / (2.0 * np.pi) ** 3
     elif isinstance(geometry, Waveguide1D):
         if kind is not cp.CouplingKind.OSCILLATING_1D:
             raise ConfigError("1D rate needs an oscillating waveguide profile")
-        a0, P, Q = (f[None] for f in cp.angular_factors(profiles[0],
-                                                         np.array([1.0, -1.0])))
+        S = np.array([[2.0, 0.0, 0.0, 2.0]])
         dim, dens = 1, geometry.length / (2.0 * np.pi)
-        weight = np.ones(2)
     else:
         raise ConfigError("unsupported rate geometry")
-    # (rows, 6, n_dir) @ (n_dir,): one matrix-vector product per row
-    S = np.stack([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0], axis=1) @ weight
     return dim, dens, S
 
 
-def _rates(geometry: Waveguide1D | FreeSpace3D, rule,
+def _rates(geometry: Waveguide1D | FreeSpace3D,
            profiles: Sequence[cp.CouplingProfile], n_radial: int) -> np.ndarray:
     """Golden-rule rates of ``profiles`` in one array pass, one rate per
     profile (see :func:`golden_rule_rate` for the integral).
@@ -172,8 +163,8 @@ def _rates(geometry: Waveguide1D | FreeSpace3D, rule,
             f"omega_m = {wm:.6g} >= omega_e/2: long-wavelength and adiabatic "
             "assumptions are strained", stacklevel=3,
         )
-    dim, dens, S = _angular_sums(geometry, rule, profiles)
-    S_pp, S_pq, S_qq, S_00, S_p0, S_q0 = S.T[:, :, None]
+    dim, dens, S = _angular_sums(geometry, profiles)
+    S_pp, S_pq, S_qq, S_00 = S.T[:, :, None]
 
     k_m = omega_m / c
     xq, wq = gauss_legendre(n_radial)
@@ -185,13 +176,11 @@ def _rates(geometry: Waveguide1D | FreeSpace3D, rule,
     x = radii / omega_m
     # e = eta_from_g(w, chi(w)) with chi(w) = sqrt(w) chi_scale
     e2 = cp.eta_from_g(omega_e, radii, np.sqrt(radii) * chi_scale) ** 2
-    # per row, halves (w, w') of sum eta+^2, sum eta0^2 and sum eta+ eta0
-    Ip, I0, J = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
-                                np.broadcast_to(S_00, x.shape),
-                                0.5 * (x * S_p0 + S_q0)])
-                 ).reshape(3, -1, 2, n_radial)
+    # per row, halves (w, w') of sum eta+^2 and sum eta0^2
+    Ip, I0 = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
+                             np.broadcast_to(S_00, x.shape)])
+              ).reshape(2, -1, 2, n_radial)
     integrand = (k_nodes * kp) ** (dim - 1) * (Ip[:, 0] * I0[:, 1]
-                                               + 2.0 * J[:, 0] * J[:, 1]
                                                + Ip[:, 1] * I0[:, 0])
     scale = np.maximum(np.max(np.abs(integrand), axis=1), 1e-300)
     negative = np.min(integrand, axis=1) < -1e-12 * scale
@@ -208,13 +197,12 @@ def _rates(geometry: Waveguide1D | FreeSpace3D, rule,
 
 
 def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
-                     profile: cp.CouplingProfile, *, rule=None,
+                     profile: cp.CouplingProfile, *,
                      n_radial: int = 48) -> float:
     """Photon-pair emission rate of an oscillating emitter by the golden rule.
 
-    ``geometry`` is a ``modes.Waveguide1D`` or ``modes.FreeSpace3D``; a 3D
-    rate integrates over the directions of ``rule``, a
-    :func:`modes.angular_rule`; a 1D rate sums over s = +-1 and needs none.
+    ``geometry`` is a ``modes.Waveguide1D`` or ``modes.FreeSpace3D``; it
+    needs no direction rule in either dimension.
 
     The energy-conservation delta is removed analytically: with w' = w_m - w
     the double continuum integral collapses to one radial integral over
@@ -225,30 +213,37 @@ def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
 
     The angular and polarization sums separate from the radial one.  With
     e(w) = ``eta_from_g(w, chi(w))`` and x = w/w_m, the co-rotating
-    amplitudes at a direction node n are eta0 = e a0_n and eta+ = (e/2)
-    (x P_n + Q_n), the :func:`coupling.angular_factors` (a0, P, Q) of the
-    node.  Expanding (eta+_n(w) eta0_n'(w') + eta+_n'(w') eta0_n(w))^2 and
-    summing over the direction rule (the nodes of ``rule`` in 3D, s = +-1
-    in 1D, with weights w_n; see ``_angular_sums``) leaves six angular sums,
-    taken once per drive frequency,
-
-        S = sum_n w_n (P^2, P Q, Q^2, a0^2, P a0, Q a0),
-
-    and at each radius
+    amplitudes in the direction khat with polarization eps are eta0 = e a0
+    and eta+ = (e/2) (x P + Q), the :func:`coupling.angular_factors`
+    (a0, P, Q) there.  Expanding (eta+(w) eta0'(w') + eta+'(w') eta0(w))^2
+    and summing over both photons' directions and polarizations leaves the
+    angular sums S_AB of A B over one photon's directions and
+    polarizations, and at each radius
 
         Ip = (e/2)^2 (x^2 S_PP + 2 x S_PQ + S_QQ)    (sum of eta+^2),
         I0 = e^2 S_00                               (sum of eta0^2),
         J  = (e^2/2) (x S_P0 + S_Q0)                (sum of eta+ eta0),
 
-    so that the integrand of both geometries is
-    (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.  A rate costs
-    O(n_radial + n_dir) operations, not O(n_radial n_dir).  This is the
-    one-profile case of the kernel that :func:`rate_sweep` runs over all
-    its drive frequencies at once: one pass of O(points (n_radial + n_dir))
-    operations, with the log-log slope from a closed-form least-squares
-    line.
+    with the integrand (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.
 
-    Low-frequency laws (w_m << w_e), which the quadrature reproduces:
+    In 3D the factors are polynomials of degree at most 4 in khat, and the
+    sums are exact.  The polarization sum is sum_eps eps_a eps_b = delta_ab
+    - khat_a khat_b, and the solid-angle means are <khat_a khat_b> =
+    delta_ab/3 and <khat_a khat_b khat_c khat_d> = (delta_ab delta_cd +
+    delta_ac delta_bd + delta_ad delta_bc)/15.  With c = dhat.rhat_m = cos
+    alpha,
+
+        S_PP = 8 pi (2 - c^2)/15,   S_PQ = -4 pi (1 - c^2)/3,
+        S_QQ = 8 pi (1 - c^2)/3,    S_00 = 8 pi/3.
+
+    In 1D the sums over s = +-1 are S_PP = S_00 = 2 and S_PQ = S_QQ = 0.
+    S_P0 and S_Q0 vanish in both geometries: in 3D the summand is odd in
+    khat, and in 1D sum_s s = 0.  So J = 0, the integrand is
+    (k k')^(D-1) (Ip I0' + Ip' I0), and a rate costs O(n_radial)
+    operations.  This is the one-profile case of the kernel that
+    :func:`rate_sweep` runs over all its drive frequencies at once.
+
+    Low-frequency laws (w_m << w_e), which the radial quadrature reproduces:
 
     * free space, dipole along dhat moving along rhat_m at the angle alpha
       (cos alpha = dhat.rhat_m):
@@ -257,28 +252,38 @@ def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
       motion along the dipole and 11/(5040 pi) across it;
     * waveguide: the same form with (w_m/w_e)^3 and C = 1/(40 pi).
 
+    C(alpha) follows from the sums.  To lowest order e^2 = 4 chi_scale^2 w;
+    with u = w/w_m, c = 1 and w = k, the pair (u, 1 - u) contributes
+    4 chi_scale^4 k_m^6 u^3 (1 - u)^3 S_00 ((u^2 + (1 - u)^2) S_PP
+    + 2 S_PQ + 2 S_QQ), and the Beta integrals of u^3 (1 - u)^3 times 1 and
+    times u^2 + (1 - u)^2 over (0, 1), 1/140 and 1/252, give the radial
+    integral 4 chi_scale^4 k_m^7 S_00 (S_PP/252 + (S_PQ + S_QQ)/70)
+    = (32 pi/3) chi_scale^4 k_m^7 (8 pi (11 - 10 c^2)/3780).  The rate
+    prefactor pi (k_m r_m)^2/(4 w_e^2) (V/(2 pi)^3)^2 and chi_scale^2 =
+    3 pi gamma/(2 V w_e^3) turn this into C(alpha) above.
+
     The factor (1 + w/w_e)^-2 in each |eta|^2 makes the product over a pair
     (w + w' = w_m) equal 1 - 2 w_m/w_e to first order, so R is proportional
     to w_m^7 (1 - 2 w_m/w_e) (w_m^3 (1 - 2 w_m/w_e) in 1D): a fitted
     log-log slope falls short of 7 (3) by about 2 w_m/w_e at the sweep's
     typical w_m.
     """
-    return float(_rates(geometry, rule, [profile], n_radial)[0])
+    return float(_rates(geometry, [profile], n_radial)[0])
 
 
 def rate_sweep(geometry: Waveguide1D | FreeSpace3D,
                omega_m_values: Sequence[float],
                build_profile: Callable[[float], cp.CouplingProfile], *,
-               rule=None, n_radial: int = 48) -> tuple:
+               n_radial: int = 48) -> tuple:
     """Golden-rule rates over a set of drive frequencies plus a log-log slope fit.
 
-    ``geometry`` and ``rule`` are those of :func:`golden_rule_rate`.
+    ``geometry`` is that of :func:`golden_rule_rate`.
 
     Returns ``(rates, fitted_exponent, pointwise_slopes)``: the rate at each
     entry of ``omega_m_values``, the slope of the least-squares line through
     (log w_m, log R), and the local slopes d log R / d log w_m at each point
     (``np.gradient``).  The rates come from one array pass over all points,
-    O(points (n_radial + n_dir)) operations, and each equals
+    O(points n_radial) operations, and each equals
     :func:`golden_rule_rate` of its profile bitwise.  The slope is the
     closed form sum(dX dY) / sum(dX^2) of the mean-centred X = log w_m and
     Y = log R.
@@ -292,7 +297,7 @@ def rate_sweep(geometry: Waveguide1D | FreeSpace3D,
         raise ConfigError("a rate sweep needs at least two drive frequencies")
     if np.any(np.diff(np.sort(wm)) == 0):
         raise ConfigError("the drive frequencies of a rate sweep must be distinct")
-    rates = _rates(geometry, rule, [build_profile(w) for w in omega_m_values],
+    rates = _rates(geometry, [build_profile(w) for w in omega_m_values],
                    n_radial)
     if np.any(rates <= 0):
         raise DomainError("all rates must be positive for a log-space fit")

@@ -17,7 +17,6 @@ from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
 FREE = modes.FreeSpace3D(V)
-RULE = modes.angular_rule(16, 8)
 
 
 def loop_rate(geometry, profile, n_radial, rule=None):
@@ -239,14 +238,14 @@ class TestPairAmplitude:
 class TestGoldenRuleRate:
     def test_zero_amplitude(self):
         prof = osc3d_profile(5e-3, km_rm=0.0)
-        assert rad.golden_rule_rate(FREE, prof, rule=RULE) == 0.0
+        assert rad.golden_rule_rate(FREE, prof) == 0.0
 
     def test_parallel_geometry_constant(self):
         # closed-form reduction of the rate integral for dipole parallel to
         # the motion axis: C = 1/(5040 pi) in the low-frequency limit
         wm = 2e-4
         prof = osc3d_profile(wm, alpha=0.0)
-        rate = rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=40)
+        rate = rad.golden_rule_rate(FREE, prof, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         assert C == pytest.approx(1.0 / (5040.0 * np.pi), rel=2e-3)
 
@@ -254,7 +253,7 @@ class TestGoldenRuleRate:
         # perpendicular geometry keeps the magnetic sideband: 11/(5040 pi)
         wm = 2e-4
         prof = osc3d_profile(wm, alpha=np.pi / 2)
-        rate = rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=40)
+        rate = rad.golden_rule_rate(FREE, prof, n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         assert C == pytest.approx(11.0 / (5040.0 * np.pi), rel=2e-3)
 
@@ -274,7 +273,7 @@ class TestGoldenRuleRate:
         # first-order correction 1 - 2 w_m/w_e
         wm = 2e-4
         rate = rad.golden_rule_rate(FREE, osc3d_profile(wm, alpha=alpha),
-                                    rule=RULE, n_radial=40)
+                                    n_radial=40)
         C = rate / (0.05**2 * GAMMA**2 / OMEGA_E * (wm / OMEGA_E) ** 7)
         law = (11.0 - 10.0 * np.cos(alpha) ** 2) / (5040.0 * np.pi)
         assert C == pytest.approx(law, rel=2e-3)
@@ -282,12 +281,14 @@ class TestGoldenRuleRate:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4),
-           st.floats(1e-4, 0.2), st.integers(1, 40), st.integers(1, 8),
-           st.integers(1, 6))
+           st.floats(1e-4, 0.2), st.integers(1, 40), st.integers(3, 8),
+           st.integers(5, 8))
     def test_matches_loop_form_3d(self, angles, wm, n_radial, n_polar,
                                   n_azimuthal):
-        # dhat and rhat from (polar, azimuthal) angle pairs; coarse angular
-        # rules break the parity that zeroes sum eta+ eta0 on fine ones
+        # dhat and rhat from (polar, azimuthal) angle pairs; the loop form
+        # sums over direction rules that are exact for the degree-4 angular
+        # integrands (3 or more polar and 5 or more azimuthal nodes), while
+        # the rate uses the closed-form sums
         def unit(theta, phi):
             return [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                     np.cos(theta)]
@@ -296,7 +297,7 @@ class TestGoldenRuleRate:
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, unit(*angles[:2]), unit(*angles[2:]), r_m=0.05 / wm,
             omega_m=wm, gamma=GAMMA, V=V)
-        rate = rad.golden_rule_rate(FREE, prof, rule=rule, n_radial=n_radial)
+        rate = rad.golden_rule_rate(FREE, prof, n_radial=n_radial)
         # abs=0: rates are ~1e-20, far below approx's default absolute 1e-12
         assert rate == pytest.approx(loop_rate(FREE, prof, n_radial, rule),
                                      rel=1e-12, abs=0)
@@ -313,10 +314,8 @@ class TestGoldenRuleRate:
 
     def test_quadratic_in_drive_amplitude(self):
         wm = 1e-3
-        r1 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.02), rule=RULE,
-                                  n_radial=24)
-        r2 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.04), rule=RULE,
-                                  n_radial=24)
+        r1 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.02), n_radial=24)
+        r2 = rad.golden_rule_rate(FREE, osc3d_profile(wm, km_rm=0.04), n_radial=24)
         assert r2 / r1 == pytest.approx(4.0, rel=1e-10)
 
     def test_independent_of_mode_list(self):
@@ -335,19 +334,19 @@ class TestGoldenRuleRate:
         # both photons of a pair must lie above the cutoff 1e-6 w_e
         prof = osc3d_profile(2e-6)
         with pytest.raises(DomainError):
-            rad.golden_rule_rate(FREE, prof, rule=RULE)
+            rad.golden_rule_rate(FREE, prof)
 
     def test_fast_drive_warns(self):
         prof = osc3d_profile(0.6, km_rm=0.05)
         with pytest.warns(UserWarning, match="strained"):
-            rad.golden_rule_rate(FREE, prof, rule=RULE, n_radial=16)
+            rad.golden_rule_rate(FREE, prof, n_radial=16)
 
 
 class TestSweepAndConstant:
     def test_slopes(self):
         wms = np.geomspace(1e-3, 1e-2, 6)
         _, exponent3, _ = rad.rate_sweep(FREE, wms, lambda wm: osc3d_profile(wm),
-                                         rule=RULE, n_radial=32)
+                                         n_radial=32)
         assert exponent3 == pytest.approx(7.0, abs=0.1)
 
         grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
@@ -363,20 +362,19 @@ class TestSweepAndConstant:
         # shortfall from p and the fitted constant
         wms = np.geomspace(1e-3, 1e-2, 16)
         if dim == 3:
-            geometry, rule = FREE, modes.angular_rule(24, 12)
+            geometry = FREE
             p, C0 = 7.0, 1.0 / (5040.0 * np.pi)
 
             def build(wm):
                 return osc3d_profile(wm)
         else:
             grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
-            geometry, rule = grid.geometry, None
+            geometry = grid.geometry
             p, C0 = 3.0, 1.0 / (40.0 * np.pi)
 
             def build(wm):
                 return oscillating_1d_profile(grid, omega_m=wm)
-        rates, exponent, _ = rad.rate_sweep(geometry, wms, build, rule=rule,
-                                            n_radial=48)
+        rates, exponent, _ = rad.rate_sweep(geometry, wms, build, n_radial=48)
         correction = np.log(1.0 - 2.0 * wms / OMEGA_E)
         slope = np.polyfit(np.log(wms), p * np.log(wms) + correction, 1)[0]
         assert exponent == pytest.approx(slope, abs=5e-4)
@@ -390,7 +388,7 @@ class TestSweepAndConstant:
         for km_rm in (0.02, 0.04):
             rates, _, _ = rad.rate_sweep(FREE, wms,
                                          lambda wm: osc3d_profile(wm, km_rm=km_rm),
-                                         rule=RULE, n_radial=32)
+                                         n_radial=32)
             cvals.append(rad.extract_rate_constant(
                 wms, rates, k_m_r_m=km_rm, gamma=GAMMA, omega_e=OMEGA_E))
         assert cvals[1] == pytest.approx(cvals[0], rel=1e-6)
@@ -398,7 +396,7 @@ class TestSweepAndConstant:
     def test_fit_quality_guard(self):
         wms = np.geomspace(1e-3, 1e-2, 5)
         rates, _, _ = rad.rate_sweep(FREE, wms, lambda wm: osc3d_profile(wm),
-                                     rule=RULE, n_radial=32)
+                                     n_radial=32)
         rates[2] *= 3.0  # corrupt one point
         with pytest.raises(FitQualityError):
             rad.extract_rate_constant(wms, rates, k_m_r_m=0.05, gamma=GAMMA,
@@ -417,10 +415,10 @@ def turning_profile(omega_m):
 
 class TestSweepKernel:
     def test_turning_geometry_matches_loop_form(self):
-        rule = modes.angular_rule(5, 4)
+        # (5, 5) is the coarsest rule exact for the degree-4 angular integrands
+        rule = modes.angular_rule(5, 5)
         wms = np.geomspace(1e-3, 1e-1, 7)
-        rates, _, _ = rad.rate_sweep(FREE, wms, turning_profile, rule=rule,
-                                     n_radial=12)
+        rates, _, _ = rad.rate_sweep(FREE, wms, turning_profile, n_radial=12)
         for wm, rate in zip(wms, rates):
             assert rate == pytest.approx(
                 loop_rate(FREE, turning_profile(wm), 12, rule), rel=1e-12, abs=0)
@@ -429,23 +427,21 @@ class TestSweepKernel:
     def test_sweep_point_is_the_single_rate_bitwise(self, dim):
         wms = np.geomspace(1e-3, 1e-2, 16)
         if dim == 3:
-            geometry, rule = FREE, modes.angular_rule(24, 12)
-            build = turning_profile
+            geometry, build = FREE, turning_profile
         else:
             grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
-            geometry, rule = grid.geometry, None
+            geometry = grid.geometry
 
             def build(wm):
                 return oscillating_1d_profile(grid, omega_m=wm)
-        rates, _, _ = rad.rate_sweep(geometry, wms, build, rule=rule, n_radial=48)
-        single = [rad.golden_rule_rate(geometry, build(wm), rule=rule, n_radial=48)
-                  for wm in wms]
+        rates, _, _ = rad.rate_sweep(geometry, wms, build, n_radial=48)
+        single = [rad.golden_rule_rate(geometry, build(wm), n_radial=48) for wm in wms]
         assert rates.tolist() == single
 
     def test_slope_matches_polyfit(self):
         wms = np.geomspace(2e-4, 0.3, 9)
         rates, exponent, slopes = rad.rate_sweep(FREE, wms, turning_profile,
-                                                 rule=RULE, n_radial=16)
+                                                 n_radial=16)
         lw, lr = np.log(wms), np.log(rates)
         assert exponent == pytest.approx(np.polyfit(lw, lr, 1)[0], rel=1e-12, abs=0)
         np.testing.assert_array_equal(slopes, np.gradient(lr, lw))
@@ -454,7 +450,7 @@ class TestSweepKernel:
         wms = [0.1, 0.55, 0.6, 0.7]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rad.rate_sweep(FREE, wms, osc3d_profile, rule=RULE, n_radial=8)
+            rad.rate_sweep(FREE, wms, osc3d_profile, n_radial=8)
         messages = [str(w.message) for w in caught]
         assert len(messages) == 3
         assert all("strained" in m for m in messages)
@@ -471,7 +467,7 @@ class TestSweepKernel:
             return osc3d_profile(wm)
 
         with pytest.raises(ConfigError, match="at least two|distinct"):
-            rad.rate_sweep(FREE, wms, build, rule=RULE, n_radial=8)
+            rad.rate_sweep(FREE, wms, build, n_radial=8)
         assert built == []
 
     def test_mixed_kinds_rejected(self):
@@ -483,17 +479,57 @@ class TestSweepKernel:
             return osc3d_profile(wm)
 
         with pytest.raises(ConfigError, match="share a kind"):
-            rad.rate_sweep(FREE, [1e-3, 1e-2], build, rule=RULE, n_radial=8)
+            rad.rate_sweep(FREE, [1e-3, 1e-2], build, n_radial=8)
 
     def test_rate_takes_a_geometry_and_a_3d_rule(self):
-        # free space integrates over an angular rule, and a mode grid is not
-        # a rate geometry
+        # a 3D rate needs the free-space geometry alone, with no direction
+        # rule, and a mode grid is not a rate geometry
         grid1 = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
         prof1 = oscillating_1d_profile(grid1, omega_m=1e-3)
-        with pytest.raises(ConfigError, match="needs an angular rule"):
-            rad.golden_rule_rate(FREE, osc3d_profile(1e-3), n_radial=8)
+        assert rad.golden_rule_rate(modes.FreeSpace3D(V), osc3d_profile(1e-3),
+                                    n_radial=8) > 0.0
         with pytest.raises(ConfigError, match="unsupported rate geometry"):
             rad.golden_rule_rate(grid1, prof1, n_radial=8)
+
+
+class TestAngularSums:
+    @pytest.mark.parametrize("case", range(12))
+    def test_3d_closed_forms_match_a_fine_rule(self, case):
+        # the sums of (P^2, P Q, Q^2, a0^2, P a0, Q a0) over angular_rule(24, 12),
+        # exact for these degree-4 integrands, against the closed forms with
+        # S_P0 = S_Q0 = 0; random axes, then dhat parallel and perpendicular
+        # to rhat_m
+        rng = np.random.default_rng(case)
+        dhat, rhat = rng.normal(size=(2, 3))
+        if case == 0:
+            rhat = -dhat
+        elif case == 1:
+            rhat = np.cross(dhat, rng.normal(size=3))
+        prof = cp.CouplingProfile.oscillating_3d(
+            OMEGA_E, dhat, rhat, r_m=50.0, omega_m=1e-3, gamma=GAMMA, V=V)
+        khat, eps, weight = modes.angular_rule(24, 12)
+        a0, P, Q = cp.angular_factors(prof, khat, eps)
+        rule_sums = np.array([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]) @ weight
+        dim, dens, S = rad._angular_sums(FREE, [prof])
+        assert (dim, dens) == (3, 1.0)
+        # the rule's own rounding reaches 1.2e-14 on sums of size 8 pi/3
+        np.testing.assert_allclose(S[0], rule_sums[:4], rtol=0, atol=2e-14)
+        np.testing.assert_allclose(rule_sums[4:], 0.0, rtol=0, atol=2e-14)
+        c2 = np.dot(prof.dipole_direction, prof.rhat_m) ** 2
+        if case == 0:
+            assert c2 == pytest.approx(1.0, rel=1e-15)
+        elif case == 1:
+            assert c2 < 1e-30
+
+    def test_1d_sums(self):
+        grid = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
+        prof = oscillating_1d_profile(grid, omega_m=1e-3)
+        a0, P, Q = cp.angular_factors(prof, np.array([1.0, -1.0]))
+        sums = np.array([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]).sum(axis=1)
+        assert sums.tolist() == [2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+        dim, dens, S = rad._angular_sums(grid.geometry, [prof])
+        assert (dim, dens) == (1, grid.geometry.length / (2.0 * np.pi))
+        assert S.tolist() == [[2.0, 0.0, 0.0, 2.0]]
 
 
 def count_leggauss(monkeypatch):
@@ -519,11 +555,10 @@ class TestRuleBuiltOnce:
                        n_radial=48)
         assert calls == [48]
 
-    def test_3d_sweep_reuses_the_polar_rule(self, monkeypatch):
+    def test_3d_sweep_builds_only_its_radial_rule(self, monkeypatch):
         calls = count_leggauss(monkeypatch)
-        rule = modes.angular_rule(24, 12)
         rad.rate_sweep(FREE, np.geomspace(1e-3, 1e-2, 3), osc3d_profile,
-                       rule=rule, n_radial=24)
+                       n_radial=24)
         assert calls == [24]
 
 

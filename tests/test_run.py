@@ -5,9 +5,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vacuum_shake import cli
+from vacuum_shake import cli, modes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,7 +25,6 @@ SMALL = {
                   "n_radial": 8},
     },
     "RateSweep3D": {
-        "grid": {"n_polar": 6, "n_azimuthal": 4},
         "profile": {"gamma": 1e-3, "k_m_r_m": 0.05},
         "sweep": {"omega_m_min": 1e-3, "omega_m_max": 1e-2, "n_points": 3,
                   "n_radial": 6},
@@ -106,7 +106,7 @@ def test_wall_time_survives_a_clock_step(tmp_path, monkeypatch):
 INTEGRAL_FLOATS = {
     "DressingDump": ("grid", "n_modes"),
     "RateSweep1D": ("sweep", "n_points"),
-    "RateSweep3D": ("grid", "n_polar"),
+    "RateSweep3D": ("sweep", "n_points"),
     "Scattering3Photon": ("scattering", "n_modes"),
     "OracleCompare": ("oracle", "n_max"),
     "AppendixAVerify": ("residual", "n_modes"),
@@ -144,10 +144,20 @@ def test_zero_rate_sweep_exits_2(tmp_path, capsys, dim, zero):
 
 
 def test_grid_n_radial_exits_2(tmp_path, capsys):
-    # RateSweep3D integrates over an angular rule, not a mode grid, and the
-    # key that set the grid's radial order is gone from the schema
-    doc = json.loads(json.dumps(SMALL["RateSweep3D"]))
-    doc["grid"]["n_radial"] = 8
+    # RateSweep3D integrates over no mode grid, and the key that set the
+    # grid's radial order is gone from the schema
+    doc = {**SMALL["RateSweep3D"], "grid": {"n_radial": 8}}
+    rc, out = run(tmp_path, "RateSweep3D", doc)
+    assert rc == cli.EXIT_CONFIG == 2
+    assert "additional properties" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_polar", "n_azimuthal"])
+def test_angular_rule_keys_exit_2(tmp_path, capsys, key):
+    # RateSweep3D takes its angular sums in closed form: the keys that sized
+    # its direction rule set nothing and are gone from the schema
+    doc = {**SMALL["RateSweep3D"], "grid": {key: 12}}
     rc, out = run(tmp_path, "RateSweep3D", doc)
     assert rc == cli.EXIT_CONFIG == 2
     assert "additional properties" in capsys.readouterr().err
@@ -157,8 +167,8 @@ def test_grid_n_radial_exits_2(tmp_path, capsys):
 def test_key_outside_the_surface_exits_2(tmp_path, capsys):
     # RateSweep3D reads no 1D grid keys; the shared schema once accepted and
     # ignored them, with rates.csv unchanged
-    doc = json.loads(json.dumps(SMALL["RateSweep3D"]))
-    doc["grid"].update(omega_max=0.5, n_modes=3, length=9.0)
+    doc = {**SMALL["RateSweep3D"],
+           "grid": {"omega_max": 0.5, "n_modes": 3, "length": 9.0}}
     rc, out = run(tmp_path, "RateSweep3D", doc)
     assert rc == cli.EXIT_CONFIG == 2
     assert "additional properties" in capsys.readouterr().err
@@ -209,6 +219,17 @@ def test_warnings_recorded_in_manifest(tmp_path, capsys):
     assert spacing[0].startswith("UserWarning: ")
     assert "mode spacing" in capsys.readouterr().err
     assert "warnings" not in json.loads((out / "summary.json").read_text())
+
+
+def test_warnings_print_one_line_each(tmp_path, capsys):
+    # stderr carries "file:line: " and the manifest entry, with no echo of
+    # the calling source line
+    rc, out = run(tmp_path, "Scattering3Photon")
+    assert rc == cli.EXIT_OK
+    warned = json.loads((out / "manifest.json").read_text())["warnings"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(warned) >= 1
+    assert all(line.endswith(": " + w) for line, w in zip(lines, warned))
 
 
 def test_oracle_pair_amplitudes_match_golden_output(tmp_path, capsys):
@@ -349,26 +370,39 @@ def test_oracle_solver_statistics_in_manifest(tmp_path):
     assert "solver" not in json.loads((out / "summary.json").read_text())
 
 
-@pytest.mark.parametrize("dim, n_directions", [(1, 2), (3, 2 * 6 * 4)])
-def test_rate_sweep_statistics_in_manifest(tmp_path, dim, n_directions):
+@pytest.mark.parametrize("dim", [1, 3])
+def test_rate_sweep_statistics_in_manifest(tmp_path, dim):
     rc, out = run(tmp_path, f"RateSweep{dim}D")
     assert rc == cli.EXIT_OK
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     sweep = SMALL[f"RateSweep{dim}D"]["sweep"]
-    assert solver == {"n_points": sweep["n_points"], "n_radial": sweep["n_radial"],
-                      "n_directions": n_directions}
+    assert solver == {"n_points": sweep["n_points"], "n_radial": sweep["n_radial"]}
     assert "solver" not in json.loads((out / "summary.json").read_text())
+
+
+def test_rate_sweep_3d_builds_only_its_radial_rule(tmp_path, monkeypatch):
+    # the angular sums are closed forms: no direction rule is built, and the
+    # only Gauss-Legendre rule is the radial one
+    modes.gauss_legendre.cache_clear()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+
+    def no_rule(*args):
+        raise AssertionError("modes.angular_rule was called")
+
+    monkeypatch.setattr(modes, "angular_rule", no_rule)
+    assert run(tmp_path, "RateSweep3D")[0] == cli.EXIT_OK
+    assert calls == [SMALL["RateSweep3D"]["sweep"]["n_radial"]]
 
 
 @pytest.mark.parametrize("scenario, section, key, value", [
     ("RateSweep1D", "sweep", "n_radial", 1001),
-    ("RateSweep3D", "grid", "n_polar", 1001),
-    ("RateSweep3D", "grid", "n_azimuthal", 100_000),
 ])
 def test_oversized_quadrature_exits_4(tmp_path, capsys, no_large_rules, scenario,
                                       section, key, value):
-    # a rule order over 1000 or a grid over 1e6 modes is refused before the
-    # rule or the grid is built
+    # a radial rule order over 1000 is refused before the rule is built
     doc = json.loads(json.dumps(SMALL[scenario]))
     doc[section][key] = value
     rc, out = run(tmp_path, scenario, doc)
