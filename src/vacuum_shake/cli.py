@@ -270,7 +270,10 @@ def _sweep_values(cfg):
     n = s.get("n_points", 16)
     if hi <= lo:
         raise ConfigError("sweep needs omega_m_max > omega_m_min")
-    return np.geomspace(lo, hi, n), s.get("n_radial", 48)
+    # not np.geomspace, whose first call costs 15 times more
+    wms = lo * (hi / lo) ** np.linspace(0.0, 1.0, n)
+    wms[[0, -1]] = lo, hi
+    return wms, s.get("n_radial", 48)
 
 
 def _scenario_rate_sweep(cfg, outdir, dim):

@@ -212,8 +212,8 @@ def few_mode_waveguide_grid(freqs, c: float = 1.0, L: float = 2.0 * np.pi,
     )
 
 
-#: Largest Gauss-Legendre order: ``leggauss`` builds an n x n companion
-#: matrix (8 MB at this order), and numpy documents it only up to order 100.
+#: Largest Gauss-Legendre order: the rule's eigensystem holds two n x n
+#: arrays (8 MB each at this order, 0.26 s to solve).
 RULE_ORDER_CAP = 1000
 #: Most modes a free-space grid, or nodes an angular rule, may hold (about
 #: 70 MB of node arrays), so that an oversized rule fails before allocation.
@@ -224,16 +224,28 @@ MODE_CAP = 1_000_000
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
 
-    Exactly ``np.polynomial.legendre.leggauss(n)``, built once per order and
-    shared by every caller in the process: both arrays are read-only.  The
-    cache keeps one rule (2 n floats) per order asked for.  Raises
-    :class:`CapacityError` above ``RULE_ORDER_CAP``, before building the rule.
+    Golub & Welsch, Math. Comp. 23, 221 (1969): the nodes are the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the Legendre
+    recurrence, off-diagonal beta_k = k / sqrt(4 k^2 - 1) for k = 1 .. n-1,
+    and the weights are 2 v_0^2 from the first components of its unit
+    eigenvectors.  Both are symmetrised about 0, so the rule is exactly
+    antisymmetric in the nodes and symmetric in the weights; it matches
+    ``numpy.polynomial.legendre.leggauss`` to rounding.  Built once per
+    order and shared by every caller in the process: both arrays are
+    read-only.  The cache keeps one rule (2 n floats) per order asked for.
+    Raises :class:`CapacityError` above ``RULE_ORDER_CAP``, before building
+    the rule.
     """
     if n > RULE_ORDER_CAP:
         raise CapacityError(
             f"Gauss-Legendre order {n} exceeds the cap {RULE_ORDER_CAP}"
         )
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(beta, -1))  # eigh reads the lower triangle
+    w = 2.0 * v[0] ** 2
+    nodes = 0.5 * (x - x[::-1])
+    weights = 0.5 * (w + w[::-1])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -16,15 +16,25 @@ def small_waveguide():
 
 @pytest.fixture
 def no_large_rules(monkeypatch):
-    """Make ``leggauss`` fail for any order over ``modes.RULE_ORDER_CAP``;
-    smaller rules (a free-space grid's other rule) are still built."""
-    leggauss = np.polynomial.legendre.leggauss
+    """Make ``np.linalg.eigh`` fail for any matrix over ``modes.RULE_ORDER_CAP``
+    rows, so no rule over the cap is built; smaller rules (a free-space
+    grid's other rule) still are."""
+    eigh = np.linalg.eigh
 
-    def guarded(n):
-        assert n <= modes.RULE_ORDER_CAP, f"leggauss({n}) was called"
-        return leggauss(n)
+    def guarded(a, *args, **kwargs):
+        assert len(a) <= modes.RULE_ORDER_CAP, f"eigh of {len(a)} rows was called"
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", guarded)
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+
+
+def assert_only_rule_built(n):
+    """Assert that since ``modes.gauss_legendre``'s cache was last cleared
+    exactly one rule was built, and that it was the rule of order ``n``:
+    asking for that order again is a cache hit."""
+    assert modes.gauss_legendre.cache_info().misses == 1
+    modes.gauss_legendre(n)
+    assert modes.gauss_legendre.cache_info().misses == 1
 
 
 def oscillating_1d_profile(grid, *, omega_m, km_rm=0.05, gamma=1e-3,

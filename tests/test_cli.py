@@ -1,4 +1,5 @@
 import copy
+import decimal
 import importlib.util
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vacuum_shake import cli
@@ -353,6 +355,38 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
                          env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
     printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
     assert printed == ["[]", "[]", "[]", "[True, False, False]"]
+
+
+@pytest.mark.parametrize("name", ["rate_sweep_1d", "rate_sweep_3d"])
+def test_rate_sweep_run_loads_no_numpy_polynomial(tmp_path, name):
+    # numpy imports numpy.polynomial on first use (about 7 ms, more than a
+    # shipped sweep's rates); neither the radial rule nor the sweep grid
+    # uses it
+    code = "\n".join([
+        "import sys",
+        "from vacuum_shake import cli",
+        f"assert cli.main(['run', {str(CONFIG_DIR / (name + '.json'))!r},"
+        f" '--out', {str(tmp_path / 'out')!r}]) == 0",
+        "assert 'numpy.polynomial' not in sys.modules",
+    ])
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                   env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1e-3, 1e-2, 16), (3e-4, 0.7, 2),
+                                       (0.1, 0.3, 7), (1e-5, 0.9, 101)])
+def test_sweep_values_are_geometric_with_exact_ends(lo, hi, n):
+    wms, _ = cli._sweep_values({"sweep": {"omega_m_min": lo, "omega_m_max": hi,
+                                          "n_points": n}})
+    assert (wms[0], wms[-1]) == (lo, hi)
+    # lo (hi/lo)^(i/(n - 1)) in 40-digit decimals; np.geomspace itself is off
+    # by 1.6e-15 at (1e-5, 0.9, 101)
+    ctx = decimal.Context(prec=40)
+    D = ctx.create_decimal_from_float
+    exact = [float(ctx.multiply(D(lo), ctx.power(ctx.divide(D(hi), D(lo)),
+                                                  ctx.divide(i, n - 1))))
+             for i in range(n)]
+    np.testing.assert_allclose(wms, exact, rtol=1e-15, atol=0)
 
 
 def test_residual_over_the_dense_cap_exits_4(tmp_path, capsys):

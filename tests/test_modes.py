@@ -110,11 +110,12 @@ class TestFreespaceQuadrature:
 
 
 def old_freespace_arrays(n_radial, n_polar, n_azimuthal, omega_max, c=1.0):
-    """The free-space grid arrays filled node by node (the loop form)."""
+    """The free-space grid arrays filled node by node (the loop form) from
+    the package's Gauss-Legendre rules."""
     k_max = omega_max / c
-    xr, wr = np.polynomial.legendre.leggauss(n_radial)
+    xr, wr = modes.gauss_legendre(n_radial)
     k_nodes, k_w = 0.5 * k_max * (xr + 1.0), 0.5 * k_max * wr
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+    mu, wmu = modes.gauss_legendre(n_polar)
     phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
     wphi = 2.0 * np.pi / n_azimuthal
     sin_th = np.sqrt(1.0 - mu**2)
@@ -224,7 +225,7 @@ class TestAngularRule:
     def test_oversized_rule_is_refused_before_allocating(self, monkeypatch):
         # 2 * 1000 * 501 = 1.002e6 nodes: refused before the polar rule or
         # any node array is built
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        monkeypatch.setattr(np.linalg, "eigh", None)
         monkeypatch.setattr(np, "arange", None)
         modes.gauss_legendre.cache_clear()
         with pytest.raises(CapacityError, match="1002000 nodes"):
@@ -237,12 +238,27 @@ class TestAngularRule:
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [1, 8, 24, 48])
+    @pytest.mark.parametrize("n", range(1, 101))
     def test_equals_leggauss(self, n):
+        # the Golub-Welsch rule against numpy's Newton-refined one: equal to
+        # rounding (5.6e-16 and 7.3e-15 at most over these orders), and
+        # exactly symmetric about 0
         nodes, weights = modes.gauss_legendre(n)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_array_equal(nodes, ref_nodes)
-        np.testing.assert_array_equal(weights, ref_weights)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        np.testing.assert_array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 48, 100])
+    def test_integrates_monomials_exactly(self, n):
+        # x^k for k <= 2n - 1 integrates to 2/(k + 1) (even k) or 0 (odd k)
+        nodes, weights = modes.gauss_legendre(n)
+        k = np.arange(2 * n)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        np.testing.assert_allclose(weights @ nodes[:, None] ** k, exact,
+                                   rtol=0, atol=1e-14)
 
     def test_read_only_and_shared(self):
         nodes, weights = modes.gauss_legendre(8)
@@ -265,7 +281,7 @@ class TestCapacity:
 
     def test_grid_over_the_mode_cap(self, monkeypatch):
         # 2 * 100 * 100 * 51 = 1.02e6 modes; refused before any rule is built
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        monkeypatch.setattr(np.linalg, "eigh", None)
         modes.gauss_legendre.cache_clear()
         with pytest.raises(CapacityError, match="1020000 modes"):
             modes.build_freespace_quadrature(100, 100, 51, 2.0, 1.0)

@@ -12,7 +12,8 @@ from vacuum_shake import modes
 from vacuum_shake import radiation as rad
 from vacuum_shake.errors import (ConfigError, DomainError, FitQualityError)
 
-from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
+from conftest import (OMEGA_E, assert_only_rule_built, oscillating_1d_profile,
+                      static_1d_profile)
 
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
@@ -532,34 +533,20 @@ class TestAngularSums:
         assert S.tolist() == [[2.0, 0.0, 0.0, 2.0]]
 
 
-def count_leggauss(monkeypatch):
-    """Empty the rule cache and count the rules built from here on."""
-    modes.gauss_legendre.cache_clear()
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        calls.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    return calls
-
-
 class TestRuleBuiltOnce:
-    def test_1d_sweep(self, monkeypatch):
-        calls = count_leggauss(monkeypatch)
+    def test_1d_sweep(self):
+        modes.gauss_legendre.cache_clear()
         grid = modes.build_waveguide_grid(64, 2.0, 64 * np.pi, 1.0)
         rad.rate_sweep(grid.geometry, np.geomspace(1e-3, 1e-2, 16),
                        lambda wm: oscillating_1d_profile(grid, omega_m=wm),
                        n_radial=48)
-        assert calls == [48]
+        assert_only_rule_built(48)
 
-    def test_3d_sweep_builds_only_its_radial_rule(self, monkeypatch):
-        calls = count_leggauss(monkeypatch)
+    def test_3d_sweep_builds_only_its_radial_rule(self):
+        modes.gauss_legendre.cache_clear()
         rad.rate_sweep(FREE, np.geomspace(1e-3, 1e-2, 3), osc3d_profile,
                        n_radial=24)
-        assert calls == [24]
+        assert_only_rule_built(24)
 
 
 @pytest.mark.slow

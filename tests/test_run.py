@@ -5,10 +5,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vacuum_shake import cli, modes
+
+from conftest import assert_only_rule_built
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -384,17 +385,13 @@ def test_rate_sweep_3d_builds_only_its_radial_rule(tmp_path, monkeypatch):
     # the angular sums are closed forms: no direction rule is built, and the
     # only Gauss-Legendre rule is the radial one
     modes.gauss_legendre.cache_clear()
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda n: calls.append(n) or leggauss(n))
 
     def no_rule(*args):
         raise AssertionError("modes.angular_rule was called")
 
     monkeypatch.setattr(modes, "angular_rule", no_rule)
     assert run(tmp_path, "RateSweep3D")[0] == cli.EXIT_OK
-    assert calls == [SMALL["RateSweep3D"]["sweep"]["n_radial"]]
+    assert_only_rule_built(SMALL["RateSweep3D"]["sweep"]["n_radial"])
 
 
 @pytest.mark.parametrize("scenario, section, key, value", [
