@@ -34,9 +34,13 @@ alone.  The angular-factor kernel :func:`angular_factors` maps direction
 (and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
 and magnetic terms.  ``_amplitudes`` composes the sidebands from it at
 frequency nodes; the grid-wide (3, n) array of :func:`grid_fourier` and the
-co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that,
-and the golden-rule rates of :mod:`radiation` use the closed-form sums of
-its products over directions and polarizations.  A coupling at one time is
+co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that.
+Those amplitudes all take the carrier denominator omega + omega_e of
+:func:`eta_from_g`; the periodic frame of :mod:`dressing` and the
+golden-rule rates of :mod:`radiation` give the sideband eta+ the Floquet
+denominator omega + omega_e - omega_m instead, and the rates use the
+closed-form sums of the factors' products over directions and
+polarizations.  A coupling at one time is
 ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
 immutable and safe to share.
 """
@@ -201,8 +205,8 @@ def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
 
     The expanded coupling is g_k(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}
     with g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-; the co-rotating
-    amplitudes are eta0 = 2 pref a0 and eta+- = pref a+-, pref = chi/(1 +
-    omega/omega_e).  The sidebands a+- = x P +- Q, x = omega/omega_m, are
+    amplitudes of ``eta_components_arrays_*`` are eta0 = 2 pref a0 and
+    eta+- = pref a+-, pref = chi/(1 + omega/omega_e).  The sidebands a+- = x P +- Q, x = omega/omega_m, are
     composed from the :func:`angular_factors` (a0, P, Q) at the nodes'
     directions and polarizations.
     """
@@ -246,7 +250,8 @@ def harmonic_phases(omega_m: float, t: float) -> np.ndarray:
 
 def eta_from_g(omega_e, omega, g):
     """Co-rotating image 2 omega_e g / (omega + omega_e) of a coupling g at
-    omega; ``omega_e`` may be an array that broadcasts against ``omega``."""
+    omega, the carrier (nu = 0) row of the periodic frame; ``omega_e`` may
+    be an array that broadcasts against ``omega``."""
     return 2.0 * g / (1.0 + np.asarray(omega, dtype=float) / omega_e)
 
 
@@ -259,9 +264,9 @@ def _eta_arrays(profile: CouplingProfile, omega, direction, polarization=None):
 def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
     """Vectorized (eta0, eta_plus, eta_minus) over arrays of nodes.
 
-    ``khat`` and ``eps`` have shape (n, 3); ``omega`` shape (n,).  The
-    node-by-node form of what :func:`radiation.golden_rule_rate` sums
-    through the angular factors.
+    ``khat`` and ``eps`` have shape (n, 3); ``omega`` shape (n,).  All
+    three take the carrier denominator omega + omega_e; the golden-rule rate
+    gives eta_plus the Floquet denominator omega + omega_e - omega_m.
     """
     if profile.kind is not CouplingKind.OSCILLATING_3D:
         raise ConfigError("sideband components are defined for the oscillating 3D kind")

@@ -17,6 +17,9 @@ and the continuum limit gives a golden-rule emission rate
     R = pi (k_m r_m)^2 / (4 w_e^2) * int d^Dk d^Dk' rho rho'
         (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
 
+Its eta0 and eta+ are the carrier (denominator w + w_e) and sideband
+(w + w_e - w_m) rows of the periodic frame that ``pair_amplitude`` uses.
+
 A rate reads no mode grid: :func:`golden_rule_rate` takes the geometry
 (``Waveguide1D`` or ``FreeSpace3D``) alone.  The energy delta is resolved
 analytically into one radial integral over w in (0, w_m), and the angular
@@ -138,9 +141,11 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
     w = c k and w' = c (k_m - k), with the row's k_m, chi, w_e and r_m.
     Each row is computed exactly as a pass with that profile alone would
     compute it, so a sweep point is bitwise the rate of its profile.
-    Every check applies per row: a non-positive drive frequency, a pair
-    band below the infrared cutoff, the w_m >= w_e/2 warning (once per
-    offending row) and a negative integrand or rate.
+    Every check applies per row: a non-positive drive frequency, a drive
+    at or above w_e (where the sideband photon's denominator vanishes
+    inside the pair band), a pair band below the infrared cutoff, the
+    w_m >= w_e/2 warning (once per offending row) and a negative integrand
+    or rate.
     """
     if len({p.kind for p in profiles}) > 1:
         raise ConfigError("the profiles of one rate pass must share a kind")
@@ -150,6 +155,14 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
         dtype=float).T[:, :, None]
     if np.any(omega_m <= 0):
         raise ConfigError("profile must carry a positive drive frequency")
+    fast = (omega_m >= omega_e)[:, 0]
+    if np.any(fast):
+        i = int(np.argmax(fast))
+        raise ConfigError(
+            f"drive frequency {omega_m[i, 0]} >= omega_e {omega_e[i, 0]}: the "
+            "sideband denominator w + omega_e - omega_m vanishes inside the "
+            "pair band (resonant with a counter-rotating transition)"
+        )
     omega_min = 1e-6 * omega_e
     low = (omega_m <= 2.0 * omega_min)[:, 0]
     if np.any(low):
@@ -160,8 +173,9 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
         )
     for wm in omega_m[omega_m >= 0.5 * omega_e]:
         warnings.warn(
-            f"omega_m = {wm:.6g} >= omega_e/2: long-wavelength and adiabatic "
-            "assumptions are strained", stacklevel=3,
+            f"omega_m = {wm:.6g} >= omega_e/2: the sideband denominator "
+            "w + omega_e - omega_m falls below omega_e/2 near its resonance at "
+            "omega_m = omega_e; first-order rates are strained", stacklevel=3,
         )
     dim, dens, S = _angular_sums(geometry, profiles)
     S_pp, S_pq, S_qq, S_00 = S.T[:, :, None]
@@ -174,12 +188,14 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
     # radii of both photons of a pair: w = c k (first half), w' = c (k_m - k)
     radii = c * np.concatenate([k_nodes, kp], axis=1)
     x = radii / omega_m
-    # e = eta_from_g(w, chi(w)) with chi(w) = sqrt(w) chi_scale
-    e2 = cp.eta_from_g(omega_e, radii, np.sqrt(radii) * chi_scale) ** 2
+    # e_nu = 2 w_e chi(w) / (w + w_e - nu w_m), chi(w) = sqrt(w) chi_scale:
+    # the carrier (nu = 0) and sideband (nu = +1) rows of the periodic frame
+    chi = np.sqrt(radii) * chi_scale
+    e0 = cp.eta_from_g(omega_e, radii, chi)
+    ep = 2.0 * omega_e * chi / (radii + omega_e - omega_m)
     # per row, halves (w, w') of sum eta+^2 and sum eta0^2
-    Ip, I0 = (e2 * np.stack([0.25 * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
-                             np.broadcast_to(S_00, x.shape)])
-              ).reshape(2, -1, 2, n_radial)
+    Ip, I0 = np.stack([0.25 * ep * ep * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
+                       e0 * e0 * S_00]).reshape(2, -1, 2, n_radial)
     integrand = (k_nodes * kp) ** (dim - 1) * (Ip[:, 0] * I0[:, 1]
                                                + Ip[:, 1] * I0[:, 0])
     scale = np.maximum(np.max(np.abs(integrand), axis=1), 1e-300)
@@ -207,22 +223,25 @@ def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
     The energy-conservation delta is removed analytically: with w' = w_m - w
     the double continuum integral collapses to one radial integral over
     w in (0, w_m), evaluated by the ``n_radial``-point Gauss-Legendre rule of
-    :func:`modes.gauss_legendre` (built once per order and process, so a
-    sweep pays for it once).  Both photons of a pair must lie above the
-    infrared cutoff 1e-6 w_e, so w_m must exceed 2e-6 w_e.
+    :func:`modes.gauss_legendre` (one eigensystem of the Legendre Jacobi
+    matrix, built once per order and process, so a sweep pays for it once).
+    Both photons of a pair must lie above the infrared cutoff 1e-6 w_e, so
+    w_m must exceed 2e-6 w_e; and w_m must lie below w_e, since e_1 (below)
+    diverges at w = w_m - w_e, inside the band once w_m > w_e.
 
     The angular and polarization sums separate from the radial one.  With
-    e(w) = ``eta_from_g(w, chi(w))`` and x = w/w_m, the co-rotating
-    amplitudes in the direction khat with polarization eps are eta0 = e a0
-    and eta+ = (e/2) (x P + Q), the :func:`coupling.angular_factors`
-    (a0, P, Q) there.  Expanding (eta+(w) eta0'(w') + eta+'(w') eta0(w))^2
-    and summing over both photons' directions and polarizations leaves the
-    angular sums S_AB of A B over one photon's directions and
-    polarizations, and at each radius
+    the periodic-frame factors e_nu(w) = 2 w_e chi(w) / (w + w_e - nu w_m)
+    (e_0 is ``eta_from_g(w, chi(w))``) and x = w/w_m, the co-rotating
+    amplitudes in the direction khat with polarization eps are eta0 =
+    e_0 a0 and eta+ = (e_1/2) (x P + Q), the
+    :func:`coupling.angular_factors` (a0, P, Q) there.  Expanding
+    (eta+(w) eta0'(w') + eta+'(w') eta0(w))^2 and summing over both
+    photons' directions and polarizations leaves the angular sums S_AB of
+    A B over one photon's directions and polarizations, and at each radius
 
-        Ip = (e/2)^2 (x^2 S_PP + 2 x S_PQ + S_QQ)    (sum of eta+^2),
-        I0 = e^2 S_00                               (sum of eta0^2),
-        J  = (e^2/2) (x S_P0 + S_Q0)                (sum of eta+ eta0),
+        Ip = (e_1/2)^2 (x^2 S_PP + 2 x S_PQ + S_QQ)  (sum of eta+^2),
+        I0 = e_0^2 S_00                             (sum of eta0^2),
+        J  = (e_0 e_1/2) (x S_P0 + S_Q0)            (sum of eta+ eta0),
 
     with the integrand (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.
 
@@ -262,11 +281,12 @@ def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
     prefactor pi (k_m r_m)^2/(4 w_e^2) (V/(2 pi)^3)^2 and chi_scale^2 =
     3 pi gamma/(2 V w_e^3) turn this into C(alpha) above.
 
-    The factor (1 + w/w_e)^-2 in each |eta|^2 makes the product over a pair
-    (w + w' = w_m) equal 1 - 2 w_m/w_e to first order, so R is proportional
-    to w_m^7 (1 - 2 w_m/w_e) (w_m^3 (1 - 2 w_m/w_e) in 1D): a fitted
-    log-log slope falls short of 7 (3) by about 2 w_m/w_e at the sweep's
-    typical w_m.
+    Beyond lowest order, a pair (w + w' = w_m) carries e_1(w)^2 e_0(w')^2
+    proportional to w_e^4 / ((w_e - w')^2 (w_e + w')^2) = (1 - w'^2/w_e^2)^-2,
+    since w + w_e - w_m = w_e - w'.  That has no first-order term, so R =
+    C w_m^7 (1 + O((w_m/w_e)^2)) (w_m^3 in 1D), and a fitted log-log slope
+    equals 7 (3) to O((w_m/w_e)^2): 7.0000127 and 3.0000099 over the shipped
+    sweeps (w_m from 1e-3 to 1e-2).
     """
     return float(_rates(geometry, [profile], n_radial)[0])
 
@@ -320,10 +340,10 @@ def extract_rate_constant(omega_m: Sequence[float], rates: Sequence[float], *,
 
     Reference values (see :func:`golden_rule_rate`): C(alpha) = (11 - 10
     cos^2 alpha)/(5040 pi) in free space and 1/(40 pi) in the waveguide for
-    w_m << w_e.  Since R is proportional to w_m^p (1 - 2 w_m/w_e), a sweep
-    fitted with the pinned exponent p returns that constant times the
-    geometric mean of (1 - 2 w_m/w_e) over its points: 6.2649e-5 for the
-    shipped 3D sweep (w_m from 1e-3 to 1e-2, motion along the dipole).
+    w_m << w_e.  Since R = C w_m^p (1 + O((w_m/w_e)^2)), a sweep fitted with
+    the pinned exponent p returns that constant to O((w_m/w_e)^2):
+    6.3157e-5 for the shipped 3D sweep (w_m from 1e-3 to 1e-2, motion along
+    the dipole), 1/(5040 pi) to 8.5e-6.
     """
     wm = np.asarray(omega_m, dtype=float)
     R = np.asarray(rates, dtype=float)

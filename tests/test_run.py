@@ -274,6 +274,10 @@ def test_appendix_residuals_match_golden_output(tmp_path, capsys):
 # Its spectrum and summary were written again when the total-frequency
 # spectrum moved to the extended-precision FFT: 27 far-tail rows moved by
 # up to 6e-5 relative, and P3 by 3e-14 relative to 6x the marginal sum.
+# The rate sweeps were written again when the sideband photon of the
+# golden-rule rate took the Floquet denominator w + w_e - w_m: each rate
+# rose by 2 w_m/w_e (0.2% to 2.0%), and the pointwise slopes moved to
+# within 6.3e-5 of 3 and 7.
 GOLDEN = {
     "DressingDump": ("dressing_dump.json", {
         "lambda_t0.csv": "dressing_lambda_t0.csv",
@@ -289,6 +293,20 @@ GOLDEN = {
         "summary.json": "scattering_3photon_summary.json",
     }),
 }
+
+
+@pytest.mark.parametrize("dim, exponent", [(1, 3.0), (3, 7.0)])
+def test_shipped_sweep_exponents(tmp_path, dim, exponent):
+    # the Floquet rate is C w_m^p (1 + O((w_m/w_e)^2)): the shipped sweeps
+    # fit 3.0000099 and 7.0000127, and C = 1/(5040 pi) to 8.5e-6
+    out = tmp_path / "out"
+    assert cli.main(["run", str(ROOT / "configs" / f"rate_sweep_{dim}d.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["fitted_exponent"] - exponent) <= 1e-4
+    if dim == 3:
+        assert summary["constant_C"] == pytest.approx(1.0 / (5040.0 * math.pi),
+                                                      rel=1e-4)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
