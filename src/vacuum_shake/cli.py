@@ -270,7 +270,8 @@ def _sweep_values(cfg):
     n = s.get("n_points", 16)
     if hi <= lo:
         raise ConfigError("sweep needs omega_m_max > omega_m_min")
-    # not np.geomspace, whose first call costs 15 times more
+    # not np.geomspace, whose first call in a process takes about 0.3 ms,
+    # twice this form's
     wms = lo * (hi / lo) ** np.linspace(0.0, 1.0, n)
     wms[[0, -1]] = lo, hi
     return wms, s.get("n_radial", 48)

@@ -34,12 +34,11 @@ alone.  The angular-factor kernel :func:`angular_factors` maps direction
 (and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
 and magnetic terms.  ``_amplitudes`` composes the sidebands from it at
 frequency nodes; the grid-wide (3, n) array of :func:`grid_fourier` and the
-co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that.
-Those amplitudes all take the carrier denominator omega + omega_e of
-:func:`eta_from_g`; the periodic frame of :mod:`dressing` and the
-golden-rule rates of :mod:`radiation` give the sideband eta+ the Floquet
-denominator omega + omega_e - omega_m instead, and the rates use the
-closed-form sums of the factors' products over directions and
+co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that,
+all with the carrier denominator omega + omega_e of :func:`eta_from_g`.
+The golden-rule rates of :mod:`radiation` give the sideband eta+ the
+Floquet denominator omega + omega_e - omega_m of the :mod:`dressing` frame,
+and use the closed-form sums of the factors' products over directions and
 polarizations.  A coupling at one time is
 ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
 immutable and safe to share.
@@ -206,9 +205,10 @@ def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
     The expanded coupling is g_k(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}
     with g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-; the co-rotating
     amplitudes of ``eta_components_arrays_*`` are eta0 = 2 pref a0 and
-    eta+- = pref a+-, pref = chi/(1 + omega/omega_e).  The sidebands a+- = x P +- Q, x = omega/omega_m, are
-    composed from the :func:`angular_factors` (a0, P, Q) at the nodes'
-    directions and polarizations.
+    eta+- = pref a+-, pref = chi/(1 + omega/omega_e).  The sidebands a+- =
+    x P +- Q, x = omega/omega_m, are composed from the
+    :func:`angular_factors` (a0, P, Q) at the nodes' directions and
+    polarizations.
     """
     a0, P, Q = angular_factors(profile, direction, polarization)
     if profile.kind is CouplingKind.WAVEGUIDE_1D:

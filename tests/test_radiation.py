@@ -366,12 +366,14 @@ class TestGoldenRuleRate:
 class TestLatticeRate:
     @pytest.mark.parametrize("wm", [0.005, 0.05, 0.2])
     def test_pair_growth_on_a_lattice_matches_the_rate(self, wm):
-        # 4 dP/dt of the first-order pair amplitude on a 1D box lattice of 700
-        # modes (spacing 2 w_m/350) against the golden-rule rate; P sums
-        # |free|^2 over the resonant pairs, Omega < 1.5 w_m, with the diagonal
-        # pairs at weight 1/2 (the orthonormal two-photon basis of
-        # ground_state_pairs).  The ratio reads 0.9955, 0.9959 and 0.9968, a
-        # finite-t offset; the adiabatic eta+ gave 1.0055, 1.0997 and 1.4706
+        # the growth of the first-order pair probability on a 1D box lattice
+        # of 700 modes (spacing 2 w_m/350) against the golden-rule rate.  P
+        # sums |free|^2 over the resonant pairs, Omega < 1.5 w_m, with the
+        # diagonal pairs at weight 1/2, so 4 P is the probability in the
+        # orthonormal two-photon basis of ground_state_pairs (2 free off the
+        # diagonal, sqrt(2) free on it).  The ratio reads 0.9955, 0.9959 and
+        # 0.9968, a finite-t offset; the adiabatic eta+ gave 1.0055, 1.0997
+        # and 1.4706
         L = 350 * np.pi / wm
         grid = modes.build_waveguide_grid(700, 2.0 * wm, L, 1.0)
         prof = cp.CouplingProfile.oscillating_1d(
