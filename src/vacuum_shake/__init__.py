@@ -2,7 +2,7 @@
 
 Subpackages
 -----------
-modes       discretized 1D-waveguide / 3D free-space mode grids
+modes       discretized mode grids and the 1D/3D rate geometries
 coupling    time-dependent atom-field coupling models
 dressing    time-dependent dressing frame (xi, eta, pair kernel, phase)
 fock        brute-force truncated-Fock-space propagator (the oracle)

@@ -19,8 +19,9 @@ and nowhere else.  Every CSV artifact is written by
 integers as digits and floats as the shortest string that reads back to the
 same float64 (``repr``), UTF-8, ``\n`` line ends, no locale dependence.
 
-Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error,
-3 numerical failure, 4 capacity overrun.
+Exit codes: 0 success, 1 comparison failure, 2 configuration/schema error
+(also an unreadable or malformed ``--tol-file`` and an output directory that
+cannot be written), 3 numerical failure, 4 capacity overrun.
 
 Every scenario runs in a single thread.  Warnings a scenario raises are
 printed to stderr, one line each with no source line, and listed under
@@ -559,6 +560,21 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             summary = runner(cfg, outdir)
+        for w in caught:
+            sys.stderr.write(warnings.formatwarning(w.message, w.category,
+                                                    w.filename, w.lineno, line=""))
+        solver = summary.pop("solver", {})
+        _write_json(outdir / "summary.json", summary)
+        _write_json(outdir / "manifest.json", {
+            "package": "vacuum-shake",
+            "version": __version__,
+            "config": cfg,
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "solver": solver,
+            "wall_time_s": time.perf_counter() - t_start,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "generated_unix": int(time.time()),
+        })
     except (ConfigError, DomainError) as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -568,22 +584,9 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
     except CapacityError as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-
-    for w in caught:
-        sys.stderr.write(warnings.formatwarning(w.message, w.category,
-                                                w.filename, w.lineno, line=""))
-    solver = summary.pop("solver", {})
-    _write_json(outdir / "summary.json", summary)
-    _write_json(outdir / "manifest.json", {
-        "package": "vacuum-shake",
-        "version": __version__,
-        "config": cfg,
-        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-        "solver": solver,
-        "wall_time_s": time.perf_counter() - t_start,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "generated_unix": int(time.time()),
-    })
+    except OSError as exc:  # the output directory or an output file cannot be made
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{cfg['scenario']}: ok ({outdir})")
     return EXIT_OK
 
@@ -628,6 +631,34 @@ def _deviates(a: float, b: float, tol: dict, default_rel: float,
         return True
     rel = tol.get("rel", default_rel)
     return abs(a - b) > rel * max(abs(a), abs(b)) + tol.get("abs", default_abs)
+
+
+def _check_bounds(doc, keys, where: str):
+    """Raise ``ValueError`` unless ``doc`` is an object with keys among
+    ``keys``, each a finite number >= 0."""
+    if not isinstance(doc, dict) or not doc.keys() <= set(keys):
+        raise ValueError(f"{where} must be an object with keys among {', '.join(keys)}")
+    for key, value in doc.items():
+        if not (_is_number(value) and 0 <= value <= sys.float_info.max):
+            raise ValueError(f"{where}: {key} must be a number >= 0, not {value!r}")
+
+
+def _load_tolerances(path) -> dict:
+    """A ``--tol-file``: an object of ``default_rel``, ``default_abs`` and
+    ``fields`` (field name -> object of ``rel`` and ``abs``), every bound a
+    finite number >= 0.  Raises ``OSError`` or ``ValueError``; a NaN or inf
+    bound would let any deviation pass."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh, parse_float=_finite_number,
+                        parse_constant=_finite_number)
+    fields = doc.get("fields", {}) if isinstance(doc, dict) else None
+    if not isinstance(fields, dict):
+        raise ValueError("a tolerance file is an object, and its fields one too")
+    _check_bounds({k: v for k, v in doc.items() if k != "fields"},
+                  ("default_rel", "default_abs", "fields"), "tolerance file")
+    for name, tol in fields.items():
+        _check_bounds(tol, ("rel", "abs"), f"tolerance of field {name!r}")
+    return doc
 
 
 def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
@@ -746,9 +777,8 @@ def main(argv=None) -> int:
     tolerances = None
     if args.tol_file:
         try:
-            with open(args.tol_file, encoding="utf-8") as fh:
-                tolerances = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            tolerances = _load_tolerances(args.tol_file)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read tolerance file: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     return compare_baseline(args.result, args.baseline, tolerances)

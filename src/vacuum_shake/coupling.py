@@ -32,14 +32,13 @@ amplitudes are affine in x = omega/omega_m: a+- = x P +- Q, with the
 carrier a0 and the factors P and Q depending on direction and polarization
 alone.  The angular-factor kernel :func:`angular_factors` maps direction
 (and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
-and magnetic terms.  ``_amplitudes`` composes the sidebands from it at
-frequency nodes; the grid-wide (3, n) array of :func:`grid_fourier` and the
-co-rotating amplitudes of ``eta_components_arrays_1d/3d`` derive from that,
-all with the carrier denominator omega + omega_e of :func:`eta_from_g`.
-The golden-rule rates of :mod:`radiation` give the sideband eta+ the
-Floquet denominator omega + omega_e - omega_m of the :mod:`dressing` frame,
-and use the closed-form sums of the factors' products over directions and
-polarizations.  A coupling at one time is
+and magnetic terms; :func:`grid_fourier` composes the grid-wide (3, n)
+array g_nu,k from it.  Row nu of the periodic :mod:`dressing` frame is
+xi_nu = g_nu / (omega + omega_e - nu omega_m), with the co-rotating image
+2 omega_e xi_nu; :func:`eta_from_g` gives the carrier row.  The golden-rule
+rates of :mod:`radiation` take eta0 from the carrier row and eta+ from the
+nu = +1 row (over i k_m r_m), with closed-form sums of the factors'
+products over directions and polarizations.  A coupling at one time is
 ``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
 immutable and safe to share.
 """
@@ -63,9 +62,11 @@ __all__ = [
     "grid_fourier",
     "harmonic_phases",
     "eta_from_g",
-    "eta_components_arrays_3d",
-    "eta_components_arrays_1d",
 ]
+
+#: largest k_m r_m of an oscillating profile: the expansion of the
+#: translation phase exp(i k.r_A) is first order in k r_m
+KM_RM_GUARD = 0.1
 
 #: harmonic order nu of the rows of a Fourier array: g(t) = sum_nu g_nu e^{i nu w_m t}
 HARMONICS = np.array([0, 1, -1])
@@ -91,7 +92,8 @@ class CouplingProfile:
 
     ``chi_scale`` sets chi_k = sqrt(omega_k) * chi_scale.  For oscillating
     kinds the trajectory is r_m cos(omega_m t) along ``rhat_m`` (a signed
-    scalar axis in 1D); ``k_m = omega_m / c``.
+    scalar axis in 1D); ``k_m = omega_m / c``, and k_m r_m may not exceed
+    ``KM_RM_GUARD``.
     """
 
     kind: CouplingKind
@@ -102,7 +104,6 @@ class CouplingProfile:
     r_m: float = 0.0
     omega_m: float = 0.0
     rhat_m: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
-    km_rm_guard: float = 0.1  # tests raise it to stress the transform
 
     def __post_init__(self):
         if self.omega_e <= 0:
@@ -122,10 +123,10 @@ class CouplingProfile:
                 raise ConfigError("oscillating profiles need r_m >= 0 and omega_m > 0")
             km = self.omega_m / self.c
             # a few ulp of slack: (w_m/c) (k_m r_m c/w_m) may round above k_m r_m
-            if km * self.r_m > self.km_rm_guard * (1.0 + 1e-15):
+            if km * self.r_m > KM_RM_GUARD * (1.0 + 1e-15):
                 raise ConfigError(
                     f"k_m*r_m = {km * self.r_m:.3g} exceeds the long-wavelength "
-                    f"guard {self.km_rm_guard}"
+                    f"guard {KM_RM_GUARD}"
                 )
             beta_max = self.r_m * self.omega_m / self.c
             if beta_max >= 1.0:
@@ -176,7 +177,7 @@ def angular_factors(profile: CouplingProfile, direction, polarization=None):
     """Angular factors (a0, P, Q) of the coupling at direction nodes.
 
     The carrier amplitude is a0 and the sideband amplitudes are affine in
-    x = omega/omega_m, a+- = x P +- Q (see :func:`_amplitudes`), with a0, P
+    x = omega/omega_m, a+- = x P +- Q (see :func:`grid_fourier`), with a0, P
     and Q independent of the frequency.  ``direction`` holds the signed
     propagation direction s (shape (n,)) of waveguide modes or the unit
     wavevector khat (n, 3) in free space, where ``polarization`` is eps
@@ -199,30 +200,15 @@ def angular_factors(profile: CouplingProfile, direction, polarization=None):
     return d_eps, doppler, (polarization @ rm) * (direction @ dhat) - doppler
 
 
-def _amplitudes(profile: CouplingProfile, omega, direction, polarization):
-    """Real carrier and sideband amplitudes (a0, a+, a-) over nodes.
-
-    The expanded coupling is g_k(t) = g0 + g+ e^{i w_m t} + g- e^{-i w_m t}
-    with g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-; the co-rotating
-    amplitudes of ``eta_components_arrays_*`` are eta0 = 2 pref a0 and
-    eta+- = pref a+-, pref = chi/(1 + omega/omega_e).  The sidebands a+- =
-    x P +- Q, x = omega/omega_m, are composed from the
-    :func:`angular_factors` (a0, P, Q) at the nodes' directions and
-    polarizations.
-    """
-    a0, P, Q = angular_factors(profile, direction, polarization)
-    if profile.kind is CouplingKind.WAVEGUIDE_1D:
-        return a0, P, Q  # no drive: P = Q = 0
-    doppler = (np.asarray(omega, dtype=float) / profile.omega_m) * P  # |k|/k_m
-    return a0, doppler + Q, doppler - Q
-
-
 def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
     """(3, n) Fourier components g_nu,k of the coupling over all grid modes.
 
     Row nu of ``HARMONICS`` = (0, +1, -1) holds g_nu, so g_k(t) = sum_nu
     g_nu,k e^{i nu w_m t} exactly (the long-wavelength expansion is first
-    order in r_m).
+    order in r_m): g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-, with the
+    sidebands a+- = x P +- Q, x = omega/omega_m, composed from the
+    :func:`angular_factors` (a0, P, Q) at the modes' directions and
+    polarizations.
     """
     if profile.is_1d != grid.is_waveguide:
         raise ConfigError(
@@ -230,14 +216,16 @@ def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
             f"{'1D' if grid.is_waveguide else '3D'} grid"
         )
     if grid.is_waveguide:
-        a0, ap, am = _amplitudes(profile, grid.omega, grid.direction_signs, None)
+        a0, P, Q = angular_factors(profile, grid.direction_signs)
     else:
         k = grid.wavevectors
         khat = k / np.linalg.norm(k, axis=1, keepdims=True)
-        a0, ap, am = _amplitudes(profile, grid.omega, khat, grid.polarizations)
+        a0, P, Q = angular_factors(profile, khat, grid.polarizations)
+    if profile.kind is not CouplingKind.WAVEGUIDE_1D:  # no drive: P = Q = 0
+        P = (grid.omega / profile.omega_m) * P  # x P, x = |k|/k_m
     chi = profile.chi(grid.omega)
     side = 0.5j * profile.k_m * profile.r_m * chi
-    return np.array([chi * a0, side * ap, side * am])
+    return np.array([chi * a0, side * (P + Q), side * (P - Q)])
 
 
 def harmonic_phases(omega_m: float, t: float) -> np.ndarray:
@@ -253,32 +241,3 @@ def eta_from_g(omega_e, omega, g):
     omega, the carrier (nu = 0) row of the periodic frame; ``omega_e`` may
     be an array that broadcasts against ``omega``."""
     return 2.0 * g / (1.0 + np.asarray(omega, dtype=float) / omega_e)
-
-
-def _eta_arrays(profile: CouplingProfile, omega, direction, polarization=None):
-    e = eta_from_g(profile.omega_e, omega, profile.chi(omega))  # 2 pref
-    a0, ap, am = _amplitudes(profile, omega, direction, polarization)
-    return e * a0, 0.5 * e * ap, 0.5 * e * am
-
-
-def eta_components_arrays_3d(profile: CouplingProfile, omega, khat, eps):
-    """Vectorized (eta0, eta_plus, eta_minus) over arrays of nodes.
-
-    ``khat`` and ``eps`` have shape (n, 3); ``omega`` shape (n,).  All
-    three take the carrier denominator omega + omega_e; the golden-rule rate
-    gives eta_plus the Floquet denominator omega + omega_e - omega_m.
-    """
-    if profile.kind is not CouplingKind.OSCILLATING_3D:
-        raise ConfigError("sideband components are defined for the oscillating 3D kind")
-    return _eta_arrays(profile, omega, khat, eps)
-
-
-def eta_components_arrays_1d(profile: CouplingProfile, omega, sign):
-    """Vectorized (eta0, eta_plus, eta_minus) for signed-direction 1D modes.
-
-    The oscillating-waveguide sidebands come from the translation phase only:
-    eta_pm = (k_signed / 2 k_m) * eta0 with k_signed = sign * omega / c.
-    """
-    if profile.kind is not CouplingKind.OSCILLATING_1D:
-        raise ConfigError("1D sideband components need the oscillating 1D kind")
-    return _eta_arrays(profile, omega, sign)

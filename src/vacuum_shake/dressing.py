@@ -7,11 +7,11 @@ is the harmonic series g_k(t) = sum_nu g_nu,k e^{i nu omega_m t} (nu = 0,
 omega_e - nu omega_m) is the periodic steady-state solution of the
 first-order elimination condition (omega_k + omega_e) xi + i d(xi)/dt = g.
 A static coupling has only the nu = 0 row, where this is g / (omega_k +
-omega_e).  The golden-rule rates of :mod:`radiation` take the same
-denominators: the carrier photon's eta0 the nu = 0 one omega_k + omega_e
-(:func:`coupling.eta_from_g`, which the static three-photon tensor also
-uses), and the sideband photon's eta+ the nu = +1 one omega_k + omega_e -
-omega_m.
+omega_e).  The golden-rule rates of :mod:`radiation` read the same rows:
+the carrier photon's eta0 = 2 omega_e xi_0 (:func:`coupling.eta_from_g`,
+which the static three-photon tensor also uses), and the sideband photon's
+eta+ = 2 omega_e xi_+ / (i k_m r_m), with the denominator omega_k + omega_e
+- omega_m.
 
 Derived quantities, each a plain numpy array or float: the co-rotating
 coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel

@@ -17,8 +17,7 @@ def small_waveguide():
 @pytest.fixture
 def no_large_rules(monkeypatch):
     """Make ``np.linalg.eigh`` fail for any matrix over ``modes.RULE_ORDER_CAP``
-    rows, so no rule over the cap is built; smaller rules (a free-space
-    grid's other rule) still are."""
+    rows, so no rule over the cap is built; smaller rules still are."""
     eigh = np.linalg.eigh
 
     def guarded(a, *args, **kwargs):
@@ -35,6 +34,53 @@ def assert_only_rule_built(n):
     assert modes.gauss_legendre.cache_info().misses == 1
     modes.gauss_legendre(n)
     assert modes.gauss_legendre.cache_info().misses == 1
+
+
+def angular_rule(n_polar, n_azimuthal):
+    """(Direction, polarization) nodes ``(khat, eps, weight)`` on the unit
+    sphere: (2 m, 3), (2 m, 3) and (2 m,) arrays, m = n_polar n_azimuthal.
+
+    Directions are Gauss-Legendre in cos(theta) (polar-major) times the
+    uniform azimuthal rule (exact for trigonometric polynomials up to degree
+    ``n_azimuthal - 1``).  Each direction has two nodes, polarization
+    fastest, eps1 = z x khat normalized (x along +-z) and eps2 = khat x eps1,
+    both carrying the direction's weight, so ``weight[::2]`` sums to 4 pi.
+    """
+    mu, wmu = modes.gauss_legendre(n_polar)  # mu = cos(theta)
+    phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+    sin_th = np.repeat(np.sqrt(1.0 - mu**2), n_azimuthal)
+    az = np.tile(phi, n_polar)
+    dirs = np.stack([sin_th * np.cos(az), sin_th * np.sin(az),
+                     np.repeat(mu, n_azimuthal)], axis=1)
+    e1 = np.cross([0.0, 0.0, 1.0], dirs)
+    n1 = np.linalg.norm(e1, axis=1, keepdims=True)
+    along_z = n1 < 1e-12
+    e1 = np.where(along_z, [1.0, 0.0, 0.0], e1 / np.where(along_z, 1.0, n1))
+    e2 = np.cross(dirs, e1)
+    # completeness: sum_s eps_a eps_b = delta_ab - khat_a khat_b per direction
+    frames = np.stack([dirs, e1, e2], axis=1)
+    np.testing.assert_allclose(np.einsum("nsa,nsb->nab", frames, frames),
+                               np.broadcast_to(np.eye(3), (len(dirs), 3, 3)),
+                               rtol=0, atol=1e-12)
+    weight = np.repeat(wmu, n_azimuthal) * (2.0 * np.pi / n_azimuthal)
+    return (np.repeat(dirs, 2, axis=0), np.stack([e1, e2], axis=1).reshape(-1, 3),
+            np.repeat(weight, 2))
+
+
+def node_grid_3d(omega, khat, eps, volume=(2.0 * np.pi) ** 3):
+    """Free-space grid of hand-picked modes: mode i at omega[i] along khat[i]
+    with polarization eps[i] (rows normalized here), c = 1.  Scalars and
+    single vectors make a one-node grid."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    khat = np.atleast_2d(np.asarray(khat, dtype=float))
+    eps = np.atleast_2d(np.asarray(eps, dtype=float))
+    khat = khat / np.linalg.norm(khat, axis=1, keepdims=True)
+    eps = eps / np.linalg.norm(eps, axis=1, keepdims=True)
+    return modes.ModeGrid(
+        geometry=modes.FreeSpace3D(volume=volume), omega=omega,
+        wavevectors=omega[:, None] * khat, polarizations=eps,
+        direction_signs=None, omega_min=float(omega.min()),
+        omega_max=float(omega.max()))
 
 
 def oscillating_1d_profile(grid, *, omega_m, km_rm=0.05, gamma=1e-3,

@@ -139,6 +139,29 @@ class TestCompare:
         assert cli.main(["compare", a, b, "--tol-file", tol]) == cli.EXIT_OK
 
 
+    # a 33% deviation (2 against 3) that passes only if a bound is ignored
+    # or made NaN or inf
+    @pytest.mark.parametrize("text", [
+        "[1]", '{"fields": {"rate": 0.5}}', '{"default_rel": "x"}',
+        '{"default_rel": NaN}', '{"default_rel": Infinity}', '{"default_abs": -1}',
+        '{"fields": {"y": {"rel": true}}}', '{"fields": [1]}', '{"default_rell": 1}',
+    ], ids=["list", "bare_field_bound", "string", "nan", "inf", "negative",
+            "boolean", "fields_list", "unknown_key"])
+    def test_malformed_tolerance_file_exits_2(self, tmp_path, capsys, text):
+        a = write_csv(tmp_path / "a.csv", [["2", "2"]])
+        b = write_csv(tmp_path / "b.csv", [["3", "3"]])
+        tol = tmp_path / "tol.json"
+        tol.write_text(text)
+        assert cli.main(["compare", a, b, "--tol-file", str(tol)]) == cli.EXIT_CONFIG == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read tolerance file")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_shipped_tolerance_file_loads(self):
+        path = CONFIG_DIR / "compare_tolerances.json"
+        assert cli._load_tolerances(path) == json.loads(path.read_text())
+
+
 class TestValidateConfig:
     BASE = {"scenario": "AppendixAVerify",
             "residual": {"xi_values": [0.04], "n_modes": 1, "n_max": 2}}
@@ -404,3 +427,20 @@ def test_residual_over_the_dense_cap_exits_4(tmp_path, capsys):
     assert rc == cli.EXIT_CAPACITY == 4
     assert "dense computation" in capsys.readouterr().err
     assert peak < 16 * 4760 ** 2 / 10
+
+
+@pytest.mark.parametrize("case", ["file", "under_a_file", "output_is_a_directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, case):
+    # --out names a file or a path under one (the directory cannot be made),
+    # or an output file's name is taken by a directory (it cannot be written)
+    taken = tmp_path / "taken"
+    if case == "output_is_a_directory":
+        (taken / "summary.json").mkdir(parents=True)
+    else:
+        taken.write_text("")
+    out = taken / "out" if case == "under_a_file" else taken
+    cfg = write_json(tmp_path / "cfg.json", TestValidateConfig.BASE)
+    assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output")
+    assert captured.err.count("\n") == 1 and captured.out == ""

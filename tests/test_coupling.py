@@ -8,7 +8,7 @@ from vacuum_shake import modes
 from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError
 
-from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
+from conftest import OMEGA_E, node_grid_3d, oscillating_1d_profile, static_1d_profile
 
 V = (2.0 * np.pi) ** 3
 
@@ -17,20 +17,6 @@ def osc3d(dhat=(0, 0, 1), rhat=(0, 0, 1), r_m=0.5, omega_m=0.1, gamma=1e-3):
     return cp.CouplingProfile.oscillating_3d(
         OMEGA_E, dhat, rhat, r_m=r_m, omega_m=omega_m, gamma=gamma, V=V,
     )
-
-
-def node3d(omega, khat, eps):
-    """One-node free-space grid: a single mode at omega along khat with
-    polarization eps (both normalized here), c = 1."""
-    khat = np.asarray(khat, dtype=float)
-    khat = khat / np.linalg.norm(khat)
-    eps = np.asarray(eps, dtype=float)
-    eps = eps / np.linalg.norm(eps)
-    return modes.ModeGrid(
-        geometry=modes.FreeSpace3D(volume=V), omega=np.array([omega]),
-        weight=np.ones(1), wavevectors=omega * khat[None, :],
-        polarizations=eps[None, :], direction_signs=None,
-        omega_min=omega, omega_max=omega)
 
 
 def g_at(prof, grid, t):
@@ -44,11 +30,13 @@ def eta_at(prof, grid, t):
 
 
 def eta3d(prof, grid):
-    """(eta0, eta_plus, eta_minus) of the first mode of a 3D grid."""
-    k = grid.wavevectors[:1]
-    e0, ep, em = cp.eta_components_arrays_3d(
-        prof, grid.omega[:1], k / np.linalg.norm(k), grid.polarizations[:1])
-    return e0[0], ep[0], em[0]
+    """(eta0, eta_plus, eta_minus) of the first mode of a 3D grid, the
+    adiabatic co-rotating amplitudes eta_from_g(g_nu) of its Fourier rows,
+    with the sidebands over i k_m r_m (so all three are real)."""
+    eta = cp.eta_from_g(prof.omega_e, grid.omega[0], cp.grid_fourier(prof, grid)[:, 0])
+    eta[1:] /= 1j * prof.k_m * prof.r_m
+    assert not np.any(eta.imag)
+    return tuple(eta.real)
 
 
 class TestGuards:
@@ -65,12 +53,15 @@ class TestGuards:
         with pytest.raises(ConfigError, match="long-wavelength"):
             osc3d(r_m=0.1 * (1.0 + 1e-9) / wm, omega_m=wm)
 
-    def test_relativistic_guard(self):
-        with pytest.raises(ConfigError):
+    def test_relativistic_guard(self, monkeypatch):
+        # k_m r_m = beta = 1.2: past a raised long-wavelength guard, the
+        # relativistic one refuses it
+        monkeypatch.setattr(cp, "KM_RM_GUARD", 1.3)
+        with pytest.raises(ConfigError, match="non-relativistic"):
             cp.CouplingProfile(
                 kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
-                chi_scale=0.0, r_m=0.04, omega_m=30.0, km_rm_guard=1.3,
-            )  # beta = 1.2
+                chi_scale=0.0, r_m=0.04, omega_m=30.0,
+            )
 
     def test_geometry_mismatch(self):
         prof = osc3d()
@@ -87,13 +78,13 @@ class TestEvalG:
 
     def test_zero_amplitude_reduces_to_static(self):
         prof = osc3d(r_m=0.0)
-        m = node3d(0.7, [1, 0, 0], [0, 0, 1])
+        m = node_grid_3d(0.7, [1, 0, 0], [0, 0, 1])
         g = g_at(prof, m, 2.1)[0]
         assert g == pytest.approx(prof.chi(0.7) * 1.0)
 
     def test_periodicity(self):
         prof = osc3d(r_m=0.5, omega_m=0.13)
-        m = node3d(0.4, [0.6, 0.0, 0.8], [0, 1, 0])
+        m = node_grid_3d(0.4, [0.6, 0.0, 0.8], [0, 1, 0])
         T = 2 * np.pi / prof.omega_m
         for t in (0.3, 5.1):
             assert abs(g_at(prof, m, t)[0] - g_at(prof, m, t + T)[0]) < 1e-12
@@ -104,7 +95,7 @@ class TestEtaComponents3D:
         # dhat perpendicular to eps and khat.rhat_m = 0: the carrier vanishes
         # and only the magnetic sideband survives, with opposite signs
         prof = osc3d(dhat=[0, 0, 1], rhat=[0, 1, 0])
-        eta0, eta_plus, eta_minus = eta3d(prof, node3d(0.5, [0.6, 0, 0.8], [0, 1, 0]))
+        eta0, eta_plus, eta_minus = eta3d(prof, node_grid_3d(0.5, [0.6, 0, 0.8], [0, 1, 0]))
         pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
         # bracket = (rhat.eps)(dhat.khat) - (rhat.khat)(dhat.eps) = 0.8
         assert eta0 == pytest.approx(0.0, abs=1e-15)
@@ -113,7 +104,8 @@ class TestEtaComponents3D:
 
     def test_general_geometry(self):
         prof = osc3d(dhat=[0, 0, 1], rhat=[0, 1, 0])
-        eta0, eta_plus, eta_minus = eta3d(prof, node3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6]))
+        m = node_grid_3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
+        eta0, eta_plus, eta_minus = eta3d(prof, m)
         pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
         d_eps = -0.6
         dop = (0.5 / prof.omega_m) * 0.6 * d_eps
@@ -126,7 +118,7 @@ class TestEtaComponents3D:
         # k along the motion axis, dipole along the polarization: the
         # Doppler-like term (k/k_m) and the full magnetic bracket -(dhat.eps)
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1])
-        _, eta_plus, eta_minus = eta3d(prof, node3d(0.5, [0, 0, 1], [1, 0, 0]))
+        _, eta_plus, eta_minus = eta3d(prof, node_grid_3d(0.5, [0, 0, 1], [1, 0, 0]))
         pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
         k_over_km = 0.5 / prof.omega_m
         assert eta_plus == pytest.approx(pref * (k_over_km - 1.0), rel=1e-12)
@@ -150,7 +142,7 @@ class TestEtaComponents3D:
             return
         eps = eps / np.linalg.norm(eps)
         prof = osc3d(dhat=dhat, rhat=rhat)
-        c = eta3d(prof, node3d(omega, kdir, eps))
+        c = eta3d(prof, node_grid_3d(omega, kdir, eps))
         dhat_u = dhat / np.linalg.norm(dhat)
         rhat_u = rhat / np.linalg.norm(rhat)
         pref = prof.chi(omega) / (1 + omega / OMEGA_E)
@@ -192,7 +184,7 @@ class TestEtaWaveguide:
 class TestEtaOfT:
     def test_t_zero(self):
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1], r_m=0.5, omega_m=0.1)
-        m = node3d(0.5, [0, 0, 1], [1, 0, 0])
+        m = node_grid_3d(0.5, [0, 0, 1], [1, 0, 0])
         eta0, eta_plus, eta_minus = eta3d(prof, m)
         km_rm = prof.k_m * prof.r_m
         expected = eta0 + 1j * km_rm * (eta_plus + eta_minus)
@@ -200,7 +192,7 @@ class TestEtaOfT:
 
     def test_period_average_is_carrier(self):
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1], r_m=0.5, omega_m=0.1)
-        m = node3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
+        m = node_grid_3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
         T = 2 * np.pi / prof.omega_m
         ts = np.linspace(0, T, 257)[:-1]
         avg = np.mean([eta_at(prof, m, t)[0] for t in ts])
@@ -208,7 +200,7 @@ class TestEtaOfT:
 
     def test_triangle_bound(self):
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1], r_m=0.5, omega_m=0.1)
-        m = node3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
+        m = node_grid_3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
         eta0, eta_plus, eta_minus = eta3d(prof, m)
         km_rm = prof.k_m * prof.r_m
         bound = abs(eta0) + km_rm * (abs(eta_plus) + abs(eta_minus))
@@ -232,7 +224,7 @@ class TestEtaOfT:
 
     def test_matches_adiabatic_displacement_3d(self):
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1], r_m=0.5, omega_m=0.1)
-        m = node3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
+        m = node_grid_3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
         for t in (0.0, 3.3, 17.9):
             lhs = eta_at(prof, m, t)[0]
             rhs = 2.0 * OMEGA_E * g_at(prof, m, t)[0] / (m.omega[0] + OMEGA_E)
@@ -244,7 +236,7 @@ class TestFourierComponents:
         prof = osc3d(dhat=[0.2, 0.5, 0.9], rhat=[0.1, -0.7, 0.4],
                      r_m=0.4, omega_m=0.2)
         khat = np.array([0.3, -0.4, 0.86]) / np.linalg.norm([0.3, -0.4, 0.86])
-        m = node3d(0.6, khat, np.cross(khat, [0.8, 0.6, 0.0]))
+        m = node_grid_3d(0.6, khat, np.cross(khat, [0.8, 0.6, 0.0]))
         g0, gp, gm = cp.grid_fourier(prof, m)[:, 0]
         for t in (0.0, 1.1, 4.4):
             direct = g_at(prof, m, t)[0]

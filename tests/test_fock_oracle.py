@@ -16,8 +16,8 @@ from vacuum_shake import fock as fk
 from vacuum_shake import modes
 from vacuum_shake.errors import CapacityError, ConfigError, NumericalError
 
-from conftest import (OMEGA_E, dense_annihilator, dense_sigma_x, oscillating_1d_profile,
-                      static_1d_profile)
+from conftest import (OMEGA_E, angular_rule, dense_annihilator, dense_sigma_x,
+                      node_grid_3d, oscillating_1d_profile, static_1d_profile)
 
 
 def frame_with_xi(grid, xi_target):
@@ -31,14 +31,16 @@ def frame_with_xi(grid, xi_target):
 
 def harmonic_series(grid, kind, n_max):
     """A static, an oscillating 1D or an oscillating 3D harmonic series at
-    ``n_max``: the 1D ones on ``grid``, the 3D one on four modes at omega 1."""
+    ``n_max``: the 1D ones on ``grid``, the 3D one on four modes at omega 1,
+    two polarizations along each of the directions cos(theta) = +-1/sqrt(3)
+    in the plane phi = pi."""
     if kind == "static":
         prof = static_1d_profile(grid, gamma=1e-2)
     elif kind == "oscillating":
         prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
     else:
         # the magnetic term makes g+ != g-, which 1D motion never does
-        grid = modes.build_freespace_quadrature(1, 2, 1, 2.0, V=(2 * np.pi) ** 3)
+        grid = node_grid_3d(np.ones(4), *angular_rule(2, 1)[:2])
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
             r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)
@@ -384,7 +386,7 @@ def oracle_frame():
     prof = cp.CouplingProfile(
         kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
         chi_scale=0.03 * (0.5 + OMEGA_E) / np.sqrt(0.5), c=1.0, r_m=0.1 / wm,
-        omega_m=wm, km_rm_guard=0.1001,
+        omega_m=wm,
     )
     return dr.DressedFrame(grid, prof)
 
@@ -739,10 +741,12 @@ class TestTransformedResidual:
         assert 6.0 <= r04 / r02 <= 10.0
 
     @pytest.mark.parametrize("omega_m", [0.3, 2.5])
-    def test_third_order_scaling_under_drive(self, omega_m):
+    def test_third_order_scaling_under_drive(self, omega_m, monkeypatch):
         # the shaken atom's transform: H'_(2) has no counter-rotating term, so
         # one the frame failed to remove would leave a residual linear in xi;
-        # what is left falls as xi^3 at a slow and at a fast drive
+        # what is left falls as xi^3 at a slow and at a fast drive (k_m r_m
+        # 0.3, above the package's long-wavelength guard)
+        monkeypatch.setattr(cp, "KM_RM_GUARD", 0.3001)
         grid = modes.build_waveguide_grid(2, 1.2, 2 * np.pi, 1.0)
         b = fk.enumerate_basis(2, 4)
         w = grid.omega[0]
@@ -751,7 +755,7 @@ class TestTransformedResidual:
             prof = cp.CouplingProfile(
                 kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
                 chi_scale=xi * (w + OMEGA_E) / np.sqrt(w), c=grid.c,
-                r_m=0.3 * grid.c / omega_m, omega_m=omega_m, km_rm_guard=0.3001,
+                r_m=0.3 * grid.c / omega_m, omega_m=omega_m,
             )
             frame = dr.DressedFrame(grid, prof)
             residuals.append(max(fk.transformed_residual_norm(b, frame, t)
@@ -815,7 +819,7 @@ class TestDenseResidualOperators:
             prof = oscillating_1d_profile(grid, omega_m=0.3, km_rm=0.1, gamma=1e-2)
         else:
             # the magnetic term makes g+ != g-, which 1D motion never does
-            grid = modes.build_freespace_quadrature(1, 2, 1, 2.0, V=(2 * np.pi) ** 3)
+            grid = node_grid_3d(np.ones(4), *angular_rule(2, 1)[:2])
             prof = cp.CouplingProfile.oscillating_3d(
                 OMEGA_E, [0, 0, 1], [np.sin(1.0), 0.0, np.cos(1.0)],
                 r_m=0.1 / 0.3, omega_m=0.3, gamma=1e-2, V=(2 * np.pi) ** 3)

@@ -12,39 +12,39 @@ from vacuum_shake import modes
 from vacuum_shake import radiation as rad
 from vacuum_shake.errors import (ConfigError, DomainError, FitQualityError)
 
-from conftest import (OMEGA_E, assert_only_rule_built, oscillating_1d_profile,
-                      static_1d_profile)
+from conftest import (OMEGA_E, angular_rule, assert_only_rule_built, node_grid_3d,
+                      oscillating_1d_profile, static_1d_profile)
 
 V = (2.0 * np.pi) ** 3
 GAMMA = 1e-3
 FREE = modes.FreeSpace3D(V)
 
 
-def floquet_sideband(profile, omega, ep):
-    """The sideband amplitude eta+ of the periodic frame from the adiabatic
-    one of ``eta_components_arrays_*``: its denominator is w + w_e - w_m
-    (the nu = +1 row of ``dressing._periodic_xi``), not w + w_e."""
-    w_e = profile.omega_e
-    return ep * (omega + w_e) / (omega + w_e - profile.omega_m)
-
-
 def loop_rate(geometry, profile, n_radial, rule=None):
     """Golden-rule rate summed radius by radius and direction by direction,
     over the (direction, polarization) nodes of ``rule`` in 3D (the loop
-    form of ``rad.golden_rule_rate``), with the carrier photon's eta0 and
-    the sideband photon's Floquet eta+."""
+    form of ``rad.golden_rule_rate``).  At each radius the amplitudes are
+    read from the rows of the dressing frame on a grid of those nodes: the
+    carrier photon's eta0 = 2 w_e xi_0 and the sideband photon's Floquet
+    eta+ = 2 w_e xi_+ / (i k_m r_m)."""
     k_m, c = profile.k_m, profile.c
+    km_rm = k_m * profile.r_m
     x, wq = np.polynomial.legendre.leggauss(n_radial)
     k_nodes, k_wts = 0.5 * k_m * (x + 1.0), 0.5 * k_m * wq
     total = np.zeros(n_radial)
+
+    def etas(grid):
+        eta = 2.0 * profile.omega_e * dr.DressedFrame(grid, profile).xi_coeffs[:2]
+        eta[1] /= 1j * km_rm
+        assert not np.any(eta.imag)
+        return eta.real
+
     if isinstance(geometry, modes.Waveguide1D):
         dens = geometry.length / (2.0 * np.pi)
-        signs = np.array([1.0, -1.0])
         for i, k in enumerate(k_nodes):
-            w, wp = c * k, c * (k_m - k)
-            e0, ep, _ = cp.eta_components_arrays_1d(profile, np.full(2, w), signs)
-            f0, fp, _ = cp.eta_components_arrays_1d(profile, np.full(2, wp), signs)
-            ep, fp = floquet_sideband(profile, w, ep), floquet_sideband(profile, wp, fp)
+            # both directions of each photon, at w and at w' = w_m - w
+            e0, ep = etas(modes.few_mode_waveguide_grid([c * k], c=c))
+            f0, fp = etas(modes.few_mode_waveguide_grid([c * (k_m - k)], c=c))
             for s in range(2):
                 for sp in range(2):
                     total[i] += (ep[s] * f0[sp] + fp[sp] * e0[s]) ** 2
@@ -53,16 +53,13 @@ def loop_rate(geometry, profile, n_radial, rule=None):
         khat, pol, w2 = rule
 
         def moments(omega):
-            e0, ep, _ = cp.eta_components_arrays_3d(
-                profile, np.full(len(khat), omega), khat, pol)
-            ep = floquet_sideband(profile, omega, ep)
+            e0, ep = etas(node_grid_3d(np.full(len(khat), omega), khat, pol))
             return np.sum(w2 * ep**2), np.sum(w2 * e0**2), np.sum(w2 * ep * e0)
 
         for i, k in enumerate(k_nodes):
             Ip, I0, J = moments(c * k)
             Ipp, I0p, Jp = moments(c * (k_m - k))
             total[i] = k**2 * (k_m - k) ** 2 * (Ip * I0p + 2.0 * J * Jp + Ipp * I0)
-    km_rm = k_m * profile.r_m
     return (np.pi * km_rm**2 / (4.0 * profile.omega_e**2) * dens**2 / c
             * np.sum(k_wts * total))
 
@@ -306,7 +303,7 @@ class TestGoldenRuleRate:
             return [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                     np.cos(theta)]
 
-        rule = modes.angular_rule(n_polar, n_azimuthal)
+        rule = angular_rule(n_polar, n_azimuthal)
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, unit(*angles[:2]), unit(*angles[2:]), r_m=0.05 / wm,
             omega_m=wm, gamma=GAMMA, V=V)
@@ -467,7 +464,7 @@ def turning_profile(omega_m):
 class TestSweepKernel:
     def test_turning_geometry_matches_loop_form(self):
         # (5, 5) is the coarsest rule exact for the degree-4 angular integrands
-        rule = modes.angular_rule(5, 5)
+        rule = angular_rule(5, 5)
         wms = np.geomspace(1e-3, 1e-1, 7)
         rates, _, _ = rad.rate_sweep(FREE, wms, turning_profile, n_radial=12)
         for wm, rate in zip(wms, rates):
@@ -558,7 +555,7 @@ class TestAngularSums:
             rhat = np.cross(dhat, rng.normal(size=3))
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, dhat, rhat, r_m=50.0, omega_m=1e-3, gamma=GAMMA, V=V)
-        khat, eps, weight = modes.angular_rule(24, 12)
+        khat, eps, weight = angular_rule(24, 12)
         a0, P, Q = cp.angular_factors(prof, khat, eps)
         rule_sums = np.array([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]) @ weight
         dim, dens, S = rad._angular_sums(FREE, [prof])
@@ -611,7 +608,6 @@ class TestOracleComparison:
         prof = cp.CouplingProfile(
             kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
             chi_scale=chi_scale, c=1.0, r_m=0.1 / wm, omega_m=wm,
-            km_rm_guard=0.1001,
         )
         frame = dr.DressedFrame(grid, prof)
         basis = fk.enumerate_basis(4, 2)

@@ -399,15 +399,10 @@ def test_rate_sweep_statistics_in_manifest(tmp_path, dim):
     assert "solver" not in json.loads((out / "summary.json").read_text())
 
 
-def test_rate_sweep_3d_builds_only_its_radial_rule(tmp_path, monkeypatch):
-    # the angular sums are closed forms: no direction rule is built, and the
-    # only Gauss-Legendre rule is the radial one
+def test_rate_sweep_3d_builds_only_its_radial_rule(tmp_path):
+    # the angular sums are closed forms: the only Gauss-Legendre rule built
+    # is the radial one, so no polar rule either
     modes.gauss_legendre.cache_clear()
-
-    def no_rule(*args):
-        raise AssertionError("modes.angular_rule was called")
-
-    monkeypatch.setattr(modes, "angular_rule", no_rule)
     assert run(tmp_path, "RateSweep3D")[0] == cli.EXIT_OK
     assert_only_rule_built(SMALL["RateSweep3D"]["sweep"]["n_radial"])
 

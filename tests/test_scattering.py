@@ -33,7 +33,7 @@ def wide_band_grid(n_modes=300, top=1.4):
 def permuted_grid(g, perm):
     """The same modes as ``g``, relabelled by ``perm``."""
     return ModeGrid(
-        geometry=g.geometry, omega=g.omega[perm], weight=g.weight[perm],
+        geometry=g.geometry, omega=g.omega[perm],
         wavevectors=g.wavevectors[perm], polarizations=None,
         direction_signs=g.direction_signs[perm],
         omega_min=g.omega_min, omega_max=g.omega_max,
