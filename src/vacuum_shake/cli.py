@@ -11,11 +11,15 @@ schema (``vacuum-shake schema`` prints it).  The schema declares each
 scenario's surface, the sections and keys it reads, in one ``if``/``then``
 branch per scenario; any other key exits 2.  RateSweep3D, for example,
 reads ``grid.volume`` alone: its rates need no mode grid and no direction
-rule.  Every run writes its artifacts
-plus a ``manifest.json`` (the validated config with its filled-in defaults,
-package version, warnings, wall time, peak memory) into the output directory
-and nowhere else.  Every CSV artifact is written by
-:func:`vacuum_shake.table.write_csv`: a header row, fixed column order,
+rule.  A scenario writes nothing: it returns its summary and its tables, a
+dict of file name to ``(header, columns)``.  The runner writes each table,
+``summary.json`` (whose ``files`` lists the tables in order) and
+``manifest.json`` (the validated config, package version, warnings, wall
+time, peak memory) into the output directory and nowhere else.  The
+manifest's config fills in only the top-level ``omega_e`` and
+``output_directory``: a section key left out, such as ``grid.length``, takes
+its default inside its scenario and is not recorded.  Every CSV artifact is
+written by :func:`vacuum_shake.table.write_csv`: a header row, fixed column order,
 integers as digits and floats as the shortest string that reads back to the
 same float64 (``repr``), UTF-8, ``\n`` line ends, no locale dependence.
 
@@ -220,7 +224,7 @@ def _write_json(path: Path, doc: dict):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_dressing_dump(cfg, outdir):
+def _scenario_dressing_dump(cfg):
     omega_e = cfg["omega_e"]
     g = cfg.get("grid", {})
     p = cfg.get("profile", {})
@@ -246,12 +250,12 @@ def _scenario_dressing_dump(cfg, outdir):
     times = p.get("times", [0.0])
     header = ["k_index", "k_prime_index", "re", "im"]
     j, k = np.triu_indices(grid.n_modes)
+    tables = {}
     for i, t in enumerate(times):
         lam = dr.lambda_matrix(frame, t)[j, k]
-        write_csv(outdir / f"lambda_t{i}.csv", header, [j, k, lam.real, lam.imag])
+        tables[f"lambda_t{i}.csv"] = header, [j, k, lam.real, lam.imag]
     pairs = dr.ground_state_pairs(frame)
-    write_csv(outdir / "ground_state_pairs.csv", header,
-              [j, k, pairs.real, pairs.imag])
+    tables["ground_state_pairs.csv"] = header, [j, k, pairs.real, pairs.imag]
     return {
         "scenario": "DressingDump",
         "gamma": gamma,
@@ -259,9 +263,7 @@ def _scenario_dressing_dump(cfg, outdir):
         "two_photon_weight": float(np.sum(np.abs(pairs) ** 2)),
         # ground_state_pairs has run check_smallness(0.0) and warned once
         "sum_xi_squared": float(np.sum(np.abs(frame.xi_all(0.0)) ** 2)),
-        "files": [f"lambda_t{i}.csv" for i in range(len(times))]
-        + ["ground_state_pairs.csv"],
-    }
+    }, tables
 
 
 def _sweep_values(cfg):
@@ -278,7 +280,7 @@ def _sweep_values(cfg):
     return wms, s.get("n_radial", 48)
 
 
-def _scenario_rate_sweep(cfg, outdir, dim):
+def _scenario_rate_sweep(cfg, dim):
     omega_e = cfg["omega_e"]
     p = cfg.get("profile", {})
     g = cfg.get("grid", {})
@@ -312,8 +314,6 @@ def _scenario_rate_sweep(cfg, outdir, dim):
 
     rates, exponent, slopes = rad.rate_sweep(geometry, wms, build,
                                              n_radial=n_radial)
-    write_csv(outdir / "rates.csv", ["omega_m", "rate", "pointwise_slope"],
-              [wms, rates, slopes])
     summary = {
         "scenario": f"RateSweep{dim}D",
         "fitted_exponent": exponent,
@@ -324,7 +324,6 @@ def _scenario_rate_sweep(cfg, outdir, dim):
         "grid": geometry.as_dict(),
         "polarization_sum": "included in all 3D rate integrals" if dim == 3
         else "single polarization (waveguide)",
-        "files": ["rates.csv"],
         "solver": {"n_points": len(wms), "n_radial": n_radial},
     }
     if dim == 3:
@@ -335,7 +334,8 @@ def _scenario_rate_sweep(cfg, outdir, dim):
             "translation-phase expansion of the waveguide coupling; "
             "no transverse magnetic term in 1D"
         )
-    return summary
+    return summary, {"rates.csv": (["omega_m", "rate", "pointwise_slope"],
+                                   [wms, rates, slopes])}
 
 
 def _three_photon_tensor(n_modes, omega_e, gamma, gamma_p):
@@ -353,7 +353,7 @@ def _three_photon_tensor(n_modes, omega_e, gamma, gamma_p):
     return sc.three_photon_coefficients(grid, profile, gamma_eff, gamma_p)
 
 
-def _scenario_scattering(cfg, outdir):
+def _scenario_scattering(cfg):
     omega_e = cfg["omega_e"]
     s = cfg["scattering"]
     gamma = s.get("gamma", 1e-2 * omega_e)
@@ -393,13 +393,13 @@ def _scenario_scattering(cfg, outdir):
     frac = tensor.mass_fraction_within(10.0 * max(gamma_eff, gamma_p))
     mean_w = tensor.mean_total_frequency()
 
-    files = ["three_photon_spectrum.csv", "three_photon_marginal.csv"]
-    write_csv(outdir / files[0], ["omega_total", "weight"], tensor.spectrum)
-    write_csv(outdir / files[1], ["omega", "weight"], tensor.marginal_spectrum())
+    tables = {"three_photon_spectrum.csv": (["omega_total", "weight"], tensor.spectrum),
+              "three_photon_marginal.csv": (["omega", "weight"],
+                                            tensor.marginal_spectrum())}
     slice_ls = [int(np.argmin(np.abs(grid.omega - wl))) for wl in slice_omegas]
     for i, l in enumerate(slice_ls):
-        files.append(f"three_photon_slice_{i}.csv")
-        tensor.slice_to_csv(outdir / files[-1], l)
+        tables[f"three_photon_slice_{i}.csv"] = (
+            ["omega_j", "weight"], [grid.omega, tensor.slice_spectrum(l)])
 
     return {
         "scenario": "Scattering3Photon",
@@ -418,11 +418,10 @@ def _scenario_scattering(cfg, outdir):
         "directions": "both propagation directions included in all sums",
         "grid": grid.geometry.as_dict(),
         "slice_omega_l": [float(grid.omega[l]) for l in slice_ls],
-        "files": files,
-    }
+    }, tables
 
 
-def _scenario_oracle_compare(cfg, outdir):
+def _scenario_oracle_compare(cfg):
     omega_e = cfg["omega_e"]
     o = cfg.get("oracle", {})
     xi_max = o.get("xi_max", 0.03)
@@ -446,12 +445,8 @@ def _scenario_oracle_compare(cfg, outdir):
     rows = [(*r["pair"], r["omega_sum"], r["oracle"].real, r["oracle"].imag,
              r["perturbative"].real, r["perturbative"].imag, r["rel_deviation"])
             for r in report["resonant_pairs"]]
-    write_csv(
-        outdir / "pair_amplitudes.csv",
-        ["mode_j", "mode_k", "omega_sum", "oracle_re", "oracle_im",
-         "perturbative_re", "perturbative_im", "rel_deviation"],
-        list(zip(*rows)),
-    )
+    header = ["mode_j", "mode_k", "omega_sum", "oracle_re", "oracle_im",
+              "perturbative_re", "perturbative_im", "rel_deviation"]
     return {
         "scenario": "OracleCompare",
         "xi_max": xi_max,
@@ -461,12 +456,11 @@ def _scenario_oracle_compare(cfg, outdir):
         "norm_drift": report["norm_drift"],
         "mode_frequencies": list(map(float, freqs)),
         "omega_m": omega_m,
-        "files": ["pair_amplitudes.csv"],
         "solver": report["solver"],
-    }
+    }, {"pair_amplitudes.csv": (header, list(zip(*rows)))}
 
 
-def _scenario_transform_residual(cfg, outdir):
+def _scenario_transform_residual(cfg):
     omega_e = cfg["omega_e"]
     r = cfg["residual"]
     xi_values = r.get("xi_values", [0.04, 0.02])
@@ -490,8 +484,6 @@ def _scenario_transform_residual(cfg, outdir):
         frame = dr.DressedFrame(grid, profile)
         R = fk.transformed_residual_norm(basis, frame, 0.0, shell_margin=margin)
         rows.append((xi, R))
-    write_csv(outdir / "residuals.csv", ["xi_max", "residual_max_norm"],
-              list(zip(*rows)))
 
     summary = {
         "scenario": "AppendixAVerify",
@@ -499,19 +491,19 @@ def _scenario_transform_residual(cfg, outdir):
         "n_max": n_max,
         "shell_margin": margin,
         "residuals": {str(x): v for x, v in rows},
-        "files": ["residuals.csv"],
     }
     if len(rows) >= 2:
         summary["scaling_ratios"] = [
             rows[i][1] / rows[i + 1][1] for i in range(len(rows) - 1)
         ]
-    return summary
+    return summary, {"residuals.csv": (["xi_max", "residual_max_norm"],
+                                       list(zip(*rows)))}
 
 
 _SCENARIOS = {
     "DressingDump": _scenario_dressing_dump,
-    "RateSweep1D": lambda c, o: _scenario_rate_sweep(c, o, 1),
-    "RateSweep3D": lambda c, o: _scenario_rate_sweep(c, o, 3),
+    "RateSweep1D": lambda c: _scenario_rate_sweep(c, 1),
+    "RateSweep3D": lambda c: _scenario_rate_sweep(c, 3),
     "Scattering3Photon": _scenario_scattering,
     "OracleCompare": _scenario_oracle_compare,
     "AppendixAVerify": _scenario_transform_residual,
@@ -559,10 +551,13 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            summary = runner(cfg, outdir)
+            summary, tables = runner(cfg)
         for w in caught:
             sys.stderr.write(warnings.formatwarning(w.message, w.category,
                                                     w.filename, w.lineno, line=""))
+        for name, (header, columns) in tables.items():
+            write_csv(outdir / name, header, columns)
+        summary["files"] = list(tables)
         solver = summary.pop("solver", {})
         _write_json(outdir / "summary.json", summary)
         _write_json(outdir / "manifest.json", {
@@ -595,42 +590,45 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
 # baseline comparison
 # ---------------------------------------------------------------------------
 
-def _load_table(path: Path):
-    """The parsed JSON document, or a CSV's header and rows.
+def _leaves(doc, prefix: str, name):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, f"{prefix}{k}.", k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaves(v, f"{prefix}{i}.", name)
+    else:
+        yield prefix[:-1], name, doc
 
+
+def _fields(path: Path):
+    """Yield ``(field, tolerance name, value)`` for each value of a CSV or
+    JSON artifact: a CSV cell is ``row i col c``, named ``c``, a float if it
+    parses as one; each header column is a field with no value.  A JSON leaf
+    is its dotted path, named by its key, or by its list's key in a list.
     Raises ``OSError``, ``ValueError`` or ``csv.Error`` when the file is
-    missing, empty or malformed.
-    """
-    if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+    missing, empty or malformed, or a CSV's columns or cell counts are not
+    one header's."""
     with open(path, newline="", encoding="utf-8") as fh:
+        if path.suffix == ".json":
+            yield from _leaves(json.load(fh), "", None)
+            return
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("empty file")
-    return {"__csv_header__": rows[0], "__csv_rows__": rows[1:]}
-
-
-def _flatten(doc, prefix=""):
-    out = {}
-    if isinstance(doc, dict):
-        for k, v in doc.items():
-            out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(doc, list):
-        for i, v in enumerate(doc):
-            out.update(_flatten(v, f"{prefix}{i}."))
-    else:
-        out[prefix[:-1]] = doc
-    return out
-
-
-def _deviates(a: float, b: float, tol: dict, default_rel: float,
-              default_abs: float) -> bool:
-    """True when a and b differ beyond tolerance or either is NaN or inf."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return True
-    rel = tol.get("rel", default_rel)
-    return abs(a - b) > rel * max(abs(a), abs(b)) + tol.get("abs", default_abs)
+    header = rows[0]
+    if len(set(header)) < len(header):
+        raise ValueError("a CSV header names a column twice")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("a CSV row's cell count differs from the header's")
+    for j, col in enumerate(header):
+        yield f"header col {j} = {col}", None, None
+    for i, row in enumerate(rows[1:]):
+        for col, cell in zip(header, row):
+            try:
+                yield f"row {i} col {col}", col, float(cell)
+            except ValueError:
+                yield f"row {i} col {col}", col, cell
 
 
 def _check_bounds(doc, keys, where: str):
@@ -662,74 +660,49 @@ def _load_tolerances(path) -> dict:
 
 
 def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
-    """Field-wise relative comparison; prints a report, returns an exit code."""
+    """Compare two CSV or two JSON artifacts field by field (see ``_fields``);
+    prints a report, returns an exit code.  A field's tolerance is
+    ``tolerances["fields"][name]`` for its name: a CSV cell's column, a JSON
+    leaf's own key, or for an element of a JSON list the list's key; other
+    fields take ``default_rel`` and ``default_abs``.  Numbers pass when
+    |a - b| <= rel max(|a|, |b|) + abs, never when NaN or inf; a bool never
+    equals a number and other values must be equal.  Differing field sets,
+    like an unreadable file, exit 2."""
     tolerances = tolerances or {}
     default_rel = tolerances.get("default_rel", 1e-9)
     default_abs = tolerances.get("default_abs", 1e-300)
     per_field = tolerances.get("fields", {})
 
-    tables = []
+    docs = []
     for path in (result_file, baseline_file):
         try:
-            tables.append(_load_table(Path(path)))
+            docs.append({field: (name, v) for field, name, v in _fields(Path(path))})
         except (OSError, ValueError, csv.Error) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    res, base = tables
-
-    is_csv = "__csv_header__" in res
-    if is_csv != ("__csv_header__" in base):
-        print("schema mismatch: one file is CSV, the other JSON", file=sys.stderr)
+    res, base = docs
+    one_sided = sorted(res.keys() ^ base.keys())
+    if one_sided:
+        print(f"schema mismatch: {len(one_sided)} fields are in one file only, "
+              f"such as {one_sided[0]!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     worst = (0.0, None)  # largest relative deviation and its field
-
-    def compare(name, a, b, tol):
-        nonlocal checked, worst
+    for field, (name, a) in res.items():
+        b = base[field][1]
+        if not (_is_number(a) and _is_number(b)):
+            if type(a) is not type(b) or a != b:
+                failures.append((field, a, b, 0.0))
+            continue
         checked += 1
-        scale = max(abs(a), abs(b))
-        rel = abs(a - b) / scale if scale > 0 else 0.0
-        if rel > worst[0]:
-            worst = (rel, name)
-        if _deviates(a, b, tol, default_rel, default_abs):
-            failures.append((name, a, b, abs(a - b)))
-
-    if is_csv:
-        if res["__csv_header__"] != base["__csv_header__"]:
-            print("schema mismatch: CSV headers differ", file=sys.stderr)
-            return EXIT_CONFIG
-        if len(res["__csv_rows__"]) != len(base["__csv_rows__"]):
-            print("schema mismatch: row counts differ", file=sys.stderr)
-            return EXIT_CONFIG
-        header = res["__csv_header__"]
-        if any(len(row) != len(header)
-               for row in res["__csv_rows__"] + base["__csv_rows__"]):
-            print("schema mismatch: a CSV row's cell count differs from the header's",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        for i, (ra, rb) in enumerate(zip(res["__csv_rows__"], base["__csv_rows__"])):
-            for col, (a, b) in enumerate(zip(ra, rb)):
-                name = header[col]
-                try:
-                    fa, fb = float(a), float(b)
-                except ValueError:
-                    if a != b:
-                        failures.append((f"row {i} col {name}", a, b, 0.0))
-                    continue
-                compare(f"row {i} col {name}", fa, fb, per_field.get(name, {}))
-    else:
-        fa, fb = _flatten(res), _flatten(base)
-        if set(fa) != set(fb):
-            print("schema mismatch: JSON field sets differ", file=sys.stderr)
-            return EXIT_CONFIG
-        for key in sorted(fa):
-            a, b = fa[key], fb[key]
-            if _is_number(a) and _is_number(b):
-                compare(key, a, b, per_field.get(key.split(".")[-1], {}))
-            elif type(a) is not type(b) or a != b:
-                failures.append((key, a, b, 0.0))
+        dev, scale = abs(a - b), max(abs(a), abs(b))
+        if scale > 0 and dev / scale > worst[0]:
+            worst = (dev / scale, field)
+        tol = per_field.get(name, {})
+        if not (math.isfinite(a) and math.isfinite(b)) or dev > (
+                tol.get("rel", default_rel) * scale + tol.get("abs", default_abs)):
+            failures.append((field, a, b, dev))
 
     if failures:
         print(f"FAIL: {len(failures)} of {checked} compared fields deviate")

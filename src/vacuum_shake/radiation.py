@@ -74,26 +74,23 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
 
     The frequency f_a of row a is the same for every mode, so f_a + f_b
     takes only the values (nu_a + nu_b) omega_m, five of them for the
-    harmonics 0, +1, -1 (one for a static frame).  The sum is therefore
-    taken over five (n, n) kernels I(Omega - s, t), each weighing the sum of
-    the outer products X_a* X_b* over the pairs (a, b) of its s, instead of
-    over one (3, 3, n, n) kernel.
+    harmonics 0, +1, -1 (one for a static frame).  The sum is therefore taken
+    one s = f_a + f_b at a time, over the (n, n) kernel I(Omega - s, t)
+    times the sum of the outer products X_a* X_b* over the pairs (a, b) of
+    that s, so that one kernel is held at a time.
     """
     omega = frame.grid.omega
     Omega = omega[:, None] + omega[None, :]
     X = np.conj(frame.xi_coeffs)
     f = cp.HARMONICS * frame.profile.omega_m
     sums = f[:, None] + f[None, :]
-    # the distinct sums by sort and mask (np.unique would import numpy.ma)
-    s = np.sort(sums, axis=None)
-    s = s[np.append(True, s[1:] != s[:-1])]
-    # pairs[s, a, b] = 1 where f_a + f_b = s, and
-    # outer[s, k, l] = sum_ab pairs[s, a, b] X_ak X_bl
-    pairs = (sums == s[:, None, None]).astype(float)
-    outer = np.matmul(X.T, pairs @ X)
-    x = Omega - s[:, None, None]
-    kernel = t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
-    memory = np.einsum("skl,skl->kl", outer, kernel)
+    memory = np.zeros(Omega.shape, complex)
+    # the distinct sums in ascending order; np.unique would import numpy.ma
+    for s in sorted(set(sums.ravel().tolist())):
+        a, b = np.nonzero(sums == s)
+        x = Omega - s
+        memory += (X[a].T @ X[b]) * (t * np.exp(0.5j * x * t)
+                                     * np.sinc(x * t / (2.0 * np.pi)))
     memory = frame.omega_e * 0.5 * (memory + memory.T)
     phase_now = np.exp(-1j * Omega * t)
     C = lambda_matrix(frame, 0.0) / Omega * phase_now + 1j * phase_now * memory

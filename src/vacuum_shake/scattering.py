@@ -31,7 +31,6 @@ import numpy as np
 from . import coupling as cp
 from .errors import ConfigError, DomainError
 from .modes import ModeGrid, Waveguide1D, density_of_states
-from .table import write_csv
 
 __all__ = [
     "Wavepacket",
@@ -476,11 +475,6 @@ class ThreePhotonTensor:
 
     def total_sym_weight(self) -> float:
         return float(np.sum(self.spectrum[1]))
-
-    def slice_to_csv(self, path, l: int):
-        """Write ``slice_spectrum(l)`` as ``omega_j,weight``, one row per mode."""
-        write_csv(path, ["omega_j", "weight"],
-                  [self.grid.omega, self.slice_spectrum(l)])
 
 
 def three_photon_coefficients(grid: ModeGrid, profile: cp.CouplingProfile,

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,22 @@ class TestCompare:
         assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG == 2
         assert "cell count" in capsys.readouterr().err
 
+    # one file has a row more, other columns, or the same rows under other
+    # columns; a repeated column would let one column's cells go unread
+    @pytest.mark.parametrize("texts", [
+        ("x,y\n1,2\n", "x,y\n1,2\n3,4\n"), ("x,y\n1,2\n", "x,z\n1,2\n"),
+        ("x,y\n", "x,z\n"), ("x,y\n", "y,x\n"), ("x,x\n1,2\n", "x,x\n1,2\n"),
+        ("x,y\n1,2\n", '{"x": 1, "y": 2}'),
+    ], ids=["rows", "columns", "columns_no_rows", "column_order", "repeated_column",
+            "csv_json"])
+    def test_csv_schema_mismatch_exits_2(self, tmp_path, texts):
+        files = []
+        for name, text in zip("ab", texts):
+            path = tmp_path / (name + (".json" if text.startswith("{") else ".csv"))
+            path.write_text(text)
+            files.append(str(path))
+        assert cli.main(["compare", *files]) == cli.EXIT_CONFIG == 2
+
     # the malformed CSV is not UTF-8
     UNREADABLE = {".json": {"empty": b"", "malformed": b'{"P3": 1.0,'},
                   ".csv": {"empty": b"", "malformed": b"x,y\n\xff,1\n"}}
@@ -138,6 +155,13 @@ class TestCompare:
         assert cli.main(["compare", a, b]) == cli.EXIT_COMPARE_FAIL
         assert cli.main(["compare", a, b, "--tol-file", tol]) == cli.EXIT_OK
 
+    def test_list_element_takes_its_list_tolerance(self, tmp_path):
+        # an element of a list once took the tolerance of its index, "0"
+        a = write_json(tmp_path / "a.json", {"r": [1.0], "s": 1.0})
+        b = write_json(tmp_path / "b.json", {"r": [1.0000001], "s": 1.0000001})
+        tol = write_json(tmp_path / "tol.json",
+                         {"fields": {"r": {"rel": 1e-6}, "s": {"rel": 1e-6}}})
+        assert cli.main(["compare", a, b, "--tol-file", tol]) == cli.EXIT_OK
 
     # a 33% deviation (2 against 3) that passes only if a bound is ignored
     # or made NaN or inf
@@ -243,6 +267,32 @@ class TestValidateConfig:
     def test_every_scenario_kind_is_shipped(self):
         kinds = {json.loads(p.read_text())["scenario"] for p in SCENARIO_CONFIGS}
         assert kinds == set(cli._SCENARIOS)
+
+
+@pytest.mark.parametrize("path", SCENARIO_CONFIGS, ids=lambda p: p.stem)
+def test_runner_writes_exactly_the_listed_tables(tmp_path, monkeypatch, path):
+    written = []
+    write = cli.write_csv
+    monkeypatch.setattr(cli, "write_csv",
+                        lambda p, *table: written.append(p.name) or write(p, *table))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+    files = json.loads((out / "summary.json").read_text())["files"]
+    assert written == files
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(files)
+
+
+@pytest.mark.parametrize("path", SCENARIO_CONFIGS, ids=lambda p: p.stem)
+def test_scenario_returns_tables_and_writes_nothing(tmp_path, monkeypatch, path):
+    cfg = cli.validate_config(json.loads(path.read_text()))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        summary, tables = cli._SCENARIOS[cfg["scenario"]](cfg)
+    assert summary["scenario"] == cfg["scenario"] and "files" not in summary
+    assert tables and all(len(header) == len(columns)
+                          for header, columns in tables.values())
+    assert list(tmp_path.iterdir()) == []
 
 
 def _mutations():

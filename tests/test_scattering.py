@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
+from vacuum_shake import cli
 from vacuum_shake import coupling as cp
 from vacuum_shake import dressing as dr
 from vacuum_shake import fock as fk
@@ -383,14 +385,20 @@ class TestThreePhotonTensor:
             vals.append(sc.three_photon_probability(t))
         assert abs(vals[1] - vals[0]) <= 0.02 * abs(vals[0])
 
-    def test_slice_csv_header_and_values(self, tensor, tmp_path):
-        l = 37
-        path = tmp_path / "slice.csv"
-        tensor.slice_to_csv(path, l)
-        with open(path, newline="") as fh:
+    def test_slice_csv_header_and_values(self, tmp_path):
+        # the slice CSV that a Scattering3Photon run writes holds the grid
+        # and the slice_spectrum of the mode nearest the requested frequency
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "Scattering3Photon",
+            "scattering": {"gamma": 0.01, "n_modes": 60, "slice_omegas": [0.5]}}))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "three_photon_slice_0.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["omega_j", "weight"]
         vals = np.array([[float(c) for c in row] for row in rows[1:]])
+        tensor = cli._three_photon_tensor(60, OMEGA_E, 0.01, 0.01)
+        l = int(np.argmin(np.abs(tensor.grid.omega - 0.5)))
         assert vals.shape == (tensor.n_modes, 2)
         assert np.array_equal(vals[:, 0], tensor.grid.omega)
         assert np.array_equal(vals[:, 1], tensor.slice_spectrum(l))
