@@ -626,9 +626,10 @@ def _fields(path: Path):
     for i, row in enumerate(rows[1:]):
         for col, cell in zip(header, row):
             try:
-                yield f"row {i} col {col}", col, float(cell)
+                value = float(cell)
             except ValueError:
-                yield f"row {i} col {col}", col, cell
+                value = cell
+            yield f"row {i} col {col}", col, value
 
 
 def _check_bounds(doc, keys, where: str):
