@@ -12,10 +12,12 @@ table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
 
 Importing the package loads no scipy module.  Only ``fock`` uses scipy,
-and it imports ``scipy.sparse`` on first use, for the CSR products of
-Fock sectors above ``fock.DENSE_ENTRIES_MAX``; an OracleCompare run that
-reaches them has that import in its manifest ``wall_time_s``.  The shipped
-OracleCompare and AppendixAVerify are dense and need numpy alone.
+and it imports ``scipy.sparse`` on first use, for the CSR products beyond
+``fock.DENSE_ENTRIES_MAX``: those of Fock sectors and displacement
+generators of more than 200 states.  An OracleCompare run that reaches
+them, n_max 5 and above on its four modes, has that import in its manifest
+``wall_time_s``.  AppendixAVerify and OracleCompare up to n_max 4 are
+dense and need numpy alone.
 """
 
 __version__ = "0.1.0"

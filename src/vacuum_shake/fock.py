@@ -17,11 +17,12 @@ levels.  An atom flip is an index flip i -> i ^ 1, so sigma_x, sigma_+- and
 their products with mode sums are those entries with a row or a column
 flipped.  A Hamiltonian is a :class:`HarmonicHamiltonian`, which holds such
 entries and forms the dense H(t) from them on request.  Products use dense
-arrays while the array one product reads holds at most
+arrays while every dense array one product reads holds at most
 ``DENSE_ENTRIES_MAX`` entries, and CSR matrices above that: the operator
-that propagation applies and the displacement generator of
-:func:`apply_T`.  The pair-kernel products of
-:func:`build_transformed_hamiltonian` are always CSR.
+that propagation applies (its frequency table and its d x d stage
+operator) and the displacement generator of :func:`apply_T` (d x d).  The
+pair-kernel products of :func:`build_transformed_hamiltonian` are always
+CSR.
 
 The full Hamiltonian inherits the harmonic structure of the coupling:
 H(t) = H_diag + sum_nu (e^{i nu omega_m t} V_nu + h.c.) with
@@ -34,12 +35,14 @@ Hairer's explicit Runge-Kutta 8(5,3) pair with the step control of
 ``scipy.integrate.solve_ivp(method="DOP853")``, so the package never
 imports ``scipy.integrate``), asks for the operators at all of a step's
 stage times in one call.  In the interaction picture of H_diag every entry
-of V_nu oscillates at one frequency, nu omega_m + D_row - D_col, so a small
-sector reads those operators from a table of the frequencies: one short
-exponential and one product with the (J, d^2) table per step, and one
-d x d product per stage.  A larger sector takes the phases of a step from
-one exponential and one CSR product with the stacked [V_nu; V_nu^+] per
-stage instead.
+of V_nu oscillates at one frequency, nu omega_m + D_row - D_col, so a
+sector of up to 200 states reads those operators from a table of the
+frequencies, held only at the positions of the d x d operator that an entry
+occupies: one short exponential and one product with the (J, used) table
+per step, written into those positions of the step's stage operators, and
+one d x d product per stage.  A larger sector takes the phases of a step
+from one exponential and one CSR product with the stacked [V_nu; V_nu^+]
+per stage instead.
 
 H(t) is periodic with T = 2 pi / omega_m, so the propagator over
 t1 - t0 = n T + r factors as U(t0 + r, t0) U(t0 + T, t0)^n (Floquet's
@@ -61,8 +64,8 @@ the branch ``scipy.sparse.linalg.expm_multiply`` takes when the generator's
 1-norm is below about 63, with scipy's operation order.  Every shipped
 displacement generator has a 1-norm below 1, so scipy's other branch, which
 estimates norms of powers of the generator (the alpha_p bound), is left out.
-The dense residual, and propagation and :func:`apply_T` below
-``DENSE_ENTRIES_MAX``, need numpy alone; the CSR products above it and
+The dense residual, and propagation and :func:`apply_T` within
+``DENSE_ENTRIES_MAX``, need numpy alone; the CSR products beyond it and
 :func:`build_transformed_hamiltonian` import ``scipy.sparse`` on first use,
 not when the package is imported.
 """
@@ -72,7 +75,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil, comb
+from math import ceil, comb, inf, nextafter, sqrt
 
 import numpy as np
 
@@ -97,9 +100,11 @@ __all__ = [
 
 
 DIMENSION_CAP = 2_000_000
-# Most entries of the dense array that one product reads, for which
-# propagation and apply_T use dense arrays instead of CSR: the frequency
-# table of _evolve (J d^2 entries), the d x d generator of apply_T (d^2).
+# Most entries of a dense array that one product reads, for which
+# propagation and apply_T use dense arrays instead of CSR: both arrays of
+# _evolve's table path, the (J, used) frequency table and the d x d stage
+# operator, and the d x d generator of apply_T.  The d^2 bound alone admits
+# sectors of up to 200 states.
 DENSE_ENTRIES_MAX = 40_000
 TRUNCATION_TOL = 1e-6
 
@@ -414,6 +419,13 @@ _THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
           35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
+def _inf_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x, np.inf) of a vector or a block, in its order,
+    without its argument checks."""
+    a = np.abs(x)
+    return a.max() if a.ndim == 1 else a.sum(axis=1).max()
+
+
 def _expm_multiply(G, B: np.ndarray) -> tuple:
     """exp(G) B for a traceless G, a CSR matrix or a dense array, and a
     vector or matrix B; returns it with the number of products G @ (block)
@@ -432,7 +444,8 @@ def _expm_multiply(G, B: np.ndarray) -> tuple:
     the paper); that branch is left out because every displacement
     generator of the shipped scenarios has |G|_1 < 1, and the theta bound
     stays accurate above it, only costlier.  A dense G takes the same
-    steps with dense products, which sum in another order.
+    steps with dense products, which sum in another order.  A zero G
+    returns a copy of B: the result never shares memory with B.
     """
     dense = isinstance(G, np.ndarray)
     if not dense and not G.has_sorted_indices:
@@ -441,21 +454,22 @@ def _expm_multiply(G, B: np.ndarray) -> tuple:
         G = G.sorted_indices()
     # exact 1-norm: the largest column sum of |G|; for CSR summed in the order
     # of scipy's abs(G).sum(axis=0) and about 25 times faster on small G
-    norm = np.abs(G).sum(axis=0).max() if dense else \
-        np.bincount(G.indices, weights=np.abs(G.data), minlength=G.shape[1]).max()
-    m_star, s = (0, 1) if norm == 0 else min(
-        ((m, ceil(norm / theta)) for m, theta in _THETA.items()),
-        key=lambda ms: ms[0] * ms[1])
+    norm = float(np.abs(G).sum(axis=0).max() if dense else np.bincount(
+        G.indices, weights=np.abs(G.data), minlength=G.shape[1]).max())
+    if norm == 0:
+        return B.copy(), 0
+    m_star, s = min(((m, ceil(norm / theta)) for m, theta in _THETA.items()),
+                    key=lambda ms: ms[0] * ms[1])
     tol = 2.0 ** -53
     F, n_products = B, 0
     for _ in range(s):
-        c1 = np.linalg.norm(B, np.inf)
+        c1 = _inf_norm(B)
         for j in range(m_star):
             B = (1.0 / (s * (j + 1))) * (G @ B)
             n_products += 1
-            c2 = np.linalg.norm(B, np.inf)
+            c2 = _inf_norm(B)
             F = F + B
-            if c1 + c2 <= tol * np.linalg.norm(F, np.inf):
+            if c1 + c2 <= tol * _inf_norm(F):
                 break
             c1 = c2
         B = F
@@ -473,13 +487,17 @@ def _generator_entries(basis: FockBasis, xi: np.ndarray, direction: int) -> tupl
             np.concatenate([np.conj(s), -s]))
 
 
+def _csr(d: int, rows, cols, vals) -> "scipy.sparse.csr_matrix":
+    """The d x d CSR matrix with ``vals`` at (rows, cols)."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
+
+
 def _displacement_generator(basis: FockBasis, frame: DressedFrame, t: float,
                             direction: int) -> "scipy.sparse.csr_matrix":
     """The generator of :func:`_generator_entries` at xi(t), CSR."""
-    import scipy.sparse as sp
-
-    rows, cols, vals = _generator_entries(basis, frame.xi_all(t), direction)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
+    return _csr(basis.dimension, *_generator_entries(basis, frame.xi_all(t), direction))
 
 
 def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
@@ -500,15 +518,16 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
     and the displacement size and recorded in
     ``info["truncation_estimate"]``; an estimate above
     ``TRUNCATION_TOL`` warns and does not raise, so an under-resolved run
-    still returns its state and reports the estimate.
+    still returns its state and reports the estimate.  The returned
+    amplitudes never share memory with ``state``'s, also at zero
+    displacement.
     """
     if direction not in (+1, -1):
         raise ConfigError("direction must be +1 (to the dressed frame) or -1")
-    if basis.dimension ** 2 <= DENSE_ENTRIES_MAX:
-        G = _dense(basis.dimension, *_generator_entries(basis, frame.xi_all(t), direction))
-    else:
-        G = _displacement_generator(basis, frame, t, direction)
-    out, n_products = _expm_multiply(G, state.amplitudes)
+    d, xi = basis.dimension, frame.xi_all(t)
+    build = _dense if d * d <= DENSE_ENTRIES_MAX else _csr
+    out, n_products = _expm_multiply(build(d, *_generator_entries(basis, xi, direction)),
+                                     state.amplitudes)
 
     norm_in, norm_out = state.norm, float(np.linalg.norm(out))
     if abs(norm_out - norm_in) > 1e-10 * max(norm_in, 1.0):
@@ -517,7 +536,6 @@ def apply_T(basis: FockBasis, frame: DressedFrame, t: float,
             details={"in": norm_in, "out": norm_out},
         )
 
-    xi = frame.xi_all(t)
     top = basis.total_photons == basis.n_max
     shell_pop = float(np.sum(np.abs(out[top]) ** 2))
     est = np.sqrt(shell_pop * np.sum(np.abs(xi) ** 2) * (basis.n_max + 1))
@@ -600,10 +618,21 @@ _DOP_E5 = np.array([
     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
     -0.2235530786388629525884427845e-1, 0.0,
 ])
+# the weights as complex, the cast that np.dot makes of a real row for
+# each product with the complex stages, made once
+_DOP_A = [row.astype(complex) for row in _DOP_A]
+_DOP_B, _DOP_E3, _DOP_E5 = (w.astype(complex) for w in (_DOP_B, _DOP_E3, _DOP_E5))
 
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _norm_squared(x: np.ndarray) -> float:
+    """np.linalg.norm(x) ** 2 for a flat complex x, in the order and with
+    the roundings of that expression, without its argument checks."""
+    re, im = x.real, x.imag
+    return sqrt(re.dot(re) + im.dot(im)) ** 2
 
 
 def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
@@ -612,9 +641,11 @@ def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
     increasing times ``t_out`` (each >= t0) with DOP853; return the list of
     y at each of them and ``{"n_rhs_evals", "n_steps", "n_rejected"}``.
 
-    L enters only through ``stages(ts)``: for an array of times it returns
-    ``apply(s, z, out)``, which writes L(ts[s]) z into ``out`` (both of
-    y's shape).  L at a step's stage times does not depend on y, so each
+    L enters only through ``stages(ts)``: for an array of at most 11 times
+    it returns ``apply(s, z, out)``, which writes L(ts[s]) z into ``out``
+    (both of y's shape); an ``apply`` is called only until the next call of
+    ``stages``, so the two may share buffers.  L at a step's stage times does
+    not depend on y, so each
     attempted step calls ``stages`` once, for its 11 distinct stage times
     t + C[1:] h, and forms all of its operators in one batch; C[11] = 1, so
     the evaluation f(t + h, y_new) that the next step reuses (FSAL) applies
@@ -671,11 +702,12 @@ def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
     h_abs = min(100 * h0, h1, t1 - t)
 
     yf = y.reshape(-1)
-    abs_y = np.abs(yf)
+    abs_y, abs_new = np.abs(yf), np.empty(y.size)
+    scale, err5, err3 = np.empty(y.size), np.empty_like(yf), np.empty_like(yf)
     ys, n_steps, n_rejected = [], 0, 0
     for t_stop in t_out:
         while t < t_stop:
-            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            min_step = 10 * (nextafter(t, inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
             while True:
@@ -698,12 +730,16 @@ def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
                 y_newf += yf
                 apply(10, y_new, K[12])
 
-                abs_new = np.abs(y_newf)
-                scale = atol + np.maximum(abs_y, abs_new) * rtol
-                e5 = np.linalg.norm(np.dot(KT[13], _DOP_E5) / scale) ** 2
-                e3 = np.linalg.norm(np.dot(KT[13], _DOP_E3) / scale) ** 2
+                # scale = atol + max(|y|, |y_new|) rtol
+                np.abs(y_newf, out=abs_new)
+                np.maximum(abs_y, abs_new, out=scale)
+                scale *= rtol
+                scale += atol
+                np.divide(np.dot(KT[13], _DOP_E5, out=err5), scale, out=err5)
+                np.divide(np.dot(KT[13], _DOP_E3, out=err3), scale, out=err3)
+                e5, e3 = _norm_squared(err5), _norm_squared(err3)
                 err = 0.0 if e5 == 0 and e3 == 0 else \
-                    h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+                    h * e5 / sqrt((e5 + 0.01 * e3) * y.size)
                 if err < 1:
                     factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
                     h_abs *= min(1, factor) if rejected else factor
@@ -713,7 +749,7 @@ def _dop853(stages, t0: float, y0: np.ndarray, t_out, rtol: float,
                 h_abs *= max(0.2, 0.9 * err ** -0.125)
                 rejected = True
                 n_rejected += 1
-            t, abs_y = t_new, abs_new
+            t, abs_y, abs_new = t_new, abs_new, abs_y
             y, y_new = y_new, y
             yf, y_newf = y_newf, yf
             Kf[0] = Kf[12]
@@ -741,27 +777,33 @@ def _period_pays(periods: float, d: int) -> bool:
     than by stepping its vector through the whole interval.
 
     Integrating d columns through one period costs as much as stepping the
-    vector through about 1 + (d / 24)^2 periods: measured on a 2-vCPU VM
+    vector through about 1 + (d / 24)^2 periods.  Measured on a 2-vCPU VM
     with one BLAS thread at rtol 1e-10 on the OracleCompare physics (the
     stepped cost fitted over four interval lengths, interleaved with the
-    period path), the break-even interval was 1.3-1.7 periods (median 1.39)
-    at d = 15 and 2.3-2.6 at d = 35 (frequency-table kernel), and 8.6-10.8
-    (median 9.9) at d = 70 and 77-86 at d = 210 (CSR kernel).  The rule
-    fits three of the four sizes and steps d = 35 over 2.6-3.1 periods,
-    where the period path is about 15% cheaper.  Applying U(T) costs d^2 a
-    period, negligible against a stepped period's couple of hundred RHS
-    evaluations.
+    period path; the range of the medians of five repetitions over three
+    runs), the break-even interval was 1.6-1.7 periods at d = 15, 3.1-4.1
+    at d = 35, 10.1-12.6 at d = 70 and 24.2-24.9 at d = 126, where both
+    paths read the frequency table, and 90 at d = 210, where both take the
+    CSR product.  Written 1 + (d / c)^2, those are c = 19, 20-24, 21-23, 26
+    and 22: no one constant fits them all, so c stays 24, which fits
+    d = 35.  At d = 15 and 70 the rule takes the period path on intervals
+    up to 13% and 25% short of the break-even, and at d = 126 it steps up
+    to 17% past it; there the path taken costs up to about that much more
+    than the other.  Applying U(T) costs d^2 a period, negligible against
+    a stepped period's couple of hundred RHS evaluations.
     """
     return periods > 1 + (d / 24.0) ** 2
 
 
 def _frequency_table(H: HarmonicHamiltonian, start: float) -> tuple | None:
-    """(Omega, A): the interaction-picture off-diagonal part of H as a
+    """(Omega, used, A): the interaction-picture off-diagonal part of H as a
     Fourier series in tau = t - start,
     -i e^{i D tau} (H(t) - diag) e^{-i D tau} = sum_j e^{i Omega_j tau} A_j,
-    with D = ``H.diag`` and A of shape (J, d^2), each row a d x d array
-    flattened; None when A would hold more than ``DENSE_ENTRIES_MAX``
-    entries.
+    with D = ``H.diag``, each d x d A_j held at the increasing flat
+    positions ``used`` (a d + b for (a, b)) where an entry of H - diag sits:
+    A has shape (J, len(used)), and every other position of every A_j is
+    zero.  None when the table or the d x d operator it fills would hold
+    more than ``DENSE_ENTRIES_MAX`` entries.
 
     An entry v of V_nu at (a, b) oscillates at nu omega_m + D_a - D_b and
     its adjoint at the negated frequency; the phase e^{i nu omega_m start}
@@ -769,6 +811,8 @@ def _frequency_table(H: HarmonicHamiltonian, start: float) -> tuple | None:
     row.  Zero values add nothing.
     """
     d = len(H.diag)
+    if d * d > DENSE_ENTRIES_MAX:
+        return None
     nu, e = np.nonzero(H.vals)
     rows, cols = H.rows[e], H.cols[e]
     w = cp.HARMONICS[nu] * H.omega_m
@@ -780,15 +824,16 @@ def _frequency_table(H: HarmonicHamiltonian, start: float) -> tuple | None:
     distinct = np.ones(len(Omega), dtype=bool)
     distinct[1:] = Omega[1:] != Omega[:-1]
     Omega = Omega[distinct]
-    if len(Omega) * d * d > DENSE_ENTRIES_MAX:
-        return None
-    j = np.searchsorted(Omega, freq)
-    v = -1j * H.vals[nu, e] * np.exp(1j * w * start)
-    A = np.zeros((len(Omega), d * d), dtype=complex)
     # -i V_nu at (rows, cols), and -i V_nu^+ at (cols, rows)
-    np.add.at(A, (j, np.concatenate([rows * d + cols, cols * d + rows])),
+    at = np.concatenate([rows * d + cols, cols * d + rows])
+    used = np.flatnonzero(np.bincount(at, minlength=d * d))
+    if len(Omega) * len(used) > DENSE_ENTRIES_MAX:
+        return None
+    v = -1j * H.vals[nu, e] * np.exp(1j * w * start)
+    A = np.zeros((len(Omega), len(used)), dtype=complex)
+    np.add.at(A, (np.searchsorted(Omega, freq), np.searchsorted(used, at)),
               np.concatenate([v, -np.conj(v)]))
-    return Omega, A
+    return Omega, used, A
 
 
 def _evolve(H: HarmonicHamiltonian, y: np.ndarray, start: float, ends,
@@ -799,21 +844,29 @@ def _evolve(H: HarmonicHamiltonian, y: np.ndarray, start: float, ends,
     lab-frame values at ``ends`` with the stepper's statistics.
 
     The stepper asks for the operators of all stage times of a step at
-    once.  While H's :func:`_frequency_table` fits in ``DENSE_ENTRIES_MAX``
-    entries, they are the (k, d, d) stack e^{i Omega (t - start)} @ A, one
-    exponential and one product for the k times, and each stage is one
-    dense product.  Otherwise the k rows of diagonal phases and of harmonic
-    phases come from one exponential each, and each stage applies the CSR
-    product of :meth:`HarmonicHamiltonian.apply_offdiagonal` between the
-    diagonal phases, whose cost grows with H's entries instead of J d^2.
+    once.  While H's :func:`_frequency_table` and the d x d operator fit in
+    ``DENSE_ENTRIES_MAX`` entries each, e^{i Omega (t - start)} @ A, one
+    exponential and one product for the k <= 11 times, fills the used
+    positions of a (11, d, d) stack allocated once, whose other positions
+    stay zero, and each stage is one dense product with a slice of it.
+    Otherwise the k rows of diagonal phases and of harmonic phases come
+    from one exponential each, and each stage applies the CSR product of
+    :meth:`HarmonicHamiltonian.apply_offdiagonal` between the diagonal
+    phases, whose cost grows with H's entries instead of d^2.
     """
     d = len(H.diag)
     table = _frequency_table(H, start)
     if table is not None:
-        Omega, A = table
+        Omega, used, A = table
+        # each call of stages overwrites the operators of the last; ``at``
+        # is the used positions of all 11 stage operators in one flat index
+        flat = np.zeros(11 * d * d, dtype=complex)
+        M = flat.reshape(11, d, d)
+        at = (d * d * np.arange(11)[:, None] + used).reshape(-1)
 
         def stages(ts):
-            M = (np.exp(1j * (ts - start)[:, None] * Omega) @ A).reshape(-1, d, d)
+            X = np.exp(1j * (ts - start)[:, None] * Omega) @ A
+            flat[at[:X.size]] = X.reshape(-1)
             return lambda s, z, out: np.matmul(M[s], z, out=out)
     else:
         column = (...,) + (None,) * (y.ndim - 1)
@@ -844,10 +897,12 @@ def propagate(
     Its static diagonal D = ``H.diag`` is removed analytically,
     psi(t) = exp(-i D (t - t0)) phi(t), so step sizes track the coupling
     strength instead of the fastest phase; the rest of H(t) is never formed.
-    On a sector whose frequency table fits in ``DENSE_ENTRIES_MAX`` entries
-    each step reads the interaction-picture operators of its stages from
-    that table (:func:`_frequency_table`, numpy alone); a larger sector
-    applies ``apply_offdiagonal``'s CSR product at each stage.  The stepper
+    On a sector whose frequency table, held at the positions of H's entries
+    only, and whose d x d operator each fit in ``DENSE_ENTRIES_MAX``
+    entries (every sector of up to 200 states on the oracle physics), each
+    step reads the interaction-picture operators of its stages from that
+    table (:func:`_frequency_table`, numpy alone); a larger sector applies
+    ``apply_offdiagonal``'s CSR product at each stage.  The stepper
     is the in-package :func:`_dop853` for linear problems, with Hairer's
     dop853 coefficients, taking the steps that
     ``scipy.integrate.solve_ivp(method="DOP853")`` takes; it forms the

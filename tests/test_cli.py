@@ -390,16 +390,18 @@ def test_validator_agrees_with_jsonschema(name, cfg):
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
     # scipy.integrate pulls in optimize, special, spatial and fft (about 0.4 s
     # of every process's start-up), and scipy.sparse another 0.2 s: fock
-    # imports scipy.sparse on first use, for the CSR products above
-    # fock.DENSE_ENTRIES_MAX; the AppendixAVerify residual and the shipped
-    # OracleCompare (a 15-state sector) are dense and need numpy alone,
-    # while OracleCompare's 70-state sector at n_max 4 takes the CSR path.
-    # numpy.ma (about 10 ms, imported by np.unique's first call) stays
-    # unloaded until scipy.sparse brings it
+    # imports scipy.sparse on first use, for the CSR products beyond
+    # fock.DENSE_ENTRIES_MAX; the AppendixAVerify residual and OracleCompare
+    # up to n_max 4 (the shipped 15-state sector, and 70 states) are dense
+    # and need numpy alone, while the 252-state displacement generator of
+    # n_max 5 takes the CSR path.  numpy.ma (about 10 ms, imported by
+    # np.unique's first call) stays unloaded until scipy.sparse brings it
     oracle = {"scenario": "OracleCompare",
               "oracle": {"t_final": 3.0, "n_max": 2, "mode_frequencies": [0.5, 2.0]}}
     small = write_json(tmp_path / "oracle.json", oracle)
     oracle["oracle"]["n_max"] = 4
+    medium = write_json(tmp_path / "oracle_medium.json", oracle)
+    oracle["oracle"]["n_max"] = 5
     large = write_json(tmp_path / "oracle_large.json", oracle)
     plain = [str(CONFIG_DIR / f"{name}.json") for name in
              ("dressing_dump", "rate_sweep_1d", "rate_sweep_3d", "scattering_3photon")]
@@ -420,6 +422,8 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
         scipy_modules,
         f"run({[small]!r})",
         scipy_modules,
+        f"run({[medium]!r})",
+        scipy_modules,
         f"run({[large]!r})",
         heavy,
     ])
@@ -427,7 +431,7 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
     printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
-    assert printed == ["[]", "[]", "[]", "[True, False, False]"]
+    assert printed == ["[]", "[]", "[]", "[]", "[True, False, False]"]
 
 
 @pytest.mark.parametrize("name", ["rate_sweep_1d", "rate_sweep_3d"])

@@ -179,28 +179,45 @@ class TestOriginalHamiltonian:
 
     @pytest.mark.parametrize("kind", ["static", "oscillating", "oscillating_3d"])
     def test_frequency_table_matches_formed(self, small_waveguide, kind):
-        # the table's e^{i Omega tau} @ A against the interaction-picture
-        # -i e^{i D tau} (H(t) - diag) e^{-i D tau} of the formed H(t), on a
-        # vector and on a block, with the series started at 0.7
+        # the stage operator, e^{i Omega tau} @ A at the used positions and
+        # zero elsewhere, against the interaction-picture
+        # -i e^{i D tau} (H(t) - diag) e^{-i D tau} of the formed H(t), with
+        # the series started at 0.7: every position outside the used ones
+        # is exactly zero in the formed operator too
         H = harmonic_series(small_waveguide, kind, 2)
         d, start = len(H.diag), 0.7
-        Omega, A = fk._frequency_table(H, start)
-        assert len(Omega) * d * d <= fk.DENSE_ENTRIES_MAX
+        Omega, used, A = fk._frequency_table(H, start)
+        assert A.shape == (len(Omega), len(used)) and np.all(np.diff(used) > 0)
+        assert len(used) < d * d
+        unused = np.ones(d * d, dtype=bool)
+        unused[used] = False
         rng = np.random.default_rng(9)
         for t in rng.uniform(0.0, 40.0, size=5):
             ph = np.exp(1j * H.diag * (t - start))
-            ref = -1j * ph[:, None] * (H(t) - np.diag(H.diag)) * np.conj(ph)
-            M = (np.exp(1j * (t - start) * Omega) @ A).reshape(d, d)
-            for y in (rng.normal(size=d) + 1j * rng.normal(size=d),
-                      rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
-                assert np.linalg.norm(M @ y - ref @ y) <= 1e-14 * np.linalg.norm(ref @ y)
+            ref = (-1j * ph[:, None] * (H(t) - np.diag(H.diag)) * np.conj(ph)).reshape(-1)
+            M = np.zeros(d * d, dtype=complex)
+            M[used] = np.exp(1j * (t - start) * Omega) @ A
+            assert np.all(ref[unused] == 0)
+            assert np.linalg.norm(M - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_frequency_table_bound(self, small_waveguide, monkeypatch):
-        # J d^2 entries: 29 frequencies on the 30 states of the oscillating series
+        # both arrays the table path reads are bounded: the (J, used) table,
+        # 29 frequencies at 80 positions on the 30 states of the oscillating
+        # series, and the 30 x 30 stage operator, the larger of the two on
+        # the static series (7 frequencies)
         H = harmonic_series(small_waveguide, "oscillating", 2)
-        assert len(fk._frequency_table(H, 0.0)[0]) == 29
-        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 29 * 30 ** 2 - 1)
+        Omega, used, _ = fk._frequency_table(H, 0.0)
+        assert (len(Omega), len(used)) == (29, 80)
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 29 * 80)
+        assert fk._frequency_table(H, 0.0) is not None
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 29 * 80 - 1)
         assert fk._frequency_table(H, 0.0) is None
+        static = harmonic_series(small_waveguide, "static", 2)
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 30 ** 2)
+        Omega, used, _ = fk._frequency_table(static, 0.0)
+        assert len(Omega) * len(used) == 7 * 80 < 30 ** 2
+        monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 30 ** 2 - 1)
+        assert fk._frequency_table(static, 0.0) is None
 
     def test_offdiagonal_block_is_columnwise(self, small_waveguide):
         prof = oscillating_1d_profile(small_waveguide, omega_m=0.3, km_rm=0.1,
@@ -376,6 +393,19 @@ class TestApplyT:
         with pytest.warns(UserWarning, match="truncation error"):
             out = fk.apply_T(b, frame, 0.0, top, +1)
         assert out.info["truncation_estimate"] > 1e-6
+
+    @pytest.mark.parametrize("n_max", [2, 5])
+    def test_zero_displacement_returns_a_copy(self, small_waveguide, n_max):
+        # exp(0) takes no product, and its state is an array of its own on
+        # the dense generator (30 states) and on the CSR one (252 states)
+        frame = frame_with_xi(small_waveguide, 0.0)
+        b = fk.enumerate_basis(4, n_max)
+        state = b.vacuum()
+        out = fk.apply_T(b, frame, 0.0, state)
+        assert out.info["expm_matvecs"] == 0
+        assert np.array_equal(out.amplitudes, state.amplitudes)
+        out.amplitudes[:] = 2.0
+        assert np.array_equal(state.amplitudes, b.vacuum().amplitudes)
 
 
 def oracle_frame():
@@ -696,20 +726,24 @@ class TestPeriodPropagator:
     def test_evolve_kernels_agree(self, block, monkeypatch):
         # one integration through two output times with the stage operators
         # from the frequency table and from the CSR product, on the even
-        # sector's vector and on its d-column identity
-        H, psi = oracle_series(2)
-        idx = fk._parity_sectors(H, psi.basis, psi.amplitudes)[0]
-        Hs = H.restricted(idx)
-        y = np.eye(len(idx), dtype=complex) if block else psi.amplitudes[idx]
-        ends = (1.3, self.PERIOD)
-        dense, dense_stats = fk._evolve(Hs, y, 0.0, ends, 1e-10)
+        # sector's vector and on its d-column identity, at n_max 2, 3 and 4
+        # (15, 35 and 70 states)
+        ends, runs = (1.3, self.PERIOD), []
+        for n_max in (2, 3, 4):
+            H, psi = oracle_series(n_max)
+            idx = fk._parity_sectors(H, psi.basis, psi.amplitudes)[0]
+            Hs = H.restricted(idx)
+            assert fk._frequency_table(Hs, 0.0) is not None
+            y = np.eye(len(idx), dtype=complex) if block else psi.amplitudes[idx]
+            runs.append((Hs, y, fk._evolve(Hs, y, 0.0, ends, 1e-10)))
         monkeypatch.setattr(fk, "DENSE_ENTRIES_MAX", 0)
-        assert fk._frequency_table(Hs, 0.0) is None
-        csr, csr_stats = fk._evolve(Hs, y, 0.0, ends, 1e-10)
-        assert dense_stats == csr_stats
-        for a, b in zip(dense, csr):
-            assert a.shape == b.shape == y.shape
-            assert np.max(np.abs(a - b)) <= 1e-12
+        for Hs, y, (dense, dense_stats) in runs:
+            assert fk._frequency_table(Hs, 0.0) is None
+            csr, csr_stats = fk._evolve(Hs, y, 0.0, ends, 1e-10)
+            assert dense_stats == csr_stats
+            for a, b in zip(dense, csr):
+                assert a.shape == b.shape == y.shape
+                assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_period_block_is_one_integration(self):
         # U(r) is kept on the way to U(T): the seed-0 oracle at t 12 takes as
@@ -840,9 +874,8 @@ class TestDenseResidualOperators:
 
 def oracle_stages(grid):
     """Interaction-picture stage operators of the oracle propagation in the
-    CSR form that ``fk._evolve`` takes above ``fk.DENSE_ENTRIES_MAX`` (its
-    70 states and 13 frequencies make a table of 63 700 entries),
-    for an oscillating coupling on ``grid``."""
+    CSR form that ``fk._evolve`` takes beyond ``fk.DENSE_ENTRIES_MAX``, on
+    the 70 states of n_max 3, for an oscillating coupling on ``grid``."""
     prof = oscillating_1d_profile(grid, omega_m=3.0, km_rm=0.1, gamma=1e-2)
     b = fk.enumerate_basis(grid.n_modes, 3)
     H = fk.original_hamiltonian_series(b, grid, prof)
