@@ -7,7 +7,8 @@ Subcommands::
     vacuum-shake schema
 
 A scenario config is a single JSON document validated against the shipped
-schema (``vacuum-shake schema`` prints it).  The schema declares each
+schema, ``config_schema.json`` beside this file, read once per process
+(``vacuum-shake schema`` prints it).  The schema declares each
 scenario's surface, the sections and keys it reads, in one ``if``/``then``
 branch per scenario; any other key exits 2.  RateSweep3D, for example,
 reads ``grid.volume`` alone: its rates need no mode grid and no direction
@@ -15,8 +16,8 @@ rule.  A scenario writes nothing: it returns its summary and its tables, a
 dict of file name to ``(header, columns)``.  The runner writes each table,
 ``summary.json`` (whose ``files`` lists the tables in order) and
 ``manifest.json`` (the validated config, package version, warnings, wall
-time, peak memory) into the output directory and nowhere else.  The
-manifest's config fills in only the top-level ``omega_e`` and
+time, peak memory, import time) into the output directory and nowhere
+else.  The manifest's config fills in only the top-level ``omega_e`` and
 ``output_directory``: a section key left out, such as ``grid.length``, takes
 its default inside its scenario and is not recorded.  Every CSV artifact is
 written by :func:`vacuum_shake.table.write_csv`: a header row, fixed column order,
@@ -33,6 +34,10 @@ printed to stderr, one line each with no source line, and listed under
 The manifest's ``wall_time_s`` is read from the monotonic
 ``time.perf_counter``, and ``peak_rss_mb`` is the process's peak resident
 set size so far (``ru_maxrss``, kilobytes on Linux, over 1024).
+``stages.import_s`` is the time the package's ``__init__`` took to run (see
+:mod:`vacuum_shake`), numpy's import included where nothing imported numpy
+before; it is taken once per process, so every run in one process records
+the same value.
 A scenario's solver statistics (a ``"solver"`` entry of its summary: the
 propagator's of OracleCompare, the sweep size and radial order of
 RateSweep1D/3D) go to ``manifest.json`` under ``solver``, not to
@@ -41,8 +46,6 @@ RateSweep1D/3D) go to ``manifest.json`` under ``solver``, not to
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import json
 import math
@@ -50,12 +53,11 @@ import resource
 import sys
 import time
 import warnings
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_s
 from . import coupling as cp
 from . import dressing as dr
 from . import fock as fk
@@ -75,8 +77,7 @@ EXIT_CAPACITY = 4
 
 @functools.cache
 def _schema_text() -> str:
-    schema = resources.files("vacuum_shake").joinpath("config_schema.json")
-    return schema.read_text(encoding="utf-8")
+    return Path(__file__).with_name("config_schema.json").read_text(encoding="utf-8")
 
 
 def load_schema() -> dict:
@@ -566,6 +567,7 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
             "config": cfg,
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
             "solver": solver,
+            "stages": {"import_s": _import_s},
             "wall_time_s": time.perf_counter() - t_start,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "generated_unix": int(time.time()),
@@ -609,6 +611,8 @@ def _fields(path: Path):
     Raises ``OSError``, ``ValueError`` or ``csv.Error`` when the file is
     missing, empty or malformed, or a CSV's columns or cell counts are not
     one header's."""
+    import csv
+
     with open(path, newline="", encoding="utf-8") as fh:
         if path.suffix == ".json":
             yield from _leaves(json.load(fh), "", None)
@@ -669,6 +673,8 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
     |a - b| <= rel max(|a|, |b|) + abs, never when NaN or inf; a bool never
     equals a number and other values must be equal.  Differing field sets,
     like an unreadable file, exit 2."""
+    import csv
+
     tolerances = tolerances or {}
     default_rel = tolerances.get("default_rel", 1e-9)
     default_abs = tolerances.get("default_abs", 1e-300)
@@ -721,6 +727,8 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vacuum-shake",
         description="Quantum radiation scenarios for a modulated two-level emitter",

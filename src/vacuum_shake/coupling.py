@@ -46,13 +46,12 @@ immutable and safe to share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .modes import ModeGrid
+from .modes import ModeGrid, _Frozen
 
 __all__ = [
     "CouplingKind",
@@ -86,51 +85,47 @@ def _unit(v, name):
     return v / n
 
 
-@dataclass(frozen=True)
-class CouplingProfile:
+class CouplingProfile(_Frozen):
     """Immutable description of one coupling scenario.
 
     ``chi_scale`` sets chi_k = sqrt(omega_k) * chi_scale.  For oscillating
     kinds the trajectory is r_m cos(omega_m t) along ``rhat_m`` (a signed
     scalar axis in 1D); ``k_m = omega_m / c``, and k_m r_m may not exceed
-    ``KM_RM_GUARD``.
+    ``KM_RM_GUARD``.  ``dipole_direction`` and ``rhat_m`` are unit
+    3-vectors of OSCILLATING_3D, normalized here.
     """
 
-    kind: CouplingKind
-    omega_e: float
-    chi_scale: float
-    c: float = 1.0
-    dipole_direction: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
-    r_m: float = 0.0
-    omega_m: float = 0.0
-    rhat_m: Optional[np.ndarray] = None  # unit 3-vector, OSCILLATING_3D
-
-    def __post_init__(self):
-        if self.omega_e <= 0:
+    def __init__(self, kind: CouplingKind, omega_e: float, chi_scale: float,
+                 c: float = 1.0, dipole_direction: Optional[np.ndarray] = None,
+                 r_m: float = 0.0, omega_m: float = 0.0,
+                 rhat_m: Optional[np.ndarray] = None):
+        if omega_e <= 0:
             raise ConfigError("omega_e must be positive")
-        if self.chi_scale < 0:
+        if chi_scale < 0:
             raise ConfigError("chi_scale must be >= 0")
-        if self.kind is CouplingKind.OSCILLATING_3D:
-            if self.dipole_direction is None:
+        if kind is CouplingKind.OSCILLATING_3D:
+            if dipole_direction is None:
                 raise ConfigError("3D profiles need a dipole direction")
-            object.__setattr__(self, "dipole_direction",
-                               _unit(self.dipole_direction, "dipole_direction"))
-            if self.rhat_m is None:
+            dipole_direction = _unit(dipole_direction, "dipole_direction")
+            if rhat_m is None:
                 raise ConfigError("oscillating 3D profile needs rhat_m")
-            object.__setattr__(self, "rhat_m", _unit(self.rhat_m, "rhat_m"))
-        if self.kind in (CouplingKind.OSCILLATING_3D, CouplingKind.OSCILLATING_1D):
-            if self.r_m < 0 or self.omega_m <= 0:
+            rhat_m = _unit(rhat_m, "rhat_m")
+        if kind in (CouplingKind.OSCILLATING_3D, CouplingKind.OSCILLATING_1D):
+            if r_m < 0 or omega_m <= 0:
                 raise ConfigError("oscillating profiles need r_m >= 0 and omega_m > 0")
-            km = self.omega_m / self.c
+            km = omega_m / c
             # a few ulp of slack: (w_m/c) (k_m r_m c/w_m) may round above k_m r_m
-            if km * self.r_m > KM_RM_GUARD * (1.0 + 1e-15):
+            if km * r_m > KM_RM_GUARD * (1.0 + 1e-15):
                 raise ConfigError(
-                    f"k_m*r_m = {km * self.r_m:.3g} exceeds the long-wavelength "
+                    f"k_m*r_m = {km * r_m:.3g} exceeds the long-wavelength "
                     f"guard {KM_RM_GUARD}"
                 )
-            beta_max = self.r_m * self.omega_m / self.c
+            beta_max = r_m * omega_m / c
             if beta_max >= 1.0:
                 raise ConfigError(f"beta_max = {beta_max:.3g} is not non-relativistic")
+        vars(self).update(kind=kind, omega_e=omega_e, chi_scale=chi_scale, c=c,
+                          dipole_direction=dipole_direction, r_m=r_m,
+                          omega_m=omega_m, rhat_m=rhat_m)
 
     @property
     def k_m(self) -> float:

@@ -73,7 +73,6 @@ not when the package is imported.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, comb, inf, nextafter, sqrt
 
@@ -191,11 +190,15 @@ def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
     return FockBasis(n_modes, n_max)
 
 
-@dataclass
 class FockStateVector:
-    basis: FockBasis
-    amplitudes: np.ndarray
-    info: dict = field(default_factory=dict)
+    """Amplitudes over a :class:`FockBasis`, and the ``info`` dict of the
+    call that made them (a fresh empty dict by default)."""
+
+    def __init__(self, basis: FockBasis, amplitudes: np.ndarray,
+                 info: dict | None = None):
+        self.basis = basis
+        self.amplitudes = amplitudes
+        self.info = {} if info is None else info
 
     @property
     def norm(self) -> float:
@@ -238,7 +241,6 @@ def _free_diagonal(basis: FockBasis, omega_e: float, omega) -> np.ndarray:
     return 0.5 * omega_e * basis.sigma_z_diagonal() + basis.mode_number_diagonal(omega)
 
 
-@dataclass(eq=False)
 class HarmonicHamiltonian:
     """H(t) = diag(diag) + sum_nu (f_nu(t) V_nu + f_nu(t)* V_nu^+) with
     f = ``harmonic_phases(omega_m, t)``, held as the entries of the V_nu.
@@ -262,11 +264,13 @@ class HarmonicHamiltonian:
     no scipy, and a zero value adds no work to the product.
     """
 
-    diag: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    omega_m: float
+    def __init__(self, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, omega_m: float):
+        self.diag = diag
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
+        self.omega_m = omega_m
 
     @cached_property
     def W(self) -> "scipy.sparse.csr_matrix":

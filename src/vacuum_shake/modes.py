@@ -20,7 +20,6 @@ Grids are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,50 +41,59 @@ __all__ = [
 DEFAULT_OMEGA_MIN_FRACTION = 1e-6
 
 
-class _Geometry:
+class _Frozen:
+    """Base of the immutable classes: ``__init__`` stores the fields with
+    ``vars(self).update``, and setting or deleting an attribute afterwards
+    raises ``AttributeError``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class _Geometry(_Frozen):
     def as_dict(self) -> dict:
         """Kind, c and box size, as written to run summaries."""
         return {"kind": type(self).__name__, **vars(self)}
 
 
-@dataclass(frozen=True)
 class Waveguide1D(_Geometry):
     """One-dimensional waveguide of length ``length`` and cross-section ``area``."""
 
-    length: float
-    area: float
-    c: float = 1.0
+    def __init__(self, length: float, area: float, c: float = 1.0):
+        vars(self).update(length=length, area=area, c=c)
 
 
-@dataclass(frozen=True)
 class FreeSpace3D(_Geometry):
     """Three-dimensional free space with quantization volume ``volume``."""
 
-    volume: float
-    c: float = 1.0
+    def __init__(self, volume: float, c: float = 1.0):
+        vars(self).update(volume=volume, c=c)
 
 
-@dataclass(frozen=True)
-class ModeGrid:
+class ModeGrid(_Frozen):
     """Immutable discretized mode set.
 
     Array fields are index-aligned: entry ``i`` of ``omega``/
-    ``wavevectors``/... describes mode ``i``.
+    ``wavevectors``/... describes mode ``i``.  The arrays are made
+    read-only.
     """
 
-    geometry: object
-    omega: np.ndarray
-    wavevectors: np.ndarray          # (n, dim)
-    polarizations: Optional[np.ndarray]  # (n, 3) or None in 1D
-    direction_signs: Optional[np.ndarray]  # (n,) ints or None in 3D
-    omega_min: float
-    omega_max: float
-
-    def __post_init__(self):
-        for name in ("omega", "wavevectors", "polarizations",
-                     "direction_signs"):
-            if getattr(self, name) is not None:
-                getattr(self, name).setflags(write=False)
+    def __init__(self, geometry, omega: np.ndarray, wavevectors: np.ndarray,
+                 polarizations: Optional[np.ndarray],
+                 direction_signs: Optional[np.ndarray],
+                 omega_min: float, omega_max: float):
+        # wavevectors (n, dim); polarizations (n, 3) or None in 1D;
+        # direction_signs (n,) ints or None in 3D
+        for a in (omega, wavevectors, polarizations, direction_signs):
+            if a is not None:
+                a.setflags(write=False)
+        vars(self).update(geometry=geometry, omega=omega, wavevectors=wavevectors,
+                          polarizations=polarizations,
+                          direction_signs=direction_signs,
+                          omega_min=omega_min, omega_max=omega_max)
 
     @property
     def n_modes(self) -> int:

@@ -22,7 +22,6 @@ propagation directions contribute their full multiplicity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import coupling as cp
 from .errors import ConfigError, DomainError
-from .modes import ModeGrid, Waveguide1D, density_of_states
+from .modes import ModeGrid, Waveguide1D, _Frozen, density_of_states
 
 __all__ = [
     "Wavepacket",
@@ -71,18 +70,14 @@ def eta_array(grid: ModeGrid, profile: cp.CouplingProfile) -> np.ndarray:
                          cp.grid_fourier(profile, grid)[0].real)
 
 
-@dataclass(frozen=True)
-class Wavepacket:
-    """Single-photon wavepacket amplitudes over grid modes."""
+class Wavepacket(_Frozen):
+    """Single-photon wavepacket amplitudes over grid modes; immutable, and
+    ``W`` is made read-only."""
 
-    grid: ModeGrid
-    W: np.ndarray
-    gamma_prime: float
-    k_e: float
-    x0: float
-
-    def __post_init__(self):
-        self.W.setflags(write=False)
+    def __init__(self, grid: ModeGrid, W: np.ndarray, gamma_prime: float,
+                 k_e: float, x0: float):
+        W.setflags(write=False)
+        vars(self).update(grid=grid, W=W, gamma_prime=gamma_prime, k_e=k_e, x0=x0)
 
     @property
     def norm_squared(self) -> float:
@@ -276,7 +271,6 @@ def _fft_ext(rows, size: int) -> np.ndarray:
     return np.fft.fft(x, axis=1)
 
 
-@dataclass
 class ThreePhotonTensor:
     """Long-time three-photon coefficients over grid mode triples.
 
@@ -315,13 +309,13 @@ class ThreePhotonTensor:
     directly.
     """
 
-    grid: ModeGrid
-    eta: np.ndarray
-    gamma: float
-    gamma_prime: float
-    omega_e: float
-
-    def __post_init__(self):
+    def __init__(self, grid: ModeGrid, eta: np.ndarray, gamma: float,
+                 gamma_prime: float, omega_e: float):
+        self.grid = grid
+        self.eta = eta
+        self.gamma = gamma
+        self.gamma_prime = gamma_prime
+        self.omega_e = omega_e
         omega = self.grid.omega
         self._u = 1.0 / (1j * (omega - self.omega_e) - self.gamma / 2.0)
         self._eta_conj = np.conj(self.eta)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,15 @@ from vacuum_shake import modes
 from vacuum_shake.fock import EXCITED, GROUND
 
 OMEGA_E = 1.0
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env(*paths):
+    """The caller's environment with ``src`` and then ``paths`` as
+    PYTHONPATH, for a test's Python subprocess: it keeps the caller's
+    settings, such as PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *paths])}
 
 
 @pytest.fixture(scope="session")

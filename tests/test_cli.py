@@ -14,6 +14,8 @@ import pytest
 
 from vacuum_shake import cli
 
+from conftest import subprocess_env
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SCENARIO_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json")
                           if "scenario" in json.loads(p.read_text()))
@@ -249,7 +251,20 @@ class TestValidateConfig:
                 f"cli.validate_config(json.loads({json.dumps(json.dumps(self.BASE))})); "
                 "assert 'jsonschema' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
-                       env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+                       env=subprocess_env())
+
+    def test_scenario_run_imports_stay_within_budget(self):
+        # a scenario run needs none of these modules; ``-S`` because ``site``
+        # may import importlib.resources itself, so numpy's directory goes
+        # on PYTHONPATH by hand
+        code = ("import sys, json; from vacuum_shake import cli; cli.load_schema(); "
+                f"cli.validate_config(json.loads({json.dumps(json.dumps(self.BASE))})); "
+                "print([m for m in ('dataclasses', 'argparse', 'csv', 'importlib.resources')"
+                " if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=subprocess_env(str(Path(np.__file__).parents[1])))
+        assert out.stdout == "[]\n"
 
     @pytest.mark.parametrize("workload", ["scatter3", "oracle", "rates3d", "small"])
     def test_benchmark_configs_are_valid(self, workload):
@@ -429,7 +444,7 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
     ])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
-                         env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+                         env=subprocess_env())
     printed = [ln for ln in out.stdout.splitlines() if ln.startswith("[")]
     assert printed == ["[]", "[]", "[]", "[]", "[True, False, False]"]
 
@@ -447,7 +462,7 @@ def test_rate_sweep_run_loads_no_numpy_polynomial(tmp_path, name):
         "assert 'numpy.polynomial' not in sys.modules",
     ])
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                   env={"PYTHONPATH": str(CONFIG_DIR.parent / "src")})
+                   env=subprocess_env())
 
 
 @pytest.mark.parametrize("lo, hi, n", [(1e-3, 1e-2, 16), (3e-4, 0.7, 2),

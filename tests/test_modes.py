@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vacuum_shake import modes
+from vacuum_shake import coupling as cp
+from vacuum_shake import modes, scattering
 from vacuum_shake.errors import CapacityError, ConfigError, DomainError
 
 from conftest import angular_rule, node_grid_3d
@@ -129,6 +130,31 @@ def test_geometry_dict_matches_json(small_waveguide):
         "kind": "Waveguide1D", "c": 2.0, "length": 4.0 * np.pi, "area": 1.0}
     assert modes.FreeSpace3D((2.0 * np.pi) ** 3).as_dict() == {
         "kind": "FreeSpace3D", "c": 1.0, "volume": (2.0 * np.pi) ** 3}
+
+
+def _immutables():
+    grid = modes.build_waveguide_grid(4, 2.0, 4.0 * np.pi, 1.0)
+    return {
+        "Waveguide1D": grid.geometry,
+        "FreeSpace3D": modes.FreeSpace3D((2.0 * np.pi) ** 3),
+        "ModeGrid": grid,
+        "CouplingProfile": cp.CouplingProfile.waveguide_1d(
+            1.0, gamma=1e-3, L=grid.geometry.length, c=grid.c),
+        "Wavepacket": scattering.lorentzian_wavepacket(grid, 0.1, -500.0, omega_e=1.0),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_immutables()))
+def test_immutable_objects_refuse_assignment_and_deletion(kind):
+    obj = _immutables()[kind]
+    assert type(obj).__name__ == kind
+    before = dict(vars(obj))
+    for name in [*before, "new_attribute"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vars(obj) == before
 
 
 class TestDensityOfStates:

@@ -102,6 +102,13 @@ def test_wall_time_survives_a_clock_step(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0.0
 
 
+def test_manifest_records_the_import_stage(tmp_path):
+    rc, out = run(tmp_path, "DressingDump")
+    assert rc == cli.EXIT_OK
+    import_s = json.loads((out / "manifest.json").read_text())["stages"]["import_s"]
+    assert math.isfinite(import_s) and import_s >= 0.0
+
+
 # one count per scenario, to be written as an integer-valued float, which
 # the schema accepts as an integer (draft 7) and the scenario must run with
 INTEGRAL_FLOATS = {
