@@ -12,14 +12,14 @@ table       the one CSV writer behind every artifact
 cli         scenario runner behind the ``vacuum-shake`` command
 
 Importing the package loads numpy and each module above except ``cli``.
-Importing ``cli`` adds ``json``, ``resource`` and ``pathlib``, which is all
-a scenario run needs: ``argparse`` is imported only by ``cli.main`` and
-``csv`` only by ``compare``, and the schema is read from the file beside
-``cli.py``.  The immutable geometries, grids, profiles and packets are
-plain classes, so no ``dataclasses`` module is loaded.  The time from this
-file's first statement to its last is written to each run's
-``manifest.json`` as ``stages.import_s``: it includes numpy's import where
-nothing imported numpy before, and excludes ``cli``'s own.
+Importing ``cli`` adds ``json`` and ``resource``, which is all a scenario
+run needs: paths go through ``os.path``, ``argparse`` is imported only by
+``cli.main`` and ``csv`` only by ``compare``, and the schema is read from
+the file beside ``cli.py``.  The immutable geometries, grids, profiles
+and packets are plain classes, so no ``dataclasses`` module is loaded.
+The time from this file's first statement to its last is written to each
+run's ``manifest.json`` as ``stages.import_s``: it includes numpy's import
+where nothing imported numpy before, and excludes ``cli``'s own.
 
 Importing the package loads no scipy module.  Only ``fock`` uses scipy,
 and it imports ``scipy.sparse`` on first use, for the CSR products beyond

@@ -49,11 +49,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import resource
 import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -77,7 +77,9 @@ EXIT_CAPACITY = 4
 
 @functools.cache
 def _schema_text() -> str:
-    return Path(__file__).with_name("config_schema.json").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "config_schema.json")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_schema() -> dict:
@@ -215,7 +217,7 @@ def validate_config(cfg: dict) -> dict:
             **_integers_as_int(cfg, schema)}
 
 
-def _write_json(path: Path, doc: dict):
+def _write_json(path, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -542,14 +544,14 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
         return EXIT_CONFIG
     try:
         cfg = validate_config(cfg)
-        outdir = Path(out_override or cfg["output_directory"])
+        outdir = os.fspath(out_override or cfg["output_directory"]) or os.curdir
         runner = _SCENARIOS[cfg["scenario"]]
     except (ConfigError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             summary, tables = runner(cfg)
@@ -557,11 +559,11 @@ def run_scenario(config_path, out_override=None, threads=1) -> int:
             sys.stderr.write(warnings.formatwarning(w.message, w.category,
                                                     w.filename, w.lineno, line=""))
         for name, (header, columns) in tables.items():
-            write_csv(outdir / name, header, columns)
+            write_csv(os.path.join(outdir, name), header, columns)
         summary["files"] = list(tables)
         solver = summary.pop("solver", {})
-        _write_json(outdir / "summary.json", summary)
-        _write_json(outdir / "manifest.json", {
+        _write_json(os.path.join(outdir, "summary.json"), summary)
+        _write_json(os.path.join(outdir, "manifest.json"), {
             "package": "vacuum-shake",
             "version": __version__,
             "config": cfg,
@@ -603,7 +605,7 @@ def _leaves(doc, prefix: str, name):
         yield prefix[:-1], name, doc
 
 
-def _fields(path: Path):
+def _fields(path):
     """Yield ``(field, tolerance name, value)`` for each value of a CSV or
     JSON artifact: a CSV cell is ``row i col c``, named ``c``, a float if it
     parses as one; each header column is a field with no value.  A JSON leaf
@@ -614,7 +616,7 @@ def _fields(path: Path):
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
-        if path.suffix == ".json":
+        if os.path.splitext(path)[1] == ".json":
             yield from _leaves(json.load(fh), "", None)
             return
         rows = list(csv.reader(fh))
@@ -683,7 +685,7 @@ def compare_baseline(result_file, baseline_file, tolerances=None) -> int:
     docs = []
     for path in (result_file, baseline_file):
         try:
-            docs.append({field: (name, v) for field, name, v in _fields(Path(path))})
+            docs.append({field: (name, v) for field, name, v in _fields(path)})
         except (OSError, ValueError, csv.Error) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -30,17 +30,14 @@ The expanded coupling of every kind is exactly a three-term Fourier series
 g_k(t) = g0 + g+ e^{i omega_m t} + g- e^{-i omega_m t}, whose sideband
 amplitudes are affine in x = omega/omega_m: a+- = x P +- Q, with the
 carrier a0 and the factors P and Q depending on direction and polarization
-alone.  The angular-factor kernel :func:`angular_factors` maps direction
-(and polarization) nodes to (a0, P, Q) and is the only copy of the Doppler
-and magnetic terms; :func:`grid_fourier` composes the grid-wide (3, n)
-array g_nu,k from it.  Row nu of the periodic :mod:`dressing` frame is
-xi_nu = g_nu / (omega + omega_e - nu omega_m), with the co-rotating image
-2 omega_e xi_nu; :func:`eta_from_g` gives the carrier row.  The golden-rule
-rates of :mod:`radiation` take eta0 from the carrier row and eta+ from the
-nu = +1 row (over i k_m r_m), with closed-form sums of the factors'
-products over directions and polarizations.  A coupling at one time is
-``harmonic_phases(omega_m, t) @ grid_fourier(...)``.  Profiles are
-immutable and safe to share.
+alone.  :func:`angular_factors` maps direction (and polarization) nodes to
+(a0, P, Q) and is the only copy of the Doppler and magnetic terms;
+:func:`fourier_rows` composes the rows g_nu of any factor set and is the
+only copy of chi_k and of the sideband composition.  The periodic
+:mod:`dressing` frame divides row nu by omega + omega_e - nu omega_m, and
+the golden-rule rates of :mod:`radiation` read its rows of the unit
+factors.  A coupling at one time is ``harmonic_phases(omega_m, t) @
+grid_fourier(...)``.  Profiles are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -58,9 +55,9 @@ __all__ = [
     "CouplingProfile",
     "HARMONICS",
     "angular_factors",
+    "fourier_rows",
     "grid_fourier",
     "harmonic_phases",
-    "eta_from_g",
 ]
 
 #: largest k_m r_m of an oscillating profile: the expansion of the
@@ -135,9 +132,6 @@ class CouplingProfile(_Frozen):
     def is_1d(self) -> bool:
         return self.kind in (CouplingKind.WAVEGUIDE_1D, CouplingKind.OSCILLATING_1D)
 
-    def chi(self, omega):
-        return np.sqrt(np.asarray(omega, dtype=float)) * self.chi_scale
-
     # -- normalization helpers ------------------------------------------------
 
     @staticmethod
@@ -195,32 +189,43 @@ def angular_factors(profile: CouplingProfile, direction, polarization=None):
     return d_eps, doppler, (polarization @ rm) * (direction @ dhat) - doppler
 
 
-def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
-    """(3, n) Fourier components g_nu,k of the coupling over all grid modes.
+def fourier_rows(profiles, omega, a0, P, Q) -> np.ndarray:
+    """Fourier rows (g0, g+, g-), stacked on a new first axis, of couplings
+    at the frequencies ``omega`` with the angular factors (a0, P, Q).
 
-    Row nu of ``HARMONICS`` = (0, +1, -1) holds g_nu, so g_k(t) = sum_nu
-    g_nu,k e^{i nu w_m t} exactly (the long-wavelength expansion is first
-    order in r_m): g0 = chi a0 and g+- = (i k_m r_m / 2) chi a+-, with the
-    sidebands a+- = x P +- Q, x = omega/omega_m, composed from the
-    :func:`angular_factors` (a0, P, Q) at the modes' directions and
-    polarizations.
+    g0 = chi a0 and g+- = (i k_m r_m / 2) chi (x P +- Q), with x =
+    omega/omega_m and chi = sqrt(omega) chi_scale.  The ``profiles`` share
+    a kind, and profile i's parameters index the first axis of ``omega``
+    (one profile serves all of it); every argument broadcasts.
     """
+    omega = np.asarray(omega, dtype=float)
+    chi_scale, omega_m, k_m, r_m = np.array(
+        [(p.chi_scale, p.omega_m, p.k_m, p.r_m) for p in profiles]
+    ).T.reshape(4, -1, *(1,) * (omega.ndim - 1))
+    if profiles[0].kind is not CouplingKind.WAVEGUIDE_1D:  # else P = Q = 0
+        P = (omega / omega_m) * P  # x P, x = |k|/k_m
+    chi = np.sqrt(omega) * chi_scale
+    side = 0.5j * k_m * r_m * chi
+    return np.array([chi * a0, side * (P + Q), side * (P - Q)])
+
+
+def grid_fourier(profile: CouplingProfile, grid: ModeGrid) -> np.ndarray:
+    """(3, n) Fourier components g_nu,k of the coupling over all grid modes:
+    row nu of ``HARMONICS`` = (0, +1, -1) holds g_nu, so g_k(t) = sum_nu
+    g_nu,k e^{i nu w_m t} exactly (the long-wavelength expansion is first
+    order in r_m), from the :func:`angular_factors` of the modes."""
     if profile.is_1d != grid.is_waveguide:
         raise ConfigError(
             f"profile kind {profile.kind.value} is incompatible with a "
             f"{'1D' if grid.is_waveguide else '3D'} grid"
         )
     if grid.is_waveguide:
-        a0, P, Q = angular_factors(profile, grid.direction_signs)
+        factors = angular_factors(profile, grid.direction_signs)
     else:
         k = grid.wavevectors
         khat = k / np.linalg.norm(k, axis=1, keepdims=True)
-        a0, P, Q = angular_factors(profile, khat, grid.polarizations)
-    if profile.kind is not CouplingKind.WAVEGUIDE_1D:  # no drive: P = Q = 0
-        P = (grid.omega / profile.omega_m) * P  # x P, x = |k|/k_m
-    chi = profile.chi(grid.omega)
-    side = 0.5j * profile.k_m * profile.r_m * chi
-    return np.array([chi * a0, side * (P + Q), side * (P - Q)])
+        factors = angular_factors(profile, khat, grid.polarizations)
+    return fourier_rows([profile], grid.omega, *factors)
 
 
 def harmonic_phases(omega_m: float, t: float) -> np.ndarray:
@@ -230,9 +235,3 @@ def harmonic_phases(omega_m: float, t: float) -> np.ndarray:
     """
     return np.exp(1j * (HARMONICS * omega_m) * t)
 
-
-def eta_from_g(omega_e, omega, g):
-    """Co-rotating image 2 omega_e g / (omega + omega_e) of a coupling g at
-    omega, the carrier (nu = 0) row of the periodic frame; ``omega_e`` may
-    be an array that broadcasts against ``omega``."""
-    return 2.0 * g / (1.0 + np.asarray(omega, dtype=float) / omega_e)

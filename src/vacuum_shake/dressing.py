@@ -7,11 +7,9 @@ is the harmonic series g_k(t) = sum_nu g_nu,k e^{i nu omega_m t} (nu = 0,
 omega_e - nu omega_m) is the periodic steady-state solution of the
 first-order elimination condition (omega_k + omega_e) xi + i d(xi)/dt = g.
 A static coupling has only the nu = 0 row, where this is g / (omega_k +
-omega_e).  The golden-rule rates of :mod:`radiation` read the same rows:
-the carrier photon's eta0 = 2 omega_e xi_0 (:func:`coupling.eta_from_g`,
-which the static three-photon tensor also uses), and the sideband photon's
-eta+ = 2 omega_e xi_+ / (i k_m r_m), with the denominator omega_k + omega_e
-- omega_m.
+omega_e).  :func:`_periodic_xi` is the one copy of that denominator; the
+golden-rule rates of :mod:`radiation` and the static three-photon tensor
+read their eta = 2 omega_e xi from it too.
 
 Derived quantities, each a plain numpy array or float: the co-rotating
 coupling eta_k(t) = 2 omega_e xi_k(t), the (n, n) pair-creation kernel
@@ -46,15 +44,18 @@ __all__ = [
 SMALLNESS_GUARD = 0.1
 
 
-def _periodic_xi(g: np.ndarray, omega: np.ndarray, omega_e: float,
-                 omega_m: float) -> np.ndarray:
-    """Fourier array xi_nu,k = g_nu,k / (omega_k + omega_e - nu omega_m).
+def _periodic_xi(g: np.ndarray, omega, omega_e, omega_m) -> np.ndarray:
+    """Fourier array xi_nu = g_nu / (omega + omega_e - nu omega_m) of rows
+    g_nu of the first ``len(g)`` ``coupling.HARMONICS``; ``omega``,
+    ``omega_e`` and ``omega_m`` broadcast against one row.
 
     Raises :class:`ConfigError` where a present sideband is resonant with a
     counter-rotating transition: no periodic solution exists there.
     """
-    denom = omega + omega_e - cp.HARMONICS[:, None] * omega_m
-    if np.any((np.abs(denom) < 1e-12 * omega_e) & (np.abs(g) > 0)):
+    nu = cp.HARMONICS[:len(g)].reshape(-1, *(1,) * (np.ndim(g) - 1))
+    denom = omega + omega_e - nu * omega_m
+    resonant = np.abs(denom) < 1e-12 * omega_e
+    if np.any(resonant) and np.any(resonant & (np.abs(g) > 0)):
         raise ConfigError(
             "drive resonant with a counter-rotating transition "
             "(omega_k + omega_e = omega_m): no periodic dressing"

@@ -14,19 +14,18 @@ tends to t at resonance.  For static couplings the remainder cancels
 exactly; under periodic modulation it grows secularly at pair resonances
 and the continuum limit gives a golden-rule emission rate
 
-    R = pi (k_m r_m)^2 / (4 w_e^2) * int d^Dk d^Dk' rho rho'
-        (eta+_k eta0_k' + eta+_k' eta0_k)^2 delta(w_k + w_k' - w_m).
+    R = pi / (4 w_e^2) * int d^Dk d^Dk' rho rho'
+        |eta+_k eta0_k' + eta+_k' eta0_k|^2 delta(w_k + w_k' - w_m).
 
-Its eta0 and eta+ are the carrier (denominator w + w_e) and sideband
-(w + w_e - w_m) rows of the periodic frame that ``pair_amplitude`` uses.
+Its eta0 = 2 w_e xi_0 and eta+ = 2 w_e xi_+ are the carrier and sideband
+rows of the periodic frame that ``pair_amplitude`` uses; eta+ carries the
+drive amplitude i k_m r_m / 2.
 
 A rate reads no mode grid: :func:`golden_rule_rate` takes the geometry
-(``Waveguide1D`` or ``FreeSpace3D``) alone.  The energy delta is resolved
-analytically into one radial integral over w in (0, w_m), and the angular
-and polarization sums separate from it.  They are polynomials of degree at
-most 4 in the direction, so in 3D they are exact isotropic moments in
-closed form (see :func:`golden_rule_rate`); the sums of eta+ eta0 are odd
-and vanish, and a rate costs O(n_radial) with no direction rule.
+(``Waveguide1D`` or ``FreeSpace3D``) alone.  The energy delta leaves one
+radial integral over w in (0, w_m), and the angular and polarization sums
+are closed-form moments of the coupling's angular factors, so a rate costs
+O(n_radial) with no direction rule.
 :func:`rate_sweep` takes a sweep over the drive frequency in one array pass
 and fits the scaling exponent (3 in a waveguide, 7 in free space) to
 (log w_m, log R); :func:`extract_rate_constant` gives the constant of the
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import coupling as cp
 from . import fock as fk
-from .dressing import DressedFrame, ground_state_pairs, lambda_matrix
+from .dressing import DressedFrame, _periodic_xi, ground_state_pairs, lambda_matrix
 from .errors import ConfigError, DomainError, FitQualityError, NumericalError
 from .modes import FreeSpace3D, Waveguide1D, gauss_legendre
 
@@ -53,6 +52,10 @@ __all__ = [
     "extract_rate_constant",
     "oracle_compare_pair_production",
 ]
+
+#: the unit factor basis (a0, P, Q) = e_0, e_1, e_2, each a (3, 1) column:
+#: the Fourier rows of these factors are the rows' coefficient vectors
+_UNIT_FACTORS = tuple(np.eye(3)[:, :, None])
 
 
 def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,33 +102,35 @@ def pair_amplitude(frame: DressedFrame, t: float) -> tuple[np.ndarray, np.ndarra
 
 def _angular_sums(geometry: Waveguide1D | FreeSpace3D,
                   profiles: Sequence[cp.CouplingProfile]) -> tuple:
-    """(D, density, S): the dimension, the box-counting density of the
-    geometry and the angular sums S = (S_PP, S_PQ, S_QQ, S_00) of the
-    :func:`coupling.angular_factors` (a0, P, Q), one row per profile, as a
-    (rows, 4) array; see :func:`golden_rule_rate` for their closed forms.
+    """(D, density, M): the dimension, the box-counting density of the
+    geometry and the symmetric moment matrices M_fg = sum F_f F_g of the
+    :func:`coupling.angular_factors` F = (a0, P, Q) over one photon's
+    directions and polarizations, one per profile, as a (rows, 3, 3) array;
+    see :func:`golden_rule_rate` for their closed forms.
 
-    In 3D a row depends on its profile through c = dhat.rhat_m alone, so a
-    profile may turn its geometry with w_m.  In 1D the sums over s = +-1 do
-    not depend on the profile, and one row serves every profile.  The sums
-    of P a0 and Q a0 vanish in both geometries and are not formed.
+    In 3D a matrix depends on its profile through c = dhat.rhat_m alone, so
+    a profile may turn its geometry with w_m.  In 1D the sums over s = +-1
+    do not depend on the profile, and one matrix serves every profile.
     """
     kind = profiles[0].kind
     if isinstance(geometry, FreeSpace3D):
         if kind is not cp.CouplingKind.OSCILLATING_3D:
             raise ConfigError("3D rate needs an oscillating free-space profile")
         c2 = np.array([np.dot(p.dipole_direction, p.rhat_m) for p in profiles]) ** 2
-        S = np.pi * np.stack([8.0 / 15.0 * (2.0 - c2), -4.0 / 3.0 * (1.0 - c2),
-                              8.0 / 3.0 * (1.0 - c2),
-                              np.full_like(c2, 8.0 / 3.0)], axis=1)
+        M = np.zeros((len(profiles), 3, 3))
+        M[:, 0, 0] = np.pi * (8.0 / 3.0)
+        M[:, 1, 1] = np.pi * (8.0 / 15.0 * (2.0 - c2))
+        M[:, 1, 2] = M[:, 2, 1] = np.pi * (-4.0 / 3.0 * (1.0 - c2))
+        M[:, 2, 2] = np.pi * (8.0 / 3.0 * (1.0 - c2))
         dim, dens = 3, geometry.volume / (2.0 * np.pi) ** 3
     elif isinstance(geometry, Waveguide1D):
         if kind is not cp.CouplingKind.OSCILLATING_1D:
             raise ConfigError("1D rate needs an oscillating waveguide profile")
-        S = np.array([[2.0, 0.0, 0.0, 2.0]])
+        M = np.diag([2.0, 2.0, 0.0])[None]
         dim, dens = 1, geometry.length / (2.0 * np.pi)
     else:
         raise ConfigError("unsupported rate geometry")
-    return dim, dens, S
+    return dim, dens, M
 
 
 def _rates(geometry: Waveguide1D | FreeSpace3D,
@@ -133,68 +138,64 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
     """Golden-rule rates of ``profiles`` in one array pass, one rate per
     profile (see :func:`golden_rule_rate` for the integral).
 
-    Row i of every array belongs to profile i: the angular sums S of
-    ``_angular_sums`` and the radial factor at the 2 n_radial radii
-    w = c k and w' = c (k_m - k), with the row's k_m, chi, w_e and r_m.
-    Each row is computed exactly as a pass with that profile alone would
-    compute it, so a sweep point is bitwise the rate of its profile.
-    Every check applies per row: a non-positive drive frequency, a drive
-    at or above w_e (where the sideband photon's denominator vanishes
-    inside the pair band), a pair band below the infrared cutoff, the
-    w_m >= w_e/2 warning (once per offending row) and a negative integrand
-    or rate.
+    Row i of every array belongs to profile i: the moments M of
+    ``_angular_sums`` and the periodic-frame rows xi at the n_radial radii
+    w = c k of the rule on (0, k_m), with the row's k_m and w_e.  Each row
+    is computed exactly as a pass with that profile alone would compute it,
+    so a sweep point is bitwise the rate of its profile.  Every check
+    applies per profile: a non-positive drive frequency, a drive at or above
+    w_e (where the sideband photon's denominator vanishes inside the pair
+    band), a pair band below the infrared cutoff, the w_m >= w_e/2 warning
+    (once per offending profile) and a negative integrand or rate.
     """
     if len({p.kind for p in profiles}) > 1:
         raise ConfigError("the profiles of one rate pass must share a kind")
-    # per-row columns (rows, 1)
-    omega_e, omega_m, c, chi_scale, r_m = np.array(
-        [(p.omega_e, p.omega_m, p.c, p.chi_scale, p.r_m) for p in profiles],
-        dtype=float).T[:, :, None]
-    if np.any(omega_m <= 0):
+    if any(p.omega_m <= 0 for p in profiles):
         raise ConfigError("profile must carry a positive drive frequency")
-    fast = (omega_m >= omega_e)[:, 0]
-    if np.any(fast):
-        i = int(np.argmax(fast))
-        raise ConfigError(
-            f"drive frequency {omega_m[i, 0]} >= omega_e {omega_e[i, 0]}: the "
-            "sideband denominator w + omega_e - omega_m vanishes inside the "
-            "pair band (resonant with a counter-rotating transition)"
-        )
-    omega_min = 1e-6 * omega_e
-    low = (omega_m <= 2.0 * omega_min)[:, 0]
-    if np.any(low):
-        i = int(np.argmax(low))
-        raise DomainError(
-            f"drive frequency {omega_m[i, 0]} leaves no pair band above the "
-            f"infrared cutoff {omega_min[i, 0]}"
-        )
-    for wm in omega_m[omega_m >= 0.5 * omega_e]:
-        warnings.warn(
-            f"omega_m = {wm:.6g} >= omega_e/2: the sideband denominator "
-            "w + omega_e - omega_m falls below omega_e/2 near its resonance at "
-            "omega_m = omega_e; first-order rates are strained", stacklevel=3,
-        )
-    dim, dens, S = _angular_sums(geometry, profiles)
-    S_pp, S_pq, S_qq, S_00 = S.T[:, :, None]
-
+    for p in profiles:
+        if p.omega_m >= p.omega_e:
+            raise ConfigError(
+                f"drive frequency {p.omega_m} >= omega_e {p.omega_e}: the "
+                "sideband denominator w + omega_e - omega_m vanishes inside the "
+                "pair band (resonant with a counter-rotating transition)"
+            )
+    for p in profiles:
+        if p.omega_m <= 2.0 * (1e-6 * p.omega_e):
+            raise DomainError(
+                f"drive frequency {p.omega_m} leaves no pair band above the "
+                f"infrared cutoff {1e-6 * p.omega_e}"
+            )
+    for p in profiles:
+        if p.omega_m >= 0.5 * p.omega_e:
+            warnings.warn(
+                f"omega_m = {p.omega_m:.6g} >= omega_e/2: the sideband "
+                "denominator w + omega_e - omega_m falls below omega_e/2 near "
+                "its resonance at omega_m = omega_e; first-order rates are "
+                "strained", stacklevel=3,
+            )
+    dim, dens, M = _angular_sums(geometry, profiles)
+    # per-row columns (rows, 1)
+    omega_e, omega_m, c = np.array(
+        [(p.omega_e, p.omega_m, p.c) for p in profiles], dtype=float).T[:, :, None]
     k_m = omega_m / c
     xq, wq = gauss_legendre(n_radial)
-    k_nodes = 0.5 * k_m * (xq + 1.0)
+    k = 0.5 * k_m * (xq + 1.0)
     k_wts = 0.5 * k_m * wq
-    kp = k_m - k_nodes
-    # radii of both photons of a pair: w = c k (first half), w' = c (k_m - k)
-    radii = c * np.concatenate([k_nodes, kp], axis=1)
-    x = radii / omega_m
-    # e_nu = 2 w_e chi(w) / (w + w_e - nu w_m), chi(w) = sqrt(w) chi_scale:
-    # the carrier (nu = 0) and sideband (nu = +1) rows of the periodic frame
-    chi = np.sqrt(radii) * chi_scale
-    e0 = cp.eta_from_g(omega_e, radii, chi)
-    ep = 2.0 * omega_e * chi / (radii + omega_e - omega_m)
-    # per row, halves (w, w') of sum eta+^2 and sum eta0^2
-    Ip, I0 = np.stack([0.25 * ep * ep * (x * x * S_pp + 2.0 * x * S_pq + S_qq),
-                       e0 * e0 * S_00]).reshape(2, -1, 2, n_radial)
-    integrand = (k_nodes * kp) ** (dim - 1) * (Ip[:, 0] * I0[:, 1]
-                                               + Ip[:, 1] * I0[:, 0])
+    # the nodes are symmetric about k_m/2: the partner w' = c (k_m - k) of
+    # node i is node n_radial - 1 - i
+    radii = (c * k)[:, None]  # behind an axis over the unit factors
+    g = cp.fourier_rows(profiles, radii, *_UNIT_FACTORS)
+    # carrier (nu = 0) and sideband (nu = +1) rows of the unit factors
+    xi = _periodic_xi(g[:2], radii, omega_e[:, :, None], omega_m[:, :, None])
+    # M is real, so it acts alike on the real and imaginary parts of a view
+    xi_M = (M @ xi.view(float)).view(complex)
+    xi0_bar, xip_bar = xi.conj()
+    Ip = np.sum(xip_bar * xi_M[1], axis=1).real  # xi+^H M xi+
+    I0 = np.sum(xi0_bar * xi_M[0], axis=1).real
+    J = np.sum(xi0_bar * xi_M[1], axis=1)  # xi0^H M xi+ = xi+^T M xi0*
+    # Ip I0' + Re J J'*, plus its image at the partner radii
+    pair = Ip * I0[:, ::-1] + (J * J[:, ::-1].conj()).real
+    integrand = (k * k[:, ::-1]) ** (dim - 1) * (pair + pair[:, ::-1])
     scale = np.maximum(np.max(np.abs(integrand), axis=1), 1e-300)
     negative = np.min(integrand, axis=1) < -1e-12 * scale
     if np.any(negative):
@@ -202,8 +203,8 @@ def _rates(geometry: Waveguide1D | FreeSpace3D,
                              {"omega_m": omega_m[negative, 0].tolist()})
     radial = np.sum(k_wts * integrand, axis=1, keepdims=True)
 
-    km_rm = k_m * r_m
-    rate = (np.pi * km_rm**2 / (4.0 * omega_e**2) * dens**2 / c * radial)[:, 0]
+    # pi/(4 w_e^2) times (2 w_e)^4 from eta = 2 w_e xi
+    rate = (4.0 * np.pi * omega_e**2 * dens**2 / c * radial)[:, 0]
     if np.any(rate < -1e-300):
         raise NumericalError(f"negative emission rate {rate[rate < -1e-300][0]}")
     return rate
@@ -220,70 +221,60 @@ def golden_rule_rate(geometry: Waveguide1D | FreeSpace3D,
     The energy-conservation delta is removed analytically: with w' = w_m - w
     the double continuum integral collapses to one radial integral over
     w in (0, w_m), evaluated by the ``n_radial``-point Gauss-Legendre rule of
-    :func:`modes.gauss_legendre` (one eigensystem of the Legendre Jacobi
-    matrix, built once per order and process, so a sweep pays for it once).
-    Both photons of a pair must lie above the infrared cutoff 1e-6 w_e, so
-    w_m must exceed 2e-6 w_e; and w_m must lie below w_e, since e_1 (below)
-    diverges at w = w_m - w_e, inside the band once w_m > w_e.
+    :func:`modes.gauss_legendre` (built once per order and process, so a
+    sweep pays for it once).  Both photons of a pair must lie above the
+    infrared cutoff 1e-6 w_e, so w_m must exceed 2e-6 w_e; and w_m must lie
+    below w_e, where the sideband denominator w + w_e - w_m would vanish
+    inside the band.
 
-    The angular and polarization sums separate from the radial one.  With
-    the periodic-frame factors e_nu(w) = 2 w_e chi(w) / (w + w_e - nu w_m)
-    (e_0 is ``eta_from_g(w, chi(w))``) and x = w/w_m, the co-rotating
-    amplitudes in the direction khat with polarization eps are eta0 =
-    e_0 a0 and eta+ = (e_1/2) (x P + Q), the
-    :func:`coupling.angular_factors` (a0, P, Q) there.  Expanding
-    (eta+(w) eta0'(w') + eta+'(w') eta0(w))^2 and summing over both
-    photons' directions and polarizations leaves the angular sums S_AB of
-    A B over one photon's directions and polarizations, and at each radius
+    The co-rotating rows eta_nu = 2 w_e xi_nu of the periodic frame are
+    linear in the :func:`coupling.angular_factors` F = (a0, P, Q): eta_nu =
+    sum_f eta_nu,f F_f, with eta_nu,f the rows of the unit factor F = e_f
+    (:func:`coupling.fourier_rows`).  Summing |eta+(w) eta0(w') + eta+(w')
+    eta0(w)|^2 over both photons' directions and polarizations leaves the
+    moments M_fg = sum F_f F_g of one photon, and at each radius
 
-        Ip = (e_1/2)^2 (x^2 S_PP + 2 x S_PQ + S_QQ)  (sum of eta+^2),
-        I0 = e_0^2 S_00                             (sum of eta0^2),
-        J  = (e_0 e_1/2) (x S_P0 + S_Q0)            (sum of eta+ eta0),
+        Ip = eta+^T M eta+*,   I0 = eta0^T M eta0*,   J = eta+^T M eta0*,
 
-    with the integrand (k k')^(D-1) (Ip I0' + 2 J J' + Ip' I0), primes at w'.
+    with the integrand (k k')^(D-1) (Ip I0' + Ip' I0 + 2 Re J J'*), primes
+    at w'.  The kernel does not ask which factors a row uses, so it keeps J
+    where parity makes it vanish; it contracts the rows xi_nu themselves,
+    which moves (2 w_e)^4 into the prefactor, pi/(4 w_e^2) -> 4 pi w_e^2.
 
-    In 3D the factors are polynomials of degree at most 4 in khat, and the
-    sums are exact.  The polarization sum is sum_eps eps_a eps_b = delta_ab
-    - khat_a khat_b, and the solid-angle means are <khat_a khat_b> =
-    delta_ab/3 and <khat_a khat_b khat_c khat_d> = (delta_ab delta_cd +
-    delta_ac delta_bd + delta_ad delta_bc)/15.  With c = dhat.rhat_m = cos
-    alpha,
+    In 3D the factors are polynomials of degree at most 4 in khat, the
+    polarization sum is delta_ab - khat_a khat_b, and the isotropic moments
+    of khat make the sums exact: with c = dhat.rhat_m = cos alpha,
 
-        S_PP = 8 pi (2 - c^2)/15,   S_PQ = -4 pi (1 - c^2)/3,
-        S_QQ = 8 pi (1 - c^2)/3,    S_00 = 8 pi/3.
+        M_00 = 8 pi/3,              M_PP = 8 pi (2 - c^2)/15,
+        M_PQ = -4 pi (1 - c^2)/3,   M_QQ = 8 pi (1 - c^2)/3.
 
-    In 1D the sums over s = +-1 are S_PP = S_00 = 2 and S_PQ = S_QQ = 0.
-    S_P0 and S_Q0 vanish in both geometries: in 3D the summand is odd in
-    khat, and in 1D sum_s s = 0.  So J = 0, the integrand is
-    (k k')^(D-1) (Ip I0' + Ip' I0), and a rate costs O(n_radial)
-    operations.  This is the one-profile case of the kernel that
-    :func:`rate_sweep` runs over all its drive frequencies at once.
+    In 1D the sums over s = +-1 give M = diag(2, 2, 0).  M_0P and M_0Q vanish
+    in both geometries (the summand is odd in khat or s), so J = 0 for
+    position shaking.
 
     Low-frequency laws (w_m << w_e), which the radial quadrature reproduces:
 
-    * free space, dipole along dhat moving along rhat_m at the angle alpha
-      (cos alpha = dhat.rhat_m):
+    * free space, dipole along dhat moving along rhat_m at the angle alpha:
       R = C(alpha) (k_m r_m)^2 (gamma/w_e) (w_m/w_e)^7 gamma with
       C(alpha) = (11 - 10 cos^2 alpha) / (5040 pi), i.e. 1/(5040 pi) for
       motion along the dipole and 11/(5040 pi) across it;
     * waveguide: the same form with (w_m/w_e)^3 and C = 1/(40 pi).
 
-    C(alpha) follows from the sums.  To lowest order e^2 = 4 chi_scale^2 w;
-    with u = w/w_m, c = 1 and w = k, the pair (u, 1 - u) contributes
-    4 chi_scale^4 k_m^6 u^3 (1 - u)^3 S_00 ((u^2 + (1 - u)^2) S_PP
-    + 2 S_PQ + 2 S_QQ), and the Beta integrals of u^3 (1 - u)^3 times 1 and
-    times u^2 + (1 - u)^2 over (0, 1), 1/140 and 1/252, give the radial
-    integral 4 chi_scale^4 k_m^7 S_00 (S_PP/252 + (S_PQ + S_QQ)/70)
-    = (32 pi/3) chi_scale^4 k_m^7 (8 pi (11 - 10 c^2)/3780).  The rate
-    prefactor pi (k_m r_m)^2/(4 w_e^2) (V/(2 pi)^3)^2 and chi_scale^2 =
-    3 pi gamma/(2 V w_e^3) turn this into C(alpha) above.
+    C(alpha) follows from the moments.  To lowest order eta0 = 2 chi a0 and
+    eta+ = i k_m r_m chi (x P + Q), x = w/w_m, with chi^2 = chi_scale^2 w;
+    with u = x, c = 1 and w = k the pair (u, 1 - u) contributes 4 (k_m
+    r_m)^2 chi_scale^4 k_m^6 u^3 (1 - u)^3 M_00 ((u^2 + (1 - u)^2) M_PP +
+    2 M_PQ + 2 M_QQ).  With dk = k_m du, the Beta integrals 1/140 and 1/252
+    of u^3 (1 - u)^3 times 1 and times u^2 + (1 - u)^2, the prefactor
+    pi/(4 w_e^2) (V/(2 pi)^3)^2 and chi_scale^2 = 3 pi gamma/(2 V w_e^3)
+    turn this into C(alpha) above.
 
-    Beyond lowest order, a pair (w + w' = w_m) carries e_1(w)^2 e_0(w')^2
-    proportional to w_e^4 / ((w_e - w')^2 (w_e + w')^2) = (1 - w'^2/w_e^2)^-2,
-    since w + w_e - w_m = w_e - w'.  That has no first-order term, so R =
-    C w_m^7 (1 + O((w_m/w_e)^2)) (w_m^3 in 1D), and a fitted log-log slope
-    equals 7 (3) to O((w_m/w_e)^2): 7.0000127 and 3.0000099 over the shipped
-    sweeps (w_m from 1e-3 to 1e-2).
+    Beyond lowest order, a pair (w + w' = w_m) carries |eta+(w)|^2
+    |eta0(w')|^2 proportional to (1 - w'^2/w_e^2)^-2, since w + w_e - w_m =
+    w_e - w'.  That has no first-order term, so R = C w_m^7 (1 +
+    O((w_m/w_e)^2)) (w_m^3 in 1D), and a fitted log-log slope equals 7 (3)
+    to O((w_m/w_e)^2): 7.0000127 and 3.0000099 over the shipped sweeps (w_m
+    from 1e-3 to 1e-2).
     """
     return float(_rates(geometry, [profile], n_radial)[0])
 

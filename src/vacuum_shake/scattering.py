@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import coupling as cp
+from .dressing import _periodic_xi
 from .errors import ConfigError, DomainError
 from .modes import ModeGrid, Waveguide1D, _Frozen, density_of_states
 
@@ -59,15 +60,17 @@ def gamma_from_coupling(grid: ModeGrid, profile: cp.CouplingProfile) -> float:
         raise ConfigError("profile must be a waveguide coupling")
     omega_e = profile.omega_e
     rho_total = density_of_states(grid, omega_e)
-    # the co-rotating coupling on resonance, eta(omega_e), is chi(omega_e)
-    return float(2.0 * np.pi * profile.chi(omega_e)**2 * rho_total)
+    # eta(omega_e) = 2 omega_e xi_0 is the carrier row chi(omega_e) a0, a0 = 1
+    chi_e = cp.fourier_rows([profile], omega_e, 1.0, 0.0, 0.0)[0, 0].real
+    return float(2.0 * np.pi * chi_e**2 * rho_total)
 
 
 def eta_array(grid: ModeGrid, profile: cp.CouplingProfile) -> np.ndarray:
-    """Static co-rotating coupling eta_k over all grid modes."""
+    """Static co-rotating coupling eta_k = 2 omega_e xi_0,k over all grid modes."""
     _require_waveguide(grid)
-    return cp.eta_from_g(profile.omega_e, grid.omega,
-                         cp.grid_fourier(profile, grid)[0].real)
+    xi0 = _periodic_xi(cp.grid_fourier(profile, grid)[:1].real, grid.omega,
+                       profile.omega_e, profile.omega_m)[0]
+    return 2.0 * profile.omega_e * xi0
 
 
 class Wavepacket(_Frozen):

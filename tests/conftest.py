@@ -95,6 +95,11 @@ def node_grid_3d(omega, khat, eps, volume=(2.0 * np.pi) ** 3):
         omega_max=float(omega.max()))
 
 
+def chi(profile, omega):
+    """Mode normalization chi = sqrt(omega) chi_scale of a profile's coupling."""
+    return np.sqrt(omega) * profile.chi_scale
+
+
 def oscillating_1d_profile(grid, *, omega_m, km_rm=0.05, gamma=1e-3,
                            omega_e=OMEGA_E):
     return cp.CouplingProfile.oscillating_1d(

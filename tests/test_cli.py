@@ -259,7 +259,8 @@ class TestValidateConfig:
         # on PYTHONPATH by hand
         code = ("import sys, json; from vacuum_shake import cli; cli.load_schema(); "
                 f"cli.validate_config(json.loads({json.dumps(json.dumps(self.BASE))})); "
-                "print([m for m in ('dataclasses', 'argparse', 'csv', 'importlib.resources')"
+                "print([m for m in ('dataclasses', 'argparse', 'csv', 'importlib.resources',"
+                "'pathlib')"
                 " if m in sys.modules])")
         out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                              capture_output=True, text=True,
@@ -289,7 +290,7 @@ def test_runner_writes_exactly_the_listed_tables(tmp_path, monkeypatch, path):
     written = []
     write = cli.write_csv
     monkeypatch.setattr(cli, "write_csv",
-                        lambda p, *table: written.append(p.name) or write(p, *table))
+                        lambda p, *table: written.append(Path(p).name) or write(p, *table))
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
     files = json.loads((out / "summary.json").read_text())["files"]

@@ -8,7 +8,8 @@ from vacuum_shake import modes
 from vacuum_shake import scattering as sc
 from vacuum_shake.errors import ConfigError
 
-from conftest import OMEGA_E, node_grid_3d, oscillating_1d_profile, static_1d_profile
+from conftest import (OMEGA_E, chi, node_grid_3d, oscillating_1d_profile,
+                      static_1d_profile)
 
 V = (2.0 * np.pi) ** 3
 
@@ -26,14 +27,15 @@ def g_at(prof, grid, t):
 
 def eta_at(prof, grid, t):
     """Co-rotating coupling eta_k(t) = 2 omega_e g_k(t) / (omega_k + omega_e)."""
-    return cp.eta_from_g(prof.omega_e, grid.omega, g_at(prof, grid, t))
+    return 2.0 * g_at(prof, grid, t) / (1.0 + grid.omega / prof.omega_e)
 
 
 def eta3d(prof, grid):
     """(eta0, eta_plus, eta_minus) of the first mode of a 3D grid, the
-    adiabatic co-rotating amplitudes eta_from_g(g_nu) of its Fourier rows,
-    with the sidebands over i k_m r_m (so all three are real)."""
-    eta = cp.eta_from_g(prof.omega_e, grid.omega[0], cp.grid_fourier(prof, grid)[:, 0])
+    adiabatic co-rotating amplitudes 2 omega_e g_nu / (omega + omega_e) of
+    its Fourier rows, with the sidebands over i k_m r_m (so all three are
+    real)."""
+    eta = 2.0 * cp.grid_fourier(prof, grid)[:, 0] / (1.0 + grid.omega[0] / prof.omega_e)
     eta[1:] /= 1j * prof.k_m * prof.r_m
     assert not np.any(eta.imag)
     return tuple(eta.real)
@@ -80,7 +82,7 @@ class TestEvalG:
         prof = osc3d(r_m=0.0)
         m = node_grid_3d(0.7, [1, 0, 0], [0, 0, 1])
         g = g_at(prof, m, 2.1)[0]
-        assert g == pytest.approx(prof.chi(0.7) * 1.0)
+        assert g == pytest.approx(chi(prof, 0.7) * 1.0)
 
     def test_periodicity(self):
         prof = osc3d(r_m=0.5, omega_m=0.13)
@@ -96,7 +98,7 @@ class TestEtaComponents3D:
         # and only the magnetic sideband survives, with opposite signs
         prof = osc3d(dhat=[0, 0, 1], rhat=[0, 1, 0])
         eta0, eta_plus, eta_minus = eta3d(prof, node_grid_3d(0.5, [0.6, 0, 0.8], [0, 1, 0]))
-        pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
+        pref = chi(prof, 0.5) / (1 + 0.5 / OMEGA_E)
         # bracket = (rhat.eps)(dhat.khat) - (rhat.khat)(dhat.eps) = 0.8
         assert eta0 == pytest.approx(0.0, abs=1e-15)
         assert eta_plus == pytest.approx(pref * 0.8, rel=1e-12)
@@ -106,7 +108,7 @@ class TestEtaComponents3D:
         prof = osc3d(dhat=[0, 0, 1], rhat=[0, 1, 0])
         m = node_grid_3d(0.5, [0, 0.6, 0.8], [0, 0.8, -0.6])
         eta0, eta_plus, eta_minus = eta3d(prof, m)
-        pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
+        pref = chi(prof, 0.5) / (1 + 0.5 / OMEGA_E)
         d_eps = -0.6
         dop = (0.5 / prof.omega_m) * 0.6 * d_eps
         mag = 0.8 * 0.8 - 0.6 * d_eps
@@ -119,7 +121,7 @@ class TestEtaComponents3D:
         # Doppler-like term (k/k_m) and the full magnetic bracket -(dhat.eps)
         prof = osc3d(dhat=[1, 0, 0], rhat=[0, 0, 1])
         _, eta_plus, eta_minus = eta3d(prof, node_grid_3d(0.5, [0, 0, 1], [1, 0, 0]))
-        pref = prof.chi(0.5) / (1 + 0.5 / OMEGA_E)
+        pref = chi(prof, 0.5) / (1 + 0.5 / OMEGA_E)
         k_over_km = 0.5 / prof.omega_m
         assert eta_plus == pytest.approx(pref * (k_over_km - 1.0), rel=1e-12)
         assert eta_minus == pytest.approx(pref * (k_over_km + 1.0), rel=1e-12)
@@ -145,7 +147,7 @@ class TestEtaComponents3D:
         c = eta3d(prof, node_grid_3d(omega, kdir, eps))
         dhat_u = dhat / np.linalg.norm(dhat)
         rhat_u = rhat / np.linalg.norm(rhat)
-        pref = prof.chi(omega) / (1 + omega / OMEGA_E)
+        pref = chi(prof, omega) / (1 + omega / OMEGA_E)
         bracket = (rhat_u @ eps) * (dhat_u @ kdir) - (rhat_u @ kdir) * (dhat_u @ eps)
         assert c[1] - c[2] == pytest.approx(2 * pref * bracket, abs=1e-12)
         # all components real by construction

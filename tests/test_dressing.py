@@ -7,7 +7,7 @@ from vacuum_shake import dressing as dr
 from vacuum_shake import modes
 from vacuum_shake.errors import ConfigError
 
-from conftest import OMEGA_E, oscillating_1d_profile, static_1d_profile
+from conftest import OMEGA_E, chi, oscillating_1d_profile, static_1d_profile
 
 
 def ramp_xi(g0, T, w, t):
@@ -152,7 +152,7 @@ class TestXiExactClosedForm:
             k_rm = small_waveguide.wavevectors[i, 0] * prof.r_m
 
             def g(t):  # long-wavelength coupling chi (1 + i k x_A(t))
-                return prof.chi(omega) * (1.0 + 1j * k_rm * np.cos(omega_m * t))
+                return chi(prof, omega) * (1.0 + 1j * k_rm * np.cos(omega_m * t))
 
             for t in (0.7, 13.1):
                 val, _ = quad(lambda tp: g(tp) * np.exp(1j * w * (t - tp)),

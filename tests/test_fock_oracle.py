@@ -16,7 +16,7 @@ from vacuum_shake import fock as fk
 from vacuum_shake import modes
 from vacuum_shake.errors import CapacityError, ConfigError, NumericalError
 
-from conftest import (OMEGA_E, angular_rule, dense_annihilator, dense_sigma_x,
+from conftest import (OMEGA_E, angular_rule, chi, dense_annihilator, dense_sigma_x,
                       node_grid_3d, oscillating_1d_profile, static_1d_profile)
 
 
@@ -156,7 +156,7 @@ class TestOriginalHamiltonian:
             ref = ref.astype(complex)
             for k in range(4):
                 x_a = prof.r_m * np.cos(prof.omega_m * t)
-                g = prof.chi(small_waveguide.omega[k]) \
+                g = chi(prof, small_waveguide.omega[k]) \
                     * (1.0 + 1j * small_waveguide.wavevectors[k, 0] * x_a)
                 a = dense_annihilator(b, k)
                 ref += (g * a + np.conj(g) * a.conj().T) @ sx

@@ -540,13 +540,17 @@ class TestSweepKernel:
             rad.golden_rule_rate(grid1, prof1, n_radial=8)
 
 
+#: the six distinct entries (f, g) of a symmetric moment matrix over (a0, P, Q)
+MOMENT_ENTRIES = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
 class TestAngularSums:
     @pytest.mark.parametrize("case", range(12))
     def test_3d_closed_forms_match_a_fine_rule(self, case):
-        # the sums of (P^2, P Q, Q^2, a0^2, P a0, Q a0) over angular_rule(24, 12),
-        # exact for these degree-4 integrands, against the closed forms with
-        # S_P0 = S_Q0 = 0; random axes, then dhat parallel and perpendicular
-        # to rhat_m
+        # the moments M_fg = sum F_f F_g of F = (a0, P, Q) over
+        # angular_rule(24, 12), exact for these degree-4 integrands, against
+        # the closed forms, the zero cross moments M_0P and M_0Q included;
+        # random axes, then dhat parallel and perpendicular to rhat_m
         rng = np.random.default_rng(case)
         dhat, rhat = rng.normal(size=(2, 3))
         if case == 0:
@@ -556,13 +560,16 @@ class TestAngularSums:
         prof = cp.CouplingProfile.oscillating_3d(
             OMEGA_E, dhat, rhat, r_m=50.0, omega_m=1e-3, gamma=GAMMA, V=V)
         khat, eps, weight = angular_rule(24, 12)
-        a0, P, Q = cp.angular_factors(prof, khat, eps)
-        rule_sums = np.array([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]) @ weight
-        dim, dens, S = rad._angular_sums(FREE, [prof])
+        F = np.array(cp.angular_factors(prof, khat, eps))
+        rule = (F * weight) @ F.T
+        dim, dens, M = rad._angular_sums(FREE, [prof])
         assert (dim, dens) == (3, 1.0)
-        # the rule's own rounding reaches 1.2e-14 on sums of size 8 pi/3
-        np.testing.assert_allclose(S[0], rule_sums[:4], rtol=0, atol=2e-14)
-        np.testing.assert_allclose(rule_sums[4:], 0.0, rtol=0, atol=2e-14)
+        assert M.shape == (1, 3, 3)
+        np.testing.assert_array_equal(M[0], M[0].T)
+        assert M[0, 0, 1] == M[0, 0, 2] == 0.0
+        # the rule's own rounding reaches 1.2e-14 on moments of size 8 pi/3
+        for f, g in MOMENT_ENTRIES:
+            assert M[0, f, g] == pytest.approx(rule[f, g], rel=0, abs=2e-14), (f, g)
         c2 = np.dot(prof.dipole_direction, prof.rhat_m) ** 2
         if case == 0:
             assert c2 == pytest.approx(1.0, rel=1e-15)
@@ -572,12 +579,57 @@ class TestAngularSums:
     def test_1d_sums(self):
         grid = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
         prof = oscillating_1d_profile(grid, omega_m=1e-3)
-        a0, P, Q = cp.angular_factors(prof, np.array([1.0, -1.0]))
-        sums = np.array([P * P, P * Q, Q * Q, a0 * a0, P * a0, Q * a0]).sum(axis=1)
-        assert sums.tolist() == [2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
-        dim, dens, S = rad._angular_sums(grid.geometry, [prof])
+        F = np.array(cp.angular_factors(prof, np.array([1.0, -1.0])))
+        rule = F @ F.T
+        assert [rule[f, g] for f, g in MOMENT_ENTRIES] == [2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+        dim, dens, M = rad._angular_sums(grid.geometry, [prof])
         assert (dim, dens) == (1, grid.geometry.length / (2.0 * np.pi))
-        assert S.tolist() == [[2.0, 0.0, 0.0, 2.0]]
+        assert M.tolist() == [rule.tolist()]
+
+
+def right_mover_loop_rate(geometry, profile, n_radial):
+    """1D golden-rule rate summed radius by radius over right-moving photons
+    (s = +1) alone: the pair term (eta+_k eta0_k' + eta+_k' eta0_k)^2 of
+    ``loop_rate`` with both photons moving along +x."""
+    k_m, c = profile.k_m, profile.c
+    km_rm = k_m * profile.r_m
+    x, wq = np.polynomial.legendre.leggauss(n_radial)
+    total = 0.0
+    for xi, wi in zip(x, wq):
+        k = 0.5 * k_m * (xi + 1.0)
+        e0, ep, f0, fp = [], [], [], []
+        for w, (carrier, side) in ((c * k, (e0, ep)), (c * (k_m - k), (f0, fp))):
+            grid = modes.few_mode_waveguide_grid([w], c=c, directions=(1,))
+            eta = 2.0 * profile.omega_e * dr.DressedFrame(grid, profile).xi_coeffs[:2, 0]
+            carrier.append(eta[0].real)
+            side.append((eta[1] / (1j * km_rm)).real)
+        total += 0.5 * k_m * wi * (ep[0] * f0[0] + fp[0] * e0[0]) ** 2
+    dens = geometry.length / (2.0 * np.pi)
+    return np.pi * km_rm**2 / (4.0 * profile.omega_e**2) * dens**2 / c * total
+
+
+class TestCrossMoment:
+    def test_cross_term_is_live(self, monkeypatch):
+        # right-movers alone (a0 = P = 1, Q = 0) have the cross moment
+        # M_0P = 1, so J = eta+^T M eta0* does not vanish and the 2 Re J J'*
+        # term of the integrand carries a share of the rate
+        grid = modes.build_waveguide_grid(8, 2.0, 8 * np.pi, 1.0)
+        real_sums = rad._angular_sums
+
+        def right_movers(geometry, profiles):
+            dim, dens, _ = real_sums(geometry, profiles)
+            F = np.array(cp.angular_factors(profiles[0], np.array([1.0])))
+            return dim, dens, (F @ F.T)[None]
+
+        monkeypatch.setattr(rad, "_angular_sums", right_movers)
+        assert right_movers(grid.geometry, [oscillating_1d_profile(
+            grid, omega_m=1e-3)])[2][0, 0, 1] == 1.0
+        profiles = [oscillating_1d_profile(grid, omega_m=wm)
+                    for wm in (1e-3, 3e-2, 0.2)]
+        rates = rad._rates(grid.geometry, profiles, 16)
+        for prof, rate in zip(profiles, rates):
+            assert rate == pytest.approx(
+                right_mover_loop_rate(grid.geometry, prof, 16), rel=1e-12, abs=0)
 
 
 class TestRuleBuiltOnce:
@@ -618,6 +670,33 @@ class TestOracleComparison:
                 basis, frame, 60.0, tol=1e-11)
         assert report["max_rel_deviation"] < 0.15
         assert len(report["resonant_pairs"]) == 4
+
+    def test_short_time_xi_ladder(self):
+        # four periods of the OracleCompare physics: the deviation from
+        # first-order perturbation theory is the next order, so it falls by
+        # 4 per halving of xi, with no truncation warning at n_max 4 and the
+        # same deviation at n_max 6
+        grid = modes.few_mode_waveguide_grid([0.5, 2.0])
+        wm = 2.5
+        t_final = 4 * 2.0 * np.pi / wm
+
+        def deviation(xi, n_max):
+            prof = cp.CouplingProfile(
+                kind=cp.CouplingKind.OSCILLATING_1D, omega_e=OMEGA_E,
+                chi_scale=xi * (0.5 + OMEGA_E) / np.sqrt(0.5), c=1.0,
+                r_m=0.1 / wm, omega_m=wm,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = rad.oracle_compare_pair_production(
+                    fk.enumerate_basis(4, n_max), dr.DressedFrame(grid, prof),
+                    t_final, tol=1e-10)
+            return report["max_rel_deviation"]
+
+        ladder = [deviation(xi, 4) for xi in (0.015, 0.0075, 0.00375)]
+        falls = [a / b for a, b in zip(ladder, ladder[1:])]
+        assert all(3.5 <= f <= 4.5 for f in falls), falls
+        assert deviation(0.00375, 6) == pytest.approx(ladder[-1], rel=1e-4, abs=0)
 
     def test_requires_resonance(self):
         grid = modes.few_mode_waveguide_grid([0.4, 0.9])
